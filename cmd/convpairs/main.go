@@ -50,7 +50,6 @@ func main() {
 	dotOut := flag.String("dot", "", "write a GraphViz DOT rendering of G_t2 with the found pairs highlighted")
 	jsonOut := flag.String("json", "", "write the run result as a JSON report")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "across-source BFS parallelism (concurrent traversals)")
-	par := flag.Int("par", 1, "intra-traversal parallelism: cores one BFS may split its frontiers across; results and budget are identical at every setting")
 	engine := flag.String("engine", "auto", "BFS kernel: "+strings.Join(sssp.EngineNames(), "|"))
 	paired := flag.String("paired", "full", "extraction paired mode: full (re-traverse G_t2) | incremental (derive G_t2 rows from the edge delta); same results and budget either way")
 	pruneOn := flag.Bool("prune", true, "Δ-threshold pruned extraction for -k runs (bit-identical output, less traversal); -prune=false forces full traversals")
@@ -63,7 +62,6 @@ func main() {
 		fatal(err)
 	}
 	sssp.SetDefaultEngine(eng)
-	sssp.SetDefaultParallelism(*par)
 	pairedMode, err := convergence.ParsePairedMode(*paired)
 	if err != nil {
 		fatal(err)
@@ -157,7 +155,7 @@ func main() {
 	// query. A convserve daemon runs the same Session code over the same
 	// snapshots, which is what makes served results bit-identical to this
 	// one-shot run.
-	sess, err := convergence.NewSession(pair, convergence.SessionConfig{Engine: eng, Parallelism: *par})
+	sess, err := convergence.NewSession(pair, convergence.SessionConfig{Engine: eng})
 	if err != nil {
 		fatal(err)
 	}
@@ -277,8 +275,6 @@ func writeTrace(tr *convergence.Trace, path string, report convergence.BudgetRep
 		obs.Int64("edges-scanned", total.Edges),
 		obs.Int64("diropt-switches", work.DirectionOpt.Switches),
 		obs.Int64("frontier-peak", total.FrontierPeak),
-		// Most workers any single traversal level ran on (1 = serial BFS).
-		obs.Int64("cores-used", total.CoresUsed),
 		// Incremental paired extraction: traversal the delta repair did in
 		// place of full second BFSes (zero in -paired=full runs).
 		obs.Int64("repair-calls", work.Repair.Calls),

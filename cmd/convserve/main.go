@@ -72,7 +72,6 @@ func main() {
 	maxSessions := flag.Int("maxsessions", 0, "cached per-window query sessions (0 = default)")
 	tenantLimit := flag.Int("tenantlimit", 0, "SSSP allowance for tenants auto-created by their first query (0 = unlimited)")
 	workers := flag.Int("workers", 0, "across-source BFS parallelism per query (0 = all cores)")
-	par := flag.Int("par", 1, "intra-traversal parallelism: cores one BFS may split its frontiers across")
 	engine := flag.String("engine", "auto", "BFS kernel: "+strings.Join(sssp.EngineNames(), "|"))
 	var tenants tenantFlags
 	flag.Var(&tenants, "tenant", "declare a tenant as name=limit (repeatable; limit <= 0 = unlimited)")
@@ -87,7 +86,6 @@ func main() {
 		Universe:    *universe,
 		Retain:      *retain,
 		Engine:      eng,
-		Parallelism: *par,
 		Workers:     *workers,
 		BatchWindow: *batchWindow,
 		Immediate:   *immediate,

@@ -22,8 +22,7 @@ type (
 	// engines, scratch buffers, and selector caches persist across queries,
 	// and each TopK call runs under a context.
 	Session = core.Session
-	// SessionConfig pins a Session's BFS kernel and intra-traversal
-	// parallelism.
+	// SessionConfig pins a Session's BFS kernel.
 	SessionConfig = core.SessionConfig
 
 	// Ingester accumulates a timestamped edge stream and seals it into

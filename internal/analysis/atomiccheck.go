@@ -16,7 +16,7 @@ import (
 // by `atomic.CompareAndSwapUint64(&vis[w], ...)` marks the `r.vis` storage
 // class atomic, and a later plain `s.vis[w] |= bit` in another function of
 // the same package is flagged. In-package atomic accessors (pointer params
-// used only through sync/atomic, like the orUint64 CAS helper) count as
+// used only through sync/atomic, like a CAS-loop orWord helper) count as
 // atomic sites for their arguments.
 //
 // Deliberately mixed access — phase-separated plain initialization of a

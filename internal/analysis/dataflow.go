@@ -110,7 +110,7 @@ type Flow struct {
 	// goroutine: spawnerParams[fn][i] for parameter index i of fn.
 	spawnerParams map[*types.Func]map[int]bool
 	// atomicParams marks pointer parameters used exclusively through
-	// sync/atomic (the orUint64 idiom): atomicParams[fn][i].
+	// sync/atomic (the CAS-loop orWord idiom): atomicParams[fn][i].
 	atomicParams map[*types.Func]map[int]bool
 	// aliasParent is the union-find forest over storage roots.
 	aliasParent map[types.Object]types.Object
@@ -662,7 +662,7 @@ func declaredAt(info *types.Info, expr ast.Expr, v *types.Var) bool {
 }
 
 // atomicParamWalk computes which pointer parameters are used exclusively
-// through sync/atomic, so calls like orUint64(&words[i], v) count as atomic
+// through sync/atomic, so calls like orWord(&words[i], v) count as atomic
 // accesses of words. One backward pass then a fixpoint for accessor chains.
 func (f *Flow) atomicParamWalk() {
 	for pass := 0; pass < 4; pass++ {

@@ -49,14 +49,6 @@ type Options struct {
 	RNG *rand.Rand
 	// Workers bounds SSSP parallelism; <=0 means GOMAXPROCS.
 	Workers int
-	// Parallelism bounds intra-traversal parallelism: how many cores one
-	// BFS may split its frontiers across (sssp's parallel level-synchronous
-	// kernels). 0 follows the process default, <=1 runs each traversal
-	// serial. Orthogonal to Workers, which spreads sources; total
-	// concurrency is roughly their product. Results, budget charges, and
-	// traversal-work metrics are identical at every setting — only
-	// wall-clock changes.
-	Parallelism int
 	// Engine selects the BFS kernel for the extraction phase's shortest
 	// paths (ablations pin one); the zero value Auto picks the fastest.
 	// Ignored by TopKSources, whose sources carry their own kernels.
@@ -160,7 +152,7 @@ var ErrNoSelector = errors.New("core: no selector configured")
 // callers (services, monitors) build a Session once and query it repeatedly;
 // both paths produce bit-identical results by construction.
 func TopK(pair graph.SnapshotPair, opts Options) (*Result, error) {
-	s, err := NewSession(pair, SessionConfig{Engine: opts.Engine, Parallelism: opts.Parallelism})
+	s, err := NewSession(pair, SessionConfig{Engine: opts.Engine})
 	if err != nil {
 		return nil, err
 	}

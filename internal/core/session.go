@@ -45,8 +45,6 @@ type Session struct {
 type SessionConfig struct {
 	// Engine selects the BFS kernel (Auto picks the fastest per call).
 	Engine sssp.Engine
-	// Parallelism bounds intra-traversal parallelism (see Options).
-	Parallelism int
 }
 
 // enginePool is one paired engine plus the pool of per-worker extraction
@@ -78,7 +76,7 @@ func NewSession(pair graph.SnapshotPair, cfg SessionConfig) (*Session, error) {
 	if err := pair.Validate(); err != nil {
 		return nil, err
 	}
-	return newSession(dist.BFSPairPar(pair, cfg.Engine, cfg.Parallelism), pair), nil
+	return newSession(dist.BFSPair(pair, cfg.Engine), pair), nil
 }
 
 // NewSessionSources prepares a session over arbitrary distance sources (the

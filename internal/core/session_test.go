@@ -152,8 +152,8 @@ func TestSessionCancellation(t *testing.T) {
 func TestSessionSourcesBatched(t *testing.T) {
 	sp := growingPair(t, 100, 11)
 	batched := dist.Pair{
-		S1: dist.NewBatcher(dist.NewBFSPar(sp.G1, 0, 0), dist.BatcherOptions{Immediate: true}),
-		S2: dist.NewBatcher(dist.NewBFSPar(sp.G2, 0, 0), dist.BatcherOptions{Immediate: true}),
+		S1: dist.NewBatcher(dist.NewBFS(sp.G1, 0), dist.BatcherOptions{Immediate: true}),
+		S2: dist.NewBatcher(dist.NewBFS(sp.G2, 0), dist.BatcherOptions{Immediate: true}),
 	}
 	sess, err := NewSessionSources(batched)
 	if err != nil {

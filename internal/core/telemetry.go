@@ -40,9 +40,9 @@ func fingerprint(opts Options) string {
 	if opts.Selector != nil {
 		name = opts.Selector.Name()
 	}
-	return fmt.Sprintf("selector=%s m=%d k=%d delta=%d seed=%d engine=%s paired=%s workers=%d par=%d",
+	return fmt.Sprintf("selector=%s m=%d k=%d delta=%d seed=%d engine=%s paired=%s workers=%d",
 		name, opts.M, opts.K, opts.MinDelta, opts.Seed,
-		opts.Engine, opts.PairedMode, opts.Workers, opts.Parallelism)
+		opts.Engine, opts.PairedMode, opts.Workers)
 }
 
 // recordRun closes out one run's telemetry: the total-phase histogram sample

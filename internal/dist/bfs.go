@@ -15,34 +15,25 @@ import (
 type BFS struct {
 	g      *graph.Graph
 	engine sssp.Engine
-	par    int
 }
 
 // NewBFS wraps g as a distance source computing distances with the given
-// BFS kernel (sssp.Auto for automatic selection). Intra-traversal
-// parallelism follows the process default; use NewBFSPar to pin it.
+// BFS kernel (sssp.Auto for automatic selection).
 func NewBFS(g *graph.Graph, engine sssp.Engine) *BFS {
-	return NewBFSPar(g, engine, 0)
+	return &BFS{g: g, engine: engine}
 }
 
-// NewBFSPar is NewBFS with an explicit intra-traversal parallelism: every
-// traversal this source runs may split its frontiers across par cores
-// (0 = process default, <= 1 = serial). Orthogonal to the sweep workers
-// knob, which spreads sources; see sssp.AllSourcesParEngineFunc.
+// NewBFSPar is NewBFS for callers written against the former
+// intra-traversal parallelism knob. par is ignored: every traversal is
+// serial, and sweeps parallelize across sources instead.
 func NewBFSPar(g *graph.Graph, engine sssp.Engine, par int) *BFS {
-	return &BFS{g: g, engine: engine, par: par}
+	return NewBFS(g, engine)
 }
 
 // BFSPair wraps an unweighted snapshot pair as a dist.Pair sharing one
 // engine choice. The caller validates the pair (supergraph invariant).
 func BFSPair(pair graph.SnapshotPair, engine sssp.Engine) Pair {
-	return BFSPairPar(pair, engine, 0)
-}
-
-// BFSPairPar is BFSPair with an explicit intra-traversal parallelism shared
-// by both snapshots.
-func BFSPairPar(pair graph.SnapshotPair, engine sssp.Engine, par int) Pair {
-	return Pair{S1: NewBFSPar(pair.G1, engine, par), S2: NewBFSPar(pair.G2, engine, par)}
+	return Pair{S1: NewBFS(pair.G1, engine), S2: NewBFS(pair.G2, engine)}
 }
 
 // NumNodes returns the node-universe size.
@@ -64,13 +55,9 @@ func (s *BFS) Graph() *graph.Graph { return s.g }
 // Engine returns the configured BFS kernel.
 func (s *BFS) Engine() sssp.Engine { return s.engine }
 
-// Parallelism returns the configured intra-traversal parallelism (0 means
-// the process default).
-func (s *BFS) Parallelism() int { return s.par }
-
 // DistancesInto runs one BFS from src, borrowing pooled scratch.
 func (s *BFS) DistancesInto(src int, dst []int32) {
-	sssp.ParallelBFSWith(s.g, src, dst, s.engine, s.par, nil)
+	sssp.BFSWith(s.g, src, dst, s.engine, nil)
 }
 
 // NewSession returns a handle owning a private sssp.Scratch.
@@ -82,7 +69,7 @@ func (s *BFS) NewSession() Session {
 // the engine resolution picks it), amortizing traversals across sources;
 // once ctx is done no further source or batch starts.
 func (s *BFS) SweepCtx(ctx context.Context, sources []int, workers int, fn func(src int, dst []int32)) error {
-	return sssp.AllSourcesParEngineCtxFunc(ctx, s.g, sources, workers, s.engine, s.par, fn)
+	return sssp.AllSourcesEngineCtxFunc(ctx, s.g, sources, workers, s.engine, fn)
 }
 
 // pairedSweep implements the paired fast path when both snapshots are
@@ -93,7 +80,7 @@ func (s *BFS) pairedSweep(ctx context.Context, other Source, sources []int, work
 	if !ok || o.engine != s.engine {
 		return false, nil
 	}
-	return true, sssp.PairedSourcesParEngineCtxFunc(ctx, s.g, o.g, sources, workers, s.engine, s.par, fn)
+	return true, sssp.PairedSourcesEngineCtxFunc(ctx, s.g, o.g, sources, workers, s.engine, fn)
 }
 
 // bfsSession reuses one scratch across queries from a single goroutine.
@@ -103,7 +90,7 @@ type bfsSession struct {
 }
 
 func (s *bfsSession) DistancesInto(src int, dst []int32) {
-	sssp.ParallelBFSWith(s.src.g, src, dst, s.src.engine, s.src.par, s.scratch)
+	sssp.BFSWith(s.src.g, src, dst, s.src.engine, s.scratch)
 }
 
 // newIncrementalPairedEngine implements the incrementalPairable capability:
@@ -122,7 +109,6 @@ func (s *BFS) newIncrementalPairedEngine(other Source) (PairedEngine, bool) {
 		g1:     s.g,
 		g2:     o.g,
 		engine: s.engine,
-		par:    s.par,
 		delta:  graph.NewDelta(s.g, o.g),
 	}, true
 }
@@ -132,7 +118,6 @@ func (s *BFS) newIncrementalPairedEngine(other Source) (PairedEngine, bool) {
 type incrPairedEngine struct {
 	g1, g2 *graph.Graph
 	engine sssp.Engine
-	par    int
 	delta  *graph.Delta
 }
 
@@ -154,7 +139,7 @@ type incrPairedSession struct {
 }
 
 func (s *incrPairedSession) DistancesPairInto(src int, d1, d2 []int32) {
-	sssp.ParallelBFSWith(s.e.g1, src, d1, s.e.engine, s.e.par, s.scratch)
+	sssp.BFSWith(s.e.g1, src, d1, s.e.engine, s.scratch)
 	s.DeriveInto(src, d1, d2)
 }
 
@@ -180,7 +165,7 @@ type incrSweepState struct {
 func (e *incrPairedEngine) sweep(ctx context.Context, sources []int, workers int, fn func(src int, d1, d2 []int32)) error {
 	n := e.g1.NumNodes()
 	var pool sync.Pool
-	return sssp.AllSourcesParEngineCtxFunc(ctx, e.g1, sources, workers, e.engine, e.par, func(src int, d1 []int32) {
+	return sssp.AllSourcesEngineCtxFunc(ctx, e.g1, sources, workers, e.engine, func(src int, d1 []int32) {
 		st, _ := pool.Get().(*incrSweepState)
 		if st == nil {
 			st = &incrSweepState{d2: make([]int32, n), repair: dynsssp.NewScratch()}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -25,9 +26,9 @@ func newSlowSource(inner Source) *slowSource {
 	return &slowSource{inner: inner, release: make(chan struct{})}
 }
 
-func (s *slowSource) NumNodes() int            { return s.inner.NumNodes() }
-func (s *slowSource) NumEdges() int            { return s.inner.NumEdges() }
-func (s *slowSource) Degree(u int) int         { return s.inner.Degree(u) }
+func (s *slowSource) NumNodes() int             { return s.inner.NumNodes() }
+func (s *slowSource) NumEdges() int             { return s.inner.NumEdges() }
+func (s *slowSource) Degree(u int) int          { return s.inner.Degree(u) }
 func (s *slowSource) NeighborIDs(u int) []int32 { return s.inner.NeighborIDs(u) }
 
 func (s *slowSource) DistancesInto(src int, dst []int32) {
@@ -163,8 +164,12 @@ func TestIncrementalPairedSweepCtx(t *testing.T) {
 	type row struct{ d1, d2 []int32 }
 	collect := func(run func(fn func(src int, d1, d2 []int32))) map[int]row {
 		out := make(map[int]row)
+		var mu sync.Mutex // workers=2 delivers rows concurrently
 		run(func(src int, d1, d2 []int32) {
-			out[src] = row{append([]int32(nil), d1...), append([]int32(nil), d2...)}
+			r := row{append([]int32(nil), d1...), append([]int32(nil), d2...)}
+			mu.Lock()
+			out[src] = r
+			mu.Unlock()
 		})
 		return out
 	}

@@ -137,11 +137,17 @@ func SweepCtx(ctx context.Context, s Source, sources []int, workers int, fn func
 // distinct source.
 func DistanceMatrix(s Source, sources []int, workers int) [][]int32 {
 	rows := make([][]int32, len(sources))
+	// Sweep each distinct source once: sweeping duplicates would have two
+	// workers store into the same slot concurrently.
 	index := make(map[int]int, len(sources))
+	unique := make([]int, 0, len(sources))
 	for i, src := range sources {
-		index[src] = i
+		if _, ok := index[src]; !ok {
+			index[src] = i
+			unique = append(unique, src)
+		}
 	}
-	Sweep(s, sources, workers, func(src int, dst []int32) {
+	Sweep(s, unique, workers, func(src int, dst []int32) {
 		row := make([]int32, len(dst))
 		copy(row, dst)
 		rows[index[src]] = row
@@ -260,4 +266,3 @@ func MaxDegree(s Source) int {
 	}
 	return max
 }
-

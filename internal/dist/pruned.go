@@ -79,7 +79,7 @@ func (s *fullPairedSession) DeriveBoundedInto(src int, d1, d2 []int32, bound fun
 // repair wave with a between-level threshold cut.
 
 func (s *incrPairedSession) DistancesPairBoundedInto(src int, d1, d2 []int32, bound func() int32) bool {
-	sssp.ParallelBFSWith(s.e.g1, src, d1, s.e.engine, s.e.par, s.scratch)
+	sssp.BFSWith(s.e.g1, src, d1, s.e.engine, s.scratch)
 	return s.DeriveBoundedInto(src, d1, d2, bound)
 }
 

@@ -369,12 +369,12 @@ func TestDeltaSince(t *testing.T) {
 	}
 }
 
-// TestApplyAllOnWideKernelRows pins the repair wave against t1 rows produced
-// by the wide MS-BFS kernels: the incremental paired sweep hands ApplyAll
-// copies of rows that are views into a Scratch's shared 256/512-lane backing
-// block, and the repair must still be bit-identical to a fresh BFS on g2 for
-// every lane.
-func TestApplyAllOnWideKernelRows(t *testing.T) {
+// TestApplyAllOnBatchKernelRows pins the repair wave against t1 rows
+// produced by the 64-lane MS-BFS kernel: the incremental paired sweep hands
+// ApplyAll copies of rows that are views into a Scratch's shared row block,
+// and the repair must still be bit-identical to a fresh BFS on g2 for every
+// lane, across a batch boundary and with duplicate lanes.
+func TestApplyAllOnBatchKernelRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	g1, g2 := randomEvolvingPair(rng)
 	n := g1.NumNodes()
@@ -386,16 +386,14 @@ func TestApplyAllOnWideKernelRows(t *testing.T) {
 	sources = append(sources, sources[0], sources[1]) // duplicate lanes
 	s := NewScratch()
 	d2 := make([]int32, n)
-	for _, eng := range []sssp.Engine{sssp.BitParallel256, sssp.BitParallel512} {
-		sssp.AllSourcesParEngineFunc(g1, sources, 1, eng, 2, func(src int, d1 []int32) {
-			copy(d2, d1)
-			s.ApplyAll(g2, delta, d2)
-			want := sssp.Distances(g2, src)
-			for v := range want {
-				if d2[v] != want[v] {
-					t.Fatalf("engine %v src %d: repaired dist[%d] = %d, want %d", eng, src, v, d2[v], want[v])
-				}
+	sssp.AllSourcesEngineFunc(g1, sources, 1, sssp.BitParallel64, func(src int, d1 []int32) {
+		copy(d2, d1)
+		s.ApplyAll(g2, delta, d2)
+		want := sssp.Distances(g2, src)
+		for v := range want {
+			if d2[v] != want[v] {
+				t.Fatalf("src %d: repaired dist[%d] = %d, want %d", src, v, d2[v], want[v])
 			}
-		})
-	}
+		}
+	})
 }

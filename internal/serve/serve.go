@@ -51,8 +51,6 @@ type Config struct {
 	Retain int
 	// Engine pins the BFS kernel for query sessions (Auto picks per call).
 	Engine sssp.Engine
-	// Parallelism bounds intra-traversal parallelism (0 = process default).
-	Parallelism int
 	// Workers bounds across-source sweep parallelism (0 = GOMAXPROCS).
 	Workers int
 	// BatchWindow is the cross-request coalescing window (<= 0 keeps
@@ -148,8 +146,8 @@ func (s *Server) session(t1, t2 int) (*winSession, error) {
 	}
 	bopts := dist.BatcherOptions{Window: s.cfg.BatchWindow, Immediate: s.cfg.Immediate, Workers: s.cfg.Workers}
 	src := dist.Pair{
-		S1: dist.NewBatcher(dist.NewBFSPar(win.Pair.G1, s.cfg.Engine, s.cfg.Parallelism), bopts),
-		S2: dist.NewBatcher(dist.NewBFSPar(win.Pair.G2, s.cfg.Engine, s.cfg.Parallelism), bopts),
+		S1: dist.NewBatcher(dist.NewBFS(win.Pair.G1, s.cfg.Engine), bopts),
+		S2: dist.NewBatcher(dist.NewBFS(win.Pair.G2, s.cfg.Engine), bopts),
 	}
 	sess, err := core.NewSessionSources(src)
 	if err != nil {

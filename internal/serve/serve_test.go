@@ -110,7 +110,7 @@ func loadServer(t *testing.T, url string, stream []graph.TimedEdge) {
 
 // TestQueryMatchesOneShot is the tentpole's differential test: a served query
 // is bit-identical (pairs, candidates, budget report) to a one-shot TopK run
-// over the same snapshots, at every -engine / -paired / -par setting. The
+// over the same snapshots, at every -engine / -paired setting. The
 // served path runs through epoch padding, session caching, and the batching
 // layer; none of it may leak into results.
 func TestQueryMatchesOneShot(t *testing.T) {
@@ -128,38 +128,36 @@ func TestQueryMatchesOneShot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, par := range []int{1, 2} {
-			srv := New(Config{Engine: eng, Parallelism: par, Immediate: true})
-			ts := httptest.NewServer(srv.Handler())
-			loadServer(t, ts.URL, stream)
-			for _, paired := range []string{"full", "incremental"} {
-				name := fmt.Sprintf("%s/par=%d/%s", engName, par, paired)
-				mode, _ := dist.ParsePairedMode(paired)
-				want, err := core.TopK(pair, core.Options{
-					Selector: mustSelector(t, "MMSD"), M: 15, L: 5, K: 10,
-					Seed: 42, Engine: eng, Parallelism: par, PairedMode: mode,
-				})
-				if err != nil {
-					t.Fatalf("%s one-shot: %v", name, err)
-				}
-				wantRep := export.NewReport(want.SelectorName, 15,
-					want.Budget.Total(), want.Budget.Limit, want.Candidates, want.Pairs)
-				var got QueryResponse
-				code := postJSON(t, ts.URL+"/query", QueryRequest{
-					Tenant: "t", Selector: "MMSD", M: 15, L: 5, K: 10,
-					Seed: 42, T1: 1, T2: 2, Paired: paired,
-				}, &got)
-				if code != http.StatusOK {
-					t.Fatalf("%s: query status %d", name, code)
-				}
-				if !reflect.DeepEqual(got.Report, wantRep) {
-					t.Fatalf("%s: served report diverged from one-shot\n got: %+v\nwant: %+v",
-						name, got.Report, wantRep)
-				}
+		srv := New(Config{Engine: eng, Immediate: true})
+		ts := httptest.NewServer(srv.Handler())
+		loadServer(t, ts.URL, stream)
+		for _, paired := range []string{"full", "incremental"} {
+			name := engName + "/" + paired
+			mode, _ := dist.ParsePairedMode(paired)
+			want, err := core.TopK(pair, core.Options{
+				Selector: mustSelector(t, "MMSD"), M: 15, L: 5, K: 10,
+				Seed: 42, Engine: eng, PairedMode: mode,
+			})
+			if err != nil {
+				t.Fatalf("%s one-shot: %v", name, err)
 			}
-			srv.Close()
-			ts.Close()
+			wantRep := export.NewReport(want.SelectorName, 15,
+				want.Budget.Total(), want.Budget.Limit, want.Candidates, want.Pairs)
+			var got QueryResponse
+			code := postJSON(t, ts.URL+"/query", QueryRequest{
+				Tenant: "t", Selector: "MMSD", M: 15, L: 5, K: 10,
+				Seed: 42, T1: 1, T2: 2, Paired: paired,
+			}, &got)
+			if code != http.StatusOK {
+				t.Fatalf("%s: query status %d", name, code)
+			}
+			if !reflect.DeepEqual(got.Report, wantRep) {
+				t.Fatalf("%s: served report diverged from one-shot\n got: %+v\nwant: %+v",
+					name, got.Report, wantRep)
+			}
 		}
+		srv.Close()
+		ts.Close()
 	}
 }
 

@@ -35,88 +35,42 @@ func AllSourcesFunc(g *graph.Graph, sources []int, workers int, fn func(src int,
 }
 
 // AllSourcesEngineFunc is AllSourcesFunc with an explicit engine, the hook
-// ablations use to compare kernels on identical sweeps. Intra-traversal
-// parallelism follows the process default (SetDefaultParallelism).
+// ablations use to compare kernels on identical sweeps.
 func AllSourcesEngineFunc(g *graph.Graph, sources []int, workers int, e Engine, fn func(src int, dist []int32)) {
-	AllSourcesParEngineFunc(g, sources, workers, e, 0, fn)
+	_ = AllSourcesEngineCtxFunc(context.Background(), g, sources, workers, e, fn)
 }
 
-// AllSourcesParEngineFunc is AllSourcesEngineFunc with an explicit
-// intra-traversal parallelism. The two knobs are orthogonal: workers spreads
-// sources (or batches) across goroutines, par splits each individual
-// traversal's frontiers across the traversal worker pool, and total
-// concurrency is their product — callers dividing a core budget give the
-// across-source axis priority (it parallelizes perfectly) and spend the
-// remainder on par. For the wide engines note the memory trade: every worker
-// holds Lanes()×n distance rows, so high workers × wide lanes multiplies
-// resident row blocks where workers=1 with par=cores runs one row block and
-// still uses every core.
-func AllSourcesParEngineFunc(g *graph.Graph, sources []int, workers int, e Engine, par int, fn func(src int, dist []int32)) {
-	_ = AllSourcesParEngineCtxFunc(context.Background(), g, sources, workers, e, par, fn)
-}
-
-// AllSourcesParEngineCtxFunc is AllSourcesParEngineFunc under a context: once
-// ctx is done, no further source (or wide batch) starts traversing and the
+// AllSourcesEngineCtxFunc is AllSourcesEngineFunc under a context: once ctx
+// is done, no further source (or 64-source batch) starts traversing and the
 // driver returns ctx's error; traversals already in flight finish their
 // current source, so fn is never interrupted mid-row. Cancellation changes
 // which sources got swept, never the rows delivered for the ones that did,
 // and leaves all pooled scratch reusable.
-func AllSourcesParEngineCtxFunc(ctx context.Context, g *graph.Graph, sources []int, workers int, e Engine, par int, fn func(src int, dist []int32)) error {
+func AllSourcesEngineCtxFunc(ctx context.Context, g *graph.Graph, sources []int, workers int, e Engine, fn func(src int, dist []int32)) error {
 	workers = ClampWorkers(workers, len(sources))
-	k := resolvePar(par)
 	eng := resolveBatch(e, len(sources))
-	if W := eng.wideWords(); W > 0 {
-		lanes := eng.Lanes()
-		scratches := make([]Scratch, workers)
-		forEachBatch(ctx, len(sources), workers, lanes, func(w, start, end int) {
+	n := g.NumNodes()
+	scratches := make([]Scratch, workers)
+	if eng == BitParallel64 {
+		forEachChunk(ctx, len(sources), workers, msBatchBits, eng, func(w, start, end int) {
 			s := &scratches[w]
 			batch := sources[start:end]
-			rows := s.ensureRows(g.NumNodes(), lanes)[:len(batch)]
-			if W == 1 && k <= 1 {
-				msBFSBatch(g, batch, rows, s)
-			} else {
-				msBFSBatchWide(g, batch, rows, W, k, s)
-			}
+			rows := s.ensureRows(n)[:len(batch)]
+			msBFSBatch(g, batch, rows, s)
 			for i, src := range batch {
 				fn(src, rows[i])
 			}
 		})
 		return ctx.Err()
 	}
-	n := g.NumNodes()
-	if workers <= 1 {
-		dist := make([]int32, n)
-		s := NewScratch(n)
-		for _, src := range sources {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			ParallelBFSWith(g, src, dist, eng, k, s)
-			fn(src, dist)
+	dists := make([][]int32, workers)
+	forEachChunk(ctx, len(sources), workers, 1, eng, func(w, i, _ int) {
+		if dists[w] == nil {
+			dists[w] = make([]int32, n)
 		}
-		return ctx.Err()
-	}
-	var wg sync.WaitGroup
-	next := make(chan int, workers)
-	for w := 0; w < workers; w++ {
-		sweepWorker(&wg, eng.String(), func() {
-			dist := make([]int32, n)
-			s := NewScratch(n)
-			for i := range next {
-				if ctx.Err() != nil {
-					continue // drain without traversing
-				}
-				src := sources[i]
-				ParallelBFSWith(g, src, dist, eng, k, s)
-				fn(src, dist)
-			}
-		})
-	}
-	for i := range sources {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+		BFSWith(g, sources[i], dists[w], eng, &scratches[w])
+		fn(sources[i], dists[w])
+	})
 	return ctx.Err()
 }
 
@@ -129,84 +83,44 @@ func PairedSourcesFunc(g1, g2 *graph.Graph, sources []int, workers int, fn func(
 
 // PairedSourcesEngineFunc is PairedSourcesFunc with an explicit engine.
 func PairedSourcesEngineFunc(g1, g2 *graph.Graph, sources []int, workers int, e Engine, fn func(src int, d1, d2 []int32)) {
-	PairedSourcesParEngineFunc(g1, g2, sources, workers, e, 0, fn)
+	_ = PairedSourcesEngineCtxFunc(context.Background(), g1, g2, sources, workers, e, fn)
 }
 
-// PairedSourcesParEngineFunc is PairedSourcesEngineFunc with an explicit
-// intra-traversal parallelism (see AllSourcesParEngineFunc for how the two
-// knobs compose).
-func PairedSourcesParEngineFunc(g1, g2 *graph.Graph, sources []int, workers int, e Engine, par int, fn func(src int, d1, d2 []int32)) {
-	_ = PairedSourcesParEngineCtxFunc(context.Background(), g1, g2, sources, workers, e, par, fn)
-}
-
-// PairedSourcesParEngineCtxFunc is PairedSourcesParEngineFunc under a
-// context, with the same cancellation contract as
-// AllSourcesParEngineCtxFunc: no new source starts after ctx is done, rows
-// already being produced are delivered whole, scratch stays reusable.
-func PairedSourcesParEngineCtxFunc(ctx context.Context, g1, g2 *graph.Graph, sources []int, workers int, e Engine, par int, fn func(src int, d1, d2 []int32)) error {
+// PairedSourcesEngineCtxFunc is PairedSourcesEngineFunc under a context,
+// with the same cancellation contract as AllSourcesEngineCtxFunc: no new
+// source starts after ctx is done, rows already being produced are delivered
+// whole, scratch stays reusable.
+func PairedSourcesEngineCtxFunc(ctx context.Context, g1, g2 *graph.Graph, sources []int, workers int, e Engine, fn func(src int, d1, d2 []int32)) error {
 	workers = ClampWorkers(workers, len(sources))
-	k := resolvePar(par)
 	eng := resolveBatch(e, len(sources))
-	if W := eng.wideWords(); W > 0 {
-		lanes := eng.Lanes()
-		// Two scratches per worker: one per snapshot, each holding that
-		// graph's distance rows across the whole sweep.
-		s1 := make([]Scratch, workers)
-		s2 := make([]Scratch, workers)
-		forEachBatch(ctx, len(sources), workers, lanes, func(w, start, end int) {
+	// Two scratches per worker, one per snapshot: a batch holds each graph's
+	// distance rows until fn has seen both.
+	s1 := make([]Scratch, workers)
+	s2 := make([]Scratch, workers)
+	if eng == BitParallel64 {
+		forEachChunk(ctx, len(sources), workers, msBatchBits, eng, func(w, start, end int) {
 			batch := sources[start:end]
-			rows1 := s1[w].ensureRows(g1.NumNodes(), lanes)[:len(batch)]
-			rows2 := s2[w].ensureRows(g2.NumNodes(), lanes)[:len(batch)]
-			if W == 1 && k <= 1 {
-				msBFSBatch(g1, batch, rows1, &s1[w])
-				msBFSBatch(g2, batch, rows2, &s2[w])
-			} else {
-				msBFSBatchWide(g1, batch, rows1, W, k, &s1[w])
-				msBFSBatchWide(g2, batch, rows2, W, k, &s2[w])
-			}
+			rows1 := s1[w].ensureRows(g1.NumNodes())[:len(batch)]
+			rows2 := s2[w].ensureRows(g2.NumNodes())[:len(batch)]
+			msBFSBatch(g1, batch, rows1, &s1[w])
+			msBFSBatch(g2, batch, rows2, &s2[w])
 			for i, src := range batch {
 				fn(src, rows1[i], rows2[i])
 			}
 		})
 		return ctx.Err()
 	}
-	if workers <= 1 {
-		d1 := make([]int32, g1.NumNodes())
-		d2 := make([]int32, g2.NumNodes())
-		s := NewScratch(g1.NumNodes())
-		for _, src := range sources {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			ParallelBFSWith(g1, src, d1, eng, k, s)
-			ParallelBFSWith(g2, src, d2, eng, k, s)
-			fn(src, d1, d2)
+	d1s := make([][]int32, workers)
+	d2s := make([][]int32, workers)
+	forEachChunk(ctx, len(sources), workers, 1, eng, func(w, i, _ int) {
+		if d1s[w] == nil {
+			d1s[w] = make([]int32, g1.NumNodes())
+			d2s[w] = make([]int32, g2.NumNodes())
 		}
-		return ctx.Err()
-	}
-	var wg sync.WaitGroup
-	next := make(chan int, workers)
-	for w := 0; w < workers; w++ {
-		sweepWorker(&wg, eng.String(), func() {
-			d1 := make([]int32, g1.NumNodes())
-			d2 := make([]int32, g2.NumNodes())
-			s := NewScratch(g1.NumNodes())
-			for i := range next {
-				if ctx.Err() != nil {
-					continue // drain without traversing
-				}
-				src := sources[i]
-				ParallelBFSWith(g1, src, d1, eng, k, s)
-				ParallelBFSWith(g2, src, d2, eng, k, s)
-				fn(src, d1, d2)
-			}
-		})
-	}
-	for i := range sources {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+		BFSWith(g1, sources[i], d1s[w], eng, &s1[w])
+		BFSWith(g2, sources[i], d2s[w], eng, &s2[w])
+		fn(sources[i], d1s[w], d2s[w])
+	})
 	return ctx.Err()
 }
 
@@ -241,31 +155,28 @@ func DistanceMatrix(g *graph.Graph, sources []int, workers int) [][]int32 {
 	return rows
 }
 
-// forEachBatch splits [0, total) into lanes-sized chunks and runs
+// forEachChunk splits [0, total) into chunks of at most size entries and runs
 // body(workerIndex, start, end) on each, spreading chunks across workers.
 // Worker indices are dense in [0, workers), so callers can keep per-worker
 // state (scratches, row buffers) in plain slices; a sweep's allocations are
 // then per worker, not per source. Once ctx is done, remaining chunks are
-// skipped (chunks already running finish whole).
-func forEachBatch(ctx context.Context, total, workers, lanes int, body func(w, start, end int)) {
-	numBatches := (total + lanes - 1) / lanes
-	if workers > numBatches {
-		workers = numBatches
+// skipped (chunks already running finish whole). kernel labels the worker
+// goroutines for pprof.
+func forEachChunk(ctx context.Context, total, workers, size int, kernel Engine, body func(w, start, end int)) {
+	numChunks := (total + size - 1) / size
+	if workers > numChunks {
+		workers = numChunks
 	}
-	chunk := func(b int) (int, int) {
-		start := b * lanes
-		end := start + lanes
-		if end > total {
-			end = total
-		}
-		return start, end
+	chunk := func(c int) (int, int) {
+		start := c * size
+		return start, min(start+size, total)
 	}
 	if workers <= 1 {
-		for b := 0; b < numBatches; b++ {
+		for c := 0; c < numChunks; c++ {
 			if ctx.Err() != nil {
 				return
 			}
-			start, end := chunk(b)
+			start, end := chunk(c)
 			body(0, start, end)
 		}
 		return
@@ -274,18 +185,18 @@ func forEachBatch(ctx context.Context, total, workers, lanes int, body func(w, s
 	next := make(chan int, workers)
 	for w := 0; w < workers; w++ {
 		w := w
-		sweepWorker(&wg, BitParallel64.String(), func() {
-			for b := range next {
+		sweepWorker(&wg, kernel.String(), func() {
+			for c := range next {
 				if ctx.Err() != nil {
 					continue // drain without traversing
 				}
-				start, end := chunk(b)
+				start, end := chunk(c)
 				body(w, start, end)
 			}
 		})
 	}
-	for b := 0; b < numBatches; b++ {
-		next <- b
+	for c := 0; c < numChunks; c++ {
+		next <- c
 	}
 	close(next)
 	wg.Wait()

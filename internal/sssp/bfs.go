@@ -35,23 +35,10 @@ func BFS(g *graph.Graph, src int, dist []int32) (reached int, ecc int32) {
 
 // BFSWith is BFS with an explicit engine and scratch space. A nil scratch
 // borrows one from an internal pool; parallel drivers pass one per worker
-// so the whole sweep allocates nothing per source. Intra-traversal
-// parallelism follows the process default (SetDefaultParallelism); use
-// ParallelBFSWith to pin it per call.
+// so the whole sweep allocates nothing per source.
 //
 //convlint:hotpath
 func BFSWith(g *graph.Graph, src int, dist []int32, e Engine, s *Scratch) (reached int, ecc int32) {
-	return ParallelBFSWith(g, src, dist, e, 0, s)
-}
-
-// ParallelBFSWith is BFSWith with an explicit intra-traversal parallelism:
-// the number of cores this one traversal may split its frontiers across
-// (0 = the process default, <= 1 = serial). Every (engine, parallelism)
-// combination produces bit-identical results; parallelism changes only
-// wall-clock, never distances, budget, or traversal-work metrics.
-//
-//convlint:hotpath
-func ParallelBFSWith(g *graph.Graph, src int, dist []int32, e Engine, par int, s *Scratch) (reached int, ecc int32) {
 	n := g.NumNodes()
 	if len(dist) != n {
 		panic(fmt.Sprintf("sssp: dist buffer length %d, graph has %d nodes", len(dist), n))
@@ -65,27 +52,19 @@ func ParallelBFSWith(g *graph.Graph, src int, dist []int32, e Engine, par int, s
 	} else {
 		s.ensure(n)
 	}
-	k := resolvePar(par)
-	switch eng := resolveSingle(e); eng {
+	switch resolveSingle(e) {
 	case DirectionOpt:
 		for i := range dist {
 			dist[i] = Unreachable
 		}
-		if k > 1 {
-			return parBFS(g, src, dist, k, true, s)
-		}
 		return dirOptBFS(g, src, dist, s)
-	case BitParallel64, BitParallel256, BitParallel512:
+	case BitParallel64:
 		// One-lane batch: correct but without batching leverage; selectable
 		// for differential testing and ablations. The scratch-owned one-lane
 		// views keep this path allocation-free like the other engines.
 		s.oneSrc[0] = src
 		s.oneRow[0] = dist
-		if W := eng.wideWords(); W > 1 || k > 1 {
-			msBFSBatchWide(g, s.oneSrc[:], s.oneRow[:], W, k, s)
-		} else {
-			msBFSBatch(g, s.oneSrc[:], s.oneRow[:], s)
-		}
+		msBFSBatch(g, s.oneSrc[:], s.oneRow[:], s)
 		s.oneRow[0] = nil
 		for _, d := range dist {
 			if d >= 0 {
@@ -99,9 +78,6 @@ func ParallelBFSWith(g *graph.Graph, src int, dist []int32, e Engine, par int, s
 	default:
 		for i := range dist {
 			dist[i] = Unreachable
-		}
-		if k > 1 {
-			return parBFS(g, src, dist, k, false, s)
 		}
 		return topDownBFS(g, src, dist, s)
 	}

@@ -11,7 +11,9 @@ import (
 // Engine selects the BFS kernel used by the unweighted shortest-path
 // entry points. The engines are interchangeable: every one of them produces
 // bit-identical distances (and reached counts / eccentricities) — they
-// differ only in throughput on different workload shapes.
+// differ only in throughput on different workload shapes. Every kernel is
+// serial; sweeps over many sources parallelize across sources (the drivers'
+// workers argument), never inside one traversal.
 type Engine int
 
 const (
@@ -21,36 +23,22 @@ const (
 	Auto Engine = iota
 	// TopDown is the classic level-by-level scalar BFS — the baseline the
 	// paper counts as one unit of budget. Kept selectable for ablations.
-	// With parallelism > 1 the level-synchronous parallel kernel runs the
-	// same top-down levels split across a worker pool.
 	TopDown
 	// DirectionOpt is a Beamer-style direction-optimizing BFS: it starts
 	// top-down and switches to bottom-up scanning of the unvisited set when
 	// the frontier grows past a fraction of the unexplored edges, which
-	// skips most edge examinations on small-diameter graphs. With
-	// parallelism > 1 both directions split their work across a worker pool
-	// (top-down splits the frontier, bottom-up partitions the unvisited
-	// bitmap range).
+	// skips most edge examinations on small-diameter graphs.
 	DirectionOpt
 	// BitParallel64 batches up to 64 sources into one sweep, tracking
 	// per-node visit sets as machine words (an MS-BFS). Only the
 	// multi-source drivers exploit the batching; for a single source it
 	// degenerates to a one-bit sweep and is selectable mainly for testing.
 	BitParallel64
-	// BitParallel256 is the 4-word MS-BFS: 256 sources per batch, four visit
-	// words per node. Batch setup (row init, visit-word clearing) amortizes
-	// over 4x more sources than BitParallel64 at the cost of touching four
-	// words per edge examination.
-	BitParallel256
-	// BitParallel512 is the 8-word MS-BFS: 512 sources per batch. The widest
-	// kernel; worthwhile on sweeps with thousands of sources where setup and
-	// per-edge revisits dominate.
-	BitParallel512
 )
 
 // engineNames is the single source of truth binding engines to their
 // flag-friendly spellings. String and ParseEngine both derive from it, so
-// -engine stays self-documenting as kernels are added (round-trip pinned by
+// -engine stays self-documenting (round-trip pinned by
 // TestEngineNameRoundTrip).
 var engineNames = []struct {
 	e    Engine
@@ -60,8 +48,6 @@ var engineNames = []struct {
 	{TopDown, "topdown"},
 	{DirectionOpt, "diropt"},
 	{BitParallel64, "bitparallel64"},
-	{BitParallel256, "bitparallel256"},
-	{BitParallel512, "bitparallel512"},
 }
 
 // engineAliases maps additional accepted spellings to engines.
@@ -106,24 +92,6 @@ func ParseEngine(s string) (Engine, error) {
 	return Auto, fmt.Errorf("sssp: unknown engine %q (want %s)", s, strings.Join(EngineNames(), "|"))
 }
 
-// Lanes returns the engine's multi-source batch width: how many sources one
-// kernel invocation traverses together. Scalar kernels (and Auto) report 0.
-func (e Engine) Lanes() int {
-	switch e {
-	case BitParallel64:
-		return 64
-	case BitParallel256:
-		return 256
-	case BitParallel512:
-		return 512
-	}
-	return 0
-}
-
-// wideWords returns the number of visit words per node for a bit-parallel
-// engine (1 for BitParallel64), or 0 for scalar engines.
-func (e Engine) wideWords() int { return e.Lanes() / 64 }
-
 // defaultEngine is the process-wide engine that Auto resolves to; Auto
 // itself means "use the built-in heuristics".
 var defaultEngine atomic.Int32
@@ -137,43 +105,7 @@ func SetDefaultEngine(e Engine) { defaultEngine.Store(int32(e)) }
 // none is installed).
 func DefaultEngine() Engine { return Engine(defaultEngine.Load()) }
 
-// defaultParallelism is the process-wide intra-traversal core count used by
-// entry points called without an explicit parallelism (0 or 1 = serial).
-var defaultParallelism atomic.Int32
-
-// SetDefaultParallelism installs the process-wide intra-traversal
-// parallelism: the number of cores one BFS call may split its frontiers
-// across when the caller does not pass an explicit value (convpairs -par
-// sets it once at startup). Values <= 1 mean serial traversal, the default.
-// Multi-source drivers are unaffected: they split their worker budget
-// between across-source and intra-traversal parallelism themselves.
-func SetDefaultParallelism(p int) { defaultParallelism.Store(int32(p)) }
-
-// DefaultParallelism returns the process-wide intra-traversal parallelism
-// (0 when unset, meaning serial).
-func DefaultParallelism() int { return int(defaultParallelism.Load()) }
-
-// maxTraversalWorkers caps intra-traversal parallelism (and the shared
-// traversal worker pool); far above any realistic core count.
-const maxTraversalWorkers = 64
-
-// resolvePar maps a parallelism request to the worker count a kernel runs
-// with: 0 falls back to the process default, and everything is clamped to
-// [1, maxTraversalWorkers].
-func resolvePar(par int) int {
-	if par == 0 {
-		par = DefaultParallelism()
-	}
-	if par < 1 {
-		return 1
-	}
-	if par > maxTraversalWorkers {
-		return maxTraversalWorkers
-	}
-	return par
-}
-
-// msBatchBits is the base MS-BFS lane width: one source per bit of a uint64.
+// msBatchBits is the MS-BFS lane width: one source per bit of a uint64.
 const msBatchBits = 64
 
 // msAutoThreshold is the minimum source count for which Auto prefers the
@@ -193,10 +125,7 @@ func resolveSingle(e Engine) Engine {
 }
 
 // resolveBatch maps an engine request to the kernel used by a multi-source
-// driver over nsources sources. Auto stays on the 64-lane batch kernel: the
-// wide kernels are explicit opt-ins because their per-worker row blocks are
-// Lanes()*n ints (see AllSourcesParEngineFunc for the core split that keeps
-// that affordable).
+// driver over nsources sources.
 func resolveBatch(e Engine, nsources int) Engine {
 	if e == Auto {
 		e = DefaultEngine()
@@ -229,14 +158,11 @@ func ClampWorkers(workers, jobs int) int {
 
 // Scratch holds every buffer a BFS kernel needs beyond the caller's dist
 // slice: the index-cursor frontier queue, the bottom-up frontier bitmaps,
-// the bit-parallel visit words (one per node for the 64-lane kernel, W per
-// node for the wide kernels), and the parallel kernels' shared visited
-// bitmap plus per-worker state. A Scratch grows to the largest graph (and
-// widest kernel, and highest parallelism) it has served and is then
-// allocation-free; it is not safe for concurrent use by multiple callers —
-// the parallel kernels hand disjoint pieces of it to the traversal worker
-// pool internally. Parallel drivers keep one Scratch per worker;
-// single-shot entry points borrow one from an internal pool.
+// the bit-parallel visit words (one per node), and the batch drivers' row
+// block. A Scratch grows to the largest graph it has served and is then
+// allocation-free; it is not safe for concurrent use. Parallel drivers keep
+// one Scratch per worker; single-shot entry points borrow one from an
+// internal pool.
 type Scratch struct {
 	queue []int32 // frontier queue, cursor-indexed (cap >= n)
 	cur   []uint64
@@ -248,30 +174,11 @@ type Scratch struct {
 	next  []uint64
 	nextQ []int32
 
-	// Wide MS-BFS state: W words per node, flattened node-major
-	// (node v's words at [v*W, (v+1)*W)).
-	wseen  []uint64
-	wfront []uint64
-	wnext  []uint64
-	// nextMark is the wide kernels' next-queue dedup bitmap, one bit per
-	// node; kernels leave it all-zero.
-	nextMark []uint64
-
-	// vis is the parallel scalar kernels' shared visited bitmap (claimed
-	// with CAS during parallel top-down levels).
-	vis []uint64
-
-	// par is the reusable fork-join state handed to the traversal worker
-	// pool; it embeds the per-worker next-queues and counters.
-	par parRun
-
-	// rows is the batch drivers' distance-row block: up to rowsLanes rows of
-	// length rowsN, all views into the grow-only rowsBacking array (see
-	// ensureRows).
+	// rows is the batch drivers' distance-row block: 64 rows of length
+	// rowsN, all views into the grow-only rowsBacking array (see ensureRows).
 	rows        [][]int32
 	rowsBacking []int32
 	rowsN       int
-	rowsLanes   int
 
 	// One-lane views for single-source calls routed through the batch
 	// kernel, so BFSWith stays allocation-free on every engine (oneRow[0]
@@ -317,75 +224,28 @@ func (s *Scratch) ensureMS(n int) {
 	}
 }
 
-// ensureWide grows the wide MS-BFS buffers for an n-node graph and W visit
-// words per node, zeroing the seen words. front/next are left all-zero by
-// the kernel (like their one-word siblings), and so is nextMark.
-//
-//convlint:shared setup runs before any worker is dispatched; the wide words are CAS-accessed only during a scan phase
-func (s *Scratch) ensureWide(n, W int) {
-	s.ensure(n)
-	need := n * W
-	if cap(s.wseen) < need {
-		s.wseen = make([]uint64, need)
-		s.wfront = make([]uint64, need)
-		s.wnext = make([]uint64, need)
+// ensureRows returns the batch drivers' 64 distance rows of exactly length
+// n, all views into one grow-only backing array. The backing only ever
+// grows: eval suites alternating between graph sizes re-point the row
+// headers without reallocating, so a warmed Scratch serves any n it has ever
+// seen allocation-free (pinned by TestEnsureRowsGrowOnly). Only the batch
+// drivers call this; single-source bit-parallel calls write into the
+// caller's dist buffer and never pay for the row block.
+func (s *Scratch) ensureRows(n int) [][]int32 {
+	if s.rows != nil && s.rowsN == n {
+		return s.rows
 	}
-	s.wseen = s.wseen[:cap(s.wseen)]
-	s.wfront = s.wfront[:cap(s.wfront)]
-	s.wnext = s.wnext[:cap(s.wnext)]
-	clearWords(s.wseen[:need])
-	words := (n + 63) / 64
-	if len(s.nextMark) < words {
-		s.nextMark = make([]uint64, words)
-	}
-	if cap(s.nextQ) < n {
-		s.nextQ = make([]int32, 0, n)
-	}
-}
-
-// ensurePar grows the parallel kernels' shared visited bitmap and the
-// per-worker state block for k workers.
-func (s *Scratch) ensurePar(n, k int) {
-	s.ensure(n)
-	words := (n + 63) / 64
-	if len(s.vis) < words {
-		s.vis = make([]uint64, words)
-	}
-	s.par.ensureWorkers(k, n)
-}
-
-// ensureRows returns lanes distance rows of exactly length n, all views into
-// one grow-only backing array. The backing (and the row-header block) only
-// ever grow: eval suites alternating between graph sizes or lane widths
-// re-point the row headers without reallocating, so a warmed Scratch serves
-// any (n, lanes) it has ever seen allocation-free (pinned by
-// TestEnsureRowsGrowOnly). Only the batch drivers call this; single-source
-// bit-parallel calls write into the caller's dist buffer and never pay for
-// the row block.
-func (s *Scratch) ensureRows(n, lanes int) [][]int32 {
-	if s.rowsN == n && lanes <= s.rowsLanes {
-		return s.rows[:lanes]
-	}
-	if need := lanes * n; cap(s.rowsBacking) < need {
+	if need := msBatchBits * n; cap(s.rowsBacking) < need {
 		s.rowsBacking = make([]int32, need)
 	}
-	backing := s.rowsBacking[:cap(s.rowsBacking)]
-	if cap(s.rows) < lanes {
-		s.rows = make([][]int32, lanes)
+	if s.rows == nil {
+		s.rows = make([][]int32, msBatchBits)
 	}
-	s.rows = s.rows[:cap(s.rows)]
-	// Re-point every header the backing can hold at length n, so a later
-	// call asking for more lanes at this n is a pure reslice.
-	maxLanes := len(s.rows)
-	if n > 0 && len(backing)/n < maxLanes {
-		maxLanes = len(backing) / n
+	for i := range s.rows {
+		s.rows[i] = s.rowsBacking[i*n : (i+1)*n]
 	}
-	for i := 0; i < maxLanes; i++ {
-		s.rows[i] = backing[i*n : (i+1)*n]
-	}
-	s.rows = s.rows[:maxLanes]
-	s.rowsN, s.rowsLanes = n, maxLanes
-	return s.rows[:lanes]
+	s.rowsN = n
+	return s.rows
 }
 
 func clearWords(w []uint64) {

@@ -3,6 +3,7 @@ package sssp
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -73,29 +74,27 @@ func prefAttach(n, k, isolated int, rng *rand.Rand) *graph.Graph {
 
 // engineList returns every selectable kernel.
 func engineList() []Engine {
-	return []Engine{TopDown, DirectionOpt, BitParallel64, BitParallel256, BitParallel512}
+	return []Engine{TopDown, DirectionOpt, BitParallel64}
 }
 
-// assertEngineMatch runs every engine from src, serial and with
-// intra-traversal parallelism, and compares against the reference oracle.
+// assertEngineMatch runs every engine from src, with pooled and with
+// caller-owned scratch, and compares against the reference oracle.
 func assertEngineMatch(t *testing.T, g *graph.Graph, src int, label string) {
 	t.Helper()
 	want, wantReached, wantEcc := referenceBFS(g, src)
 	dist := make([]int32, g.NumNodes())
 	scratch := NewScratch(g.NumNodes())
 	for _, e := range engineList() {
-		for _, par := range []int{1, 4} {
-			for _, s := range []*Scratch{nil, scratch} {
-				reached, ecc := ParallelBFSWith(g, src, dist, e, par, s)
-				if reached != wantReached || ecc != wantEcc {
-					t.Fatalf("%s: engine %v par %d src %d: (reached, ecc) = (%d, %d), want (%d, %d)",
-						label, e, par, src, reached, ecc, wantReached, wantEcc)
-				}
-				for v := range dist {
-					if dist[v] != want[v] {
-						t.Fatalf("%s: engine %v par %d src %d: dist[%d] = %d, want %d",
-							label, e, par, src, v, dist[v], want[v])
-					}
+		for _, s := range []*Scratch{nil, scratch} {
+			reached, ecc := BFSWith(g, src, dist, e, s)
+			if reached != wantReached || ecc != wantEcc {
+				t.Fatalf("%s: engine %v src %d: (reached, ecc) = (%d, %d), want (%d, %d)",
+					label, e, src, reached, ecc, wantReached, wantEcc)
+			}
+			for v := range dist {
+				if dist[v] != want[v] {
+					t.Fatalf("%s: engine %v src %d: dist[%d] = %d, want %d",
+						label, e, src, v, dist[v], want[v])
 				}
 			}
 		}
@@ -135,51 +134,62 @@ func TestEnginesDifferential(t *testing.T) {
 	}
 }
 
-// TestDriversDifferential asserts the multi-source drivers (including the
-// bit-parallel batches that span a 64-lane boundary) agree with the oracle
-// for every source, and that duplicate sources get identical rows.
+// TestDriversDifferential asserts the multi-source drivers agree with the
+// oracle for every source, serial and with workers spreading sources (or
+// 64-source batches) across goroutines, on a source set that spans several
+// batch boundaries and contains duplicates (which must get identical rows).
 func TestDriversDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	g := prefAttach(150, 2, 10, rng)
+	g := prefAttach(400, 2, 10, rng)
+	g2 := prefAttach(400, 3, 10, rng)
 	n := g.NumNodes()
-	sources := make([]int, 0, 100)
-	for i := 0; i < 96; i++ {
+	sources := make([]int, 0, 200)
+	for i := 0; i < 196; i++ {
 		sources = append(sources, rng.Intn(n))
 	}
-	sources = append(sources, sources[0], sources[1]) // duplicates
-
-	for _, e := range []Engine{TopDown, DirectionOpt, BitParallel64, BitParallel256, BitParallel512, Auto} {
-		calls := map[int]int{}
-		AllSourcesEngineFunc(g, sources, 1, e, func(src int, dist []int32) {
-			calls[src]++
-			want, _, _ := referenceBFS(g, src)
-			for v := range dist {
-				if dist[v] != want[v] {
-					t.Fatalf("engine %v: AllSources src %d dist[%d] = %d, want %d", e, src, v, dist[v], want[v])
-				}
-			}
-		})
-		total := 0
-		for _, c := range calls {
-			total += c
-		}
-		if total != len(sources) {
-			t.Fatalf("engine %v: fn called %d times for %d sources", e, total, len(sources))
-		}
+	sources = append(sources, sources[0], sources[1], n-1, n-1) // duplicates, isolated
+	// Prefill the oracles serially: the callbacks below run concurrently
+	// when workers > 1 and must only read shared state.
+	want1 := map[int][]int32{}
+	want2 := map[int][]int32{}
+	for _, src := range sources {
+		want1[src], _, _ = referenceBFS(g, src)
+		want2[src], _, _ = referenceBFS(g2, src)
 	}
-
-	g2 := prefAttach(150, 3, 10, rng)
-	for _, e := range []Engine{TopDown, BitParallel64, BitParallel512} {
-		PairedSourcesEngineFunc(g, g2, sources, 1, e, func(src int, d1, d2 []int32) {
-			w1, _, _ := referenceBFS(g, src)
-			w2, _, _ := referenceBFS(g2, src)
-			for v := range d1 {
-				if d1[v] != w1[v] || d2[v] != w2[v] {
-					t.Fatalf("engine %v: Paired src %d node %d: (%d,%d), want (%d,%d)",
-						e, src, v, d1[v], d2[v], w1[v], w2[v])
-				}
+	equal := func(a, b []int32) bool {
+		for v := range a {
+			if a[v] != b[v] {
+				return false
 			}
-		})
+		}
+		return true
+	}
+	for _, e := range []Engine{TopDown, DirectionOpt, BitParallel64, Auto} {
+		for _, workers := range []int{1, 2} {
+			var calls atomic.Int64
+			var bad atomic.Bool
+			AllSourcesEngineFunc(g, sources, workers, e, func(src int, dist []int32) {
+				calls.Add(1)
+				if !equal(dist, want1[src]) {
+					bad.Store(true)
+				}
+			})
+			if bad.Load() || calls.Load() != int64(len(sources)) {
+				t.Fatalf("engine %v workers %d: AllSources diverged from oracle (calls %d, want %d)",
+					e, workers, calls.Load(), len(sources))
+			}
+			calls.Store(0)
+			PairedSourcesEngineFunc(g, g2, sources, workers, e, func(src int, d1, d2 []int32) {
+				calls.Add(1)
+				if !equal(d1, want1[src]) || !equal(d2, want2[src]) {
+					bad.Store(true)
+				}
+			})
+			if bad.Load() || calls.Load() != int64(len(sources)) {
+				t.Fatalf("engine %v workers %d: PairedSources diverged from oracle (calls %d, want %d)",
+					e, workers, calls.Load(), len(sources))
+			}
+		}
 	}
 }
 

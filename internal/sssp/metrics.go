@@ -26,22 +26,12 @@ const (
 	kTopDown kernelIndex = iota
 	kDirOpt
 	kBitParallel
-	kBitParallel256 // 4-word wide MS-BFS (256 lanes)
-	kBitParallel512 // 8-word wide MS-BFS (512 lanes)
-	kEnvelope       // MultiSourceBFS lower-envelope sweep
+	kEnvelope // MultiSourceBFS lower-envelope sweep
 	kDijkstra
 	kRepair    // dynsssp decrease-only batch repair (incremental paired sweep)
 	kPrunedBFS // Δ-threshold bounded second-snapshot BFS (pruned extraction)
 	numKernels
 )
-
-// kernelLaneWidth is each kernel's multi-source batch width (0 for scalar
-// kernels, which traverse one source per call).
-var kernelLaneWidth = [numKernels]int{
-	kBitParallel:    64,
-	kBitParallel256: 256,
-	kBitParallel512: 512,
-}
 
 // kernelCounters is the live atomic counter block of one kernel.
 type kernelCounters struct {
@@ -53,7 +43,6 @@ type kernelCounters struct {
 	buSteps      atomic.Int64
 	switches     atomic.Int64
 	frontierPeak atomic.Int64
-	cores        atomic.Int64
 }
 
 var kernelMetrics [numKernels]kernelCounters
@@ -115,25 +104,15 @@ type KernelCounters struct {
 	// FrontierPeak is the largest single-level frontier ever seen (a
 	// high-water mark, not a rate).
 	FrontierPeak int64
-	// CoresUsed is the most workers any single traversal level of this
-	// kernel ever ran on (a high-water mark; 1 means every call ran serial).
-	CoresUsed int64
-	// LaneWidth is the kernel's multi-source batch width (64/256/512 for the
-	// bit-parallel kernels, 0 for scalar kernels).
-	LaneWidth int
 }
 
 // BatchFill is the average MS-BFS lane occupancy in [0, 1]: how full the
-// kernel's batches ran. Meaningful for the bit-parallel kernels only.
+// kernel's 64-lane batches ran. Meaningful for BitParallel64 only.
 func (k KernelCounters) BatchFill() float64 {
 	if k.Calls == 0 {
 		return 0
 	}
-	lanes := k.LaneWidth
-	if lanes == 0 {
-		lanes = msBatchBits
-	}
-	return float64(k.Sources) / float64(k.Calls*int64(lanes))
+	return float64(k.Sources) / float64(k.Calls*msBatchBits)
 }
 
 // sub subtracts a previous snapshot counter-wise; high-water marks keep the
@@ -148,8 +127,6 @@ func (k KernelCounters) sub(prev KernelCounters) KernelCounters {
 		BottomUpSteps: k.BottomUpSteps - prev.BottomUpSteps,
 		Switches:      k.Switches - prev.Switches,
 		FrontierPeak:  k.FrontierPeak,
-		CoresUsed:     k.CoresUsed,
-		LaneWidth:     k.LaneWidth,
 	}
 }
 
@@ -158,14 +135,6 @@ func (k KernelCounters) add(o KernelCounters) KernelCounters {
 	peak := k.FrontierPeak
 	if o.FrontierPeak > peak {
 		peak = o.FrontierPeak
-	}
-	cores := k.CoresUsed
-	if o.CoresUsed > cores {
-		cores = o.CoresUsed
-	}
-	lanes := k.LaneWidth
-	if o.LaneWidth > lanes {
-		lanes = o.LaneWidth
 	}
 	return KernelCounters{
 		Calls:         k.Calls + o.Calls,
@@ -176,8 +145,6 @@ func (k KernelCounters) add(o KernelCounters) KernelCounters {
 		BottomUpSteps: k.BottomUpSteps + o.BottomUpSteps,
 		Switches:      k.Switches + o.Switches,
 		FrontierPeak:  peak,
-		CoresUsed:     cores,
-		LaneWidth:     lanes,
 	}
 }
 
@@ -186,12 +153,10 @@ func (k KernelCounters) add(o KernelCounters) KernelCounters {
 // call's flush). Diff two snapshots with Sub to attribute work to a region
 // of a run.
 type MetricsSnapshot struct {
-	TopDown        KernelCounters
-	DirectionOpt   KernelCounters
-	BitParallel64  KernelCounters
-	BitParallel256 KernelCounters
-	BitParallel512 KernelCounters
-	Envelope       KernelCounters
+	TopDown       KernelCounters
+	DirectionOpt  KernelCounters
+	BitParallel64 KernelCounters
+	Envelope      KernelCounters
 	Dijkstra      KernelCounters
 	// Repair counts the dynsssp batch-repair kernel: the decrease-only wave
 	// that derives a t2 distance vector from the t1 vector plus the snapshot
@@ -256,20 +221,16 @@ func SnapshotMetrics() MetricsSnapshot {
 			BottomUpSteps: c.buSteps.Load(),
 			Switches:      c.switches.Load(),
 			FrontierPeak:  c.frontierPeak.Load(),
-			CoresUsed:     c.cores.Load(),
-			LaneWidth:     kernelLaneWidth[i],
 		}
 	}
 	return MetricsSnapshot{
-		TopDown:        read(kTopDown),
-		DirectionOpt:   read(kDirOpt),
-		BitParallel64:  read(kBitParallel),
-		BitParallel256: read(kBitParallel256),
-		BitParallel512: read(kBitParallel512),
-		Envelope:       read(kEnvelope),
-		Dijkstra:       read(kDijkstra),
-		Repair:         read(kRepair),
-		PrunedBFS:      read(kPrunedBFS),
+		TopDown:       read(kTopDown),
+		DirectionOpt:  read(kDirOpt),
+		BitParallel64: read(kBitParallel),
+		Envelope:      read(kEnvelope),
+		Dijkstra:      read(kDijkstra),
+		Repair:        read(kRepair),
+		PrunedBFS:     read(kPrunedBFS),
 	}
 }
 
@@ -277,23 +238,20 @@ func SnapshotMetrics() MetricsSnapshot {
 // fields keep s's high-water marks.
 func (s MetricsSnapshot) Sub(prev MetricsSnapshot) MetricsSnapshot {
 	return MetricsSnapshot{
-		TopDown:        s.TopDown.sub(prev.TopDown),
-		DirectionOpt:   s.DirectionOpt.sub(prev.DirectionOpt),
-		BitParallel64:  s.BitParallel64.sub(prev.BitParallel64),
-		BitParallel256: s.BitParallel256.sub(prev.BitParallel256),
-		BitParallel512: s.BitParallel512.sub(prev.BitParallel512),
-		Envelope:       s.Envelope.sub(prev.Envelope),
-		Dijkstra:       s.Dijkstra.sub(prev.Dijkstra),
-		Repair:         s.Repair.sub(prev.Repair),
-		PrunedBFS:      s.PrunedBFS.sub(prev.PrunedBFS),
+		TopDown:       s.TopDown.sub(prev.TopDown),
+		DirectionOpt:  s.DirectionOpt.sub(prev.DirectionOpt),
+		BitParallel64: s.BitParallel64.sub(prev.BitParallel64),
+		Envelope:      s.Envelope.sub(prev.Envelope),
+		Dijkstra:      s.Dijkstra.sub(prev.Dijkstra),
+		Repair:        s.Repair.sub(prev.Repair),
+		PrunedBFS:     s.PrunedBFS.sub(prev.PrunedBFS),
 	}
 }
 
 // Total sums the kernels (FrontierPeak takes the max across kernels).
 func (s MetricsSnapshot) Total() KernelCounters {
-	return s.TopDown.add(s.DirectionOpt).add(s.BitParallel64).add(s.BitParallel256).
-		add(s.BitParallel512).add(s.Envelope).add(s.Dijkstra).add(s.Repair).
-		add(s.PrunedBFS)
+	return s.TopDown.add(s.DirectionOpt).add(s.BitParallel64).add(s.Envelope).
+		add(s.Dijkstra).add(s.Repair).add(s.PrunedBFS)
 }
 
 // RecordRepair flushes one dynsssp batch-repair run into the repair kernel
@@ -348,15 +306,13 @@ func RecordPrunedBFS(nodes, edges, frontierPeak int64, cut bool, skippedNodes, s
 // exposes them without further wiring.
 func init() {
 	names := [numKernels]string{
-		kTopDown:        "topdown",
-		kDirOpt:         "diropt",
-		kBitParallel:    "bitparallel64",
-		kBitParallel256: "bitparallel256",
-		kBitParallel512: "bitparallel512",
-		kEnvelope:       "envelope",
-		kDijkstra:       "dijkstra",
-		kRepair:         "repair",
-		kPrunedBFS:      "prunedbfs",
+		kTopDown:     "topdown",
+		kDirOpt:      "diropt",
+		kBitParallel: "bitparallel64",
+		kEnvelope:    "envelope",
+		kDijkstra:    "dijkstra",
+		kRepair:      "repair",
+		kPrunedBFS:   "prunedbfs",
 	}
 	for i := kernelIndex(0); i < numKernels; i++ {
 		kernelHist[i] = kernelHists{
@@ -374,11 +330,6 @@ func init() {
 		obs.RegisterMetric(prefix+"nodes_visited", c.nodes.Load)
 		obs.RegisterMetric(prefix+"edges_scanned", c.edges.Load)
 		obs.RegisterMetric(prefix+"frontier_peak", c.frontierPeak.Load)
-		obs.RegisterMetric(prefix+"cores_used", c.cores.Load)
-		if lanes := kernelLaneWidth[i]; lanes > 0 {
-			lanes64 := int64(lanes)
-			obs.RegisterMetric(prefix+"lane_width", func() int64 { return lanes64 })
-		}
 	}
 	dir := &kernelMetrics[kDirOpt]
 	obs.RegisterMetric("sssp.diropt.topdown_steps", dir.tdSteps.Load)
