@@ -1,11 +1,10 @@
 // Command convserve runs the converging-pairs pipeline as a long-lived
 // HTTP/JSON service: edges stream in on /ingest, are frozen into immutable
 // epochs on /seal, and budgeted top-k queries run over any retained
-// (t1, t2) epoch window on /query. Concurrent queries coalesce their SSSP
-// sources into shared bit-parallel sweeps, and every query is admitted
-// against its tenant's SSSP allowance — the multi-tenant, always-on face of
-// the same Algorithm 1 a one-shot convpairs run executes (results are
-// bit-identical; see internal/serve).
+// (t1, t2) epoch window on /query. Every query is admitted against its
+// tenant's SSSP allowance — the multi-tenant, always-on face of the same
+// Algorithm 1 a one-shot convpairs run executes (results are bit-identical;
+// see internal/serve).
 //
 // Usage:
 //
@@ -67,8 +66,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	universe := flag.Int("universe", 0, "minimum node-universe size for every epoch (0 grows with the edges)")
 	retain := flag.Int("retain", 0, "epochs to retain (0 = unlimited; old unpinned epochs are pruned)")
-	batchWindow := flag.Duration("batchwindow", 0, "cross-request SSSP coalescing window (0 = library default)")
-	immediate := flag.Bool("immediate", false, "disable the coalescing wait: every SSSP request sweeps at once")
 	maxSessions := flag.Int("maxsessions", 0, "cached per-window query sessions (0 = default)")
 	tenantLimit := flag.Int("tenantlimit", 0, "SSSP allowance for tenants auto-created by their first query (0 = unlimited)")
 	workers := flag.Int("workers", 0, "across-source BFS parallelism per query (0 = all cores)")
@@ -87,8 +84,6 @@ func main() {
 		Retain:      *retain,
 		Engine:      eng,
 		Workers:     *workers,
-		BatchWindow: *batchWindow,
-		Immediate:   *immediate,
 		TenantLimit: *tenantLimit,
 		MaxSessions: *maxSessions,
 	}

@@ -34,7 +34,7 @@ func TestDaemonLifecycle(t *testing.T) {
 	sig := make(chan os.Signal, 1)
 	ready := make(chan string, 1)
 	done := make(chan error, 1)
-	cfg := serve.Config{Immediate: true}
+	cfg := serve.Config{}
 	tenants := []serve.TenantRequest{{Name: "ops", Limit: 0}}
 	go func() {
 		done <- runDaemon("127.0.0.1:0", cfg, tenants, ocli, sig, ready)

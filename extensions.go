@@ -6,7 +6,6 @@ import (
 	"repro/internal/budget"
 	"repro/internal/candidates"
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/dynsssp"
 	"repro/internal/embed"
 	"repro/internal/graph"
@@ -47,13 +46,6 @@ type (
 	// BudgetTenant is one tenant's admission meter; QueryMeter derives the
 	// per-query 2m allowance chained to it.
 	BudgetTenant = budget.Tenant
-
-	// Batcher coalesces concurrent single-source distance requests into
-	// shared multi-source sweeps; results are bit-identical to unbatched
-	// calls.
-	Batcher = dist.Batcher
-	// BatcherOptions tunes a Batcher's coalescing window and batch size.
-	BatcherOptions = dist.BatcherOptions
 )
 
 // NewSession builds a reusable query session over a snapshot pair. A

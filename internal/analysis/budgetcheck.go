@@ -66,19 +66,15 @@ func budgetEntryPoint(name string) bool {
 }
 
 // distEntryPoint reports whether a dist-package function or method named
-// name costs budget: one unit per DistancesInto call (Source, Session, or
-// Batcher), one per source for the batched sweeps and DistanceMatrix. The
-// Ctx variants are the serving-path spellings of the same spending —
-// cancellation changes machine work, never cost.
+// name costs budget: one unit per DistancesInto call (Source or Session),
+// one per row for the PairedSession calls (bounded or not: the Δ-threshold
+// cuts traversal, not charges), one per source for the batched sweeps and
+// DistanceMatrix. The Ctx variants are the serving-path spellings of the
+// same spending — cancellation changes machine work, never cost.
 func distEntryPoint(name string) bool {
 	switch name {
 	case "DistancesInto", "DistanceMatrix", "Sweep", "PairedSweep",
-		"DistancesPairInto", "DeriveInto", "IncrementalPairedSweep",
-		"DistancesIntoCtx", "SweepCtx", "PairedSweepCtx",
-		"IncrementalPairedSweepCtx",
-		// The pruned-capability spellings cost exactly what the full
-		// variants do — the Δ-threshold cuts traversal, not charges.
-		"DistancesPairBoundedInto", "DeriveBoundedInto":
+		"DistancesPairInto", "DeriveInto", "SweepCtx", "PairedSweepCtx":
 		return true
 	}
 	return false

@@ -80,7 +80,7 @@ func meteredSession(s dist.Source, m *budget.Meter, row []int32) error {
 	if err := m.Charge(budget.PhaseTopK, 1); err != nil {
 		return err
 	}
-	dist.NewSession(s).DistancesInto(0, row)
+	s.NewSession().DistancesInto(0, row)
 	return nil
 }
 
@@ -134,12 +134,8 @@ func freeRepairReads(d *dynsssp.DynamicBFS) int {
 // like a traversed one.
 
 func unmeteredPairedSession(ps dist.PairedSession, d1, d2 []int32) {
-	ps.DistancesPairInto(0, d1, d2) // want `call to dist.DistancesPairInto without`
-	ps.DeriveInto(0, d1, d2)        // want `call to dist.DeriveInto without`
-}
-
-func unmeteredIncrementalSweep(p dist.Pair) {
-	dist.IncrementalPairedSweep(p, []int{0}, 1, func(src int, d1, d2 []int32) {}) // want `call to dist.IncrementalPairedSweep without`
+	ps.DistancesPairInto(0, d1, d2, nil) // want `call to dist.DistancesPairInto without`
+	ps.DeriveInto(0, d1, d2, nil)        // want `call to dist.DeriveInto without`
 }
 
 func meteredPairedSession(p dist.Pair, m *budget.Meter, d1, d2 []int32) error {
@@ -147,49 +143,41 @@ func meteredPairedSession(p dist.Pair, m *budget.Meter, d1, d2 []int32) error {
 		return err
 	}
 	ps := dist.NewPairedEngine(p, dist.PairedIncremental).NewSession()
-	ps.DistancesPairInto(0, d1, d2)
+	ps.DistancesPairInto(0, d1, d2, nil)
 	return nil
 }
 
-// The serving path's ctx-variant drivers and the batching layer cost budget
-// exactly like the spellings they generalize: cancellation and coalescing
-// change machine work, never cost.
+// The serving path's ctx-variant drivers cost budget exactly like the
+// spellings they generalize: cancellation changes machine work, never cost.
 
 func unmeteredCtxSweep(ctx context.Context, s dist.Source) {
 	_ = dist.SweepCtx(ctx, s, []int{0}, 1, func(src int, d []int32) {}) // want `call to dist.SweepCtx without`
 }
 
 func unmeteredCtxPaired(ctx context.Context, p dist.Pair) {
-	_ = dist.PairedSweepCtx(ctx, p, []int{0}, 1, func(src int, d1, d2 []int32) {})            // want `call to dist.PairedSweepCtx without`
-	_, _ = dist.IncrementalPairedSweepCtx(ctx, p, []int{0}, 1, func(src int, d1, d2 []int32) {}) // want `call to dist.IncrementalPairedSweepCtx without`
+	_ = dist.PairedSweepCtx(ctx, p, []int{0}, 1, func(src int, d1, d2 []int32) {}) // want `call to dist.PairedSweepCtx without`
 }
 
-func unmeteredBatcherRow(ctx context.Context, b *dist.Batcher, row []int32) {
-	_ = b.DistancesIntoCtx(ctx, 0, row) // want `call to dist.DistancesIntoCtx without`
-}
-
-// meteredBatcherSweep is the batching-layer idiom: wrap the source once,
-// charge the caller's own meter per source, and sweep — sharing a sweep
-// with concurrent requests never shares the charge.
-func meteredBatcherSweep(ctx context.Context, src dist.Source, m *budget.Meter) error {
+// meteredCtxSweep is the serving idiom: charge the caller's own meter per
+// source, then sweep under the request's context.
+func meteredCtxSweep(ctx context.Context, src dist.Source, m *budget.Meter) error {
 	if err := m.Charge(budget.PhaseTopK, 1); err != nil {
 		return err
 	}
-	b := dist.NewBatcher(src, dist.BatcherOptions{Immediate: true})
-	return b.SweepCtx(ctx, []int{0}, 1, func(s int, d []int32) {})
+	return dist.SweepCtx(ctx, src, []int{0}, 1, func(s int, d []int32) {})
 }
 
-// The Δ-threshold pruned spellings cost exactly what the full variants do:
-// the bound cuts traversal work, never charges. A cut-short row was still
+// The Δ-threshold bounded calls cost exactly what the full ones do: the
+// bound cuts traversal work, never charges. A cut-short row was still
 // produced (valid for delta extraction), so it is still one unit.
 
 func unmeteredPrunedBFS(g2 *graph.Graph, d1, d2 []int32, ps *sssp.PrunedScratch) {
 	sssp.PrunedSecondBFS(g2, 0, d1, d2, func() int32 { return 1 }, ps) // want `call to sssp.PrunedSecondBFS without`
 }
 
-func unmeteredPrunedPair(pps dist.PrunedPairSession, d1, d2 []int32) {
-	pps.DistancesPairBoundedInto(0, d1, d2, func() int32 { return 1 }) // want `call to dist.DistancesPairBoundedInto without`
-	pps.DeriveBoundedInto(0, d1, d2, func() int32 { return 1 })        // want `call to dist.DeriveBoundedInto without`
+func unmeteredBoundedPair(ps dist.PairedSession, d1, d2 []int32) {
+	ps.DistancesPairInto(0, d1, d2, func() int32 { return 1 }) // want `call to dist.DistancesPairInto without`
+	ps.DeriveInto(0, d1, d2, func() int32 { return 1 })        // want `call to dist.DeriveInto without`
 }
 
 func unmeteredBoundedRepair(s *dynsssp.Scratch, g2 *graph.Graph, delta []graph.Edge, d2, d1 []int32) {
@@ -197,7 +185,7 @@ func unmeteredBoundedRepair(s *dynsssp.Scratch, g2 *graph.Graph, delta []graph.E
 }
 
 // meteredThresholdLoop is the pruned-extraction idiom: charge every row up
-// front, compute bounded rows through the pruned capability with the shared
+// front, compute bounded rows through the paired session with the shared
 // threshold as the bound, and offer each emitted delta back to the
 // threshold. Threshold reads and offers cost nothing — only the row
 // computations are budget-relevant.
@@ -205,8 +193,8 @@ func meteredThresholdLoop(p dist.Pair, m *budget.Meter, th *prune.Threshold, d1,
 	if err := m.Charge(budget.PhaseTopK, 2); err != nil {
 		return err
 	}
-	pps := dist.AsPruned(dist.NewPairedEngine(p, dist.PairedFull).NewSession())
-	pps.DistancesPairBoundedInto(0, d1, d2, th.Load)
+	ps := dist.NewPairedEngine(p, dist.PairedFull).NewSession()
+	ps.DistancesPairInto(0, d1, d2, th.Load)
 	for v := range d1 {
 		if d1[v] > 0 && d1[v]-d2[v] > 0 {
 			th.Offer(d1[v] - d2[v])

@@ -12,10 +12,9 @@ import (
 // tenant; every served query charges a per-query child meter (the paper's 2m
 // budget, so its Report matches a one-shot run bit for bit) chained to the
 // tenant's meter (the operator-set allowance across queries). Tenants are
-// charged independently even when the batching layer merges their SSSP
-// sources into one shared sweep: a charge unit is a distance row *produced
-// for a caller*, and each caller charges its own chain — sharing machine
-// work never shares cost.
+// charged independently: a charge unit is a distance row *produced for a
+// caller*, and each caller charges its own chain, so concurrent queries on
+// one cached session never share cost.
 
 // Tenant is one admission-controlled principal: a named meter with an
 // operator-set SSSP allowance, plus tenant-labeled charge-size histograms.

@@ -54,11 +54,11 @@ type Context struct {
 	Meter *budget.Meter
 	// Workers bounds SSSP parallelism; <=0 means GOMAXPROCS.
 	Workers int
-	// Ctx, when non-nil, carries the query's cancellation signal. Selectors
-	// whose selection sweeps many sources should pass it to the ctx-aware
-	// dist drivers (dist.SweepCtx) so an abandoned query stops traversing;
-	// core checks it between phases regardless, so honoring it here only
-	// sharpens promptness, never correctness.
+	// Ctx, when non-nil, carries the query's cancellation signal. No
+	// selector reads it today: core checks it between phases and between
+	// extraction candidates. A selector that sweeps many sources may pass it
+	// to dist.SweepCtx to stop an abandoned query sooner; that sharpens
+	// promptness, never correctness.
 	Ctx context.Context
 
 	// D1Rows and D2Rows cache distance rows on G_t1 / G_t2 keyed by source

@@ -49,9 +49,10 @@ type Options struct {
 	RNG *rand.Rand
 	// Workers bounds SSSP parallelism; <=0 means GOMAXPROCS.
 	Workers int
-	// Engine selects the BFS kernel for the extraction phase's shortest
-	// paths (ablations pin one); the zero value Auto picks the fastest.
-	// Ignored by TopKSources, whose sources carry their own kernels.
+	// Engine selects the BFS kernel (ablations pin one); the zero value
+	// Auto picks the fastest. Only the one-shot TopK reads it, to build its
+	// session: Session.TopK and TopKSources run the kernel their sources
+	// carry.
 	Engine sssp.Engine
 	// PairedMode selects how extraction produces the G_t2 rows: the zero
 	// value PairedFull traverses G_t2 per candidate (the paper's literal
@@ -67,11 +68,6 @@ type Options struct {
 	// which must return every qualifying pair. PruneOff forces full
 	// traversals everywhere — the differential baseline.
 	Prune PruneMode
-	// PruneSeed pre-loads the kth-Δ threshold. SOUND ONLY when it is a
-	// lower bound on this query's final kth Δ (e.g. the final kth Δ of a
-	// previous run of the identical query); anything larger silently drops
-	// pairs. Leave 0 unless you can prove that.
-	PruneSeed int32
 	// Warm, when non-nil, is a per-snapshot-pair warm cache: selection
 	// results are memoized (with their budget charges replayed on hits) and
 	// completed top-K queries seed the prune threshold of identical later

@@ -5,6 +5,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -134,7 +135,8 @@ func TestPruneAutoSkipsMinDelta(t *testing.T) {
 
 // TestPruneSeedSound: seeding the threshold with the true kth Δ of the same
 // query (the strongest seed the warm cache can ever supply) must not change
-// the result.
+// the result. The seed is stored straight into a fresh warm cache, so the
+// selection still runs cold and only the kth-Δ entry differs.
 func TestPruneSeedSound(t *testing.T) {
 	sp := growingPair(t, 200, 3)
 	opts := Options{Selector: candidates.MMSD(), M: 25, L: 5, K: 10, Seed: 7, Workers: 2}
@@ -143,22 +145,50 @@ func TestPruneSeedSound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(full.Pairs) == 0 {
-		t.Skip("no pairs on this graph")
+	if len(full.Pairs) < opts.K {
+		t.Skipf("only %d pairs on this graph", len(full.Pairs))
 	}
 	opts.Prune = PruneAuto
-	opts.PruneSeed = full.Pairs[len(full.Pairs)-1].Delta
+	opts.Warm = candidates.NewWarm()
+	opts.Warm.StoreKthDelta(warmCacheKey(opts), opts.K, full.Pairs[opts.K-1].Delta)
+	before := metricValue(t, "prune.threshold_seeded")
 	seeded, err := TopK(sp, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := metricValue(t, "prune.threshold_seeded") - before; got != 1 {
+		t.Fatalf("threshold seeded %d times, want 1: the stored kth Δ went unused", got)
+	}
 	requireSameResult(t, "seeded", full, seeded)
+}
+
+// metricValue reads one unlabeled series from the /metrics exposition.
+func metricValue(t *testing.T, name string) int64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := obs.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("/metrics is missing %s", name)
+	return 0
 }
 
 // TestWarmCacheIdentical: repeated queries on one session with a shared warm
 // cache must return bit-identical results (pairs, candidates, budget) while
 // doing strictly less traversal work on the repeat — the selection is
 // replayed from the memo and the kth-Δ seed starts the threshold tight.
+// The kth-Δ seed is the strongest one pruning can ever get (the true final
+// kth Δ of the same query), so the warm result must also equal an unpruned
+// run.
 func TestWarmCacheIdentical(t *testing.T) {
 	sp := growingPair(t, 200, 17)
 	sess, err := NewSession(sp, SessionConfig{})
@@ -195,6 +225,12 @@ func TestWarmCacheIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameResult(t, "warm-vs-plain", cold, plain)
+	opts.Prune = PruneOff
+	off, err := sess.TopK(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, "warm-vs-unpruned", off, warmRes)
 }
 
 // TestPrunedTraceConsistency pins the observability contract of pruning:
@@ -219,11 +255,14 @@ func TestPrunedTraceConsistency(t *testing.T) {
 	}
 
 	// Seed the threshold with the true kth Δ so candidate skips are certain
-	// from the first dequeue, then check every accounting surface.
-	tr := obs.New("pruned")
+	// from the first dequeue, then check every accounting surface. The seed
+	// goes into a fresh warm cache that holds nothing else, so the selection
+	// still runs cold.
 	opts = base
 	opts.Prune = PruneAuto
-	opts.PruneSeed = full.Pairs[base.K-1].Delta
+	opts.Warm = candidates.NewWarm()
+	opts.Warm.StoreKthDelta(warmCacheKey(opts), base.K, full.Pairs[base.K-1].Delta)
+	tr := obs.New("pruned")
 	opts.Trace = tr
 	prunedBefore := sssp.SnapshotMetrics()
 	pruned, err := TopK(sp, opts)
@@ -260,6 +299,9 @@ func TestPrunedTraceConsistency(t *testing.T) {
 	if rec.Candidates != len(pruned.Candidates) {
 		t.Errorf("flight candidates = %d, want %d (skips must not shrink the candidate set)",
 			rec.Candidates, len(pruned.Candidates))
+	}
+	if rec.Kernels.PrunedBFSCalls == 0 {
+		t.Error("flight record shows no pruned-BFS calls — the extraction bound never reached a kernel")
 	}
 	if pruned.Pruned.CandidatesSkipped > 0 && rec.Kernels.Calls+rec.Kernels.PrunedBFSCalls >= fullWork.Calls {
 		t.Errorf("pruned run ran %d+%d traversals, full ran %d — skipped candidates still traversed?",

@@ -35,6 +35,9 @@ import (
 type Session struct {
 	src  dist.Pair
 	pair graph.SnapshotPair // structural view; zero for metric-only sources
+	// kernel names the traversal kernel the sources run (the BFS engine, or
+	// dijkstra) for the flight record's fingerprint.
+	kernel string
 
 	mu    sync.Mutex
 	pengs map[dist.PairedMode]*enginePool
@@ -61,10 +64,6 @@ type enginePool struct {
 type workerState struct {
 	d1buf, d2buf []int32
 	ps           dist.PairedSession
-	// pps is ps seen through the Δ-threshold capability (ps itself when it
-	// implements it, a full-computation fallback otherwise); pruned
-	// extraction routes row computation through it.
-	pps dist.PrunedPairSession
 	// sess1 serves the rare only-d2-cached case; created lazily because most
 	// queries never hit it.
 	sess1 dist.Session
@@ -79,9 +78,11 @@ func NewSession(pair graph.SnapshotPair, cfg SessionConfig) (*Session, error) {
 	return newSession(dist.BFSPair(pair, cfg.Engine), pair), nil
 }
 
-// NewSessionSources prepares a session over arbitrary distance sources (the
-// weighted pipeline, or batching-wrapped sources from the serve layer).
-// Structural selectors work when the sources unwrap to unweighted graphs.
+// NewSessionSources prepares a session over arbitrary distance sources: the
+// weighted pipeline's Dijkstra pair, or the serve layer's BFS pair over an
+// epoch window. It checks only that the universes match; the caller vouches
+// for the growing-snapshot invariant. Structural selectors work when both
+// sources are BFS-backed.
 func NewSessionSources(src dist.Pair) (*Session, error) {
 	if err := src.Validate(); err != nil {
 		return nil, err
@@ -96,7 +97,14 @@ func NewSessionSources(src dist.Pair) (*Session, error) {
 }
 
 func newSession(src dist.Pair, pair graph.SnapshotPair) *Session {
-	return &Session{src: src, pair: pair, pengs: make(map[dist.PairedMode]*enginePool)}
+	kernel := fmt.Sprintf("%T", src.S1)
+	switch s1 := src.S1.(type) {
+	case *dist.BFS:
+		kernel = s1.Engine().String()
+	case *dist.Dijkstra:
+		kernel = "dijkstra"
+	}
+	return &Session{src: src, pair: pair, kernel: kernel, pengs: make(map[dist.PairedMode]*enginePool)}
 }
 
 // Sources returns the session's distance-source pair.
@@ -124,13 +132,11 @@ func (ep *enginePool) checkout(n int) *workerState {
 	if st, _ := ep.pool.Get().(*workerState); st != nil {
 		return st
 	}
-	st := &workerState{
+	return &workerState{
 		d1buf: make([]int32, n),
 		d2buf: make([]int32, n),
 		ps:    ep.eng.NewSession(),
 	}
-	st.pps = dist.AsPruned(st.ps)
-	return st
 }
 
 // TopK runs one query of Algorithm 1 on the session. It is the former
@@ -171,15 +177,11 @@ func (s *Session) TopK(ctx context.Context, opts Options) (result *Result, err e
 	kernelsBefore := sssp.SnapshotMetrics()
 	prunedBefore := sssp.SnapshotPrunedWork()
 	var phases obs.PhaseNanos
-	defer func() { recordRun(opts, meter, kernelsBefore, prunedBefore, runStart, phases, result, err) }()
+	defer func() {
+		recordRun(opts, s.kernel, meter, kernelsBefore, prunedBefore, runStart, phases, result, err)
+	}()
 	tr := opts.Trace
-	// warmKey is the query's result-determining selection shape; empty when
-	// warm caching is off or unkeyable (external RNG). The same key (plus k)
-	// also scopes the kth-Δ seed.
-	warmKey := ""
-	if opts.Warm != nil && opts.RNG == nil {
-		warmKey = fmt.Sprintf("%s|m%d|l%d|s%d", opts.Selector.Name(), opts.M, opts.L, opts.Seed)
-	}
+	warmKey := warmCacheKey(opts)
 	var warmCharges []candidates.WarmCharge
 	recordWarm := false
 	if tr != nil || warmKey != "" {
@@ -302,6 +304,16 @@ func boolInt(b bool) int {
 	return 0
 }
 
+// warmCacheKey is the query's result-determining selection shape, the key of
+// its warm-cache entries; empty when warm caching is off or unkeyable
+// (external RNG). The same key (plus k) also scopes the kth-Δ seed.
+func warmCacheKey(opts Options) string {
+	if opts.Warm == nil || opts.RNG != nil {
+		return ""
+	}
+	return fmt.Sprintf("%s|m%d|l%d|s%d", opts.Selector.Name(), opts.M, opts.L, opts.Seed)
+}
+
 // extractPairs implements lines 2-5 of Algorithm 1: compute D1 and D2 rows
 // for the candidate set (reusing rows the selector cached), form the
 // pairwise deltas, and keep the top pairs.
@@ -364,15 +376,12 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 	// must return every qualifying pair, so PruneAuto never prunes it).
 	pruneOn := opts.K > 0 && opts.Prune != PruneOff
 	var th *prune.Threshold
-	var boundFn func() int32
+	var boundFn func() int32 // nil asks the paired session for full rows
 	var ubounds []int32
 	//convlint:shared lock-free skip tally; workers only Add, read after Wait
 	var skipped atomic.Int64
 	if pruneOn {
 		th = prune.NewThreshold(opts.K)
-		if opts.PruneSeed > 0 {
-			th.Seed(opts.PruneSeed)
-		}
 		if warmKey != "" {
 			if d, ok := opts.Warm.KthDelta(warmKey, opts.K); ok {
 				// The final kth Δ of the identical prior query lower-bounds
@@ -434,24 +443,16 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 					d2 := cctx.D2Rows[u]
 					switch {
 					case d1 == nil && d2 == nil:
-						if pruneOn {
-							st.pps.DistancesPairBoundedInto(u, st.d1buf, st.d2buf, boundFn)
-						} else {
-							st.ps.DistancesPairInto(u, st.d1buf, st.d2buf)
-						}
+						st.ps.DistancesPairInto(u, st.d1buf, st.d2buf, boundFn)
 						d1, d2 = st.d1buf, st.d2buf
 					case d1 != nil && d2 == nil:
 						// The selector already paid for the t1 row; derive
 						// (or recompute, in full mode) just the t2 row.
-						if pruneOn {
-							st.pps.DeriveBoundedInto(u, d1, st.d2buf, boundFn)
-						} else {
-							st.ps.DeriveInto(u, d1, st.d2buf)
-						}
+						st.ps.DeriveInto(u, d1, st.d2buf, boundFn)
 						d2 = st.d2buf
 					case d1 == nil:
 						if st.sess1 == nil {
-							st.sess1 = dist.NewSession(s.src.S1)
+							st.sess1 = s.src.S1.NewSession()
 						}
 						st.sess1.DistancesInto(u, st.d1buf)
 						d1 = st.d1buf

@@ -146,22 +146,19 @@ func TestSessionCancellation(t *testing.T) {
 	}
 }
 
-// TestSessionSourcesBatched pins the serve wiring end to end at the core
-// layer: a session over Batcher-wrapped sources returns bit-identical
-// results to the unbatched one-shot run, for both paired modes.
-func TestSessionSourcesBatched(t *testing.T) {
+// TestSessionSourcesMatchesOneShot pins the serve wiring at the core layer:
+// a session built by NewSessionSources over a BFS pair, as serve builds one
+// per epoch window, returns bit-identical results to the one-shot run, for
+// both paired modes.
+func TestSessionSourcesMatchesOneShot(t *testing.T) {
 	sp := growingPair(t, 100, 11)
-	batched := dist.Pair{
-		S1: dist.NewBatcher(dist.NewBFS(sp.G1, 0), dist.BatcherOptions{Immediate: true}),
-		S2: dist.NewBatcher(dist.NewBFS(sp.G2, 0), dist.BatcherOptions{Immediate: true}),
-	}
-	sess, err := NewSessionSources(batched)
+	sess, err := NewSessionSources(dist.BFSPair(sp, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, mode := range []dist.PairedMode{dist.PairedFull, dist.PairedIncremental} {
-		// MaxMin exercises selector-side sweeps (dispersion picks) through
-		// the batcher, not just extraction.
+		// MaxMin exercises selector-side rows (dispersion picks), not just
+		// extraction.
 		opts := Options{Selector: candidates.MaxMin(), M: 6, K: 5, Seed: 13, PairedMode: mode}
 		want, err := TopK(sp, opts)
 		if err != nil {
@@ -172,7 +169,7 @@ func TestSessionSourcesBatched(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !resultsEqual(want, got) {
-			t.Fatalf("mode %v: batched session diverged from one-shot", mode)
+			t.Fatalf("mode %v: sources session diverged from one-shot", mode)
 		}
 	}
 }

@@ -33,16 +33,17 @@ func PhaseLatencies() map[string]obs.HistogramSnapshot {
 	}
 }
 
-// fingerprint compacts the options that determine a run's result into one
-// string, the flight record's identity line.
-func fingerprint(opts Options) string {
+// fingerprint compacts the options that determine a run's result, plus the
+// kernel the session's sources ran, into one string: the flight record's
+// identity line.
+func fingerprint(opts Options, kernel string) string {
 	name := "none"
 	if opts.Selector != nil {
 		name = opts.Selector.Name()
 	}
 	return fmt.Sprintf("selector=%s m=%d k=%d delta=%d seed=%d engine=%s paired=%s workers=%d",
 		name, opts.M, opts.K, opts.MinDelta, opts.Seed,
-		opts.Engine, opts.PairedMode, opts.Workers)
+		kernel, opts.PairedMode, opts.Workers)
 }
 
 // recordRun closes out one run's telemetry: the total-phase histogram sample
@@ -51,7 +52,7 @@ func fingerprint(opts Options) string {
 // kernel counters are process-global, so under concurrent runs the delta
 // attributes overlapping traversal work to whichever run reads it — an
 // accepted imprecision, same as SnapshotMetrics region attribution.
-func recordRun(opts Options, meter *budget.Meter, before sssp.MetricsSnapshot, prunedBefore sssp.PrunedWork, start time.Time, phases obs.PhaseNanos, res *Result, err error) {
+func recordRun(opts Options, kernel string, meter *budget.Meter, before sssp.MetricsSnapshot, prunedBefore sssp.PrunedWork, start time.Time, phases obs.PhaseNanos, res *Result, err error) {
 	//convlint:nondet phase latency is observational, not part of results
 	phases.Total = time.Since(start).Nanoseconds()
 	totalNS.Observe(phases.Total)
@@ -61,7 +62,7 @@ func recordRun(opts Options, meter *budget.Meter, before sssp.MetricsSnapshot, p
 	rep := meter.Report()
 	rec := obs.RunRecord{
 		Kind:        "topk",
-		Fingerprint: fingerprint(opts),
+		Fingerprint: fingerprint(opts, kernel),
 		Phases:      phases,
 		Budget:      obs.BudgetSplit{Limit: rep.Limit, CandidateGen: rep.CandidateGen, TopK: rep.TopK},
 		Kernels: obs.KernelDelta{

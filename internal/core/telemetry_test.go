@@ -2,13 +2,17 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
 
 	"repro/internal/budget"
 	"repro/internal/candidates"
+	"repro/internal/dist"
+	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/sssp"
 )
 
 // TestPhaseHistogramsMatchSpanCounts ties the two latency views together:
@@ -139,5 +143,30 @@ func TestFlightRecordsFailedRun(t *testing.T) {
 	}
 	if rec.Pairs != 0 || rec.Candidates != 0 {
 		t.Errorf("failed run reports sizes %d/%d, want 0/0", rec.Candidates, rec.Pairs)
+	}
+}
+
+// TestFlightRecordNamesSessionKernel: the fingerprint names the kernel the
+// session's sources ran, not Options.Engine, which only the one-shot TopK
+// reads. A TopDown session queried with a zero Options.Engine must record
+// engine=topdown, and a Dijkstra session engine=dijkstra.
+func TestFlightRecordNamesSessionKernel(t *testing.T) {
+	sp := growingPair(t, 80, 21)
+	bfs, err := NewSession(sp, SessionConfig{Engine: sssp.TopDown})
+	if err != nil {
+		t.Fatal(err)
+	}
+	weighted, err := NewSessionSources(dist.DijkstraPair(graph.FromUnweighted(sp.G1), graph.FromUnweighted(sp.G2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for want, sess := range map[string]*Session{"engine=topdown": bfs, "engine=dijkstra": weighted} {
+		opts := Options{Selector: candidates.Degree(), M: 5, K: 3, Meter: budget.NewMeter(5)}
+		if _, err := sess.TopK(context.Background(), opts); err != nil {
+			t.Fatal(err)
+		}
+		if fp := obs.Flight.Last(1)[0].Fingerprint; !strings.Contains(fp, want) {
+			t.Errorf("fingerprint %q, want %s", fp, want)
+		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // benchEvolving builds the synthetic DBLP stream scaled to n=50000 — the
-// acceptance size for the incremental paired sweep. DBLP is the sparse
+// acceptance size for the incremental paired engine. DBLP is the sparse
 // high-diameter generator, the regime the incremental engine targets: a
 // full BFS pays many near-empty levels over 50k nodes while the edge delta
 // stays small. (On the dense preferential-attachment generators — Facebook,
@@ -35,12 +35,9 @@ func benchEvolving(b *testing.B) *graph.Evolving {
 // sources. This is the acceptance comparison — the repair touches only the
 // region the delta improves, so its cost tracks the delta size, not V+E.
 //
-// The sweep rows measure the end-to-end batched drivers (PairedSweep vs
-// IncrementalPairedSweep). Note the full driver hands both legs to the
-// MS-BFS bit-parallel kernel, which amortizes ~(V+2E)/64 per source at this
-// batch size — so at large source counts the full batch sweep remains
-// competitive even when the per-source second leg is far cheaper
-// incrementally; see README "Performance architecture".
+// The sweep rows measure the batched full driver (PairedSweep), which hands
+// both legs to the MS-BFS bit-parallel kernel and amortizes ~(V+2E)/64 per
+// source at this batch size; see README "Performance architecture".
 func BenchmarkPairedSweep(b *testing.B) {
 	ev := benchEvolving(b)
 	n := ev.NumNodes()
@@ -72,7 +69,7 @@ func BenchmarkPairedSweep(b *testing.B) {
 		// Precompute the t1 rows once: both secondleg variants start from
 		// an already-produced d1, so only the second leg is on the clock.
 		d1s := make([][]int32, srcCount)
-		s1 := NewSession(p.S1)
+		s1 := p.S1.NewSession()
 		for i, src := range sources {
 			d1s[i] = make([]int32, n)
 			s1.DistancesInto(src, d1s[i])
@@ -80,7 +77,7 @@ func BenchmarkPairedSweep(b *testing.B) {
 
 		b.Run(fmt.Sprintf("secondleg/full/split=%d", pct), func(b *testing.B) {
 			b.ReportAllocs()
-			sess2 := NewSession(p.S2)
+			sess2 := p.S2.NewSession()
 			d2 := make([]int32, n)
 			for i := 0; i < b.N; i++ {
 				for _, src := range sources {
@@ -94,7 +91,7 @@ func BenchmarkPairedSweep(b *testing.B) {
 			d2 := make([]int32, n)
 			for i := 0; i < b.N; i++ {
 				for j := range sources {
-					ps.DeriveInto(sources[j], d1s[j], d2)
+					ps.DeriveInto(sources[j], d1s[j], d2, nil)
 				}
 			}
 		})
@@ -103,12 +100,6 @@ func BenchmarkPairedSweep(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				PairedSweep(p, sources, 1, func(int, []int32, []int32) {})
-			}
-		})
-		b.Run(fmt.Sprintf("sweep/incremental/split=%d", pct), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				IncrementalPairedSweep(p, sources, 1, func(int, []int32, []int32) {})
 			}
 		})
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -13,9 +12,9 @@ import (
 )
 
 // slowSource wraps a Source so each row blocks until released, letting the
-// cancellation tests park a sweep mid-flight deterministically. It hides the
-// BFS sweep capability on purpose: the generic worker-pool paths are what the
-// drain contract protects.
+// cancellation tests park a sweep mid-flight deterministically. It is not a
+// *BFS on purpose: the session-pool paths are what the drain contract
+// protects.
 type slowSource struct {
 	inner   Source
 	started atomic.Int64
@@ -30,6 +29,7 @@ func (s *slowSource) NumNodes() int             { return s.inner.NumNodes() }
 func (s *slowSource) NumEdges() int             { return s.inner.NumEdges() }
 func (s *slowSource) Degree(u int) int          { return s.inner.Degree(u) }
 func (s *slowSource) NeighborIDs(u int) []int32 { return s.inner.NeighborIDs(u) }
+func (s *slowSource) NewSession() Session       { return s }
 
 func (s *slowSource) DistancesInto(src int, dst []int32) {
 	s.started.Add(1)
@@ -150,51 +150,5 @@ func TestSweepReusableAfterCancel(t *testing.T) {
 	got := DistanceMatrix(src, sources, 2)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("post-cancel sweep rows differ")
-	}
-}
-
-// TestIncrementalPairedSweepCtx pins ctx plumbing on the incremental driver:
-// an uncanceled run matches the non-ctx API, and a pre-canceled run reports
-// the context error without delivering rows.
-func TestIncrementalPairedSweepCtx(t *testing.T) {
-	g1, g2 := evolvedPair(t, 70, 29)
-	p := Pair{S1: NewBFS(g1, sssp.Auto), S2: NewBFS(g2, sssp.Auto)}
-	sources := []int{0, 5, 12, 31}
-
-	type row struct{ d1, d2 []int32 }
-	collect := func(run func(fn func(src int, d1, d2 []int32))) map[int]row {
-		out := make(map[int]row)
-		var mu sync.Mutex // workers=2 delivers rows concurrently
-		run(func(src int, d1, d2 []int32) {
-			r := row{append([]int32(nil), d1...), append([]int32(nil), d2...)}
-			mu.Lock()
-			out[src] = r
-			mu.Unlock()
-		})
-		return out
-	}
-	direct := collect(func(fn func(int, []int32, []int32)) {
-		IncrementalPairedSweep(p, sources, 2, fn)
-	})
-	viaCtx := collect(func(fn func(int, []int32, []int32)) {
-		mode, err := IncrementalPairedSweepCtx(context.Background(), p, sources, 2, fn)
-		if mode != PairedIncremental || err != nil {
-			t.Fatalf("ctx run: mode %v err %v", mode, err)
-		}
-	})
-	if !reflect.DeepEqual(direct, viaCtx) {
-		t.Fatalf("ctx and non-ctx incremental sweeps differ")
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	delivered := 0
-	if _, err := IncrementalPairedSweepCtx(ctx, p, sources, 2, func(int, []int32, []int32) {
-		delivered++
-	}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
-	}
-	if delivered != 0 {
-		t.Fatalf("pre-canceled incremental sweep delivered %d rows", delivered)
 	}
 }

@@ -9,10 +9,13 @@
 // distance queries; the paper's cost model charges one budget unit per
 // DistancesInto call (callers charge their budget.Meter before invoking, a
 // discipline convlint's budgetcheck enforces mechanically). Batched helpers
-// (Sweep, PairedSweep, DistanceMatrix) let engine implementations amortize
-// work across sources — the BFS source routes them to sssp's multi-source
-// kernels — while the generic fallback uses per-worker Sessions so scratch
-// state is reused across calls rather than reallocated per source.
+// (Sweep, PairedSweep, DistanceMatrix) route BFS sources to sssp's
+// multi-source kernels, and run everything else on per-worker Sessions so
+// scratch state is reused across calls rather than reallocated per source.
+//
+// The package declares four interfaces: Source and its per-worker Session,
+// and PairedEngine and its per-worker PairedSession for the two-snapshot
+// rows of extraction. BFS-only fast paths are found by asserting *BFS.
 package dist
 
 import (
@@ -31,7 +34,8 @@ import (
 const Unreachable = sssp.Unreachable
 
 // Source is one snapshot under some distance metric. Implementations must be
-// safe for concurrent DistancesInto calls with distinct buffers.
+// safe for concurrent DistancesInto calls with distinct buffers. The two
+// implementations are BFS (hop distances) and Dijkstra (weighted).
 //
 // The structural methods (NumEdges, Degree, NeighborIDs) expose the
 // weight-less adjacency every selector heuristic ranks on; NeighborIDs makes
@@ -50,43 +54,24 @@ type Source interface {
 	// Unreachable for no path. One call costs one unit of the paper's SSSP
 	// budget; callers charge their meter before invoking.
 	DistancesInto(src int, dst []int32)
+	// NewSession returns a single-goroutine query handle that reuses
+	// traversal scratch across calls.
+	NewSession() Session
 }
 
 // Session is a single-goroutine handle for repeated distance queries on one
 // Source, reusing traversal scratch state across calls. Obtain one per
-// worker with NewSession.
+// worker with Source.NewSession.
 type Session interface {
 	// DistancesInto behaves like Source.DistancesInto and costs the same one
 	// budget unit per call.
 	DistancesInto(src int, dst []int32)
 }
 
-// sessioner is the optional capability of sources that provide scratch-
-// reusing sessions.
-type sessioner interface {
-	NewSession() Session
-}
-
-// NewSession returns a scratch-reusing query handle for s. Sources without
-// native sessions fall back to the source itself (correct, just without
-// scratch reuse).
-func NewSession(s Source) Session {
-	if sp, ok := s.(sessioner); ok {
-		return sp.NewSession()
-	}
-	return s
-}
-
-// sweeper is the optional capability of sources with a batched multi-source
-// driver (e.g. the BFS source's bit-parallel kernel path).
-type sweeper interface {
-	SweepCtx(ctx context.Context, sources []int, workers int, fn func(src int, dst []int32)) error
-}
-
 // Sweep computes the distances from every source in sources, invoking
 // fn(src, dst) once per source from at most workers goroutines; dst is only
-// valid during the call. Sources with a batched kernel drive the sweep
-// themselves; others get a generic session-per-worker pool. The sweep costs
+// valid during the call. BFS sources run sssp's batched multi-source
+// kernels; others get a session-per-worker pool. The sweep costs
 // len(sources) budget units.
 func Sweep(s Source, sources []int, workers int, fn func(src int, dst []int32)) {
 	_ = SweepCtx(context.Background(), s, sources, workers, fn)
@@ -99,10 +84,24 @@ func Sweep(s Source, sources []int, workers int, fn func(src int, dst []int32)) 
 // never changes a delivered row, and all pooled scratch stays reusable for
 // the next sweep.
 func SweepCtx(ctx context.Context, s Source, sources []int, workers int, fn func(src int, dst []int32)) error {
-	if sw, ok := s.(sweeper); ok {
-		return sw.SweepCtx(ctx, sources, workers, fn)
+	if b, ok := s.(*BFS); ok {
+		return sssp.AllSourcesEngineCtxFunc(ctx, b.g, sources, workers, b.engine, fn)
 	}
 	n := s.NumNodes()
+	return sessionPool(ctx, sources, workers, func() func(src int) {
+		sess := s.NewSession()
+		dst := make([]int32, n)
+		return func(src int) {
+			sess.DistancesInto(src, dst)
+			fn(src, dst)
+		}
+	})
+}
+
+// sessionPool feeds sources to at most workers goroutines. Each worker
+// builds its own visit function (sessions and row buffers) once, then calls
+// it per source; once ctx is done the remaining sources drain untraversed.
+func sessionPool(ctx context.Context, sources []int, workers int, newVisit func() func(src int)) error {
 	workers = sssp.ClampWorkers(workers, len(sources))
 	var wg sync.WaitGroup
 	next := make(chan int, workers)
@@ -111,15 +110,12 @@ func SweepCtx(ctx context.Context, s Source, sources []int, workers int, fn func
 		go pprof.Do(context.Background(), pprof.Labels("subsystem", "dist-sweep"),
 			func(context.Context) {
 				defer wg.Done()
-				sess := NewSession(s)
-				dst := make([]int32, n)
+				visit := newVisit()
 				for i := range next {
 					if ctx.Err() != nil {
 						continue // drain without traversing
 					}
-					src := sources[i]
-					sess.DistancesInto(src, dst)
-					fn(src, dst)
+					visit(sources[i])
 				}
 			})
 	}
@@ -184,16 +180,11 @@ func (p Pair) Validate() error {
 // NumNodes returns the shared node-universe size.
 func (p Pair) NumNodes() int { return p.S1.NumNodes() }
 
-// pairedSweeper is the optional capability of source pairs with a shared
-// batched driver (both BFS-backed on the same engine).
-type pairedSweeper interface {
-	pairedSweep(ctx context.Context, other Source, sources []int, workers int, fn func(src int, d1, d2 []int32)) (bool, error)
-}
-
 // PairedSweep computes, for every source, its distance rows on both
 // snapshots and invokes fn(src, d1, d2); the buffers are only valid during
-// the call. BFS pairs route to sssp's paired multi-source kernels; anything
-// else runs the generic session pool. Costs 2·len(sources) budget units.
+// the call. BFS pairs on one engine route to sssp's paired multi-source
+// kernels; anything else runs the session pool. Costs 2·len(sources) budget
+// units.
 func PairedSweep(p Pair, sources []int, workers int, fn func(src int, d1, d2 []int32)) {
 	_ = PairedSweepCtx(context.Background(), p, sources, workers, fn)
 }
@@ -202,41 +193,21 @@ func PairedSweep(p Pair, sources []int, workers int, fn func(src int, d1, d2 []i
 // contract as SweepCtx: no new source starts after ctx is done, in-flight row
 // pairs are delivered whole, scratch stays reusable.
 func PairedSweepCtx(ctx context.Context, p Pair, sources []int, workers int, fn func(src int, d1, d2 []int32)) error {
-	if ps, ok := p.S1.(pairedSweeper); ok {
-		if handled, err := ps.pairedSweep(ctx, p.S2, sources, workers, fn); handled {
-			return err
-		}
+	b1, ok1 := p.S1.(*BFS)
+	b2, ok2 := p.S2.(*BFS)
+	if ok1 && ok2 && b1.engine == b2.engine {
+		return sssp.PairedSourcesEngineCtxFunc(ctx, b1.g, b2.g, sources, workers, b1.engine, fn)
 	}
 	n := p.NumNodes()
-	workers = sssp.ClampWorkers(workers, len(sources))
-	var wg sync.WaitGroup
-	next := make(chan int, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go pprof.Do(context.Background(), pprof.Labels("subsystem", "dist-sweep"),
-			func(context.Context) {
-				defer wg.Done()
-				s1 := NewSession(p.S1)
-				s2 := NewSession(p.S2)
-				d1 := make([]int32, n)
-				d2 := make([]int32, n)
-				for i := range next {
-					if ctx.Err() != nil {
-						continue // drain without traversing
-					}
-					src := sources[i]
-					s1.DistancesInto(src, d1)
-					s2.DistancesInto(src, d2)
-					fn(src, d1, d2)
-				}
-			})
-	}
-	for i := range sources {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return ctx.Err()
+	return sessionPool(ctx, sources, workers, func() func(src int) {
+		s1, s2 := p.S1.NewSession(), p.S2.NewSession()
+		d1, d2 := make([]int32, n), make([]int32, n)
+		return func(src int) {
+			s1.DistancesInto(src, d1)
+			s2.DistancesInto(src, d2)
+			fn(src, d1, d2)
+		}
+	})
 }
 
 // LargestComponent returns the nodes of s's largest connected component,

@@ -60,7 +60,7 @@ func TestBFSMatchesUnitWeightDijkstra(t *testing.T) {
 func TestSessionsMatchDirectQueries(t *testing.T) {
 	g := randomGraph(t, 50, 7)
 	for _, src := range []Source{NewBFS(g, sssp.Auto), NewDijkstra(graph.FromUnweighted(g))} {
-		sess := NewSession(src)
+		sess := src.NewSession()
 		n := src.NumNodes()
 		direct := make([]int32, n)
 		viaSess := make([]int32, n)
@@ -162,96 +162,146 @@ func evolvedPair(t testing.TB, n int, seed int64) (*graph.Graph, *graph.Graph) {
 }
 
 // TestIncrementalPairedSweepMatchesFull is the dist-level differential pin:
-// for every BFS engine, the incremental sweep (t1 traversal + delta repair)
-// must produce exactly the rows of the full paired sweep, and report that it
-// actually ran incrementally. A Dijkstra pair lacks the capability and must
-// fall back to the full path with identical results on unit weights.
+// for every BFS engine, sweeping sources through incremental paired sessions
+// (t1 traversal + delta repair), one session per worker, must produce
+// exactly the rows of the full PairedSweep. A Dijkstra pair lacks the
+// capability and must fall back to the full path with identical results on
+// unit weights.
 func TestIncrementalPairedSweepMatchesFull(t *testing.T) {
 	g1, g2 := evolvedPair(t, 60, 13)
 	sources := []int{0, 7, 19, 33, 59}
-	collect := func(sweep func(fn func(src int, d1, d2 []int32)) PairedMode) (map[int][2][]int32, PairedMode) {
+	full := func(p Pair) map[int][2][]int32 {
 		var mu sync.Mutex
 		out := map[int][2][]int32{}
-		mode := sweep(func(src int, d1, d2 []int32) {
+		PairedSweep(p, sources, 2, func(src int, d1, d2 []int32) {
 			c1 := append([]int32(nil), d1...)
 			c2 := append([]int32(nil), d2...)
 			mu.Lock()
 			out[src] = [2][]int32{c1, c2}
 			mu.Unlock()
 		})
-		return out, mode
+		return out
+	}
+	incremental := func(p Pair, want PairedMode) map[int][2][]int32 {
+		e := NewPairedEngine(p, PairedIncremental)
+		if e.Mode() != want {
+			t.Fatalf("mode = %v, want %v", e.Mode(), want)
+		}
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		out := map[int][2][]int32{}
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				sess := e.NewSession()
+				for i := w; i < len(sources); i += 2 {
+					d1 := make([]int32, p.NumNodes())
+					d2 := make([]int32, p.NumNodes())
+					sess.DistancesPairInto(sources[i], d1, d2, nil)
+					mu.Lock()
+					out[sources[i]] = [2][]int32{d1, d2}
+					mu.Unlock()
+				}
+			}(w)
+		}
+		wg.Wait()
+		return out
 	}
 	for _, eng := range []sssp.Engine{sssp.Auto, sssp.TopDown, sssp.DirectionOpt, sssp.BitParallel64} {
 		p := BFSPair(graph.SnapshotPair{G1: g1, G2: g2}, eng)
-		full, _ := collect(func(fn func(int, []int32, []int32)) PairedMode {
-			PairedSweep(p, sources, 2, fn)
-			return PairedFull
-		})
-		incr, mode := collect(func(fn func(int, []int32, []int32)) PairedMode {
-			return IncrementalPairedSweep(p, sources, 2, fn)
-		})
-		if mode != PairedIncremental {
-			t.Fatalf("engine %v: mode = %v, want incremental", eng, mode)
-		}
-		if !reflect.DeepEqual(full, incr) {
+		if !reflect.DeepEqual(full(p), incremental(p, PairedIncremental)) {
 			t.Fatalf("engine %v: incremental sweep diverges from full", eng)
 		}
 	}
 	// Dijkstra pair: no incremental capability, silent full fallback.
 	dp := DijkstraPair(graph.FromUnweighted(g1), graph.FromUnweighted(g2))
-	fullD, _ := collect(func(fn func(int, []int32, []int32)) PairedMode {
-		PairedSweep(dp, sources, 2, fn)
-		return PairedFull
-	})
-	incrD, mode := collect(func(fn func(int, []int32, []int32)) PairedMode {
-		return IncrementalPairedSweep(dp, sources, 2, fn)
-	})
-	if mode != PairedFull {
-		t.Fatalf("Dijkstra pair: mode = %v, want full fallback", mode)
-	}
-	if !reflect.DeepEqual(fullD, incrD) {
+	if !reflect.DeepEqual(full(dp), incremental(dp, PairedFull)) {
 		t.Fatal("Dijkstra fallback sweep diverges from full sweep")
 	}
 }
 
-// TestPairedEngineSessions pins the session API both engines expose to core:
-// DistancesPairInto fills both rows, DeriveInto derives just the t2 row from
-// a caller-supplied t1 row, and both agree with direct source queries in
-// both modes.
+// TestPairedEngineSessions is the dist-level differential pin of the paired
+// engines, for every BFS kernel and both modes: DistancesPairInto fills both
+// rows and DeriveInto derives just the t2 row from a caller-supplied t1 row,
+// bit-identical to direct source queries when the bound is nil. With a
+// bound T the t2 row keeps every delta >= T exact, and any other node holds
+// its exact distance or d2 = d1 (delta 0, the cut's filler). Pairs the
+// incremental engine cannot serve fall back to full.
 func TestPairedEngineSessions(t *testing.T) {
 	g1, g2 := evolvedPair(t, 50, 17)
-	p := BFSPair(graph.SnapshotPair{G1: g1, G2: g2}, sssp.Auto)
-	n := p.NumNodes()
+	n := g1.NumNodes()
 	want1 := make([]int32, n)
 	want2 := make([]int32, n)
-	for _, mode := range []PairedMode{PairedFull, PairedIncremental} {
-		eng := NewPairedEngine(p, mode)
-		if eng.Mode() != mode {
-			t.Fatalf("mode = %v, want %v", eng.Mode(), mode)
-		}
-		sess := eng.NewSession()
-		d1 := make([]int32, n)
-		d2 := make([]int32, n)
-		for u := 0; u < n; u += 5 {
-			p.S1.DistancesInto(u, want1)
-			p.S2.DistancesInto(u, want2)
-			sess.DistancesPairInto(u, d1, d2)
-			if !reflect.DeepEqual(d1, want1) || !reflect.DeepEqual(d2, want2) {
-				t.Fatalf("mode %v: DistancesPairInto(%d) diverges", mode, u)
+	d1 := make([]int32, n)
+	d2 := make([]int32, n)
+	cuts := 0
+	for _, eng := range []sssp.Engine{sssp.Auto, sssp.TopDown, sssp.DirectionOpt, sssp.BitParallel64} {
+		p := BFSPair(graph.SnapshotPair{G1: g1, G2: g2}, eng)
+		for _, mode := range []PairedMode{PairedFull, PairedIncremental} {
+			e := NewPairedEngine(p, mode)
+			if e.Mode() != mode {
+				t.Fatalf("engine %v: mode = %v, want %v", eng, e.Mode(), mode)
 			}
-			for i := range d2 {
-				d2[i] = -7 // poison; DeriveInto must fully overwrite
-			}
-			sess.DeriveInto(u, want1, d2)
-			if !reflect.DeepEqual(d2, want2) {
-				t.Fatalf("mode %v: DeriveInto(%d) diverges", mode, u)
+			sess := e.NewSession()
+			for u := 0; u < n; u += 5 {
+				p.S1.DistancesInto(u, want1)
+				p.S2.DistancesInto(u, want2)
+				if sess.DistancesPairInto(u, d1, d2, nil) {
+					t.Fatalf("engine %v mode %v: unbounded call reported a cut", eng, mode)
+				}
+				if !reflect.DeepEqual(d1, want1) || !reflect.DeepEqual(d2, want2) {
+					t.Fatalf("engine %v mode %v: DistancesPairInto(%d) diverges", eng, mode, u)
+				}
+				for i := range d2 {
+					d2[i] = -7 // poison; DeriveInto must fully overwrite
+				}
+				sess.DeriveInto(u, want1, d2, nil)
+				if !reflect.DeepEqual(d2, want2) {
+					t.Fatalf("engine %v mode %v: DeriveInto(%d) diverges", eng, mode, u)
+				}
+				for _, th := range []int32{1, 2, 3} {
+					if sess.DistancesPairInto(u, d1, d2, func() int32 { return th }) {
+						cuts++
+					}
+					if !reflect.DeepEqual(d1, want1) {
+						t.Fatalf("engine %v mode %v: bounded call changed the t1 row of %d", eng, mode, u)
+					}
+					for v := range d2 {
+						if want1[v] <= 0 || d2[v] == want2[v] {
+							continue
+						}
+						if want1[v]-want2[v] >= th || d2[v] != want1[v] {
+							t.Fatalf("engine %v mode %v bound %d: d2[%d] from %d = %d, want %d (d1 %d)",
+								eng, mode, th, v, u, d2[v], want2[v], want1[v])
+						}
+					}
+				}
 			}
 		}
 	}
-	// Requesting incremental on a capability-less pair degrades to full.
+	if cuts == 0 {
+		t.Fatal("no bounded call cut its t2 work: the bound property above went untested")
+	}
+	// Requesting incremental on a Dijkstra pair degrades to full, with the
+	// same rows on unit weights.
 	dp := DijkstraPair(graph.FromUnweighted(g1), graph.FromUnweighted(g2))
-	if m := NewPairedEngine(dp, PairedIncremental).Mode(); m != PairedFull {
-		t.Fatalf("Dijkstra engine mode = %v, want full", m)
+	de := NewPairedEngine(dp, PairedIncremental)
+	if de.Mode() != PairedFull {
+		t.Fatalf("Dijkstra engine mode = %v, want full", de.Mode())
+	}
+	ds := de.NewSession()
+	bp := BFSPair(graph.SnapshotPair{G1: g1, G2: g2}, sssp.Auto)
+	for u := 0; u < n; u += 7 {
+		bp.S1.DistancesInto(u, want1)
+		bp.S2.DistancesInto(u, want2)
+		// Dijkstra has no bounded kernel: a bound still yields full rows.
+		if ds.DistancesPairInto(u, d1, d2, func() int32 { return 3 }) {
+			t.Fatal("Dijkstra session reported a cut")
+		}
+		if !reflect.DeepEqual(d1, want1) || !reflect.DeepEqual(d2, want2) {
+			t.Fatalf("Dijkstra paired rows from %d diverge from BFS", u)
+		}
 	}
 	// Mismatched universes can't share a delta either.
 	small := randomGraph(t, 10, 1)
@@ -280,7 +330,7 @@ func TestParsePairedMode(t *testing.T) {
 // TestSweepEdgeCases covers the generic fallback corners only the batched
 // BFS path used to exercise: empty source sets, more workers than sources,
 // and a single-node graph — on Sweep, PairedSweep, and the incremental
-// sweep, for both the kernel-backed and session-pool paths.
+// paired engine, for both the kernel-backed and session-pool paths.
 func TestSweepEdgeCases(t *testing.T) {
 	single := graph.FromEdges(1, nil)
 	g := randomGraph(t, 12, 5)
@@ -326,9 +376,8 @@ func TestSweepEdgeCases(t *testing.T) {
 	for _, p := range pairs {
 		calls := 0
 		PairedSweep(p, nil, 4, func(int, []int32, []int32) { calls++ })
-		IncrementalPairedSweep(p, nil, 4, func(int, []int32, []int32) { calls++ })
 		if calls != 0 {
-			t.Fatalf("empty paired sweeps made %d calls", calls)
+			t.Fatalf("empty paired sweep made %d calls", calls)
 		}
 		var mu sync.Mutex
 		seen := map[int]int{}
@@ -337,25 +386,15 @@ func TestSweepEdgeCases(t *testing.T) {
 			seen[u]++
 			mu.Unlock()
 		})
-		IncrementalPairedSweep(p, []int{3, 4}, 32, func(u int, _, _ []int32) {
-			mu.Lock()
-			seen[u] += 10
-			mu.Unlock()
-		})
-		if len(seen) != 2 || seen[3] != 11 || seen[4] != 11 {
-			t.Fatalf("over-workered paired sweeps visits = %v", seen)
+		if len(seen) != 2 || seen[3] != 1 || seen[4] != 1 {
+			t.Fatalf("over-workered paired sweep visits = %v", seen)
 		}
 	}
 	sp := Pair{S1: NewBFS(single, sssp.Auto), S2: NewBFS(single, sssp.Auto)}
-	visits := 0
-	IncrementalPairedSweep(sp, []int{0}, 2, func(u int, d1, d2 []int32) {
-		visits++
-		if d1[0] != 0 || d2[0] != 0 {
-			t.Fatalf("single-node paired rows = %v, %v", d1, d2)
-		}
-	})
-	if visits != 1 {
-		t.Fatalf("single-node incremental sweep visits = %d", visits)
+	d1, d2 := []int32{-7}, []int32{-7}
+	NewPairedEngine(sp, PairedIncremental).NewSession().DistancesPairInto(0, d1, d2, nil)
+	if d1[0] != 0 || d2[0] != 0 {
+		t.Fatalf("single-node paired rows = %v, %v", d1, d2)
 	}
 }
 

@@ -1,11 +1,9 @@
 package dist
 
 import (
-	"context"
 	"fmt"
-	"runtime/pprof"
-	"sync"
 
+	"repro/internal/dynsssp"
 	"repro/internal/graph"
 	"repro/internal/sssp"
 )
@@ -54,15 +52,24 @@ func ParsePairedMode(s string) (PairedMode, error) {
 // one source. Both methods follow the paper's cost model: one budget unit per
 // distance row *produced*, regardless of how much traversal producing it
 // took — so DistancesPairInto costs 2 units and DeriveInto costs 1, in every
-// mode. Callers charge their meter accordingly before invoking.
+// mode and whether or not the bound cut the work short. Callers charge their
+// meter accordingly before invoking.
+//
+// bound is the Δ-threshold of pruned extraction: a non-nil bound lets the
+// second-snapshot work stop once bound() proves the remaining nodes cannot
+// produce a top-k pair (see sssp.PrunedSecondBFS for the soundness
+// argument); nil asks for the full row. Both methods return whether the t2
+// work was cut short. A cut d2 row is only valid for delta extraction
+// against its d1: abandoned nodes hold d2 = d1 (delta 0), not their true
+// distance, so such rows must never be cached or served as distance rows.
 type PairedSession interface {
 	// DistancesPairInto fills d1 and d2 (each length NumNodes) with the
 	// distance rows of src on G_t1 and G_t2. Costs 2 budget units.
-	DistancesPairInto(src int, d1, d2 []int32)
+	DistancesPairInto(src int, d1, d2 []int32, bound func() int32) bool
 	// DeriveInto fills d2 with src's G_t2 row, given its already-computed
-	// G_t1 row d1 (read-only; full-mode engines ignore it and re-traverse).
-	// Costs 1 budget unit.
-	DeriveInto(src int, d1, d2 []int32)
+	// G_t1 row d1 (read-only; full-mode engines re-traverse G_t2). Costs 1
+	// budget unit.
+	DeriveInto(src int, d1, d2 []int32, bound func() int32) bool
 }
 
 // PairedEngine produces PairedSessions over one snapshot pair. Engines are
@@ -75,32 +82,23 @@ type PairedEngine interface {
 	Mode() PairedMode
 }
 
-// incrementalPairable is the optional capability of sources that can build
-// an incremental paired engine against a second snapshot (currently the BFS
-// source, when both sides share a node universe).
-type incrementalPairable interface {
-	newIncrementalPairedEngine(other Source) (PairedEngine, bool)
-}
-
 // NewPairedEngine builds the paired engine for p in the requested mode.
-// PairedIncremental silently falls back to a full engine when the pair lacks
-// the capability (e.g. Dijkstra sources); inspect Mode() on the result to
-// see what was actually built.
+// PairedIncremental needs two BFS sources over one node universe and
+// silently falls back to a full engine otherwise (e.g. Dijkstra sources);
+// inspect Mode() on the result to see what was actually built.
 func NewPairedEngine(p Pair, mode PairedMode) PairedEngine {
-	if mode == PairedIncremental {
-		if ip, ok := p.S1.(incrementalPairable); ok {
-			if eng, ok := ip.newIncrementalPairedEngine(p.S2); ok {
-				return eng
-			}
-		}
+	b1, ok1 := p.S1.(*BFS)
+	b2, ok2 := p.S2.(*BFS)
+	if mode == PairedIncremental && ok1 && ok2 && b1.g.NumNodes() == b2.g.NumNodes() {
+		// S1's engine drives the t1 traversal; S2's is irrelevant because
+		// G2 is never fully traversed.
+		return &incrPairedEngine{g1: b1.g, g2: b2.g, engine: b1.engine, delta: graph.NewDelta(b1.g, b2.g)}
 	}
-	var e fullPairedEngine
-	e.p = p
-	return e
+	return fullPairedEngine{p: p}
 }
 
-// fullPairedEngine is the mode-agnostic fallback: two independent sessions,
-// one full traversal per row.
+// fullPairedEngine traverses both snapshots in full: one session per
+// snapshot, one traversal per row.
 type fullPairedEngine struct {
 	p Pair
 }
@@ -108,9 +106,8 @@ type fullPairedEngine struct {
 func (e fullPairedEngine) Mode() PairedMode { return PairedFull }
 
 func (e fullPairedEngine) NewSession() PairedSession {
-	s := &fullPairedSession{s1: NewSession(e.p.S1), s2: NewSession(e.p.S2)}
-	// When the second snapshot unwraps to an unweighted graph, the session
-	// also offers the Δ-threshold bounded traversal (see pruned.go).
+	s := &fullPairedSession{s1: e.p.S1.NewSession(), s2: e.p.S2.NewSession()}
+	// A BFS second snapshot also runs the Δ-threshold bounded traversal.
 	if g2, ok := UnweightedGraph(e.p.S2); ok {
 		s.g2 = g2
 	}
@@ -119,80 +116,73 @@ func (e fullPairedEngine) NewSession() PairedSession {
 
 type fullPairedSession struct {
 	s1, s2 Session
-	// g2 and pruned back the PrunedPairSession capability; g2 is nil when
-	// the second source is not BFS-backed and bounded calls fall back to
-	// full traversals.
+	// g2 and pruned back bounded calls; g2 is nil when the second source is
+	// not BFS-backed, and bounded calls then traverse in full.
 	g2     *graph.Graph
 	pruned *sssp.PrunedScratch
 }
 
-func (s *fullPairedSession) DistancesPairInto(src int, d1, d2 []int32) {
+func (s *fullPairedSession) DistancesPairInto(src int, d1, d2 []int32, bound func() int32) bool {
 	s.s1.DistancesInto(src, d1)
-	s.s2.DistancesInto(src, d2)
+	return s.DeriveInto(src, d1, d2, bound)
 }
 
-// DeriveInto in full mode ignores d1 and recomputes the t2 row from scratch.
-func (s *fullPairedSession) DeriveInto(src int, d1, d2 []int32) {
-	s.s2.DistancesInto(src, d2)
+// DeriveInto in full mode recomputes the t2 row from scratch; d1 is read
+// only by the bounded traversal.
+func (s *fullPairedSession) DeriveInto(src int, d1, d2 []int32, bound func() int32) bool {
+	if bound == nil || s.g2 == nil {
+		s.s2.DistancesInto(src, d2)
+		return false
+	}
+	if s.pruned == nil {
+		s.pruned = &sssp.PrunedScratch{}
+	}
+	return sssp.PrunedSecondBFS(s.g2, src, d1, d2, bound, s.pruned)
 }
 
-// incrementalSweeper is the optional capability of paired engines with a
-// batched multi-source driver (the BFS incremental engine routes the t1 side
-// through sssp's multi-source kernels).
-type incrementalSweeper interface {
-	sweep(ctx context.Context, sources []int, workers int, fn func(src int, d1, d2 []int32)) error
+// incrPairedEngine is the BFS-backed incremental paired engine: each
+// source's t1 row comes from the regular kernels, and a copy of it is
+// repaired into the t2 row with dynsssp's batch decrease-only wave over the
+// edge delta G2 \ G1 — computed once at construction and shared read-only
+// by every session.
+type incrPairedEngine struct {
+	g1, g2 *graph.Graph
+	engine sssp.Engine
+	delta  *graph.Delta
 }
 
-// IncrementalPairedSweep is PairedSweep's incremental sibling: for every
-// source it produces the G_t1 row with a full traversal and derives the
-// G_t2 row via the shared edge delta, invoking fn(src, d1, d2) from at most
-// workers goroutines (buffers only valid during the call). Pairs without
-// the incremental capability fall back to the regular PairedSweep. Returns
-// the mode that actually ran. Costs 2·len(sources) budget units either way
-// (the cost model charges rows produced, not traversal work).
-func IncrementalPairedSweep(p Pair, sources []int, workers int, fn func(src int, d1, d2 []int32)) PairedMode {
-	mode, _ := IncrementalPairedSweepCtx(context.Background(), p, sources, workers, fn)
-	return mode
+func (e *incrPairedEngine) Mode() PairedMode { return PairedIncremental }
+
+func (e *incrPairedEngine) NewSession() PairedSession {
+	return &incrPairedSession{
+		e:       e,
+		scratch: sssp.NewScratch(e.g1.NumNodes()),
+		repair:  dynsssp.NewScratch(),
+	}
 }
 
-// IncrementalPairedSweepCtx is IncrementalPairedSweep under a context, with
-// the same cancellation contract as SweepCtx: no new source starts after ctx
-// is done, in-flight row pairs are delivered whole, scratch stays reusable.
-func IncrementalPairedSweepCtx(ctx context.Context, p Pair, sources []int, workers int, fn func(src int, d1, d2 []int32)) (PairedMode, error) {
-	eng := NewPairedEngine(p, PairedIncremental)
-	if eng.Mode() != PairedIncremental {
-		return PairedFull, PairedSweepCtx(ctx, p, sources, workers, fn)
+// incrPairedSession owns the per-worker traversal and repair scratch.
+type incrPairedSession struct {
+	e       *incrPairedEngine
+	scratch *sssp.Scratch
+	repair  *dynsssp.Scratch
+}
+
+func (s *incrPairedSession) DistancesPairInto(src int, d1, d2 []int32, bound func() int32) bool {
+	sssp.BFSWith(s.e.g1, src, d1, s.e.engine, s.scratch)
+	return s.DeriveInto(src, d1, d2, bound)
+}
+
+// DeriveInto copies the t1 row and repairs the copy over the delta; the
+// full repair is bit-identical to a fresh BFS on G2 (pinned by differential
+// fuzz tests in dynsssp and dist). A bound adds a between-level threshold
+// cut to the same wave.
+func (s *incrPairedSession) DeriveInto(src int, d1, d2 []int32, bound func() int32) bool {
+	copy(d2, d1)
+	if bound == nil {
+		s.repair.ApplyAll(s.e.g2, s.e.delta.Edges, d2)
+		return false
 	}
-	if sw, ok := eng.(incrementalSweeper); ok {
-		return PairedIncremental, sw.sweep(ctx, sources, workers, fn)
-	}
-	// Generic pool: one incremental session per worker.
-	n := p.NumNodes()
-	workers = sssp.ClampWorkers(workers, len(sources))
-	var wg sync.WaitGroup
-	next := make(chan int, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go pprof.Do(context.Background(), pprof.Labels("subsystem", "dist-sweep"),
-			func(context.Context) {
-				defer wg.Done()
-				sess := eng.NewSession()
-				d1 := make([]int32, n)
-				d2 := make([]int32, n)
-				for i := range next {
-					if ctx.Err() != nil {
-						continue // drain without traversing
-					}
-					src := sources[i]
-					sess.DistancesPairInto(src, d1, d2)
-					fn(src, d1, d2)
-				}
-			})
-	}
-	for i := range sources {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return PairedIncremental, ctx.Err()
+	_, cut := s.repair.ApplyAllBounded(s.e.g2, s.e.delta.Edges, d2, d1, bound)
+	return cut
 }

@@ -294,51 +294,56 @@ func (in *Ingester) Store() *Store { return in.store }
 
 // Ingest records one edge insertion. It returns true when the edge was new,
 // false when it was a duplicate or a self-loop (both are skipped silently).
-// Negative node IDs are rejected.
+// Node IDs outside [0, math.MaxInt32] are rejected with ErrNodeRange.
 func (in *Ingester) Ingest(te TimedEdge) (bool, error) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.ingestLocked(te)
+	added, err := in.IngestBatch([]TimedEdge{te})
+	return added == 1, err
 }
 
 // IngestBatch records a batch of insertions under one lock acquisition,
-// returning how many were new. The batch is applied prefix-first: on a
-// validation error, edges before the offender are already ingested.
+// returning how many were new. The batch is all or nothing: every edge is
+// checked before any is applied, so a rejected batch (ErrNodeRange, naming
+// the first offender) leaves the ingester unchanged.
 func (in *Ingester) IngestBatch(edges []TimedEdge) (added int, err error) {
+	for i, te := range edges {
+		if !validNode(te.U) || !validNode(te.V) {
+			return 0, fmt.Errorf("%w: edge %d = (%d, %d)", ErrNodeRange, i, te.U, te.V)
+		}
+	}
+	return in.addEach(edges), nil
+}
+
+// addEach applies already-validated edges under the lock and returns how
+// many were new.
+func (in *Ingester) addEach(edges []TimedEdge) int {
 	in.mu.Lock()
 	defer in.mu.Unlock()
+	added := 0
 	for _, te := range edges {
-		ok, err := in.ingestLocked(te)
-		if err != nil {
-			return added, err
-		}
-		if ok {
+		if in.addLocked(te) {
 			added++
 		}
 	}
-	return added, nil
+	return added
 }
 
-func (in *Ingester) ingestLocked(te TimedEdge) (bool, error) {
-	if te.U < 0 || te.V < 0 {
-		return false, fmt.Errorf("%w: (%d, %d)", ErrNodeRange, te.U, te.V)
-	}
+func (in *Ingester) addLocked(te TimedEdge) bool {
 	if te.U == te.V {
-		return false, nil
+		return false
 	}
 	c := Edge{te.U, te.V}.Canon()
 	if _, dup := in.seen[c]; dup {
-		return false, nil
+		return false
 	}
 	in.seen[c] = struct{}{}
-	_ = in.builder.AddEdge(c.U, c.V) // IDs validated above; cannot fail
+	_ = in.builder.AddEdge(c.U, c.V) // IDs validated by the caller; cannot fail
 	if te.Time > in.maxTime {
 		in.maxTime = te.Time
 	}
 	if c.V >= in.universe {
 		in.universe = c.V + 1
 	}
-	return true, nil
+	return true
 }
 
 // Seal freezes the edges ingested so far into a new epoch and publishes it.

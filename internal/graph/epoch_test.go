@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -81,6 +83,44 @@ func TestIngesterSkipsDuplicatesAndSelfLoops(t *testing.T) {
 	e := in.Seal()
 	if e.EdgeCount != 2 || e.Graph().NumNodes() != 3 {
 		t.Fatalf("sealed %d edges over %d nodes, want 2 over 3", e.EdgeCount, e.Graph().NumNodes())
+	}
+}
+
+// TestIngestBatchAllOrNothing pins batch atomicity and the node-ID range: a
+// batch holding one invalid edge (negative, or above math.MaxInt32, which
+// the int32 CSR would wrap) is rejected whole with ErrNodeRange, and the
+// ingester, its edge count and the next sealed epoch are exactly as before.
+func TestIngestBatchAllOrNothing(t *testing.T) {
+	in := NewIngester(IngesterOptions{})
+	if _, err := in.IngestBatch([]TimedEdge{{U: 0, V: 1}, {U: 1, V: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []TimedEdge{{U: 3, V: -1}, {U: math.MaxInt32 + 1, V: 0}, {U: 2, V: math.MaxInt64}} {
+		batch := []TimedEdge{{U: 2, V: 3}, {U: 3, V: 4}, bad, {U: 4, V: 5}}
+		added, err := in.IngestBatch(batch)
+		if !errors.Is(err, ErrNodeRange) || added != 0 {
+			t.Fatalf("batch with %v: added %d err %v, want 0 and ErrNodeRange", bad, added, err)
+		}
+		if ok, err := in.Ingest(bad); ok || !errors.Is(err, ErrNodeRange) {
+			t.Fatalf("Ingest(%v) = %v, %v, want ErrNodeRange", bad, ok, err)
+		}
+	}
+	if in.EdgeCount() != 2 || in.NumNodes() != 3 {
+		t.Fatalf("rejected batches changed the ingester: %d edges over %d nodes, want 2 over 3",
+			in.EdgeCount(), in.NumNodes())
+	}
+	if e := in.Seal(); e.EdgeCount != 2 || e.Graph().NumNodes() != 3 {
+		t.Fatalf("sealed %d edges over %d nodes, want 2 over 3", e.EdgeCount, e.Graph().NumNodes())
+	}
+	// The largest representable ID is still accepted by the check.
+	if err := NewBuilder(0).AddEdge(0, math.MaxInt32); err != nil {
+		t.Fatalf("AddEdge(0, MaxInt32): %v", err)
+	}
+	if err := NewBuilder(0).AddEdge(math.MaxInt32+1, 0); !errors.Is(err, ErrNodeRange) {
+		t.Fatalf("AddEdge(MaxInt32+1, 0) = %v, want ErrNodeRange", err)
+	}
+	if _, err := NewEvolving([]TimedEdge{{U: 0, V: math.MaxInt32 + 1}}); !errors.Is(err, ErrNodeRange) {
+		t.Fatalf("NewEvolving with an ID above MaxInt32 = %v, want ErrNodeRange", err)
 	}
 }
 

@@ -32,8 +32,8 @@ var (
 
 // NewEvolving validates and wraps a timestamped edge stream. The stream must
 // be non-empty, sorted by Time, free of self-loops and duplicate edges, and
-// use non-negative node IDs. The stream slice is retained; callers must not
-// modify it afterwards.
+// use node IDs in [0, math.MaxInt32]. The stream slice is retained; callers
+// must not modify it afterwards.
 func NewEvolving(stream []TimedEdge) (*Evolving, error) {
 	if len(stream) == 0 {
 		return nil, ErrEmptyStream
@@ -41,7 +41,7 @@ func NewEvolving(stream []TimedEdge) (*Evolving, error) {
 	seen := make(map[Edge]struct{}, len(stream))
 	n := 0
 	for i, te := range stream {
-		if te.U < 0 || te.V < 0 {
+		if !validNode(te.U) || !validNode(te.V) {
 			return nil, fmt.Errorf("%w: stream[%d] = (%d, %d)", ErrNodeRange, i, te.U, te.V)
 		}
 		if te.U == te.V {

@@ -13,6 +13,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -41,8 +42,13 @@ type Graph struct {
 	numEdges  int
 }
 
-// ErrNodeRange reports a node identifier outside [0, NumNodes).
+// ErrNodeRange reports a node identifier outside [0, NumNodes), or, where
+// the universe grows with the input, outside [0, math.MaxInt32].
 var ErrNodeRange = errors.New("graph: node out of range")
+
+// validNode reports whether u can be a node ID: the CSR stores IDs as
+// int32, so anything above math.MaxInt32 would wrap.
+func validNode(u int) bool { return u >= 0 && u <= math.MaxInt32 }
 
 // NumNodes returns the size of the node universe, including isolated nodes.
 func (g *Graph) NumNodes() int {
@@ -193,9 +199,9 @@ func NewBuilder(n int) *Builder {
 }
 
 // AddEdge records the undirected edge {u, v}. Self-loops and duplicates are
-// ignored. Negative node IDs cause an error.
+// ignored. Node IDs outside [0, math.MaxInt32] cause an ErrNodeRange error.
 func (b *Builder) AddEdge(u, v int) error {
-	if u < 0 || v < 0 {
+	if !validNode(u) || !validNode(v) {
 		return fmt.Errorf("%w: (%d, %d)", ErrNodeRange, u, v)
 	}
 	if u == v {
@@ -247,8 +253,8 @@ func (b *Builder) Build() *Graph {
 func FromEdges(n int, edges []Edge) *Graph {
 	b := &Builder{n: n, edges: make(map[Edge]struct{}, len(edges))}
 	for _, e := range edges {
-		// AddEdge only fails on negative IDs; FromEdges treats that as a
-		// programming error in the caller.
+		// AddEdge only fails on out-of-range IDs; FromEdges treats that as
+		// a programming error in the caller.
 		if err := b.AddEdge(e.U, e.V); err != nil {
 			panic(err)
 		}

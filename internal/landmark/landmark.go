@@ -145,7 +145,7 @@ func selectDispersed(strategy Strategy, s1 dist.Source, comp []int, l int, meter
 	isSelected := make([]bool, n)
 	score := make([]int64, n) // min- or sum-distance to selected
 	rows := make([][]int32, 0, l)
-	sess := dist.NewSession(s1)
+	sess := s1.NewSession()
 
 	pick := func(u int) error {
 		if err := meter.Charge(budget.PhaseCandidateGen, 1); err != nil {

@@ -2,13 +2,12 @@
 // a long-running HTTP/JSON surface over the library's streaming substrate.
 // Edges arrive on /ingest and are sealed into immutable epochs (/seal); top-k
 // converging-pairs queries run over arbitrary (t1, t2) epoch windows through
-// cached core.Sessions whose distance sources are wrapped in dist.Batchers,
-// so SSSP sources from concurrent queries coalesce into shared 64-lane
-// sweeps. Every query charges a per-query meter chained to its tenant's
-// admission meter (budget.Registry), so operators get per-tenant limits and
-// per-tenant charge/latency series while each query's budget report stays
-// bit-identical to a one-shot convpairs run — the package invariant, pinned
-// by TestQueryMatchesOneShot.
+// cached core.Sessions, one per window, shared by concurrent queries. No
+// traversal is shared between queries. Every query charges a per-query meter
+// chained to its tenant's admission meter (budget.Registry), so operators get
+// per-tenant limits and per-tenant charge/latency series while each query's
+// budget report stays bit-identical to a one-shot convpairs run — the
+// package invariant, pinned by TestQueryMatchesOneShot.
 package serve
 
 import (
@@ -22,7 +21,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/budget"
 	"repro/internal/candidates"
@@ -41,8 +39,8 @@ import (
 var phaseNames = [...]string{"selection", "extraction", "sort-cut", "total"}
 
 // Config tunes a Server. The zero value serves with library defaults:
-// unlimited retention, auto-picked BFS kernel, the default 2ms batching
-// window, and unlimited auto-created tenants.
+// unlimited retention, auto-picked BFS kernel, and unlimited auto-created
+// tenants.
 type Config struct {
 	// Universe fixes the minimum node-universe size of every epoch (see
 	// graph.IngesterOptions.Universe). 0 grows with the ingested edges.
@@ -53,10 +51,6 @@ type Config struct {
 	Engine sssp.Engine
 	// Workers bounds across-source sweep parallelism (0 = GOMAXPROCS).
 	Workers int
-	// BatchWindow is the cross-request coalescing window (<= 0 keeps
-	// dist.DefaultBatchWindow); Immediate disables the wait entirely.
-	BatchWindow time.Duration
-	Immediate   bool
 	// TenantLimit is the SSSP allowance given to tenants created implicitly
 	// by their first query (<= 0 means unlimited). Tenants declared via
 	// POST /tenants carry their declared limit instead.
@@ -126,8 +120,7 @@ func (s *Server) Close() {
 }
 
 // session returns the cached query session for the window, building (and
-// caching) it on first use. Building wraps each snapshot's BFS engine in a
-// dist.Batcher, so the session's sweeps coalesce across concurrent queries.
+// caching) it on first use over the window's BFS pair.
 func (s *Server) session(t1, t2 int) (*winSession, error) {
 	key := winKey{t1, t2}
 	s.mu.Lock()
@@ -144,12 +137,7 @@ func (s *Server) session(t1, t2 int) (*winSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	bopts := dist.BatcherOptions{Window: s.cfg.BatchWindow, Immediate: s.cfg.Immediate, Workers: s.cfg.Workers}
-	src := dist.Pair{
-		S1: dist.NewBatcher(dist.NewBFS(win.Pair.G1, s.cfg.Engine), bopts),
-		S2: dist.NewBatcher(dist.NewBFS(win.Pair.G2, s.cfg.Engine), bopts),
-	}
-	sess, err := core.NewSessionSources(src)
+	sess, err := core.NewSessionSources(dist.BFSPair(win.Pair, s.cfg.Engine))
 	if err != nil {
 		win.Close()
 		return nil, err
@@ -225,7 +213,8 @@ type IngestResponse struct {
 // handleIngest consumes a plain-text "u v t" edge stream (the gendata /
 // cmd/convpairs wire format; a missing t defaults to 0) and feeds it to the
 // ingester. Duplicate edges and self-loops are skipped, not errors — the
-// wire repeats itself.
+// wire repeats itself. A body with a malformed line or an out-of-range node
+// ID is a 400 that applies none of its edges.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, errors.New("serve: POST an edge stream"))

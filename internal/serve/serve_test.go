@@ -8,11 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"regexp"
-	"strconv"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/candidates"
 	"repro/internal/core"
@@ -111,8 +108,8 @@ func loadServer(t *testing.T, url string, stream []graph.TimedEdge) {
 // TestQueryMatchesOneShot is the tentpole's differential test: a served query
 // is bit-identical (pairs, candidates, budget report) to a one-shot TopK run
 // over the same snapshots, at every -engine / -paired setting. The
-// served path runs through epoch padding, session caching, and the batching
-// layer; none of it may leak into results.
+// served path runs through epoch padding and session caching; neither may
+// leak into results.
 func TestQueryMatchesOneShot(t *testing.T) {
 	stream := genStream(120, 260, 7)
 	ev, err := graph.NewEvolving(stream)
@@ -128,7 +125,7 @@ func TestQueryMatchesOneShot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := New(Config{Engine: eng, Immediate: true})
+		srv := New(Config{Engine: eng})
 		ts := httptest.NewServer(srv.Handler())
 		loadServer(t, ts.URL, stream)
 		for _, paired := range []string{"full", "incremental"} {
@@ -161,47 +158,13 @@ func TestQueryMatchesOneShot(t *testing.T) {
 	}
 }
 
-// scrapeHist pulls one histogram's _sum and _count from /metrics.
-func scrapeHist(t *testing.T, url, family string) (sum, count int64) {
-	t.Helper()
-	resp, err := http.Get(url + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	for _, pat := range []struct {
-		re  string
-		dst *int64
-	}{
-		{regexp.QuoteMeta(family+"_sum") + ` (\d+)`, &sum},
-		{regexp.QuoteMeta(family+"_count") + ` (\d+)`, &count},
-	} {
-		m := regexp.MustCompile(pat.re).FindStringSubmatch(buf.String())
-		if m == nil {
-			return 0, 0 // series not registered yet
-		}
-		v, err := strconv.ParseInt(m[1], 10, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		*pat.dst = v
-	}
-	return sum, count
-}
-
-// TestConcurrentTenantsShareSweeps pins the acceptance invariant: concurrent
-// queries from different tenants coalesce their SSSP sources into shared
-// sweeps (sources_per_sweep > 1), while each tenant's meter is charged
-// exactly what a lone run would pay.
+// TestConcurrentTenantsShareSweeps pins the tenancy invariant: concurrent
+// queries from different tenants on one cached window session each return
+// the lone run's report, and each tenant's meter is charged exactly what
+// its queries would pay run alone.
 func TestConcurrentTenantsShareSweeps(t *testing.T) {
 	stream := genStream(150, 320, 11)
-	// A real coalescing window (not Immediate): concurrent extraction rows
-	// from both tenants' queries land in the same batch.
-	srv := New(Config{BatchWindow: 20 * time.Millisecond})
+	srv := New(Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()
@@ -214,10 +177,8 @@ func TestConcurrentTenantsShareSweeps(t *testing.T) {
 			t.Fatalf("declare %s: status %d", tn, code)
 		}
 	}
-	// Random selection spends nothing, so every SSSP is a single-source
-	// extraction row routed through the batcher; distinct seeds give each
-	// query a distinct candidate set, so concurrent queries contribute
-	// distinct sources to the shared batch windows.
+	// Random selection spends nothing, so every SSSP is an extraction row;
+	// distinct seeds give each query a distinct candidate set.
 	ev, err := graph.NewEvolving(stream)
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +204,6 @@ func TestConcurrentTenantsShareSweeps(t *testing.T) {
 		}
 	}
 
-	sumBefore, countBefore := scrapeHist(t, ts.URL, "dist.sources_per_sweep")
 	var wg sync.WaitGroup
 	errs := make(chan string, len(tenants)*queries)
 	for ti, tn := range tenants {
@@ -261,7 +221,7 @@ func TestConcurrentTenantsShareSweeps(t *testing.T) {
 					return
 				}
 				if !reflect.DeepEqual(got.Report, wantRep[seed(ti, q)]) {
-					errs <- fmt.Sprintf("%s/%d: shared-sweep report diverged from lone run", tn, q)
+					errs <- fmt.Sprintf("%s/%d: concurrent report diverged from lone run", tn, q)
 				}
 			}()
 		}
@@ -271,12 +231,8 @@ func TestConcurrentTenantsShareSweeps(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
-	sumAfter, countAfter := scrapeHist(t, ts.URL, "dist.sources_per_sweep")
-	if dSum, dCount := sumAfter-sumBefore, countAfter-countBefore; dSum <= dCount {
-		t.Errorf("no shared sweeps: %d sources over %d sweeps", dSum, dCount)
-	}
 	// Per-tenant admission: each tenant paid exactly what its queries would
-	// have cost run alone, despite the shared sweeps.
+	// have cost run alone, despite running concurrently.
 	var reports map[string]TenantReport
 	resp, err := http.Get(ts.URL + "/tenants")
 	if err != nil {
@@ -288,7 +244,7 @@ func TestConcurrentTenantsShareSweeps(t *testing.T) {
 	resp.Body.Close()
 	for _, tn := range tenants {
 		if got, want := reports[tn].Total, wantSpent[tn]; got != want {
-			t.Errorf("tenant %s charged %d SSSPs, want %d (sharing must not share cost)", tn, got, want)
+			t.Errorf("tenant %s charged %d SSSPs, want %d (concurrency must not share cost)", tn, got, want)
 		}
 	}
 }
@@ -298,7 +254,7 @@ func TestConcurrentTenantsShareSweeps(t *testing.T) {
 // nothing on the rejected attempt.
 func TestTenantAdmission(t *testing.T) {
 	stream := genStream(80, 160, 13)
-	srv := New(Config{Immediate: true})
+	srv := New(Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()
@@ -332,7 +288,7 @@ func TestTenantAdmission(t *testing.T) {
 // TestServeEndpoints covers the ingest/seal/epochs plumbing and the error
 // mapping of /query.
 func TestServeEndpoints(t *testing.T) {
-	srv := New(Config{Immediate: true})
+	srv := New(Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()
@@ -401,11 +357,48 @@ func TestServeEndpoints(t *testing.T) {
 	}
 }
 
+// TestIngestRejectsWholeBody pins the all-or-nothing /ingest contract: a
+// body whose later line names an invalid node (negative, or above the int32
+// ID range) is a 400 that applies none of its edges, so the next /ingest
+// reports the unchanged edge count.
+func TestIngestRejectsWholeBody(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+	ingest := func(body string) (int, IngestResponse) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/ingest", "text/plain", bytes.NewBufferString(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var ing IngestResponse
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&ing); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode, ing
+	}
+	if code, ing := ingest("0 1 0\n1 2 1\n"); code != http.StatusOK || ing.Edges != 2 {
+		t.Fatalf("first ingest: status %d, %+v", code, ing)
+	}
+	for _, bad := range []string{"-1 5 4", "4 2147483648 4"} {
+		if code, _ := ingest("2 3 2\n3 4 3\n" + bad + "\n4 5 5\n"); code != http.StatusBadRequest {
+			t.Fatalf("body ending in %q: status %d, want 400", bad, code)
+		}
+	}
+	if code, ing := ingest(""); code != http.StatusOK || ing.Edges != 2 {
+		t.Fatalf("after rejected bodies: status %d, %+v, want 2 edges", code, ing)
+	}
+}
+
 // TestSessionCacheEviction pins the pinning contract: cached window sessions
 // pin their epochs; eviction (and Close) releases them.
 func TestSessionCacheEviction(t *testing.T) {
 	stream := genStream(60, 120, 17)
-	srv := New(Config{Immediate: true, MaxSessions: 1})
+	srv := New(Config{MaxSessions: 1})
 	ing := srv.Ingester()
 	cut := int(0.8 * float64(len(stream)))
 	if _, err := ing.IngestBatch(stream[:cut]); err != nil {

@@ -21,8 +21,8 @@ import (
 //
 // The d2 row a cut run produces is only valid for delta extraction against
 // this d1 — it must never be cached or served as a real distance row
-// (core.extractPairs never writes rows back, which is what makes the
-// capability safe to use there).
+// (core.extractPairs never writes rows back, which is what makes bounded
+// calls safe to use there).
 
 // PrunedScratch holds the bounded kernel's buffers: the frontier queue and
 // the histogram of d1 values over still-undiscovered nodes that drives the

@@ -115,8 +115,8 @@ type Options struct {
 	MinDelta int32
 	Seed     int64
 	Workers  int
-	// PairedMode mirrors core.Options.PairedMode. Dijkstra sources have no
-	// incremental capability, so PairedIncremental silently runs full here;
+	// PairedMode mirrors core.Options.PairedMode. The incremental engine is
+	// BFS-only, so PairedIncremental silently runs full here;
 	// the knob exists so CLI plumbing stays metric-agnostic.
 	PairedMode dist.PairedMode
 	// Trace, when non-nil, records the run's phases and budget charges
