@@ -51,7 +51,6 @@ func main() {
 	jsonOut := flag.String("json", "", "write the run result as a JSON report")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "across-source BFS parallelism (concurrent traversals)")
 	engine := flag.String("engine", "auto", "BFS kernel: "+strings.Join(sssp.EngineNames(), "|"))
-	paired := flag.String("paired", "full", "extraction paired mode: full (re-traverse G_t2) | incremental (derive G_t2 rows from the edge delta); same results and budget either way")
 	pruneOn := flag.Bool("prune", true, "Δ-threshold pruned extraction for -k runs (bit-identical output, less traversal); -prune=false forces full traversals")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON of the run's phases (load at chrome://tracing or ui.perfetto.dev)")
 	ocli := obs.BindCLIFlags(flag.CommandLine)
@@ -62,10 +61,6 @@ func main() {
 		fatal(err)
 	}
 	sssp.SetDefaultEngine(eng)
-	pairedMode, err := convergence.ParsePairedMode(*paired)
-	if err != nil {
-		fatal(err)
-	}
 
 	if err := ocli.Start(); err != nil {
 		fatal(err)
@@ -94,7 +89,7 @@ func main() {
 		if *exact || *modelPath != "" || *explain || *dotOut != "" {
 			fatal(fmt.Errorf("-weighted runs the budgeted name-based pipeline only (drop -exact, -model, -explain, and -dot)"))
 		}
-		runWeighted(ds, *selName, *m, *l, *k, int32(*delta), *f1, *f2, *seed, *workers, pairedMode, *traceOut, *jsonOut)
+		runWeighted(ds, *selName, *m, *l, *k, int32(*delta), *f1, *f2, *seed, *workers, *traceOut, *jsonOut)
 		return
 	}
 
@@ -134,7 +129,7 @@ func main() {
 	// requires Session queries to show where their meter comes from).
 	opts := convergence.Options{
 		Selector: sel, M: *m, L: *l, Seed: *seed, Workers: *workers,
-		PairedMode: pairedMode, Meter: convergence.NewBudgetMeter(*m),
+		Meter: convergence.NewBudgetMeter(*m),
 	}
 	if *delta > 0 {
 		opts.MinDelta = int32(*delta)
@@ -207,14 +202,14 @@ func main() {
 // runWeighted is the -weighted leg: the same Algorithm 1 run on the unified
 // pipeline with Dijkstra distances, sharing the trace verification and
 // output plumbing with the unweighted path.
-func runWeighted(ds *dataset.Dataset, selName string, m, l, k int, delta int32, f1, f2 float64, seed int64, workers int, pairedMode convergence.PairedMode, traceOut, jsonOut string) {
+func runWeighted(ds *dataset.Dataset, selName string, m, l, k int, delta int32, f1, f2 float64, seed int64, workers int, traceOut, jsonOut string) {
 	sp, err := ds.WeightedPair(f1, f2)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("dataset %s (weighted): G_t1 %d edges, G_t2 %d edges over %d nodes\n",
 		ds.Name, sp.G1.NumEdges(), sp.G2.NumEdges(), sp.G1.NumNodes())
-	opts := convergence.WeightedOptions{Selector: selName, M: m, L: l, Seed: seed, Workers: workers, PairedMode: pairedMode}
+	opts := convergence.WeightedOptions{Selector: selName, M: m, L: l, Seed: seed, Workers: workers}
 	if delta > 0 {
 		opts.MinDelta = delta
 	} else {
@@ -274,12 +269,7 @@ func writeTrace(tr *convergence.Trace, path string, report convergence.BudgetRep
 		obs.Int64("nodes-visited", total.Nodes),
 		obs.Int64("edges-scanned", total.Edges),
 		obs.Int64("diropt-switches", work.DirectionOpt.Switches),
-		obs.Int64("frontier-peak", total.FrontierPeak),
-		// Incremental paired extraction: traversal the delta repair did in
-		// place of full second BFSes (zero in -paired=full runs).
-		obs.Int64("repair-calls", work.Repair.Calls),
-		obs.Int64("repair-nodes", work.Repair.Nodes),
-		obs.Int64("repair-edges", work.Repair.Edges))
+		obs.Int64("frontier-peak", total.FrontierPeak))
 	if err := tr.WriteChromeFile(path); err != nil {
 		return err
 	}

@@ -29,22 +29,10 @@ import (
 	"repro/internal/budget"
 	"repro/internal/candidates"
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/topk"
 )
-
-// Paired-extraction modes, re-exported for Options.PairedMode.
-const (
-	// PairedFull recomputes every G_t2 row with a full traversal (default).
-	PairedFull = dist.PairedFull
-	// PairedIncremental repairs a copy of each G_t1 row over the edge delta.
-	PairedIncremental = dist.PairedIncremental
-)
-
-// ParsePairedMode parses "full" / "incremental" (the -paired CLI flag).
-func ParsePairedMode(s string) (PairedMode, error) { return dist.ParsePairedMode(s) }
 
 // Prune modes, re-exported for Options.Prune.
 const (
@@ -99,11 +87,6 @@ type (
 	Result = core.Result
 	// BudgetReport is the per-phase SSSP spending of a run.
 	BudgetReport = budget.Report
-	// PairedMode selects how extraction produces G_t2 distance rows (see
-	// Options.PairedMode): PairedFull re-traverses, PairedIncremental derives
-	// them from the G_t1 rows via the snapshot edge delta. The budget is
-	// identical either way.
-	PairedMode = dist.PairedMode
 	// PruneMode controls the Δ-threshold pruned extraction (Options.Prune):
 	// PruneAuto prunes top-K queries bit-identically, PruneOff disables.
 	PruneMode = core.PruneMode

@@ -98,10 +98,7 @@ func sessionEntryPoint(fn *types.Func) bool {
 // the per-edge insertion they generalize.
 func dynssspEntryPoint(name string) bool {
 	switch name {
-	case "ApplyAll", "ApplyBatch", "ApplyStream", "InsertEdge",
-		// The bounded repair re-derives the same charged row; a cut changes
-		// machine work only.
-		"ApplyAllBounded":
+	case "ApplyAll", "ApplyBatch", "ApplyStream", "InsertEdge":
 		return true
 	}
 	return false

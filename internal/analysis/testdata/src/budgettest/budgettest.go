@@ -130,10 +130,10 @@ func freeRepairReads(d *dynsssp.DynamicBFS) int {
 	return d.NumNodes() + int(d.Dist(0)) + d.RepairStats().Nodes
 }
 
-// The paired-session entry points: a derived t2 row costs one unit exactly
-// like a traversed one.
+// The paired-session entry points cost one unit per row produced: two for
+// DistancesPairInto, one for DeriveInto's t2 row.
 
-func unmeteredPairedSession(ps dist.PairedSession, d1, d2 []int32) {
+func unmeteredPairedSession(ps *dist.PairedSession, d1, d2 []int32) {
 	ps.DistancesPairInto(0, d1, d2, nil) // want `call to dist.DistancesPairInto without`
 	ps.DeriveInto(0, d1, d2, nil)        // want `call to dist.DeriveInto without`
 }
@@ -142,7 +142,7 @@ func meteredPairedSession(p dist.Pair, m *budget.Meter, d1, d2 []int32) error {
 	if err := m.Charge(budget.PhaseTopK, 2); err != nil {
 		return err
 	}
-	ps := dist.NewPairedEngine(p, dist.PairedIncremental).NewSession()
+	ps := dist.NewPairedEngine(p, dist.PairedFull).NewSession()
 	ps.DistancesPairInto(0, d1, d2, nil)
 	return nil
 }
@@ -175,13 +175,9 @@ func unmeteredPrunedBFS(g2 *graph.Graph, d1, d2 []int32, ps *sssp.PrunedScratch)
 	sssp.PrunedSecondBFS(g2, 0, d1, d2, func() int32 { return 1 }, ps) // want `call to sssp.PrunedSecondBFS without`
 }
 
-func unmeteredBoundedPair(ps dist.PairedSession, d1, d2 []int32) {
+func unmeteredBoundedPair(ps *dist.PairedSession, d1, d2 []int32) {
 	ps.DistancesPairInto(0, d1, d2, func() int32 { return 1 }) // want `call to dist.DistancesPairInto without`
 	ps.DeriveInto(0, d1, d2, func() int32 { return 1 })        // want `call to dist.DeriveInto without`
-}
-
-func unmeteredBoundedRepair(s *dynsssp.Scratch, g2 *graph.Graph, delta []graph.Edge, d2, d1 []int32) {
-	_, _ = s.ApplyAllBounded(g2, delta, d2, d1, func() int32 { return 1 }) // want `call to dynsssp.ApplyAllBounded without`
 }
 
 // meteredThresholdLoop is the pruned-extraction idiom: charge every row up

@@ -9,12 +9,11 @@
 // exactly for every selector.
 //
 // A charge unit is one distance *row produced*, not the traversal work that
-// produced it: a row derived incrementally from the other snapshot's row
-// (dist.PairedIncremental, which repairs a copy over the edge delta instead
-// of re-traversing G_t2) costs exactly the same one unit as a full BFS. This
+// produced it: a t2 row whose traversal the Δ-threshold cut short
+// (sssp.PrunedSecondBFS) costs exactly the same one unit as a full BFS. This
 // keeps the cost model — and every Table-1 comparison — invariant under
-// execution-strategy knobs; the machine-level savings show up in the sssp
-// kernel metrics (repair_nodes/repair_edges vs nodes_visited), never in the
+// execution strategy; the machine-level savings show up in the sssp kernel
+// metrics (prunedbfs_edges, pruned_cutoffs vs nodes_visited), never in the
 // budget.
 package budget
 

@@ -16,6 +16,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
 
@@ -54,13 +55,8 @@ type Options struct {
 	// session: Session.TopK and TopKSources run the kernel their sources
 	// carry.
 	Engine sssp.Engine
-	// PairedMode selects how extraction produces the G_t2 rows: the zero
-	// value PairedFull traverses G_t2 per candidate (the paper's literal
-	// algorithm); dist.PairedIncremental derives them from the G_t1 rows via
-	// the snapshot edge delta, silently falling back to full when the
-	// sources don't support it. The budget charge is identical in both modes
-	// (2 units per uncached candidate — the meter counts rows produced, not
-	// traversal work), so Table-1 accounting never depends on this knob.
+	// Deprecated: PairedMode is ignored. Every query computes its G_t2 rows
+	// with the one paired kernel (see dist.PairedSession).
 	PairedMode dist.PairedMode
 	// Prune controls the Δ-threshold pruned extraction. The zero value
 	// PruneAuto prunes top-K queries (output stays bit-identical; only
@@ -142,6 +138,22 @@ func (r *Result) Coverage(truePairs []topk.Pair) float64 {
 
 // ErrNoSelector reports Options without a selector.
 var ErrNoSelector = errors.New("core: no selector configured")
+
+// Validate reports what Session.TopK rejects a query for before doing any
+// work: no selector, not exactly one of K and MinDelta positive, or M <= 0.
+func (opts Options) Validate() error {
+	if opts.Selector == nil {
+		return ErrNoSelector
+	}
+	if (opts.K > 0) == (opts.MinDelta > 0) {
+		return fmt.Errorf("core: exactly one of K (%d) and MinDelta (%d) must be positive",
+			opts.K, opts.MinDelta)
+	}
+	if opts.M <= 0 {
+		return fmt.Errorf("core: non-positive endpoint budget m=%d", opts.M)
+	}
+	return nil
+}
 
 // TopK runs Algorithm 1 on the unweighted snapshot pair with BFS distance
 // engines. It is the one-shot form: a throwaway Session per call. Long-lived

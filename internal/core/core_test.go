@@ -2,13 +2,11 @@ package core
 
 import (
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/budget"
 	"repro/internal/candidates"
-	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/topk"
 )
@@ -104,43 +102,6 @@ func TestBudgetNeverExceeds2M(t *testing.T) {
 		// cached rows make the total land on exactly 2m too.
 		if rep.Total() != 2*m {
 			t.Errorf("%s spent %d, want exactly 2m=%d", name, rep.Total(), 2*m)
-		}
-	}
-}
-
-// TestPairedModesEquivalent pins the tentpole guarantee at the algorithm
-// level: for every selector, running extraction with the incremental paired
-// engine returns bit-identical Results — pairs, candidates, AND the budget
-// report, since the meter charges rows produced, not traversal work — to the
-// full-traversal default.
-func TestPairedModesEquivalent(t *testing.T) {
-	sp := growingPair(t, 150, 11)
-	const m, l = 20, 5
-	for _, name := range append([]string{"Random"}, candidates.PaperOrder...) {
-		sel, err := candidates.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := Options{Selector: sel, M: m, L: l, K: 10, Seed: 7, Workers: 2}
-		full, err := TopK(sp, opts)
-		if err != nil {
-			t.Fatalf("%s full: %v", name, err)
-		}
-		opts.PairedMode = dist.PairedIncremental
-		incr, err := TopK(sp, opts)
-		if err != nil {
-			t.Fatalf("%s incremental: %v", name, err)
-		}
-		if !reflect.DeepEqual(full.Pairs, incr.Pairs) {
-			t.Errorf("%s: pairs differ between paired modes:\nfull %v\nincr %v",
-				name, full.Pairs, incr.Pairs)
-		}
-		if !reflect.DeepEqual(full.Candidates, incr.Candidates) {
-			t.Errorf("%s: candidates differ between paired modes", name)
-		}
-		if full.Budget != incr.Budget {
-			t.Errorf("%s: budget reports differ: full %+v, incremental %+v",
-				name, full.Budget, incr.Budget)
 		}
 	}
 }

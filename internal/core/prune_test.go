@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/candidates"
-	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/sssp"
@@ -59,7 +58,7 @@ func requireSameResult(t *testing.T, label string, full, pruned *Result) {
 }
 
 // TestPrunedEquivalentFuzz is the pruning differential: across engines,
-// paired modes, selectors (landmark-using and not),
+// selectors (landmark-using and not),
 // connected and disconnected random graphs, the pruned extraction must be
 // bit-identical to the full one. Small k on dense-delta graphs makes ties at
 // the kth boundary routine, so the strict-inequality cut discipline (ties at
@@ -78,34 +77,32 @@ func TestPrunedEquivalentFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []dist.PairedMode{dist.PairedFull, dist.PairedIncremental} {
-			for _, g := range pairs {
-				for _, selName := range []string{"MMSD", "SumDiff", "Random"} {
-					sel, err := candidates.ByName(selName)
+		for _, g := range pairs {
+			for _, selName := range []string{"MMSD", "SumDiff", "Random"} {
+				sel, err := candidates.ByName(selName)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range []int{3, 10} {
+					label := g.name + "/" + engName + "/" + selName
+					opts := Options{
+						Selector: sel, M: 25, L: 5, K: k, Seed: 7,
+						Workers: 3, Engine: eng,
+					}
+					opts.Prune = PruneOff
+					full, err := TopK(g.sp, opts)
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("%s full: %v", label, err)
 					}
-					for _, k := range []int{3, 10} {
-						label := g.name + "/" + engName + "/" + mode.String() + "/" + selName
-						opts := Options{
-							Selector: sel, M: 25, L: 5, K: k, Seed: 7,
-							Workers: 3, Engine: eng, PairedMode: mode,
-						}
-						opts.Prune = PruneOff
-						full, err := TopK(g.sp, opts)
-						if err != nil {
-							t.Fatalf("%s full: %v", label, err)
-						}
-						opts.Prune = PruneAuto
-						pruned, err := TopK(g.sp, opts)
-						if err != nil {
-							t.Fatalf("%s pruned: %v", label, err)
-						}
-						if !pruned.Pruned.Enabled {
-							t.Fatalf("%s: PruneAuto did not prune a top-k query", label)
-						}
-						requireSameResult(t, label, full, pruned)
+					opts.Prune = PruneAuto
+					pruned, err := TopK(g.sp, opts)
+					if err != nil {
+						t.Fatalf("%s pruned: %v", label, err)
 					}
+					if !pruned.Pruned.Enabled {
+						t.Fatalf("%s: PruneAuto did not prune a top-k query", label)
+					}
+					requireSameResult(t, label, full, pruned)
 				}
 			}
 		}

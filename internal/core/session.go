@@ -22,25 +22,26 @@ import (
 )
 
 // Session is the reusable form of Algorithm 1 over one snapshot pair:
-// distance engines, paired engines (with their precomputed edge deltas), and
-// per-worker extraction scratch are prepared once and shared across queries,
-// so a service answering many queries over the same epoch window pays setup
-// cost once instead of per call. Results are bit-identical to the one-shot
+// distance engines, the paired engine, and per-worker extraction scratch are
+// prepared once and shared across queries, so a service answering many
+// queries over the same epoch window pays setup cost once instead of per
+// call. Results are bit-identical to the one-shot
 // TopK path — the session caches machine state (visible in kernel metrics
 // and allocation profiles), never anything that feeds the algorithm's
 // output.
 //
-// A Session is safe for concurrent TopK calls: queries share the cached
-// paired engines read-only and draw per-worker scratch from a pool.
+// A Session is safe for concurrent TopK calls: queries share the paired
+// engine read-only and draw per-worker scratch from a pool.
 type Session struct {
 	src  dist.Pair
 	pair graph.SnapshotPair // structural view; zero for metric-only sources
 	// kernel names the traversal kernel the sources run (the BFS engine, or
 	// dijkstra) for the flight record's fingerprint.
 	kernel string
-
-	mu    sync.Mutex
-	pengs map[dist.PairedMode]*enginePool
+	// paired is built once in newSession; extraction workers of any query
+	// check their state out of pool and back in.
+	paired *dist.PairedEngine
+	pool   sync.Pool // *workerState
 }
 
 // SessionConfig fixes the machine-level knobs a session's engines are built
@@ -50,20 +51,11 @@ type SessionConfig struct {
 	Engine sssp.Engine
 }
 
-// enginePool is one paired engine plus the pool of per-worker extraction
-// state bound to it. The engine is built once (incremental mode computes the
-// snapshot edge delta there); workers of any query on this session check
-// state out and back in.
-type enginePool struct {
-	eng  dist.PairedEngine
-	pool sync.Pool // *workerState
-}
-
 // workerState is one extraction worker's scratch: the distance-row buffers
 // and the engine-bound paired session (which owns traversal scratch).
 type workerState struct {
 	d1buf, d2buf []int32
-	ps           dist.PairedSession
+	ps           *dist.PairedSession
 	// sess1 serves the rare only-d2-cached case; created lazily because most
 	// queries never hit it.
 	sess1 dist.Session
@@ -104,7 +96,7 @@ func newSession(src dist.Pair, pair graph.SnapshotPair) *Session {
 	case *dist.Dijkstra:
 		kernel = "dijkstra"
 	}
-	return &Session{src: src, pair: pair, kernel: kernel, pengs: make(map[dist.PairedMode]*enginePool)}
+	return &Session{src: src, pair: pair, kernel: kernel, paired: dist.NewPairedEngine(src, dist.PairedFull)}
 }
 
 // Sources returns the session's distance-source pair.
@@ -113,29 +105,16 @@ func (s *Session) Sources() dist.Pair { return s.src }
 // NumNodes returns the shared node-universe size.
 func (s *Session) NumNodes() int { return s.src.NumNodes() }
 
-// pairedEngine returns the cached engine pool for mode, building it on first
-// use. Incremental engines compute the edge delta exactly once per session.
-func (s *Session) pairedEngine(mode dist.PairedMode) *enginePool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ep, ok := s.pengs[mode]; ok {
-		return ep
-	}
-	ep := &enginePool{eng: dist.NewPairedEngine(s.src, mode)}
-	s.pengs[mode] = ep
-	return ep
-}
-
 // checkout draws per-worker extraction state from the pool (allocating on
-// first use), bound to the pool's engine.
-func (ep *enginePool) checkout(n int) *workerState {
-	if st, _ := ep.pool.Get().(*workerState); st != nil {
+// first use), bound to the session's paired engine.
+func (s *Session) checkout(n int) *workerState {
+	if st, _ := s.pool.Get().(*workerState); st != nil {
 		return st
 	}
 	return &workerState{
 		d1buf: make([]int32, n),
 		d2buf: make([]int32, n),
-		ps:    ep.eng.NewSession(),
+		ps:    s.paired.NewSession(),
 	}
 }
 
@@ -146,15 +125,8 @@ func (ep *enginePool) checkout(n int) *workerState {
 // reusable). Every SSSP is charged to opts.Meter (or a fresh 2M meter when
 // nil) before the traversal runs.
 func (s *Session) TopK(ctx context.Context, opts Options) (result *Result, err error) {
-	if opts.Selector == nil {
-		return nil, ErrNoSelector
-	}
-	if (opts.K > 0) == (opts.MinDelta > 0) {
-		return nil, fmt.Errorf("core: exactly one of K (%d) and MinDelta (%d) must be positive",
-			opts.K, opts.MinDelta)
-	}
-	if opts.M <= 0 {
-		return nil, fmt.Errorf("core: non-positive endpoint budget m=%d", opts.M)
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -321,7 +293,7 @@ func warmCacheKey(opts Options) string {
 // For top-K queries (unless Options.Prune says otherwise) extraction runs
 // Δ-threshold pruned: a shared monotone threshold T tracks the kth-best Δ
 // offered so far, second-snapshot traversals stop once no undiscovered node
-// can still yield delta >= T (sssp.PrunedSecondBFS / dynsssp.ApplyAllBounded),
+// can still yield delta >= T (sssp.PrunedSecondBFS),
 // and candidates whose landmark upper bound proves every one of their pairs
 // is strictly below T are skipped whole. All of it is output-invariant: only
 // pairs with delta strictly below T <= the final kth Δ are ever dropped, and
@@ -345,15 +317,10 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 			toCharge++
 		}
 	}
-	// The paired engine is cached on the session: first query in each mode
-	// builds it (incremental mode computes the snapshot edge delta there);
-	// later queries share it read-only.
-	ep := s.pairedEngine(opts.PairedMode)
 	//convlint:nondet phase latency is observational, not part of results
 	extStart := time.Now()
 	extSpan := tr.StartSpan("extraction",
-		obs.Int("candidates", len(cands)), obs.Int("cache-misses", toCharge),
-		obs.Str("paired", ep.eng.Mode().String()))
+		obs.Int("candidates", len(cands)), obs.Int("cache-misses", toCharge))
 	if err := meter.Charge(budget.PhaseTopK, toCharge); err != nil {
 		extSpan.End()
 		//convlint:nondet phase latency is observational, not part of results
@@ -416,8 +383,8 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 		go pprof.Do(context.Background(), pprof.Labels("subsystem", "core-extract"),
 			func(context.Context) {
 				defer wg.Done()
-				st := ep.checkout(n)
-				defer ep.pool.Put(st)
+				st := s.checkout(n)
+				defer s.pool.Put(st)
 				var local []topk.Pair
 				for i := range next {
 					if ctx.Err() != nil {
@@ -446,8 +413,8 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 						st.ps.DistancesPairInto(u, st.d1buf, st.d2buf, boundFn)
 						d1, d2 = st.d1buf, st.d2buf
 					case d1 != nil && d2 == nil:
-						// The selector already paid for the t1 row; derive
-						// (or recompute, in full mode) just the t2 row.
+						// The selector already paid for the t1 row; compute
+						// just the t2 row.
 						st.ps.DeriveInto(u, d1, st.d2buf, boundFn)
 						d2 = st.d2buf
 					case d1 == nil:

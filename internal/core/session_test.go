@@ -23,61 +23,34 @@ func resultsEqual(a, b *Result) bool {
 		a.SelectorName == b.SelectorName
 }
 
-// TestSessionMatchesOneShot pins the session invariant across selectors and
-// paired modes: N queries on one Session return exactly what N one-shot TopK
-// calls return.
+// TestSessionMatchesOneShot pins the session invariant across selectors:
+// N queries on one Session return exactly what N one-shot TopK calls
+// return.
 func TestSessionMatchesOneShot(t *testing.T) {
 	sp := growingPair(t, 120, 3)
-	for _, mode := range []dist.PairedMode{dist.PairedFull, dist.PairedIncremental} {
-		sess, err := NewSession(sp, SessionConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, sel := range []candidates.Selector{
-			candidates.Degree(), candidates.Random(), candidates.MaxMin(), candidates.SumDiff(),
-		} {
-			opts := Options{Selector: sel, M: 15, L: 5, K: 5, Seed: 42, PairedMode: mode}
-			want, err := TopK(sp, opts)
-			if err != nil {
-				t.Fatalf("%s one-shot: %v", sel.Name(), err)
-			}
-			// Two session queries back to back: the second exercises reused
-			// engines and pooled scratch.
-			for rep := 0; rep < 2; rep++ {
-				got, err := sess.TopK(context.Background(), opts)
-				if err != nil {
-					t.Fatalf("%s session rep %d: %v", sel.Name(), rep, err)
-				}
-				if !resultsEqual(want, got) {
-					t.Fatalf("%s (mode %v) rep %d: session result diverged from one-shot", sel.Name(), mode, rep)
-				}
-			}
-		}
-	}
-}
-
-// TestSessionCachesPairedEngine pins the pay-setup-once claim: the paired
-// engine (and its edge delta, in incremental mode) is built on first use and
-// shared by later queries.
-func TestSessionCachesPairedEngine(t *testing.T) {
-	sp := growingPair(t, 60, 5)
 	sess, err := NewSession(sp, SessionConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Selector: candidates.Degree(), M: 4, K: 3, PairedMode: dist.PairedIncremental}
-	if _, err := sess.TopK(context.Background(), opts); err != nil {
-		t.Fatal(err)
-	}
-	first := sess.pairedEngine(dist.PairedIncremental)
-	if _, err := sess.TopK(context.Background(), opts); err != nil {
-		t.Fatal(err)
-	}
-	if sess.pairedEngine(dist.PairedIncremental) != first {
-		t.Fatalf("paired engine rebuilt between queries")
-	}
-	if len(sess.pengs) != 1 {
-		t.Fatalf("session holds %d engines, want 1", len(sess.pengs))
+	for _, sel := range []candidates.Selector{
+		candidates.Degree(), candidates.Random(), candidates.MaxMin(), candidates.SumDiff(),
+	} {
+		opts := Options{Selector: sel, M: 15, L: 5, K: 5, Seed: 42}
+		want, err := TopK(sp, opts)
+		if err != nil {
+			t.Fatalf("%s one-shot: %v", sel.Name(), err)
+		}
+		// Two session queries back to back: the second exercises reused
+		// engines and pooled scratch.
+		for rep := 0; rep < 2; rep++ {
+			got, err := sess.TopK(context.Background(), opts)
+			if err != nil {
+				t.Fatalf("%s session rep %d: %v", sel.Name(), rep, err)
+			}
+			if !resultsEqual(want, got) {
+				t.Fatalf("%s rep %d: session result diverged from one-shot", sel.Name(), rep)
+			}
+		}
 	}
 }
 
@@ -148,29 +121,26 @@ func TestSessionCancellation(t *testing.T) {
 
 // TestSessionSourcesMatchesOneShot pins the serve wiring at the core layer:
 // a session built by NewSessionSources over a BFS pair, as serve builds one
-// per epoch window, returns bit-identical results to the one-shot run, for
-// both paired modes.
+// per epoch window, returns bit-identical results to the one-shot run.
 func TestSessionSourcesMatchesOneShot(t *testing.T) {
 	sp := growingPair(t, 100, 11)
 	sess, err := NewSessionSources(dist.BFSPair(sp, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []dist.PairedMode{dist.PairedFull, dist.PairedIncremental} {
-		// MaxMin exercises selector-side rows (dispersion picks), not just
-		// extraction.
-		opts := Options{Selector: candidates.MaxMin(), M: 6, K: 5, Seed: 13, PairedMode: mode}
-		want, err := TopK(sp, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sess.TopK(context.Background(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !resultsEqual(want, got) {
-			t.Fatalf("mode %v: sources session diverged from one-shot", mode)
-		}
+	// MaxMin exercises selector-side rows (dispersion picks), not just
+	// extraction.
+	opts := Options{Selector: candidates.MaxMin(), M: 6, K: 5, Seed: 13}
+	want, err := TopK(sp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sess.TopK(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resultsEqual(want, got) {
+		t.Fatal("sources session diverged from one-shot")
 	}
 }
 

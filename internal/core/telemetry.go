@@ -41,9 +41,8 @@ func fingerprint(opts Options, kernel string) string {
 	if opts.Selector != nil {
 		name = opts.Selector.Name()
 	}
-	return fmt.Sprintf("selector=%s m=%d k=%d delta=%d seed=%d engine=%s paired=%s workers=%d",
-		name, opts.M, opts.K, opts.MinDelta, opts.Seed,
-		kernel, opts.PairedMode, opts.Workers)
+	return fmt.Sprintf("selector=%s m=%d k=%d delta=%d seed=%d engine=%s workers=%d",
+		name, opts.M, opts.K, opts.MinDelta, opts.Seed, kernel, opts.Workers)
 }
 
 // recordRun closes out one run's telemetry: the total-phase histogram sample

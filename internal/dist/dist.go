@@ -13,9 +13,10 @@
 // multi-source kernels, and run everything else on per-worker Sessions so
 // scratch state is reused across calls rather than reallocated per source.
 //
-// The package declares four interfaces: Source and its per-worker Session,
-// and PairedEngine and its per-worker PairedSession for the two-snapshot
-// rows of extraction. BFS-only fast paths are found by asserting *BFS.
+// The package declares two interfaces, Source and its per-worker Session.
+// The two-snapshot rows of extraction come from the concrete PairedEngine
+// and its per-worker PairedSession. BFS-only fast paths are found by
+// asserting *BFS.
 package dist
 
 import (

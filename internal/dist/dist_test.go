@@ -161,73 +161,13 @@ func evolvedPair(t testing.TB, n int, seed int64) (*graph.Graph, *graph.Graph) {
 	return g1, graph.FromEdges(n, edges)
 }
 
-// TestIncrementalPairedSweepMatchesFull is the dist-level differential pin:
-// for every BFS engine, sweeping sources through incremental paired sessions
-// (t1 traversal + delta repair), one session per worker, must produce
-// exactly the rows of the full PairedSweep. A Dijkstra pair lacks the
-// capability and must fall back to the full path with identical results on
-// unit weights.
-func TestIncrementalPairedSweepMatchesFull(t *testing.T) {
-	g1, g2 := evolvedPair(t, 60, 13)
-	sources := []int{0, 7, 19, 33, 59}
-	full := func(p Pair) map[int][2][]int32 {
-		var mu sync.Mutex
-		out := map[int][2][]int32{}
-		PairedSweep(p, sources, 2, func(src int, d1, d2 []int32) {
-			c1 := append([]int32(nil), d1...)
-			c2 := append([]int32(nil), d2...)
-			mu.Lock()
-			out[src] = [2][]int32{c1, c2}
-			mu.Unlock()
-		})
-		return out
-	}
-	incremental := func(p Pair, want PairedMode) map[int][2][]int32 {
-		e := NewPairedEngine(p, PairedIncremental)
-		if e.Mode() != want {
-			t.Fatalf("mode = %v, want %v", e.Mode(), want)
-		}
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		out := map[int][2][]int32{}
-		for w := 0; w < 2; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				sess := e.NewSession()
-				for i := w; i < len(sources); i += 2 {
-					d1 := make([]int32, p.NumNodes())
-					d2 := make([]int32, p.NumNodes())
-					sess.DistancesPairInto(sources[i], d1, d2, nil)
-					mu.Lock()
-					out[sources[i]] = [2][]int32{d1, d2}
-					mu.Unlock()
-				}
-			}(w)
-		}
-		wg.Wait()
-		return out
-	}
-	for _, eng := range []sssp.Engine{sssp.Auto, sssp.TopDown, sssp.DirectionOpt, sssp.BitParallel64} {
-		p := BFSPair(graph.SnapshotPair{G1: g1, G2: g2}, eng)
-		if !reflect.DeepEqual(full(p), incremental(p, PairedIncremental)) {
-			t.Fatalf("engine %v: incremental sweep diverges from full", eng)
-		}
-	}
-	// Dijkstra pair: no incremental capability, silent full fallback.
-	dp := DijkstraPair(graph.FromUnweighted(g1), graph.FromUnweighted(g2))
-	if !reflect.DeepEqual(full(dp), incremental(dp, PairedFull)) {
-		t.Fatal("Dijkstra fallback sweep diverges from full sweep")
-	}
-}
-
 // TestPairedEngineSessions is the dist-level differential pin of the paired
-// engines, for every BFS kernel and both modes: DistancesPairInto fills both
-// rows and DeriveInto derives just the t2 row from a caller-supplied t1 row,
+// engine, for every BFS kernel: DistancesPairInto fills both rows and
+// DeriveInto computes just the t2 row from a caller-supplied t1 row,
 // bit-identical to direct source queries when the bound is nil. With a
 // bound T the t2 row keeps every delta >= T exact, and any other node holds
-// its exact distance or d2 = d1 (delta 0, the cut's filler). Pairs the
-// incremental engine cannot serve fall back to full.
+// its exact distance or d2 = d1 (delta 0, the cut's filler). A Dijkstra
+// pair has no bounded kernel and always returns full rows.
 func TestPairedEngineSessions(t *testing.T) {
 	g1, g2 := evolvedPair(t, 50, 17)
 	n := g1.NumNodes()
@@ -238,43 +178,37 @@ func TestPairedEngineSessions(t *testing.T) {
 	cuts := 0
 	for _, eng := range []sssp.Engine{sssp.Auto, sssp.TopDown, sssp.DirectionOpt, sssp.BitParallel64} {
 		p := BFSPair(graph.SnapshotPair{G1: g1, G2: g2}, eng)
-		for _, mode := range []PairedMode{PairedFull, PairedIncremental} {
-			e := NewPairedEngine(p, mode)
-			if e.Mode() != mode {
-				t.Fatalf("engine %v: mode = %v, want %v", eng, e.Mode(), mode)
+		sess := NewPairedEngine(p, PairedFull).NewSession()
+		for u := 0; u < n; u += 5 {
+			p.S1.DistancesInto(u, want1)
+			p.S2.DistancesInto(u, want2)
+			if sess.DistancesPairInto(u, d1, d2, nil) {
+				t.Fatalf("engine %v: unbounded call reported a cut", eng)
 			}
-			sess := e.NewSession()
-			for u := 0; u < n; u += 5 {
-				p.S1.DistancesInto(u, want1)
-				p.S2.DistancesInto(u, want2)
-				if sess.DistancesPairInto(u, d1, d2, nil) {
-					t.Fatalf("engine %v mode %v: unbounded call reported a cut", eng, mode)
+			if !reflect.DeepEqual(d1, want1) || !reflect.DeepEqual(d2, want2) {
+				t.Fatalf("engine %v: DistancesPairInto(%d) diverges", eng, u)
+			}
+			for i := range d2 {
+				d2[i] = -7 // poison; DeriveInto must fully overwrite
+			}
+			sess.DeriveInto(u, want1, d2, nil)
+			if !reflect.DeepEqual(d2, want2) {
+				t.Fatalf("engine %v: DeriveInto(%d) diverges", eng, u)
+			}
+			for _, th := range []int32{1, 2, 3} {
+				if sess.DistancesPairInto(u, d1, d2, func() int32 { return th }) {
+					cuts++
 				}
-				if !reflect.DeepEqual(d1, want1) || !reflect.DeepEqual(d2, want2) {
-					t.Fatalf("engine %v mode %v: DistancesPairInto(%d) diverges", eng, mode, u)
+				if !reflect.DeepEqual(d1, want1) {
+					t.Fatalf("engine %v: bounded call changed the t1 row of %d", eng, u)
 				}
-				for i := range d2 {
-					d2[i] = -7 // poison; DeriveInto must fully overwrite
-				}
-				sess.DeriveInto(u, want1, d2, nil)
-				if !reflect.DeepEqual(d2, want2) {
-					t.Fatalf("engine %v mode %v: DeriveInto(%d) diverges", eng, mode, u)
-				}
-				for _, th := range []int32{1, 2, 3} {
-					if sess.DistancesPairInto(u, d1, d2, func() int32 { return th }) {
-						cuts++
+				for v := range d2 {
+					if want1[v] <= 0 || d2[v] == want2[v] {
+						continue
 					}
-					if !reflect.DeepEqual(d1, want1) {
-						t.Fatalf("engine %v mode %v: bounded call changed the t1 row of %d", eng, mode, u)
-					}
-					for v := range d2 {
-						if want1[v] <= 0 || d2[v] == want2[v] {
-							continue
-						}
-						if want1[v]-want2[v] >= th || d2[v] != want1[v] {
-							t.Fatalf("engine %v mode %v bound %d: d2[%d] from %d = %d, want %d (d1 %d)",
-								eng, mode, th, v, u, d2[v], want2[v], want1[v])
-						}
+					if want1[v]-want2[v] >= th || d2[v] != want1[v] {
+						t.Fatalf("engine %v bound %d: d2[%d] from %d = %d, want %d (d1 %d)",
+							eng, th, v, u, d2[v], want2[v], want1[v])
 					}
 				}
 			}
@@ -283,14 +217,9 @@ func TestPairedEngineSessions(t *testing.T) {
 	if cuts == 0 {
 		t.Fatal("no bounded call cut its t2 work: the bound property above went untested")
 	}
-	// Requesting incremental on a Dijkstra pair degrades to full, with the
-	// same rows on unit weights.
+	// A Dijkstra pair gives the BFS rows on unit weights.
 	dp := DijkstraPair(graph.FromUnweighted(g1), graph.FromUnweighted(g2))
-	de := NewPairedEngine(dp, PairedIncremental)
-	if de.Mode() != PairedFull {
-		t.Fatalf("Dijkstra engine mode = %v, want full", de.Mode())
-	}
-	ds := de.NewSession()
+	ds := NewPairedEngine(dp, PairedFull).NewSession()
 	bp := BFSPair(graph.SnapshotPair{G1: g1, G2: g2}, sssp.Auto)
 	for u := 0; u < n; u += 7 {
 		bp.S1.DistancesInto(u, want1)
@@ -303,23 +232,14 @@ func TestPairedEngineSessions(t *testing.T) {
 			t.Fatalf("Dijkstra paired rows from %d diverge from BFS", u)
 		}
 	}
-	// Mismatched universes can't share a delta either.
-	small := randomGraph(t, 10, 1)
-	mix := Pair{S1: NewBFS(g1, sssp.Auto), S2: NewBFS(small, sssp.Auto)}
-	if m := NewPairedEngine(mix, PairedIncremental).Mode(); m != PairedFull {
-		t.Fatalf("mismatched-universe engine mode = %v, want full", m)
-	}
 }
 
-// TestParsePairedMode covers the CLI flag parser and String round-trip.
+// TestParsePairedMode covers the parser kept for old paired-mode spellings.
 func TestParsePairedMode(t *testing.T) {
 	for in, want := range map[string]PairedMode{"": PairedFull, "full": PairedFull, "incremental": PairedIncremental} {
 		got, err := ParsePairedMode(in)
 		if err != nil || got != want {
 			t.Fatalf("ParsePairedMode(%q) = %v, %v", in, got, err)
-		}
-		if in != "" && got.String() != in {
-			t.Fatalf("String() = %q, want %q", got.String(), in)
 		}
 	}
 	if _, err := ParsePairedMode("bogus"); err == nil {
@@ -329,8 +249,8 @@ func TestParsePairedMode(t *testing.T) {
 
 // TestSweepEdgeCases covers the generic fallback corners only the batched
 // BFS path used to exercise: empty source sets, more workers than sources,
-// and a single-node graph — on Sweep, PairedSweep, and the incremental
-// paired engine, for both the kernel-backed and session-pool paths.
+// and a single-node graph — on Sweep, PairedSweep, and the paired engine,
+// for both the kernel-backed and session-pool paths.
 func TestSweepEdgeCases(t *testing.T) {
 	single := graph.FromEdges(1, nil)
 	g := randomGraph(t, 12, 5)
@@ -392,7 +312,7 @@ func TestSweepEdgeCases(t *testing.T) {
 	}
 	sp := Pair{S1: NewBFS(single, sssp.Auto), S2: NewBFS(single, sssp.Auto)}
 	d1, d2 := []int32{-7}, []int32{-7}
-	NewPairedEngine(sp, PairedIncremental).NewSession().DistancesPairInto(0, d1, d2, nil)
+	NewPairedEngine(sp, PairedFull).NewSession().DistancesPairInto(0, d1, d2, nil)
 	if d1[0] != 0 || d2[0] != 0 {
 		t.Fatalf("single-node paired rows = %v, %v", d1, d2)
 	}

@@ -82,55 +82,14 @@ func (d *DynamicBFS) EnsureNode(u int) {
 	}
 }
 
-// InsertEdge adds the undirected edge {u, v} and incrementally repairs the
-// distance vector. Self-loops are ignored; duplicate edges are tolerated
-// (they trigger no relaxation). Returns the number of nodes whose distance
-// changed.
+// InsertEdge adds the undirected edge {u, v} and repairs the distance
+// vector with a one-edge ApplyBatch. Self-loops are ignored; duplicate edges
+// are tolerated (they trigger no relaxation). Returns the number of nodes
+// whose distance changed.
+//
+//convlint:unbudgeted thin alias for ApplyBatch; callers charge (or suppress) at that entry point
 func (d *DynamicBFS) InsertEdge(u, v int) (changed int, err error) {
-	if u < 0 || v < 0 {
-		return 0, fmt.Errorf("dynsssp: negative node in edge (%d, %d)", u, v)
-	}
-	if u == v {
-		return 0, nil
-	}
-	d.EnsureNode(u)
-	d.EnsureNode(v)
-	d.adj[u] = append(d.adj[u], int32(v))
-	d.adj[v] = append(d.adj[v], int32(u))
-	d.inserted++
-
-	// Seed the relaxation wave with whichever endpoint improves.
-	var queue []int32
-	du, dv := d.dist[u], d.dist[v]
-	switch {
-	case du >= 0 && (dv < 0 || dv > du+1):
-		d.dist[v] = du + 1
-		queue = append(queue, int32(v))
-		changed++
-	case dv >= 0 && (du < 0 || du > dv+1):
-		d.dist[u] = dv + 1
-		queue = append(queue, int32(u))
-		changed++
-	default:
-		return 0, nil
-	}
-	// Standard decrease-only BFS wave: each pop may improve its neighbors
-	// by exactly one level. A node can re-enter the queue only with a
-	// strictly smaller distance, so the wave terminates.
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		d.touched++
-		dx := d.dist[x]
-		for _, y := range d.adj[x] {
-			if d.dist[y] < 0 || d.dist[y] > dx+1 {
-				d.dist[y] = dx + 1
-				queue = append(queue, y)
-				changed++
-			}
-		}
-	}
-	return changed, nil
+	return d.ApplyBatch([]graph.TimedEdge{{U: u, V: v}})
 }
 
 // ApplyStream replays a batch of timed edges (e.g. one evolution slice),
@@ -188,8 +147,8 @@ func (d *DynamicBFS) ApplyBatch(edges []graph.TimedEdge) (changed int, err error
 	return st.Changed, nil
 }
 
-// RepairStats returns the Stats of the most recent ApplyBatch/ApplyStream
-// call (zero value before the first batch).
+// RepairStats returns the Stats of the most recent InsertEdge, ApplyBatch
+// or ApplyStream call (zero value before the first one).
 func (d *DynamicBFS) RepairStats() Stats { return d.lastRepair }
 
 // Stats reports the size of one batch repair: how much traversal the
@@ -217,9 +176,6 @@ type Scratch struct {
 	counts []int32
 	cur    []int32
 	next   []int32
-	// cnt backs the bounded wave's histogram of d1 values over nodes whose
-	// final repaired distance is not yet determined (see repairWaveBounded).
-	cnt []int32
 }
 
 // NewScratch returns an empty Scratch; buffers grow on first use and are
@@ -255,7 +211,7 @@ func (s *Scratch) seedEdge(dist []int32, u, v int32) int {
 // hands the copy here; after the call dist is bit-identical to a fresh BFS
 // on g2 from the same source. Self-loops in delta are skipped and duplicate
 // edges are tolerated. Panics on a dist/universe size mismatch or an
-// out-of-range delta node: those are programming errors of the paired-sweep
+// out-of-range delta node: those are programming errors of the caller's
 // plumbing, not data errors.
 //
 // The repair is decrease-only (insertions never increase a distance): each
@@ -312,68 +268,6 @@ func (s *Scratch) ApplyAll(g2 *graph.Graph, delta []graph.Edge, dist []int32) St
 	st.Changed += seedChanged
 	sssp.RecordRepair(int64(st.Nodes), int64(st.Edges), int64(st.FrontierPeak), start)
 	return st
-}
-
-// ApplyAllBounded is ApplyAll under a Δ-threshold: dist (the caller's copy
-// of the t1 row d1) is repaired toward the g2 distances, but the wave stops
-// as soon as the threshold returned by bound proves no still-undetermined
-// node can reach the top-k. Like the bounded BFS (sssp.PrunedSecondBFS),
-// the cut relies on the growing-snapshot contract: repairs only ever
-// decrease distances, a node repaired while the wave is at level Λ ends at
-// a final distance >= Λ, so its delta d1−d2 is at most maxRem − Λ, with
-// maxRem the largest d1 among not-yet-finalized nodes.
-//
-// On a cut, pending seeds still holding their tentative values are restored
-// to d1 (delta 0): keeping a tentative, possibly improvable distance would
-// leak a pair with a wrong D2 into the raw pair list, while delta 0 is
-// discarded by the extraction floor. Returns true if the wave was cut; the
-// resulting dist is then only valid for delta extraction against d1 and
-// must not be cached as a real distance row.
-//
-//convlint:hotpath
-func (s *Scratch) ApplyAllBounded(g2 *graph.Graph, delta []graph.Edge, dist, d1 []int32, bound func() int32) (Stats, bool) {
-	//convlint:nondet repair latency is observational, not part of results
-	start := time.Now()
-	n := g2.NumNodes()
-	if len(dist) != n || len(d1) != n {
-		panic(fmt.Sprintf("dynsssp: dist length %d, d1 length %d, graph has %d nodes", len(dist), len(d1), n))
-	}
-	s.seeds = s.seeds[:0]
-	seedChanged := 0
-	for i := 0; i < len(delta); {
-		u := delta[i].U
-		if u < 0 || u >= n {
-			panic(fmt.Sprintf("dynsssp: delta[%d] = (%d, %d) out of range [0,%d)", i, u, delta[i].V, n))
-		}
-		du := dist[u]
-		for ; i < len(delta) && delta[i].U == u; i++ {
-			v := delta[i].V
-			if v < 0 || v >= n {
-				panic(fmt.Sprintf("dynsssp: delta[%d] = (%d, %d) out of range [0,%d)", i, u, v, n))
-			}
-			if v == u {
-				continue
-			}
-			dv := dist[v]
-			if du >= 0 && (dv < 0 || dv > du+1) {
-				nd := du + 1
-				dist[v] = nd
-				s.seeds = append(s.seeds, int64(nd)<<32|int64(v))
-				seedChanged++
-			} else if dv >= 0 && (du < 0 || du > dv+1) {
-				du = dv + 1
-				dist[u] = du
-				s.seeds = append(s.seeds, int64(du)<<32|int64(u))
-				seedChanged++
-			}
-		}
-	}
-	var a csrAdj
-	a.offsets, a.nbrs = g2.CSR()
-	st, cut := repairWaveBounded(s, a, dist, d1, bound)
-	st.Changed += seedChanged
-	sssp.RecordRepair(int64(st.Nodes), int64(st.Edges), int64(st.FrontierPeak), start)
-	return st, cut
 }
 
 // adjacency abstracts the two graph representations the repair wave runs
@@ -489,108 +383,6 @@ func repairWave[A adjacency](s *Scratch, adj A, dist []int32) Stats {
 	}
 	s.cur, s.next = cur[:0], next[:0]
 	return st
-}
-
-// repairWaveBounded is repairWave with a Δ-threshold cut between levels.
-// It keeps a histogram cnt[d] of d1 values over nodes whose final repaired
-// distance is not yet determined: a node is finalized (and decremented) the
-// moment it receives a value the wave can no longer improve — a wave
-// relaxation write, or a seed merge confirming its tentative value at the
-// current level. Untouched nodes stay counted: the wave might still reach
-// them, so excluding them would be unsound; they only loosen the bound.
-//
-// At the top of each level iteration Λ (before merging Λ's seeds), every
-// not-yet-finalized node has final distance >= Λ, hence delta <= maxRem − Λ.
-// When that is strictly below the threshold, no such node can beat the kth
-// pair — including ties at the threshold, which are kept — and the wave
-// stops. Pending seeds still holding tentative values are restored to d1.
-//
-//convlint:hotpath
-func repairWaveBounded[A adjacency](s *Scratch, adj A, dist, d1 []int32, bound func() int32) (Stats, bool) {
-	sortSeedsByLevel(s)
-	n := len(dist)
-	for len(s.cnt) <= n {
-		s.cnt = append(s.cnt, 0)
-	}
-	cnt := s.cnt[:n+1]
-	clear(cnt)
-	maxRem := int32(-1)
-	for _, dv := range d1 {
-		if dv > 0 {
-			cnt[dv]++
-			if dv > maxRem {
-				maxRem = dv
-			}
-		}
-	}
-	cur := s.cur[:0]
-	next := s.next[:0]
-	seeds := s.seeds
-	si := 0
-	var level int32
-	var st Stats
-	cutFired := false
-	for si < len(seeds) || len(cur) > 0 {
-		if len(cur) == 0 {
-			level = int32(seeds[si] >> 32)
-		}
-		b := bound()
-		if b < 1 {
-			b = 1
-		}
-		if maxRem-level < b {
-			cutFired = true
-			break
-		}
-		for si < len(seeds) && int32(seeds[si]>>32) == level {
-			v := int32(uint32(seeds[si]))
-			si++
-			if dist[v] == level {
-				cur = append(cur, v)
-				if d1[v] > 0 {
-					cnt[d1[v]]--
-				}
-			}
-		}
-		if len(cur) > st.FrontierPeak {
-			st.FrontierPeak = len(cur)
-		}
-		nd := level + 1
-		for _, u := range cur {
-			st.Nodes++
-			nbrs := adj.neighborsOf(u)
-			st.Edges += len(nbrs)
-			for _, v := range nbrs {
-				if dist[v] < 0 || dist[v] > nd {
-					dist[v] = nd
-					next = append(next, v)
-					st.Changed++
-					if d1[v] > 0 {
-						cnt[d1[v]]--
-					}
-				}
-			}
-		}
-		for maxRem >= 0 && cnt[maxRem] == 0 {
-			maxRem--
-		}
-		level++
-		cur, next = next, cur[:0]
-	}
-	var restored int64
-	if cutFired {
-		for ; si < len(seeds); si++ {
-			v := int32(uint32(seeds[si]))
-			if dist[v] == int32(seeds[si]>>32) {
-				dist[v] = d1[v]
-				restored++
-				st.Changed--
-			}
-		}
-		sssp.RecordRepairCut(restored)
-	}
-	s.cur, s.next = cur[:0], next[:0]
-	return st, cutFired
 }
 
 // DeltaSince compares the maintained distances against a baseline vector

@@ -370,10 +370,10 @@ func TestDeltaSince(t *testing.T) {
 }
 
 // TestApplyAllOnBatchKernelRows pins the repair wave against t1 rows
-// produced by the 64-lane MS-BFS kernel: the incremental paired sweep hands
-// ApplyAll copies of rows that are views into a Scratch's shared row block,
-// and the repair must still be bit-identical to a fresh BFS on g2 for every
-// lane, across a batch boundary and with duplicate lanes.
+// produced by the 64-lane MS-BFS kernel: ApplyAll repairs copies of rows
+// that are views into a Scratch's shared row block, and the repair must
+// still be bit-identical to a fresh BFS on g2 for every lane, across a
+// batch boundary and with duplicate lanes.
 func TestApplyAllOnBatchKernelRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	g1, g2 := randomEvolvingPair(rng)
@@ -393,6 +393,35 @@ func TestApplyAllOnBatchKernelRows(t *testing.T) {
 		for v := range want {
 			if d2[v] != want[v] {
 				t.Fatalf("src %d: repaired dist[%d] = %d, want %d", src, v, d2[v], want[v])
+			}
+		}
+	})
+}
+
+// FuzzRepair pins the batch repair kernel against a fresh BFS: a copy of a
+// t1 row, repaired over graph.NewDelta(g1, g2).Edges, must equal the BFS
+// row on g2. randomEvolvingPair leaves g1 in several components that the
+// delta merges, with isolated nodes. One Scratch repairs every row, so
+// state left over from a run cannot go unnoticed.
+func FuzzRepair(f *testing.F) {
+	f.Add(int64(1), uint8(0))
+	f.Add(int64(5), uint8(1))
+	f.Add(int64(-9), uint8(77))
+	f.Fuzz(func(t *testing.T, seed int64, srcByte uint8) {
+		g1, g2 := randomEvolvingPair(rand.New(rand.NewSource(seed)))
+		n := g1.NumNodes()
+		delta := graph.NewDelta(g1, g2).Edges
+		s := NewScratch()
+		dist := make([]int32, n)
+		first := int(srcByte) % n
+		for _, src := range []int{first, (first + 1) % n, n - 1} {
+			copy(dist, sssp.Distances(g1, src))
+			s.ApplyAll(g2, delta, dist)
+			want := sssp.Distances(g2, src)
+			for v := range want {
+				if dist[v] != want[v] {
+					t.Fatalf("src %d: repaired dist[%d] = %d, want %d", src, v, dist[v], want[v])
+				}
 			}
 		}
 	})

@@ -152,9 +152,10 @@ func (sp SnapshotPair) NewEdges() []Edge {
 
 // Delta is the edge difference G2 \ G1 of a snapshot pair: the insertions
 // that happened between t1 and t2, canonical (U <= V) and sorted ascending.
-// It is immutable once built — compute it once per run and share it
-// read-only across workers (the incremental paired sweep derives every
-// candidate's G_t2 distances from it).
+// It is immutable once built, so one Delta can be shared read-only across
+// workers. The Incidence baseline reads its endpoints (NewEdges), and
+// dynsssp.Scratch.ApplyAll accepts its Edges as the insertions to repair a
+// distance row over.
 type Delta struct {
 	// Edges holds the inserted edges, canonical and sorted. Nil when the
 	// snapshots are identical.

@@ -409,8 +409,22 @@ func (s *Server) Query(r *http.Request, req *QueryRequest) (*QueryResponse, int,
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	mode, err := dist.ParsePairedMode(orDefault(req.Paired, "full"))
-	if err != nil {
+	// paired is validated for old clients but selects nothing: every
+	// spelling runs the one paired kernel.
+	if _, err := dist.ParsePairedMode(req.Paired); err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	opts := core.Options{
+		Selector: sel,
+		M:        req.M,
+		L:        req.L,
+		K:        req.K,
+		MinDelta: req.MinDelta,
+		Seed:     req.Seed,
+		Workers:  orInt(req.Workers, s.cfg.Workers),
+	}
+	// Reject a malformed query before the registry can register its tenant.
+	if err := opts.Validate(); err != nil {
 		return nil, http.StatusBadRequest, err
 	}
 	t1, t2 := req.T1, req.T2
@@ -429,19 +443,8 @@ func (s *Server) Query(r *http.Request, req *QueryRequest) (*QueryResponse, int,
 		return nil, http.StatusBadRequest, err
 	}
 	tenant := s.reg.Tenant(req.Tenant, s.cfg.TenantLimit)
-	meter := tenant.QueryMeter(req.M)
-	opts := core.Options{
-		Selector:   sel,
-		M:          req.M,
-		L:          req.L,
-		K:          req.K,
-		MinDelta:   req.MinDelta,
-		Seed:       req.Seed,
-		Workers:    orInt(req.Workers, s.cfg.Workers),
-		PairedMode: mode,
-		Warm:       ws.warm,
-		Meter:      meter,
-	}
+	opts.Warm = ws.warm
+	opts.Meter = tenant.QueryMeter(req.M)
 	ctx := context.Background()
 	if r != nil {
 		ctx = r.Context()
@@ -474,13 +477,6 @@ func (s *Server) Query(r *http.Request, req *QueryRequest) (*QueryResponse, int,
 // statusClientClosedRequest is nginx's conventional code for a request whose
 // client went away; net/http has no name for it.
 const statusClientClosedRequest = 499
-
-func orDefault(s, def string) string {
-	if s == "" {
-		return def
-	}
-	return s
-}
 
 func orInt(v, def int) int {
 	if v == 0 {

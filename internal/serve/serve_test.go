@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/candidates"
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/export"
 	"repro/internal/graph"
 	"repro/internal/sssp"
@@ -107,7 +106,8 @@ func loadServer(t *testing.T, url string, stream []graph.TimedEdge) {
 
 // TestQueryMatchesOneShot is the tentpole's differential test: a served query
 // is bit-identical (pairs, candidates, budget report) to a one-shot TopK run
-// over the same snapshots, at every -engine / -paired setting. The
+// over the same snapshots, at every -engine setting and every accepted
+// spelling of the no-op "paired" field; any other spelling is a 400. The
 // served path runs through epoch padding and session caching; neither may
 // leak into results.
 func TestQueryMatchesOneShot(t *testing.T) {
@@ -128,30 +128,34 @@ func TestQueryMatchesOneShot(t *testing.T) {
 		srv := New(Config{Engine: eng})
 		ts := httptest.NewServer(srv.Handler())
 		loadServer(t, ts.URL, stream)
-		for _, paired := range []string{"full", "incremental"} {
-			name := engName + "/" + paired
-			mode, _ := dist.ParsePairedMode(paired)
-			want, err := core.TopK(pair, core.Options{
-				Selector: mustSelector(t, "MMSD"), M: 15, L: 5, K: 10,
-				Seed: 42, Engine: eng, PairedMode: mode,
-			})
-			if err != nil {
-				t.Fatalf("%s one-shot: %v", name, err)
-			}
-			wantRep := export.NewReport(want.SelectorName, 15,
-				want.Budget.Total(), want.Budget.Limit, want.Candidates, want.Pairs)
-			var got QueryResponse
-			code := postJSON(t, ts.URL+"/query", QueryRequest{
+		want, err := core.TopK(pair, core.Options{
+			Selector: mustSelector(t, "MMSD"), M: 15, L: 5, K: 10,
+			Seed: 42, Engine: eng,
+		})
+		if err != nil {
+			t.Fatalf("%s one-shot: %v", engName, err)
+		}
+		wantRep := export.NewReport(want.SelectorName, 15,
+			want.Budget.Total(), want.Budget.Limit, want.Candidates, want.Pairs)
+		query := func(paired string, out any) int {
+			return postJSON(t, ts.URL+"/query", QueryRequest{
 				Tenant: "t", Selector: "MMSD", M: 15, L: 5, K: 10,
 				Seed: 42, T1: 1, T2: 2, Paired: paired,
-			}, &got)
-			if code != http.StatusOK {
+			}, out)
+		}
+		for _, paired := range []string{"", "full", "incremental"} {
+			name := engName + "/" + paired
+			var got QueryResponse
+			if code := query(paired, &got); code != http.StatusOK {
 				t.Fatalf("%s: query status %d", name, code)
 			}
 			if !reflect.DeepEqual(got.Report, wantRep) {
 				t.Fatalf("%s: served report diverged from one-shot\n got: %+v\nwant: %+v",
 					name, got.Report, wantRep)
 			}
+		}
+		if code := query("bogus", nil); code != http.StatusBadRequest {
+			t.Fatalf("%s: paired \"bogus\" status %d, want 400", engName, code)
 		}
 		srv.Close()
 		ts.Close()
@@ -282,6 +286,41 @@ func TestTenantAdmission(t *testing.T) {
 	}
 	if got := tenant.Report().Total(); got != 2*m {
 		t.Fatalf("rejected query changed tenant spend: %d, want %d", got, 2*m)
+	}
+}
+
+// TestRejectedQueryRegistersNoTenant pins that a query core would reject
+// (m = 0, or neither k nor delta) is a 400 that leaves the tenant registry
+// untouched: no new tenant with an unlimited allowance, no charge series.
+func TestRejectedQueryRegistersNoTenant(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+	loadServer(t, ts.URL, genStream(40, 60, 5))
+
+	bad := []QueryRequest{
+		{Tenant: "zero-m", Selector: "Degree", M: 0, K: 5},
+		{Tenant: "no-k-no-delta", Selector: "Degree", M: 5},
+	}
+	for _, req := range bad {
+		if code := postJSON(t, ts.URL+"/query", req, nil); code != http.StatusBadRequest {
+			t.Fatalf("tenant %s: status %d, want 400", req.Tenant, code)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/tenants")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var tenants map[string]TenantReport
+	if err := json.NewDecoder(resp.Body).Decode(&tenants); err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range bad {
+		if _, ok := tenants[req.Tenant]; ok {
+			t.Errorf("rejected query registered tenant %s: %+v", req.Tenant, tenants)
+		}
 	}
 }
 

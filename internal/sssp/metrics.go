@@ -28,7 +28,7 @@ const (
 	kBitParallel
 	kEnvelope // MultiSourceBFS lower-envelope sweep
 	kDijkstra
-	kRepair    // dynsssp decrease-only batch repair (incremental paired sweep)
+	kRepair    // dynsssp decrease-only batch repair (monitor trackers, DynamicBFS)
 	kPrunedBFS // Δ-threshold bounded second-snapshot BFS (pruned extraction)
 	numKernels
 )
@@ -159,9 +159,9 @@ type MetricsSnapshot struct {
 	Envelope      KernelCounters
 	Dijkstra      KernelCounters
 	// Repair counts the dynsssp batch-repair kernel: the decrease-only wave
-	// that derives a t2 distance vector from the t1 vector plus the snapshot
-	// edge delta. Nodes/Edges here are traversal the incremental paired
-	// sweep performed instead of a full second BFS.
+	// that brings a distance vector up to date over inserted edges (the
+	// streaming monitor's landmark trackers, DynamicBFS). Nodes/Edges here
+	// are traversal the repair performed instead of a full BFS.
 	Repair KernelCounters
 	// PrunedBFS counts the Δ-threshold bounded second-snapshot traversals of
 	// pruned extraction: Nodes/Edges are work actually done before the cut.
@@ -269,14 +269,6 @@ func RecordRepair(nodes, edges, frontierPeak int64, start time.Time) {
 	c.edges.Add(edges)
 	peakMax(&c.frontierPeak, frontierPeak)
 	observeSweep(kRepair, start, 1, nodes, edges)
-}
-
-// RecordRepairCut notes one bounded repair wave (dynsssp.ApplyAllBounded)
-// stopped early by the Δ-threshold; restoredSeeds pending relaxations were
-// rolled back, a lower bound on the node visits the cut avoided.
-func RecordRepairCut(restoredSeeds int64) {
-	prunedWork.cutoffs.Add(1)
-	prunedWork.nodes.Add(restoredSeeds)
 }
 
 // RecordPrunedBFS flushes one bounded second-snapshot BFS into the

@@ -115,10 +115,6 @@ type Options struct {
 	MinDelta int32
 	Seed     int64
 	Workers  int
-	// PairedMode mirrors core.Options.PairedMode. The incremental engine is
-	// BFS-only, so PairedIncremental silently runs full here;
-	// the knob exists so CLI plumbing stays metric-agnostic.
-	PairedMode dist.PairedMode
 	// Trace, when non-nil, records the run's phases and budget charges
 	// exactly like the unweighted pipeline (same span names, same phases).
 	Trace *obs.Trace
@@ -150,15 +146,14 @@ func TopK(sp SnapshotPair, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("weighted: %w", err)
 	}
 	res, err := core.TopKSources(sp.Sources(), core.Options{
-		Selector:   sel,
-		M:          opts.M,
-		L:          opts.L,
-		K:          opts.K,
-		MinDelta:   opts.MinDelta,
-		Seed:       opts.Seed,
-		Workers:    opts.Workers,
-		PairedMode: opts.PairedMode,
-		Trace:      opts.Trace,
+		Selector: sel,
+		M:        opts.M,
+		L:        opts.L,
+		K:        opts.K,
+		MinDelta: opts.MinDelta,
+		Seed:     opts.Seed,
+		Workers:  opts.Workers,
+		Trace:    opts.Trace,
 	})
 	if err != nil {
 		return nil, err
