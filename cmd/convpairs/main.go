@@ -22,7 +22,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"strings"
 
 	convergence "repro"
 	"repro/internal/candidates"
@@ -50,17 +49,10 @@ func main() {
 	dotOut := flag.String("dot", "", "write a GraphViz DOT rendering of G_t2 with the found pairs highlighted")
 	jsonOut := flag.String("json", "", "write the run result as a JSON report")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "across-source BFS parallelism (concurrent traversals)")
-	engine := flag.String("engine", "auto", "BFS kernel: "+strings.Join(sssp.EngineNames(), "|"))
 	pruneOn := flag.Bool("prune", true, "Δ-threshold pruned extraction for -k runs (bit-identical output, less traversal); -prune=false forces full traversals")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON of the run's phases (load at chrome://tracing or ui.perfetto.dev)")
 	ocli := obs.BindCLIFlags(flag.CommandLine)
 	flag.Parse()
-
-	eng, err := sssp.ParseEngine(*engine)
-	if err != nil {
-		fatal(err)
-	}
-	sssp.SetDefaultEngine(eng)
 
 	if err := ocli.Start(); err != nil {
 		fatal(err)
@@ -150,7 +142,7 @@ func main() {
 	// query. A convserve daemon runs the same Session code over the same
 	// snapshots, which is what makes served results bit-identical to this
 	// one-shot run.
-	sess, err := convergence.NewSession(pair, convergence.SessionConfig{Engine: eng})
+	sess, err := convergence.NewSession(pair)
 	if err != nil {
 		fatal(err)
 	}

@@ -35,7 +35,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/serve"
-	"repro/internal/sssp"
 )
 
 // tenantFlags collects repeatable -tenant name=limit declarations.
@@ -69,20 +68,14 @@ func main() {
 	maxSessions := flag.Int("maxsessions", 0, "cached per-window query sessions (0 = default)")
 	tenantLimit := flag.Int("tenantlimit", 0, "SSSP allowance for tenants auto-created by their first query (0 = unlimited)")
 	workers := flag.Int("workers", 0, "across-source BFS parallelism per query (0 = all cores)")
-	engine := flag.String("engine", "auto", "BFS kernel: "+strings.Join(sssp.EngineNames(), "|"))
 	var tenants tenantFlags
 	flag.Var(&tenants, "tenant", "declare a tenant as name=limit (repeatable; limit <= 0 = unlimited)")
 	ocli := obs.BindCLIFlags(flag.CommandLine)
 	flag.Parse()
 
-	eng, err := sssp.ParseEngine(*engine)
-	if err != nil {
-		fatal(err)
-	}
 	cfg := serve.Config{
 		Universe:    *universe,
 		Retain:      *retain,
-		Engine:      eng,
 		Workers:     *workers,
 		TenantLimit: *tenantLimit,
 		MaxSessions: *maxSessions,

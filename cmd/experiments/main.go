@@ -25,12 +25,10 @@ import (
 	convergence "repro"
 	"repro/internal/eval"
 	"repro/internal/obs"
-	"repro/internal/sssp"
 )
 
 func main() {
 	exp := flag.String("exp", "all", "experiment to run: table1..table6, fig1..fig3, or all")
-	engine := flag.String("engine", "auto", "BFS kernel for all shortest-path work: "+strings.Join(sssp.EngineNames(), "|")+" (ablation hook)")
 	scale := flag.Float64("scale", 0.25, "dataset size relative to the paper")
 	seed := flag.Int64("seed", 42, "seed for generation and randomized selectors")
 	m := flag.Int("m", 50, "endpoint budget for budgeted experiments")
@@ -42,11 +40,6 @@ func main() {
 	ocli := obs.BindCLIFlags(flag.CommandLine)
 	flag.Parse()
 
-	eng, err := sssp.ParseEngine(*engine)
-	if err != nil {
-		fatal(err)
-	}
-	sssp.SetDefaultEngine(eng)
 	if err := ocli.Start(); err != nil {
 		fatal(err)
 	}

@@ -18,11 +18,9 @@ import (
 
 type (
 	// Session is a reusable TopK pipeline over one snapshot pair: distance
-	// engines, scratch buffers, and selector caches persist across queries,
+	// sources, scratch buffers, and selector caches persist across queries,
 	// and each TopK call runs under a context.
 	Session = core.Session
-	// SessionConfig pins a Session's BFS kernel.
-	SessionConfig = core.SessionConfig
 
 	// Ingester accumulates a timestamped edge stream and seals it into
 	// immutable epochs.
@@ -50,10 +48,10 @@ type (
 
 // NewSession builds a reusable query session over a snapshot pair. A
 // Session's TopK is bit-identical to the package-level TopK at every
-// setting; it differs only in reuse (cached engines and scratch) and in
+// setting; it differs only in reuse (cached sources and scratch) and in
 // taking a context for cancellation.
-func NewSession(pair SnapshotPair, cfg SessionConfig) (*Session, error) {
-	return core.NewSession(pair, cfg)
+func NewSession(pair SnapshotPair) (*Session, error) {
+	return core.NewSession(pair)
 }
 
 // NewIngester starts an empty edge ingester whose sealed epochs land in its

@@ -41,22 +41,22 @@ var budgetExemptPkgs = map[string]bool{
 
 // budgetEntryPoint reports whether a function named name exported by the
 // sssp package costs budget. The sets mirror the paper's accounting: every
-// BFS/Dijkstra variant is one SSSP per source, the multi-source drivers and
-// DistanceMatrix are one per source in the batch.
+// BFS/Dijkstra variant is one SSSP per source, and the multi-source drivers
+// are one per source in the batch.
 func budgetEntryPoint(name string) bool {
 	for _, prefix := range []string{
 		"BFS",            // BFS, BFSWith
 		"MultiSourceBFS", // MultiSourceBFS, MultiSourceBFSWith
 		"Dijkstra",
-		"AllSources",    // AllSourcesFunc, AllSourcesEngineFunc
-		"PairedSources", // PairedSourcesFunc, PairedSourcesEngineFunc
+		"AllSources",    // AllSourcesFunc
+		"PairedSources", // PairedSourcesFunc
 	} {
 		if strings.HasPrefix(name, prefix) {
 			return true
 		}
 	}
 	switch name {
-	case "DistanceMatrix", "Distances", "WeightedDistances",
+	case "Distances", "WeightedDistances",
 		// The Δ-threshold bounded second traversal: cut short for machine
 		// work, but it still produces the charged row.
 		"PrunedSecondBFS":
@@ -69,12 +69,11 @@ func budgetEntryPoint(name string) bool {
 // name costs budget: one unit per DistancesInto call (Source or Session),
 // one per row for the PairedSession calls (bounded or not: the Δ-threshold
 // cuts traversal, not charges), one per source for the batched sweeps and
-// DistanceMatrix. The Ctx variants are the serving-path spellings of the
-// same spending — cancellation changes machine work, never cost.
+// DistanceMatrix.
 func distEntryPoint(name string) bool {
 	switch name {
 	case "DistancesInto", "DistanceMatrix", "Sweep", "PairedSweep",
-		"DistancesPairInto", "DeriveInto", "SweepCtx", "PairedSweepCtx":
+		"DistancesPairInto", "DeriveInto":
 		return true
 	}
 	return false

@@ -8,8 +8,8 @@ import (
 )
 
 // Determinism is the mechanical half of the bit-identical-results contract:
-// the same graph, budget, and seed must produce the same top-k pairs under
-// every engine × workers setting. Three defect classes are flagged in
+// the same graph, budget, and seed must produce the same top-k pairs at
+// every workers setting. Three defect classes are flagged in
 // library packages (package main — CLI glue, progress printing — is exempt):
 //
 //   - Map-order leaks: ranging over a map while appending to an outer slice,

@@ -20,7 +20,7 @@ func unmetered(g *graph.Graph, dist []int32) {
 }
 
 func unmeteredMatrix(g *graph.Graph) [][]int32 {
-	return sssp.DistanceMatrix(g, []int{0}, 1) // want `call to sssp.DistanceMatrix without`
+	return dist.DistanceMatrix(dist.NewBFS(g), []int{0}, 1) // want `call to dist.DistanceMatrix without`
 }
 
 func metered(g *graph.Graph, m *budget.Meter, dist []int32) error {
@@ -45,7 +45,7 @@ func closureMetered(g *graph.Graph, m *budget.Meter, dist []int32) error {
 		return err
 	}
 	run := func() {
-		sssp.BFSWith(g, 0, dist, sssp.Auto, nil)
+		sssp.BFSWith(g, 0, dist, nil)
 		sssp.MultiSourceBFS(g, []int{0}, dist)
 	}
 	run()
@@ -145,26 +145,6 @@ func meteredPairedSession(p dist.Pair, m *budget.Meter, d1, d2 []int32) error {
 	ps := dist.NewPairedEngine(p, dist.PairedFull).NewSession()
 	ps.DistancesPairInto(0, d1, d2, nil)
 	return nil
-}
-
-// The serving path's ctx-variant drivers cost budget exactly like the
-// spellings they generalize: cancellation changes machine work, never cost.
-
-func unmeteredCtxSweep(ctx context.Context, s dist.Source) {
-	_ = dist.SweepCtx(ctx, s, []int{0}, 1, func(src int, d []int32) {}) // want `call to dist.SweepCtx without`
-}
-
-func unmeteredCtxPaired(ctx context.Context, p dist.Pair) {
-	_ = dist.PairedSweepCtx(ctx, p, []int{0}, 1, func(src int, d1, d2 []int32) {}) // want `call to dist.PairedSweepCtx without`
-}
-
-// meteredCtxSweep is the serving idiom: charge the caller's own meter per
-// source, then sweep under the request's context.
-func meteredCtxSweep(ctx context.Context, src dist.Source, m *budget.Meter) error {
-	if err := m.Charge(budget.PhaseTopK, 1); err != nil {
-		return err
-	}
-	return dist.SweepCtx(ctx, src, []int{0}, 1, func(s int, d []int32) {})
 }
 
 // The Δ-threshold bounded calls cost exactly what the full ones do: the

@@ -51,7 +51,7 @@ func hotRepair(s *repairScratch, dist []int32, u, v int32) []int64 {
 		dist[v] = du + 1
 		s.seeds = append(s.seeds, int64(du+1)<<32|int64(v)) // self-append on a field
 	}
-	s.cur = append(s.cur, v) // self-append on a sibling field
+	s.cur = append(s.cur, v)  // self-append on a sibling field
 	out := append(s.seeds, 9) // want `append result assigned to a different slice`
 	return out
 }

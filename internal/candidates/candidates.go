@@ -26,7 +26,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/landmark"
-	"repro/internal/sssp"
 )
 
 // DefaultLandmarks is the paper's landmark-set size (Section 5.1 fixes
@@ -56,9 +55,7 @@ type Context struct {
 	Workers int
 	// Ctx, when non-nil, carries the query's cancellation signal. No
 	// selector reads it today: core checks it between phases and between
-	// extraction candidates. A selector that sweeps many sources may pass it
-	// to dist.SweepCtx to stop an abandoned query sooner; that sharpens
-	// promptness, never correctness.
+	// extraction candidates.
 	Ctx context.Context
 
 	// D1Rows and D2Rows cache distance rows on G_t1 / G_t2 keyed by source
@@ -129,8 +126,8 @@ func (ctx *Context) Validate() error {
 		if err := ctx.Pair.Validate(); err != nil {
 			return err
 		}
-		ctx.S1 = dist.NewBFS(ctx.Pair.G1, sssp.Auto)
-		ctx.S2 = dist.NewBFS(ctx.Pair.G2, sssp.Auto)
+		ctx.S1 = dist.NewBFS(ctx.Pair.G1)
+		ctx.S2 = dist.NewBFS(ctx.Pair.G2)
 	}
 	if n1, n2 := ctx.S1.NumNodes(), ctx.S2.NumNodes(); n1 != n2 {
 		return fmt.Errorf("candidates: node universes differ: %d vs %d", n1, n2)

@@ -6,7 +6,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/landmark"
-	"repro/internal/sssp"
 )
 
 // Feature layout for the classification-based selectors (Section 5.3): the
@@ -127,7 +126,7 @@ func BuildFeatures(ctx *Context, global bool) ([][]float64, error) {
 // snapshot pair: density of both snapshots and maximum degree normalized by
 // node count.
 func GlobalFeatures(pair graph.SnapshotPair) []float64 {
-	return GlobalFeaturesSources(dist.BFSPair(pair, sssp.Auto))
+	return GlobalFeaturesSources(dist.BFSPair(pair))
 }
 
 // GlobalFeaturesSources is GlobalFeatures over any distance-source pair;

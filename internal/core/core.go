@@ -7,7 +7,7 @@
 // run's total cost is provably at most 2m SSSPs.
 //
 // The algorithm is metric-agnostic: it runs over any dist.Pair of distance
-// sources. TopK wires up BFS engines for unweighted snapshots; TopKSources
+// sources. TopK wires up BFS sources for unweighted snapshots; TopKSources
 // accepts arbitrary sources (Dijkstra over weighted snapshots, or anything
 // else satisfying dist.Source), so the unweighted and weighted pipelines
 // share one implementation of selection, extraction, and ranking.
@@ -25,7 +25,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/sssp"
 	"repro/internal/topk"
 )
 
@@ -50,11 +49,6 @@ type Options struct {
 	RNG *rand.Rand
 	// Workers bounds SSSP parallelism; <=0 means GOMAXPROCS.
 	Workers int
-	// Engine selects the BFS kernel (ablations pin one); the zero value
-	// Auto picks the fastest. Only the one-shot TopK reads it, to build its
-	// session: Session.TopK and TopKSources run the kernel their sources
-	// carry.
-	Engine sssp.Engine
 	// Deprecated: PairedMode is ignored. Every query computes its G_t2 rows
 	// with the one paired kernel (see dist.PairedSession).
 	PairedMode dist.PairedMode
@@ -156,11 +150,11 @@ func (opts Options) Validate() error {
 }
 
 // TopK runs Algorithm 1 on the unweighted snapshot pair with BFS distance
-// engines. It is the one-shot form: a throwaway Session per call. Long-lived
+// sources. It is the one-shot form: a throwaway Session per call. Long-lived
 // callers (services, monitors) build a Session once and query it repeatedly;
 // both paths produce bit-identical results by construction.
 func TopK(pair graph.SnapshotPair, opts Options) (*Result, error) {
-	s, err := NewSession(pair, SessionConfig{Engine: opts.Engine})
+	s, err := NewSession(pair)
 	if err != nil {
 		return nil, err
 	}

@@ -57,10 +57,9 @@ func requireSameResult(t *testing.T, label string, full, pruned *Result) {
 	}
 }
 
-// TestPrunedEquivalentFuzz is the pruning differential: across engines,
-// selectors (landmark-using and not),
-// connected and disconnected random graphs, the pruned extraction must be
-// bit-identical to the full one. Small k on dense-delta graphs makes ties at
+// TestPrunedEquivalentFuzz is the pruning differential: across selectors
+// (landmark-using and not) and connected and disconnected random graphs,
+// the pruned extraction must be bit-identical to the full one. Small k on dense-delta graphs makes ties at
 // the kth boundary routine, so the strict-inequality cut discipline (ties at
 // the threshold are kept) is exercised throughout.
 func TestPrunedEquivalentFuzz(t *testing.T) {
@@ -72,38 +71,29 @@ func TestPrunedEquivalentFuzz(t *testing.T) {
 		{"growing2", growingPair(t, 200, 23)},
 		{"disconnected", disconnectedPair(t, 160, 3, 5)},
 	}
-	for _, engName := range sssp.EngineNames() {
-		eng, err := sssp.ParseEngine(engName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, g := range pairs {
-			for _, selName := range []string{"MMSD", "SumDiff", "Random"} {
-				sel, err := candidates.ByName(selName)
+	for _, g := range pairs {
+		for _, selName := range []string{"MMSD", "SumDiff", "Random"} {
+			sel, err := candidates.ByName(selName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []int{3, 10} {
+				label := g.name + "/" + selName
+				opts := Options{Selector: sel, M: 25, L: 5, K: k, Seed: 7, Workers: 3}
+				opts.Prune = PruneOff
+				full, err := TopK(g.sp, opts)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%s full: %v", label, err)
 				}
-				for _, k := range []int{3, 10} {
-					label := g.name + "/" + engName + "/" + selName
-					opts := Options{
-						Selector: sel, M: 25, L: 5, K: k, Seed: 7,
-						Workers: 3, Engine: eng,
-					}
-					opts.Prune = PruneOff
-					full, err := TopK(g.sp, opts)
-					if err != nil {
-						t.Fatalf("%s full: %v", label, err)
-					}
-					opts.Prune = PruneAuto
-					pruned, err := TopK(g.sp, opts)
-					if err != nil {
-						t.Fatalf("%s pruned: %v", label, err)
-					}
-					if !pruned.Pruned.Enabled {
-						t.Fatalf("%s: PruneAuto did not prune a top-k query", label)
-					}
-					requireSameResult(t, label, full, pruned)
+				opts.Prune = PruneAuto
+				pruned, err := TopK(g.sp, opts)
+				if err != nil {
+					t.Fatalf("%s pruned: %v", label, err)
 				}
+				if !pruned.Pruned.Enabled {
+					t.Fatalf("%s: PruneAuto did not prune a top-k query", label)
+				}
+				requireSameResult(t, label, full, pruned)
 			}
 		}
 	}
@@ -188,7 +178,7 @@ func metricValue(t *testing.T, name string) int64 {
 // run.
 func TestWarmCacheIdentical(t *testing.T) {
 	sp := growingPair(t, 200, 17)
-	sess, err := NewSession(sp, SessionConfig{})
+	sess, err := NewSession(sp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ import (
 )
 
 // Session is the reusable form of Algorithm 1 over one snapshot pair:
-// distance engines, the paired engine, and per-worker extraction scratch are
+// distance sources, the paired engine, and per-worker extraction scratch are
 // prepared once and shared across queries, so a service answering many
 // queries over the same epoch window pays setup cost once instead of per
 // call. Results are bit-identical to the one-shot
@@ -35,7 +35,7 @@ import (
 type Session struct {
 	src  dist.Pair
 	pair graph.SnapshotPair // structural view; zero for metric-only sources
-	// kernel names the traversal kernel the sources run (the BFS engine, or
+	// kernel names the traversal kernel family the sources run (bfs or
 	// dijkstra) for the flight record's fingerprint.
 	kernel string
 	// paired is built once in newSession; extraction workers of any query
@@ -44,12 +44,11 @@ type Session struct {
 	pool   sync.Pool // *workerState
 }
 
-// SessionConfig fixes the machine-level knobs a session's engines are built
-// with. Per-query knobs (selector, budget, ranking) stay in Options.
-type SessionConfig struct {
-	// Engine selects the BFS kernel (Auto picks the fastest per call).
-	Engine sssp.Engine
-}
+// SessionConfig remains only for callers written against the deleted
+// kernel-selection knob; NewSession ignores it.
+//
+// Deprecated: a session has no machine-level knobs left to configure.
+type SessionConfig struct{}
 
 // workerState is one extraction worker's scratch: the distance-row buffers
 // and the engine-bound paired session (which owns traversal scratch).
@@ -62,12 +61,12 @@ type workerState struct {
 }
 
 // NewSession prepares a reusable session over an unweighted snapshot pair
-// with BFS distance engines.
-func NewSession(pair graph.SnapshotPair, cfg SessionConfig) (*Session, error) {
+// with BFS distance sources. The SessionConfig arguments are ignored.
+func NewSession(pair graph.SnapshotPair, _ ...SessionConfig) (*Session, error) {
 	if err := pair.Validate(); err != nil {
 		return nil, err
 	}
-	return newSession(dist.BFSPair(pair, cfg.Engine), pair), nil
+	return newSession(dist.BFSPair(pair), pair), nil
 }
 
 // NewSessionSources prepares a session over arbitrary distance sources: the
@@ -90,9 +89,9 @@ func NewSessionSources(src dist.Pair) (*Session, error) {
 
 func newSession(src dist.Pair, pair graph.SnapshotPair) *Session {
 	kernel := fmt.Sprintf("%T", src.S1)
-	switch s1 := src.S1.(type) {
+	switch src.S1.(type) {
 	case *dist.BFS:
-		kernel = s1.Engine().String()
+		kernel = "bfs"
 	case *dist.Dijkstra:
 		kernel = "dijkstra"
 	}

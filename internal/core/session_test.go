@@ -28,7 +28,7 @@ func resultsEqual(a, b *Result) bool {
 // return.
 func TestSessionMatchesOneShot(t *testing.T) {
 	sp := growingPair(t, 120, 3)
-	sess, err := NewSession(sp, SessionConfig{})
+	sess, err := NewSession(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestSessionMatchesOneShot(t *testing.T) {
 			t.Fatalf("%s one-shot: %v", sel.Name(), err)
 		}
 		// Two session queries back to back: the second exercises reused
-		// engines and pooled scratch.
+		// sources and pooled scratch.
 		for rep := 0; rep < 2; rep++ {
 			got, err := sess.TopK(context.Background(), opts)
 			if err != nil {
@@ -59,7 +59,7 @@ func TestSessionMatchesOneShot(t *testing.T) {
 // the serve layer's exact usage pattern.
 func TestSessionConcurrentQueries(t *testing.T) {
 	sp := growingPair(t, 100, 7)
-	sess, err := NewSession(sp, SessionConfig{})
+	sess, err := NewSession(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestSessionConcurrentQueries(t *testing.T) {
 // before spending budget, and the session stays fully usable afterwards.
 func TestSessionCancellation(t *testing.T) {
 	sp := growingPair(t, 80, 9)
-	sess, err := NewSession(sp, SessionConfig{})
+	sess, err := NewSession(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestSessionCancellation(t *testing.T) {
 // per epoch window, returns bit-identical results to the one-shot run.
 func TestSessionSourcesMatchesOneShot(t *testing.T) {
 	sp := growingPair(t, 100, 11)
-	sess, err := NewSessionSources(dist.BFSPair(sp, 0))
+	sess, err := NewSessionSources(dist.BFSPair(sp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,14 +147,14 @@ func TestSessionSourcesMatchesOneShot(t *testing.T) {
 // TestSessionValidation pins constructor and per-query validation errors.
 func TestSessionValidation(t *testing.T) {
 	bad := graph.SnapshotPair{G1: graph.FromEdges(2, []graph.Edge{{U: 0, V: 1}}), G2: graph.FromEdges(2, nil)}
-	if _, err := NewSession(bad, SessionConfig{}); err == nil {
+	if _, err := NewSession(bad); err == nil {
 		t.Fatal("invalid pair accepted")
 	}
 	if _, err := NewSessionSources(dist.Pair{}); err == nil {
 		t.Fatal("nil sources accepted")
 	}
 	sp := growingPair(t, 30, 15)
-	sess, err := NewSession(sp, SessionConfig{})
+	sess, err := NewSession(sp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/sssp"
 )
 
 // TestPhaseHistogramsMatchSpanCounts ties the two latency views together:
@@ -146,13 +145,12 @@ func TestFlightRecordsFailedRun(t *testing.T) {
 	}
 }
 
-// TestFlightRecordNamesSessionKernel: the fingerprint names the kernel the
-// session's sources ran, not Options.Engine, which only the one-shot TopK
-// reads. A TopDown session queried with a zero Options.Engine must record
-// engine=topdown, and a Dijkstra session engine=dijkstra.
+// TestFlightRecordNamesSessionKernel: the fingerprint names the kernel
+// family the session's sources run: engine=bfs for a BFS session and
+// engine=dijkstra for a Dijkstra one.
 func TestFlightRecordNamesSessionKernel(t *testing.T) {
 	sp := growingPair(t, 80, 21)
-	bfs, err := NewSession(sp, SessionConfig{Engine: sssp.TopDown})
+	bfs, err := NewSession(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +158,7 @@ func TestFlightRecordNamesSessionKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for want, sess := range map[string]*Session{"engine=topdown": bfs, "engine=dijkstra": weighted} {
+	for want, sess := range map[string]*Session{"engine=bfs": bfs, "engine=dijkstra": weighted} {
 		opts := Options{Selector: candidates.Degree(), M: 5, K: 3, Meter: budget.NewMeter(5)}
 		if _, err := sess.TopK(context.Background(), opts); err != nil {
 			t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/graph"
-	"repro/internal/sssp"
 )
 
 // benchEvolving builds the synthetic DBLP stream scaled to n=50000, the
@@ -36,7 +35,7 @@ func BenchmarkPairedSweep(b *testing.B) {
 		if err != nil {
 			b.Fatalf("pair: %v", err)
 		}
-		p := BFSPair(sp, sssp.Auto)
+		p := BFSPair(sp)
 		pct := int(frac * 100)
 
 		// Sources are spread over the nodes that exist at t1, matching the

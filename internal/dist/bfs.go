@@ -6,24 +6,20 @@ import (
 )
 
 // BFS is the unweighted distance source: hop distances on a graph.Graph via
-// the sssp BFS kernels. The zero engine (sssp.Auto) picks the fastest kernel
-// per call; ablations pin one.
+// the sssp BFS kernels.
 type BFS struct {
-	g      *graph.Graph
-	engine sssp.Engine
+	g *graph.Graph
 }
 
-// NewBFS wraps g as a distance source computing distances with the given
-// BFS kernel (sssp.Auto for automatic selection).
-func NewBFS(g *graph.Graph, engine sssp.Engine) *BFS {
-	return &BFS{g: g, engine: engine}
+// NewBFS wraps g as a BFS distance source.
+func NewBFS(g *graph.Graph) *BFS {
+	return &BFS{g: g}
 }
 
-// NewBFSPar is NewBFS for callers written against the former
-// intra-traversal parallelism knob. par is ignored: every traversal is
-// serial, and sweeps parallelize across sources instead.
-func NewBFSPar(g *graph.Graph, engine sssp.Engine, par int) *BFS {
-	return NewBFS(g, engine)
+// NewBFSPar is NewBFS for callers written against the deleted engine and
+// intra-traversal parallelism knobs; both arguments are ignored.
+func NewBFSPar(g *graph.Graph, _ sssp.Engine, _ int) *BFS {
+	return NewBFS(g)
 }
 
 // BatcherOptions and NewBatcher remain only for callers written against the
@@ -33,10 +29,12 @@ type BatcherOptions struct{}
 // NewBatcher returns src unchanged; see BatcherOptions.
 func NewBatcher(src Source, _ BatcherOptions) Source { return src }
 
-// BFSPair wraps an unweighted snapshot pair as a dist.Pair sharing one
-// engine choice. The caller validates the pair (supergraph invariant).
-func BFSPair(pair graph.SnapshotPair, engine sssp.Engine) Pair {
-	return Pair{S1: NewBFS(pair.G1, engine), S2: NewBFS(pair.G2, engine)}
+// BFSPair wraps an unweighted snapshot pair as a dist.Pair. The caller
+// validates the pair (supergraph invariant). The engine arguments are
+// ignored; they remain only for callers written against the deleted
+// kernel-selection knob.
+func BFSPair(pair graph.SnapshotPair, _ ...sssp.Engine) Pair {
+	return Pair{S1: NewBFS(pair.G1), S2: NewBFS(pair.G2)}
 }
 
 // NumNodes returns the node-universe size.
@@ -55,12 +53,9 @@ func (s *BFS) NeighborIDs(u int) []int32 { return s.g.Neighbors(u) }
 // (betweenness, embeddings, DOT export) that need more than distances.
 func (s *BFS) Graph() *graph.Graph { return s.g }
 
-// Engine returns the configured BFS kernel.
-func (s *BFS) Engine() sssp.Engine { return s.engine }
-
 // DistancesInto runs one BFS from src, borrowing pooled scratch.
 func (s *BFS) DistancesInto(src int, dst []int32) {
-	sssp.BFSWith(s.g, src, dst, s.engine, nil)
+	sssp.BFSWith(s.g, src, dst, nil)
 }
 
 // NewSession returns a handle owning a private sssp.Scratch.
@@ -75,7 +70,7 @@ type bfsSession struct {
 }
 
 func (s *bfsSession) DistancesInto(src int, dst []int32) {
-	sssp.BFSWith(s.src.g, src, dst, s.src.engine, s.scratch)
+	sssp.BFSWith(s.src.g, src, dst, s.scratch)
 }
 
 // UnweightedGraph returns the *graph.Graph under a BFS-backed Source.

@@ -10,7 +10,7 @@
 // DistancesInto call (callers charge their budget.Meter before invoking, a
 // discipline convlint's budgetcheck enforces mechanically). Batched helpers
 // (Sweep, PairedSweep, DistanceMatrix) route BFS sources to sssp's
-// multi-source kernels, and run everything else on per-worker Sessions so
+// multi-source drivers, and run everything else on per-worker Sessions so
 // scratch state is reused across calls rather than reallocated per source.
 //
 // The package declares two interfaces, Source and its per-worker Session.
@@ -71,25 +71,15 @@ type Session interface {
 
 // Sweep computes the distances from every source in sources, invoking
 // fn(src, dst) once per source from at most workers goroutines; dst is only
-// valid during the call. BFS sources run sssp's batched multi-source
-// kernels; others get a session-per-worker pool. The sweep costs
-// len(sources) budget units.
+// valid during the call. BFS sources run sssp's multi-source driver; others
+// get a session-per-worker pool. The sweep costs len(sources) budget units.
 func Sweep(s Source, sources []int, workers int, fn func(src int, dst []int32)) {
-	_ = SweepCtx(context.Background(), s, sources, workers, fn)
-}
-
-// SweepCtx is Sweep under a context: once ctx is done, no further source
-// starts traversing and the driver returns ctx's error, so an abandoned
-// request stops burning traversal work. Sources whose sweep already began
-// deliver their rows whole (fn is never interrupted mid-row), cancellation
-// never changes a delivered row, and all pooled scratch stays reusable for
-// the next sweep.
-func SweepCtx(ctx context.Context, s Source, sources []int, workers int, fn func(src int, dst []int32)) error {
 	if b, ok := s.(*BFS); ok {
-		return sssp.AllSourcesEngineCtxFunc(ctx, b.g, sources, workers, b.engine, fn)
+		sssp.AllSourcesFunc(b.g, sources, workers, fn)
+		return
 	}
 	n := s.NumNodes()
-	return sessionPool(ctx, sources, workers, func() func(src int) {
+	sessionPool(sources, workers, func() func(src int) {
 		sess := s.NewSession()
 		dst := make([]int32, n)
 		return func(src int) {
@@ -101,8 +91,8 @@ func SweepCtx(ctx context.Context, s Source, sources []int, workers int, fn func
 
 // sessionPool feeds sources to at most workers goroutines. Each worker
 // builds its own visit function (sessions and row buffers) once, then calls
-// it per source; once ctx is done the remaining sources drain untraversed.
-func sessionPool(ctx context.Context, sources []int, workers int, newVisit func() func(src int)) error {
+// it per source.
+func sessionPool(sources []int, workers int, newVisit func() func(src int)) {
 	workers = sssp.ClampWorkers(workers, len(sources))
 	var wg sync.WaitGroup
 	next := make(chan int, workers)
@@ -113,9 +103,6 @@ func sessionPool(ctx context.Context, sources []int, workers int, newVisit func(
 				defer wg.Done()
 				visit := newVisit()
 				for i := range next {
-					if ctx.Err() != nil {
-						continue // drain without traversing
-					}
 					visit(sources[i])
 				}
 			})
@@ -125,7 +112,6 @@ func sessionPool(ctx context.Context, sources []int, workers int, newVisit func(
 	}
 	close(next)
 	wg.Wait()
-	return ctx.Err()
 }
 
 // DistanceMatrix computes the full rows-by-n distance matrix from the given
@@ -183,24 +169,17 @@ func (p Pair) NumNodes() int { return p.S1.NumNodes() }
 
 // PairedSweep computes, for every source, its distance rows on both
 // snapshots and invokes fn(src, d1, d2); the buffers are only valid during
-// the call. BFS pairs on one engine route to sssp's paired multi-source
-// kernels; anything else runs the session pool. Costs 2·len(sources) budget
-// units.
+// the call. BFS pairs route to sssp's paired multi-source driver; anything
+// else runs the session pool. Costs 2·len(sources) budget units.
 func PairedSweep(p Pair, sources []int, workers int, fn func(src int, d1, d2 []int32)) {
-	_ = PairedSweepCtx(context.Background(), p, sources, workers, fn)
-}
-
-// PairedSweepCtx is PairedSweep under a context, with the same cancellation
-// contract as SweepCtx: no new source starts after ctx is done, in-flight row
-// pairs are delivered whole, scratch stays reusable.
-func PairedSweepCtx(ctx context.Context, p Pair, sources []int, workers int, fn func(src int, d1, d2 []int32)) error {
 	b1, ok1 := p.S1.(*BFS)
 	b2, ok2 := p.S2.(*BFS)
-	if ok1 && ok2 && b1.engine == b2.engine {
-		return sssp.PairedSourcesEngineCtxFunc(ctx, b1.g, b2.g, sources, workers, b1.engine, fn)
+	if ok1 && ok2 {
+		sssp.PairedSourcesFunc(b1.g, b2.g, sources, workers, fn)
+		return
 	}
 	n := p.NumNodes()
-	return sessionPool(ctx, sources, workers, func() func(src int) {
+	sessionPool(sources, workers, func() func(src int) {
 		s1, s2 := p.S1.NewSession(), p.S2.NewSession()
 		d1, d2 := make([]int32, n), make([]int32, n)
 		return func(src int) {

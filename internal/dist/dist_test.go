@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/sssp"
 )
 
 // randomGraph builds a connected-ish random graph over n nodes.
@@ -33,7 +32,7 @@ func randomGraph(t testing.TB, n int, seed int64) *graph.Graph {
 func TestBFSMatchesUnitWeightDijkstra(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		g := randomGraph(t, 60, seed)
-		b := NewBFS(g, sssp.Auto)
+		b := NewBFS(g)
 		d := NewDijkstra(graph.FromUnweighted(g))
 		if b.NumNodes() != d.NumNodes() || b.NumEdges() != d.NumEdges() {
 			t.Fatalf("seed %d: structural views differ", seed)
@@ -59,7 +58,7 @@ func TestBFSMatchesUnitWeightDijkstra(t *testing.T) {
 // the same rows as one-shot queries, for both engines.
 func TestSessionsMatchDirectQueries(t *testing.T) {
 	g := randomGraph(t, 50, 7)
-	for _, src := range []Source{NewBFS(g, sssp.Auto), NewDijkstra(graph.FromUnweighted(g))} {
+	for _, src := range []Source{NewBFS(g), NewDijkstra(graph.FromUnweighted(g))} {
 		sess := src.NewSession()
 		n := src.NumNodes()
 		direct := make([]int32, n)
@@ -75,21 +74,50 @@ func TestSessionsMatchDirectQueries(t *testing.T) {
 }
 
 // TestSweepAndMatrix checks the batched helpers against direct queries,
-// including duplicate-source aliasing in DistanceMatrix.
+// including duplicate-source aliasing in DistanceMatrix. The BFS source
+// also sweeps a list of more than the batch threshold's 8 sources with
+// duplicates, so both of its kernels (per source and 64-lane batch) stand
+// behind DistanceMatrix.
 func TestSweepAndMatrix(t *testing.T) {
-	g := randomGraph(t, 40, 3)
-	for _, src := range []Source{NewBFS(g, sssp.Auto), NewDijkstra(graph.FromUnweighted(g))} {
-		n := src.NumNodes()
-		sources := []int{0, 5, 9, 5} // includes a duplicate
-		rows := DistanceMatrix(src, sources, 2)
-		if len(rows) != len(sources) {
-			t.Fatalf("%T: %d rows, want %d", src, len(rows), len(sources))
+	path := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
+	for _, src := range []Source{NewBFS(path), NewDijkstra(graph.FromUnweighted(path))} {
+		rows := DistanceMatrix(src, []int{0, 3, 0}, 2)
+		if len(rows) != 3 {
+			t.Fatalf("%T: %d rows, want 3", src, len(rows))
 		}
-		want := make([]int32, n)
-		for i, u := range sources {
-			src.DistancesInto(u, want)
-			if !reflect.DeepEqual(rows[i], want) {
-				t.Fatalf("%T: matrix row %d (source %d) differs", src, i, u)
+		if !reflect.DeepEqual(rows[0], []int32{0, 1, 2, 3}) || !reflect.DeepEqual(rows[1], []int32{3, 2, 1, 0}) {
+			t.Fatalf("%T: path rows = %v", src, rows)
+		}
+		if &rows[2][0] != &rows[0][0] {
+			t.Fatalf("%T: duplicate source row does not alias its first occurrence", src)
+		}
+	}
+	g := randomGraph(t, 40, 3)
+	bfsOnly := []int{0, 5, 9, 5, 12, 17, 23, 29, 31, 0, 38, 39} // 12 sources, 2 repeats
+	for _, src := range []Source{NewBFS(g), NewDijkstra(graph.FromUnweighted(g))} {
+		lists := [][]int{{0, 5, 9, 5}} // includes a duplicate
+		if _, ok := src.(*BFS); ok {
+			lists = append(lists, bfsOnly)
+		}
+		n := src.NumNodes()
+		for _, sources := range lists {
+			rows := DistanceMatrix(src, sources, 2)
+			if len(rows) != len(sources) {
+				t.Fatalf("%T: %d rows, want %d", src, len(rows), len(sources))
+			}
+			first := map[int]int{}
+			want := make([]int32, n)
+			for i, u := range sources {
+				src.DistancesInto(u, want)
+				if !reflect.DeepEqual(rows[i], want) {
+					t.Fatalf("%T: %d sources: matrix row %d (source %d) differs", src, len(sources), i, u)
+				}
+				if j, ok := first[u]; ok && &rows[i][0] != &rows[j][0] {
+					t.Fatalf("%T: %d sources: row %d does not alias row %d of source %d", src, len(sources), i, j, u)
+				}
+				if _, ok := first[u]; !ok {
+					first[u] = i
+				}
 			}
 		}
 		// Sweep visits every source exactly once. The callback runs on
@@ -108,8 +136,9 @@ func TestSweepAndMatrix(t *testing.T) {
 }
 
 // TestPairedSweepFastAndGenericAgree compares the BFS pair's kernel-backed
-// paired sweep against the generic session-pool fallback (forced by mixing
-// engines), and against a Dijkstra pair on unit weights.
+// paired sweep against the generic session-pool fallback (forced by a mixed
+// pair: a BFS source and a unit-weight Dijkstra source), and against a
+// Dijkstra pair on unit weights.
 func TestPairedSweepFastAndGenericAgree(t *testing.T) {
 	g1 := randomGraph(t, 45, 11)
 	// G2 = G1 plus a few edges (insertion-only evolution).
@@ -133,9 +162,9 @@ func TestPairedSweepFastAndGenericAgree(t *testing.T) {
 		})
 		return out
 	}
-	fast := collect(BFSPair(graph.SnapshotPair{G1: g1, G2: g2}, sssp.Auto))
-	// Different engines on each side force the generic fallback path.
-	generic := collect(Pair{S1: NewBFS(g1, sssp.TopDown), S2: NewBFS(g2, sssp.Auto)})
+	fast := collect(BFSPair(graph.SnapshotPair{G1: g1, G2: g2}))
+	// A mixed pair forces the generic fallback path.
+	generic := collect(Pair{S1: NewBFS(g1), S2: NewDijkstra(graph.FromUnweighted(g2))})
 	dijkstra := collect(DijkstraPair(graph.FromUnweighted(g1), graph.FromUnweighted(g2)))
 	if !reflect.DeepEqual(fast, generic) {
 		t.Fatal("paired kernel sweep and generic fallback disagree")
@@ -162,7 +191,7 @@ func evolvedPair(t testing.TB, n int, seed int64) (*graph.Graph, *graph.Graph) {
 }
 
 // TestPairedEngineSessions is the dist-level differential pin of the paired
-// engine, for every BFS kernel: DistancesPairInto fills both rows and
+// engine: DistancesPairInto fills both rows and
 // DeriveInto computes just the t2 row from a caller-supplied t1 row,
 // bit-identical to direct source queries when the bound is nil. With a
 // bound T the t2 row keeps every delta >= T exact, and any other node holds
@@ -176,40 +205,38 @@ func TestPairedEngineSessions(t *testing.T) {
 	d1 := make([]int32, n)
 	d2 := make([]int32, n)
 	cuts := 0
-	for _, eng := range []sssp.Engine{sssp.Auto, sssp.TopDown, sssp.DirectionOpt, sssp.BitParallel64} {
-		p := BFSPair(graph.SnapshotPair{G1: g1, G2: g2}, eng)
-		sess := NewPairedEngine(p, PairedFull).NewSession()
-		for u := 0; u < n; u += 5 {
-			p.S1.DistancesInto(u, want1)
-			p.S2.DistancesInto(u, want2)
-			if sess.DistancesPairInto(u, d1, d2, nil) {
-				t.Fatalf("engine %v: unbounded call reported a cut", eng)
+	p := BFSPair(graph.SnapshotPair{G1: g1, G2: g2})
+	sess := NewPairedEngine(p, PairedFull).NewSession()
+	for u := 0; u < n; u += 5 {
+		p.S1.DistancesInto(u, want1)
+		p.S2.DistancesInto(u, want2)
+		if sess.DistancesPairInto(u, d1, d2, nil) {
+			t.Fatal("unbounded call reported a cut")
+		}
+		if !reflect.DeepEqual(d1, want1) || !reflect.DeepEqual(d2, want2) {
+			t.Fatalf("DistancesPairInto(%d) diverges", u)
+		}
+		for i := range d2 {
+			d2[i] = -7 // poison; DeriveInto must fully overwrite
+		}
+		sess.DeriveInto(u, want1, d2, nil)
+		if !reflect.DeepEqual(d2, want2) {
+			t.Fatalf("DeriveInto(%d) diverges", u)
+		}
+		for _, th := range []int32{1, 2, 3} {
+			if sess.DistancesPairInto(u, d1, d2, func() int32 { return th }) {
+				cuts++
 			}
-			if !reflect.DeepEqual(d1, want1) || !reflect.DeepEqual(d2, want2) {
-				t.Fatalf("engine %v: DistancesPairInto(%d) diverges", eng, u)
+			if !reflect.DeepEqual(d1, want1) {
+				t.Fatalf("bounded call changed the t1 row of %d", u)
 			}
-			for i := range d2 {
-				d2[i] = -7 // poison; DeriveInto must fully overwrite
-			}
-			sess.DeriveInto(u, want1, d2, nil)
-			if !reflect.DeepEqual(d2, want2) {
-				t.Fatalf("engine %v: DeriveInto(%d) diverges", eng, u)
-			}
-			for _, th := range []int32{1, 2, 3} {
-				if sess.DistancesPairInto(u, d1, d2, func() int32 { return th }) {
-					cuts++
+			for v := range d2 {
+				if want1[v] <= 0 || d2[v] == want2[v] {
+					continue
 				}
-				if !reflect.DeepEqual(d1, want1) {
-					t.Fatalf("engine %v: bounded call changed the t1 row of %d", eng, u)
-				}
-				for v := range d2 {
-					if want1[v] <= 0 || d2[v] == want2[v] {
-						continue
-					}
-					if want1[v]-want2[v] >= th || d2[v] != want1[v] {
-						t.Fatalf("engine %v bound %d: d2[%d] from %d = %d, want %d (d1 %d)",
-							eng, th, v, u, d2[v], want2[v], want1[v])
-					}
+				if want1[v]-want2[v] >= th || d2[v] != want1[v] {
+					t.Fatalf("bound %d: d2[%d] from %d = %d, want %d (d1 %d)",
+						th, v, u, d2[v], want2[v], want1[v])
 				}
 			}
 		}
@@ -220,10 +247,9 @@ func TestPairedEngineSessions(t *testing.T) {
 	// A Dijkstra pair gives the BFS rows on unit weights.
 	dp := DijkstraPair(graph.FromUnweighted(g1), graph.FromUnweighted(g2))
 	ds := NewPairedEngine(dp, PairedFull).NewSession()
-	bp := BFSPair(graph.SnapshotPair{G1: g1, G2: g2}, sssp.Auto)
 	for u := 0; u < n; u += 7 {
-		bp.S1.DistancesInto(u, want1)
-		bp.S2.DistancesInto(u, want2)
+		p.S1.DistancesInto(u, want1)
+		p.S2.DistancesInto(u, want2)
 		// Dijkstra has no bounded kernel: a bound still yields full rows.
 		if ds.DistancesPairInto(u, d1, d2, func() int32 { return 3 }) {
 			t.Fatal("Dijkstra session reported a cut")
@@ -255,7 +281,7 @@ func TestSweepEdgeCases(t *testing.T) {
 	single := graph.FromEdges(1, nil)
 	g := randomGraph(t, 12, 5)
 	srcs := func(g *graph.Graph) []Source {
-		return []Source{NewBFS(g, sssp.Auto), NewDijkstra(graph.FromUnweighted(g))}
+		return []Source{NewBFS(g), NewDijkstra(graph.FromUnweighted(g))}
 	}
 	for _, s := range srcs(g) {
 		// Empty sources: no callbacks, no hang.
@@ -289,8 +315,8 @@ func TestSweepEdgeCases(t *testing.T) {
 		}
 	}
 	pairs := []Pair{
-		BFSPair(graph.SnapshotPair{G1: g, G2: g}, sssp.Auto),
-		{S1: NewBFS(g, sssp.TopDown), S2: NewBFS(g, sssp.Auto)}, // generic fallback
+		BFSPair(graph.SnapshotPair{G1: g, G2: g}),
+		{S1: NewBFS(g), S2: NewDijkstra(graph.FromUnweighted(g))}, // generic fallback
 		DijkstraPair(graph.FromUnweighted(g), graph.FromUnweighted(g)),
 	}
 	for _, p := range pairs {
@@ -310,7 +336,7 @@ func TestSweepEdgeCases(t *testing.T) {
 			t.Fatalf("over-workered paired sweep visits = %v", seen)
 		}
 	}
-	sp := Pair{S1: NewBFS(single, sssp.Auto), S2: NewBFS(single, sssp.Auto)}
+	sp := Pair{S1: NewBFS(single), S2: NewBFS(single)}
 	d1, d2 := []int32{-7}, []int32{-7}
 	NewPairedEngine(sp, PairedFull).NewSession().DistancesPairInto(0, d1, d2, nil)
 	if d1[0] != 0 || d2[0] != 0 {
@@ -323,7 +349,7 @@ func TestStructuralHelpers(t *testing.T) {
 	// Three components: a triangle {0,1,2}, an edge {3,4}, and the isolated
 	// node 5 (a singleton component).
 	g := graph.FromEdges(6, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 3, V: 4}})
-	for _, src := range []Source{NewBFS(g, sssp.Auto), NewDijkstra(graph.FromUnweighted(g))} {
+	for _, src := range []Source{NewBFS(g), NewDijkstra(graph.FromUnweighted(g))} {
 		comp, count := LargestComponent(src)
 		sort.Ints(comp)
 		if count != 3 || !reflect.DeepEqual(comp, []int{0, 1, 2}) {
@@ -345,11 +371,11 @@ func TestPairValidate(t *testing.T) {
 		t.Fatal("nil sources should fail")
 	}
 	small := randomGraph(t, 5, 1)
-	p := Pair{S1: NewBFS(g, sssp.Auto), S2: NewBFS(small, sssp.Auto)}
+	p := Pair{S1: NewBFS(g), S2: NewBFS(small)}
 	if err := p.Validate(); err == nil {
 		t.Fatal("mismatched universes should fail")
 	}
-	ok := Pair{S1: NewBFS(g, sssp.Auto), S2: NewBFS(g, sssp.Auto)}
+	ok := Pair{S1: NewBFS(g), S2: NewBFS(g)}
 	if err := ok.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +388,7 @@ func TestPairValidate(t *testing.T) {
 func TestUnwrappers(t *testing.T) {
 	g := randomGraph(t, 8, 2)
 	w := graph.FromUnweighted(g)
-	if got, ok := UnweightedGraph(NewBFS(g, sssp.Auto)); !ok || got != g {
+	if got, ok := UnweightedGraph(NewBFS(g)); !ok || got != g {
 		t.Fatal("UnweightedGraph failed on a BFS source")
 	}
 	if _, ok := UnweightedGraph(NewDijkstra(w)); ok {
@@ -371,7 +397,7 @@ func TestUnwrappers(t *testing.T) {
 	if got, ok := WeightedGraph(NewDijkstra(w)); !ok || got != w {
 		t.Fatal("WeightedGraph failed on a Dijkstra source")
 	}
-	if _, ok := WeightedGraph(NewBFS(g, sssp.Auto)); ok {
+	if _, ok := WeightedGraph(NewBFS(g)); ok {
 		t.Fatal("WeightedGraph should reject a BFS source")
 	}
 }

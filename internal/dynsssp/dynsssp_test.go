@@ -386,7 +386,7 @@ func TestApplyAllOnBatchKernelRows(t *testing.T) {
 	sources = append(sources, sources[0], sources[1]) // duplicate lanes
 	s := NewScratch()
 	d2 := make([]int32, n)
-	sssp.AllSourcesEngineFunc(g1, sources, 1, sssp.BitParallel64, func(src int, d1 []int32) {
+	sssp.AllSourcesFunc(g1, sources, 1, func(src int, d1 []int32) {
 		copy(d2, d1)
 		s.ApplyAll(g2, delta, d2)
 		want := sssp.Distances(g2, src)

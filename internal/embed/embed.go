@@ -20,6 +20,7 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/sssp"
 )
@@ -70,7 +71,7 @@ func Embed(g *graph.Graph, landmarks []int, rows [][]int32, opts Options, rng *r
 		return nil, errors.New("embed: nil rng")
 	}
 	if rows == nil {
-		rows = sssp.DistanceMatrix(g, landmarks, opts.Workers)
+		rows = dist.DistanceMatrix(dist.NewBFS(g), landmarks, opts.Workers)
 	}
 	if len(rows) != l {
 		return nil, fmt.Errorf("embed: %d rows for %d landmarks", len(rows), l)

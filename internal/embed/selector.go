@@ -6,8 +6,8 @@ import (
 
 	"repro/internal/budget"
 	"repro/internal/candidates"
+	"repro/internal/dist"
 	"repro/internal/landmark"
-	"repro/internal/sssp"
 )
 
 // selector is the embedding-based candidate generator: embed both snapshots
@@ -56,7 +56,7 @@ func (s selector) Select(ctx *candidates.Context) ([]int, error) {
 	if err := ctx.Meter.Charge(budget.PhaseCandidateGen, len(set.Nodes)); err != nil {
 		return nil, fmt.Errorf("EmbedSum: G_t2 anchor rows: %w", err)
 	}
-	d2rows := sssp.DistanceMatrix(pair.G2, set.Nodes, ctx.Workers)
+	d2rows := dist.DistanceMatrix(dist.NewBFS(pair.G2), set.Nodes, ctx.Workers)
 	for i, w := range set.Nodes {
 		ctx.CacheD1(w, set.D1[i])
 		ctx.CacheD2(w, d2rows[i])

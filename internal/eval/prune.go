@@ -111,7 +111,7 @@ func samePairs(a, b []topk.Pair) bool {
 // selectionWork runs the MMSD selection standalone — exactly the call core
 // makes — and returns its traversal-work delta.
 func selectionWork(pair graph.SnapshotPair, m, l int, seed int64, workers int) (nodes, edges int64, err error) {
-	src := dist.BFSPair(pair, sssp.Auto)
+	src := dist.BFSPair(pair)
 	cctx := &candidates.Context{
 		Pair: pair, S1: src.S1, S2: src.S2, M: m, L: l,
 		RNG:   rand.New(rand.NewSource(seed)),

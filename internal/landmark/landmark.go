@@ -25,7 +25,6 @@ import (
 	"repro/internal/budget"
 	"repro/internal/dist"
 	"repro/internal/graph"
-	"repro/internal/sssp"
 )
 
 // Strategy selects how landmarks are picked from G_t1.
@@ -76,7 +75,7 @@ type Set struct {
 // Select picks l landmarks from the unweighted g1; it is SelectSource over a
 // BFS distance source, kept for structural callers (oracle, ablations).
 func Select(strategy Strategy, g1 *graph.Graph, l int, rng *rand.Rand, meter *budget.Meter) (Set, error) {
-	return SelectSource(strategy, dist.NewBFS(g1, sssp.Auto), l, rng, meter)
+	return SelectSource(strategy, dist.NewBFS(g1), l, rng, meter)
 }
 
 // SelectSource picks l landmarks from a snapshot under any distance metric.
@@ -214,7 +213,7 @@ func ComputeNorms(set Set, pair graph.SnapshotPair, meter *budget.Meter, workers
 // selectors cache these rows so the extraction phase re-spends nothing on
 // landmark sources, preserving the paper's exact 2m SSSP budget.
 func ComputeNormsRows(set Set, pair graph.SnapshotPair, meter *budget.Meter, workers int) (Norms, [][]int32, [][]int32, error) {
-	return ComputeNormsSource(set, dist.BFSPair(pair, sssp.Auto), meter, workers)
+	return ComputeNormsSource(set, dist.BFSPair(pair), meter, workers)
 }
 
 // ComputeNormsSource is the metric-generic ComputeNormsRows: it evaluates

@@ -147,7 +147,7 @@ func Watch(ev *graph.Evolving, fractions []float64, cfg Config) ([]WindowReport,
 		if err != nil {
 			return fail(err)
 		}
-		sess, err := core.NewSession(win.Pair, core.SessionConfig{})
+		sess, err := core.NewSession(win.Pair)
 		if err != nil {
 			win.Close()
 			return fail(err)

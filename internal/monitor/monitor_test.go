@@ -6,8 +6,8 @@ import (
 
 	"repro/internal/candidates"
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/landmark"
+	"repro/internal/obs"
 	"repro/internal/sssp"
 )
 

@@ -22,6 +22,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/landmark"
 	"repro/internal/sssp"
@@ -42,7 +43,7 @@ func New(g *graph.Graph, landmarks []int, rows [][]int32, workers int) (*Oracle,
 		return nil, errors.New("oracle: no landmarks")
 	}
 	if rows == nil {
-		rows = sssp.DistanceMatrix(g, landmarks, workers)
+		rows = dist.DistanceMatrix(dist.NewBFS(g), landmarks, workers)
 	}
 	if len(rows) != len(landmarks) {
 		return nil, fmt.Errorf("oracle: %d rows for %d landmarks", len(rows), len(landmarks))

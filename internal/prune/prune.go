@@ -47,11 +47,13 @@ type Threshold struct {
 }
 
 // NewThreshold creates a Threshold for a top-k query. k must be positive.
+// Nothing is preallocated: k comes from the client, and the heap grows by
+// append to at most one entry per offered delta.
 func NewThreshold(k int) *Threshold {
 	if k <= 0 {
 		panic("prune: non-positive k")
 	}
-	return &Threshold{k: k, heap: make([]int32, 0, k)}
+	return &Threshold{k: k}
 }
 
 // Load returns the current threshold (0 before it first rises). Deltas

@@ -29,7 +29,6 @@ import (
 	"repro/internal/export"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/sssp"
 )
 
 // Per-tenant query latency: one serve.phase_ns series per algorithm phase per
@@ -39,16 +38,13 @@ import (
 var phaseNames = [...]string{"selection", "extraction", "sort-cut", "total"}
 
 // Config tunes a Server. The zero value serves with library defaults:
-// unlimited retention, auto-picked BFS kernel, and unlimited auto-created
-// tenants.
+// unlimited retention and unlimited auto-created tenants.
 type Config struct {
 	// Universe fixes the minimum node-universe size of every epoch (see
 	// graph.IngesterOptions.Universe). 0 grows with the ingested edges.
 	Universe int
 	// Retain bounds epoch retention (<= 0 for unlimited).
 	Retain int
-	// Engine pins the BFS kernel for query sessions (Auto picks per call).
-	Engine sssp.Engine
 	// Workers bounds across-source sweep parallelism (0 = GOMAXPROCS).
 	Workers int
 	// TenantLimit is the SSSP allowance given to tenants created implicitly
@@ -137,7 +133,7 @@ func (s *Server) session(t1, t2 int) (*winSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	sess, err := core.NewSessionSources(dist.BFSPair(win.Pair, s.cfg.Engine))
+	sess, err := core.NewSessionSources(dist.BFSPair(win.Pair))
 	if err != nil {
 		win.Close()
 		return nil, err

@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/export"
 	"repro/internal/graph"
-	"repro/internal/sssp"
 )
 
 // mustSelector resolves a registry selector or fails the test.
@@ -106,10 +105,9 @@ func loadServer(t *testing.T, url string, stream []graph.TimedEdge) {
 
 // TestQueryMatchesOneShot is the tentpole's differential test: a served query
 // is bit-identical (pairs, candidates, budget report) to a one-shot TopK run
-// over the same snapshots, at every -engine setting and every accepted
-// spelling of the no-op "paired" field; any other spelling is a 400. The
-// served path runs through epoch padding and session caching; neither may
-// leak into results.
+// over the same snapshots, at every accepted spelling of the no-op "paired"
+// field; any other spelling is a 400. The served path runs through epoch
+// padding and session caching; neither may leak into results.
 func TestQueryMatchesOneShot(t *testing.T) {
 	stream := genStream(120, 260, 7)
 	ev, err := graph.NewEvolving(stream)
@@ -120,45 +118,78 @@ func TestQueryMatchesOneShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engName := range sssp.EngineNames() {
-		eng, err := sssp.ParseEngine(engName)
-		if err != nil {
-			t.Fatal(err)
+	srv := New(Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	loadServer(t, ts.URL, stream)
+	want, err := core.TopK(pair, core.Options{
+		Selector: mustSelector(t, "MMSD"), M: 15, L: 5, K: 10, Seed: 42,
+	})
+	if err != nil {
+		t.Fatalf("one-shot: %v", err)
+	}
+	wantRep := export.NewReport(want.SelectorName, 15,
+		want.Budget.Total(), want.Budget.Limit, want.Candidates, want.Pairs)
+	query := func(paired string, out any) int {
+		return postJSON(t, ts.URL+"/query", QueryRequest{
+			Tenant: "t", Selector: "MMSD", M: 15, L: 5, K: 10,
+			Seed: 42, T1: 1, T2: 2, Paired: paired,
+		}, out)
+	}
+	for _, paired := range []string{"", "full", "incremental"} {
+		var got QueryResponse
+		if code := query(paired, &got); code != http.StatusOK {
+			t.Fatalf("paired %q: query status %d", paired, code)
 		}
-		srv := New(Config{Engine: eng})
-		ts := httptest.NewServer(srv.Handler())
-		loadServer(t, ts.URL, stream)
-		want, err := core.TopK(pair, core.Options{
-			Selector: mustSelector(t, "MMSD"), M: 15, L: 5, K: 10,
-			Seed: 42, Engine: eng,
-		})
-		if err != nil {
-			t.Fatalf("%s one-shot: %v", engName, err)
+		if !reflect.DeepEqual(got.Report, wantRep) {
+			t.Fatalf("paired %q: served report diverged from one-shot\n got: %+v\nwant: %+v",
+				paired, got.Report, wantRep)
 		}
-		wantRep := export.NewReport(want.SelectorName, 15,
-			want.Budget.Total(), want.Budget.Limit, want.Candidates, want.Pairs)
-		query := func(paired string, out any) int {
-			return postJSON(t, ts.URL+"/query", QueryRequest{
-				Tenant: "t", Selector: "MMSD", M: 15, L: 5, K: 10,
-				Seed: 42, T1: 1, T2: 2, Paired: paired,
-			}, out)
-		}
-		for _, paired := range []string{"", "full", "incremental"} {
-			name := engName + "/" + paired
-			var got QueryResponse
-			if code := query(paired, &got); code != http.StatusOK {
-				t.Fatalf("%s: query status %d", name, code)
-			}
-			if !reflect.DeepEqual(got.Report, wantRep) {
-				t.Fatalf("%s: served report diverged from one-shot\n got: %+v\nwant: %+v",
-					name, got.Report, wantRep)
-			}
-		}
-		if code := query("bogus", nil); code != http.StatusBadRequest {
-			t.Fatalf("%s: paired \"bogus\" status %d, want 400", engName, code)
-		}
-		srv.Close()
-		ts.Close()
+	}
+	if code := query("bogus", nil); code != http.StatusBadRequest {
+		t.Fatalf("paired \"bogus\" status %d, want 400", code)
+	}
+}
+
+// TestQueryHugeKMatchesOneShot: k comes straight from the client, so a k
+// far beyond any pair count (1<<47) must not size an allocation. The query
+// returns 200 with the one-shot report at the same k — every discovered
+// pair — instead of failing after its tenant was charged.
+func TestQueryHugeKMatchesOneShot(t *testing.T) {
+	const k = 1 << 47
+	stream := genStream(100, 220, 5)
+	srv := New(Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	loadServer(t, ts.URL, stream)
+	var got QueryResponse
+	code := postJSON(t, ts.URL+"/query", QueryRequest{
+		Tenant: "t", Selector: "MMSD", M: 12, L: 4, K: k, Seed: 3, T1: 1, T2: 2,
+	}, &got)
+	if code != http.StatusOK {
+		t.Fatalf("k=1<<47 query status %d, want 200", code)
+	}
+	ev, err := graph.NewEvolving(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair, err := ev.Pair(0.8, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.TopK(pair, core.Options{Selector: mustSelector(t, "MMSD"), M: 12, L: 4, K: k, Seed: 3})
+	if err != nil {
+		t.Fatalf("one-shot: %v", err)
+	}
+	if len(want.Pairs) == 0 {
+		t.Fatal("one-shot found no pairs: the comparison below would be vacuous")
+	}
+	wantRep := export.NewReport(want.SelectorName, 12,
+		want.Budget.Total(), want.Budget.Limit, want.Candidates, want.Pairs)
+	if !reflect.DeepEqual(got.Report, wantRep) {
+		t.Fatalf("served report diverged from one-shot\n got: %+v\nwant: %+v", got.Report, wantRep)
 	}
 }
 

@@ -9,7 +9,8 @@ import (
 
 // TestBFSWithZeroAllocs is the runtime backstop for what the hotalloc
 // analyzer checks statically: with a caller-provided, warmed Scratch, one
-// BFSWith call allocates nothing on any engine. This is the property the
+// single-source call allocates nothing on either kernel — BFSWith
+// (dirOptBFS) and a one-lane msBFSBatch. This is the property the
 // multi-source sweep's 3.34x win rests on.
 func TestBFSWithZeroAllocs(t *testing.T) {
 	if invariant.Enabled {
@@ -19,19 +20,19 @@ func TestBFSWithZeroAllocs(t *testing.T) {
 	g := randomGraph(rng, 2000, 6000)
 	n := g.NumNodes()
 	dist := make([]int32, n)
-	for _, eng := range []Engine{TopDown, DirectionOpt, BitParallel64} {
-		t.Run(eng.String(), func(t *testing.T) {
+	for _, k := range kernels {
+		t.Run(k.name, func(t *testing.T) {
 			s := NewScratch(n)
-			// Warm every buffer the engine lazily grows (MS-BFS visit words,
+			// Warm every buffer the kernel lazily grows (MS-BFS visit words,
 			// bitmap frontiers); steady-state calls must then be free.
-			BFSWith(g, 0, dist, eng, s)
+			k.run(g, 0, dist, s)
 			src := 0
 			allocs := testing.AllocsPerRun(50, func() {
-				BFSWith(g, src%n, dist, eng, s)
+				k.run(g, src%n, dist, s)
 				src++
 			})
 			if allocs != 0 {
-				t.Errorf("engine %v: %.1f allocs per BFSWith with provided Scratch, want 0", eng, allocs)
+				t.Errorf("kernel %s: %.1f allocs per call with provided Scratch, want 0", k.name, allocs)
 			}
 		})
 	}

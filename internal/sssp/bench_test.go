@@ -76,44 +76,51 @@ func BenchmarkMultiSourceBFS(b *testing.B) {
 	}
 }
 
-// BenchmarkBFSEngines compares the three kernels. Single-source rows
+// BenchmarkBFSEngines compares the two kernels. Single-source rows
 // measure one BFS; the batch rows measure a 64-source sweep per op (divide
-// by 64 for the per-source cost), which is where the bit-parallel kernel's
-// batching pays off.
+// by 64 for the per-source cost) on one worker: batch64/diropt runs
+// dirOptBFS per source, the path of sweeps below msAutoThreshold, and
+// batch64/bitparallel64 is the sweep driver itself, where the bit-parallel
+// kernel's batching pays off.
 func BenchmarkBFSEngines(b *testing.B) {
 	for _, n := range []int{10000, 50000} {
 		g := benchGraph(n, 1)
 		dist := make([]int32, n)
 		s := NewScratch(n)
-		for _, e := range []Engine{TopDown, DirectionOpt} {
-			b.Run(fmt.Sprintf("single/%s/n=%d", e, n), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					BFSWith(g, i%n, dist, e, s)
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("single/diropt/n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				BFSWith(g, i%n, dist, s)
+			}
+		})
 		sources := make([]int, 64)
 		for i := range sources {
 			sources[i] = (i * (n / 64)) % n
 		}
-		for _, e := range []Engine{TopDown, DirectionOpt, BitParallel64} {
-			b.Run(fmt.Sprintf("batch64/%s/n=%d", e, n), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					AllSourcesEngineFunc(g, sources, 1, e, func(int, []int32) {})
+		b.Run(fmt.Sprintf("batch64/diropt/n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, src := range sources {
+					BFSWith(g, src, dist, s)
 				}
-			})
-		}
+			}
+		})
+		b.Run(fmt.Sprintf("batch64/bitparallel64/n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				AllSourcesFunc(g, sources, 1, func(int, []int32) {})
+			}
+		})
 	}
 }
 
 // BenchmarkAllPairs measures the exact ground-truth sweep's hot path — the
 // paired per-source distance rows streamed by topk via PairedSourcesFunc —
 // on a 50k-node snapshot pair, over a 1024-source slice of the full sweep
-// (per-source cost is uniform, so the slice is representative). The
-// topdown row is the scalar baseline; the bitparallel64 row is what Auto
-// picks for sweeps this large.
+// (per-source cost is uniform, so the slice is representative). Both rows
+// run on one worker: the diropt row is dirOptBFS per source on each
+// snapshot, and the bitparallel64 row is the driver, which batches a sweep
+// this large.
 func BenchmarkAllPairs(b *testing.B) {
 	const n, srcCount = 50000, 1024
 	g1 := benchGraph(n, 7)
@@ -122,12 +129,21 @@ func BenchmarkAllPairs(b *testing.B) {
 	for i := range sources {
 		sources[i] = (i * (n / srcCount)) % n
 	}
-	for _, e := range []Engine{TopDown, DirectionOpt, BitParallel64} {
-		b.Run(fmt.Sprintf("paired/%s/n=%d/sources=%d", e, n, srcCount), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				PairedSourcesEngineFunc(g1, g2, sources, 0, e, func(int, []int32, []int32) {})
+	b.Run(fmt.Sprintf("paired/diropt/n=%d/sources=%d", n, srcCount), func(b *testing.B) {
+		b.ReportAllocs()
+		s := NewScratch(n)
+		d1, d2 := make([]int32, n), make([]int32, n)
+		for i := 0; i < b.N; i++ {
+			for _, src := range sources {
+				BFSWith(g1, src, d1, s)
+				BFSWith(g2, src, d2, s)
 			}
-		})
-	}
+		}
+	})
+	b.Run(fmt.Sprintf("paired/bitparallel64/n=%d/sources=%d", n, srcCount), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			PairedSourcesFunc(g1, g2, sources, 1, func(int, []int32, []int32) {})
+		}
+	})
 }

@@ -7,10 +7,11 @@
 // components. Engines reuse caller-provided buffers so that tight loops
 // (candidate generation, all-pairs sweeps) do not allocate per source.
 //
-// Three interchangeable BFS kernels back the unweighted entry points (see
-// Engine): the scalar TopDown baseline, a Beamer-style DirectionOpt hybrid,
-// and a BitParallel64 multi-source batch engine used by the all-sources
-// drivers. All of them produce bit-identical distances.
+// Two BFS kernels back the unweighted entry points, chosen by call shape
+// alone: single-source calls and small sweeps run a Beamer-style
+// direction-optimizing BFS, and sweeps of msAutoThreshold or more sources
+// run a 64-lane bit-parallel multi-source batch kernel. Both produce
+// bit-identical distances.
 package sssp
 
 import (
@@ -27,18 +28,18 @@ const Unreachable int32 = -1
 // BFS computes unweighted shortest-path distances from src into dist, which
 // must have length g.NumNodes(). Unreached nodes get Unreachable. It returns
 // the number of reached nodes (including src) and the eccentricity of src
-// within its component. The kernel is chosen by the Auto engine; use
-// BFSWith to pin one or to thread a per-worker Scratch.
+// within its component. Use BFSWith to thread a per-worker Scratch.
 func BFS(g *graph.Graph, src int, dist []int32) (reached int, ecc int32) {
-	return BFSWith(g, src, dist, Auto, nil)
+	return BFSWith(g, src, dist, nil)
 }
 
-// BFSWith is BFS with an explicit engine and scratch space. A nil scratch
-// borrows one from an internal pool; parallel drivers pass one per worker
-// so the whole sweep allocates nothing per source.
+// BFSWith is BFS with explicit scratch space. A nil scratch borrows one
+// from an internal pool; parallel drivers pass one per worker so the whole
+// sweep allocates nothing per source. It always runs the
+// direction-optimizing kernel.
 //
 //convlint:hotpath
-func BFSWith(g *graph.Graph, src int, dist []int32, e Engine, s *Scratch) (reached int, ecc int32) {
+func BFSWith(g *graph.Graph, src int, dist []int32, s *Scratch) (reached int, ecc int32) {
 	n := g.NumNodes()
 	if len(dist) != n {
 		panic(fmt.Sprintf("sssp: dist buffer length %d, graph has %d nodes", len(dist), n))
@@ -52,35 +53,10 @@ func BFSWith(g *graph.Graph, src int, dist []int32, e Engine, s *Scratch) (reach
 	} else {
 		s.ensure(n)
 	}
-	switch resolveSingle(e) {
-	case DirectionOpt:
-		for i := range dist {
-			dist[i] = Unreachable
-		}
-		return dirOptBFS(g, src, dist, s)
-	case BitParallel64:
-		// One-lane batch: correct but without batching leverage; selectable
-		// for differential testing and ablations. The scratch-owned one-lane
-		// views keep this path allocation-free like the other engines.
-		s.oneSrc[0] = src
-		s.oneRow[0] = dist
-		msBFSBatch(g, s.oneSrc[:], s.oneRow[:], s)
-		s.oneRow[0] = nil
-		for _, d := range dist {
-			if d >= 0 {
-				reached++
-				if d > ecc {
-					ecc = d
-				}
-			}
-		}
-		return reached, ecc
-	default:
-		for i := range dist {
-			dist[i] = Unreachable
-		}
-		return topDownBFS(g, src, dist, s)
+	for i := range dist {
+		dist[i] = Unreachable
 	}
+	return dirOptBFS(g, src, dist, s)
 }
 
 // Distances is a convenience wrapper around BFS that allocates the buffer.
@@ -174,7 +150,7 @@ func Eccentricity(g *graph.Graph, src int) int32 {
 // (length g.NumNodes()) and optional scratch, for loops sweeping many
 // sources.
 func EccentricityInto(g *graph.Graph, src int, dist []int32, s *Scratch) int32 {
-	_, ecc := BFSWith(g, src, dist, Auto, s)
+	_, ecc := BFSWith(g, src, dist, s)
 	return ecc
 }
 
@@ -189,14 +165,14 @@ func DoubleSweepLowerBound(g *graph.Graph, start int) int32 {
 // DoubleSweepLowerBoundInto is DoubleSweepLowerBound with a caller-provided
 // distance buffer (length g.NumNodes()) and optional scratch.
 func DoubleSweepLowerBoundInto(g *graph.Graph, start int, dist []int32, s *Scratch) int32 {
-	BFSWith(g, start, dist, Auto, s)
+	BFSWith(g, start, dist, s)
 	far, farDist := start, int32(0)
 	for v, d := range dist {
 		if d > farDist {
 			far, farDist = v, d
 		}
 	}
-	_, ecc := BFSWith(g, far, dist, Auto, s)
+	_, ecc := BFSWith(g, far, dist, s)
 	return ecc
 }
 

@@ -24,64 +24,9 @@ const (
 	dirOptBeta = 24
 )
 
-// topDownBFS is the scalar level-order kernel: an index-cursor frontier over
-// a scratch-owned queue, reading the CSR arrays directly. It is both the
-// TopDown engine and the baseline the others are differentially tested
-// against.
-//
-//convlint:hotpath
-func topDownBFS(g *graph.Graph, src int, dist []int32, s *Scratch) (reached int, ecc int32) {
-	//convlint:nondet sweep latency is observational, not part of results
-	start := time.Now()
-	offsets, neighbors := g.CSR()
-	q := s.queue[:0]
-	q = append(q, int32(src))
-	dist[src] = 0
-	reached = 1
-	// Metrics accumulate in registers; the queue is level-ordered, so a run
-	// of equal distances is one frontier and its length bounds the peak.
-	var edges int64
-	peak, runLen := 0, 0
-	runLevel := int32(0)
-	for head := 0; head < len(q); head++ {
-		u := q[head]
-		du := dist[u]
-		if du > ecc {
-			ecc = du
-		}
-		if du != runLevel {
-			if runLen > peak {
-				peak = runLen
-			}
-			runLen, runLevel = 0, du
-		}
-		runLen++
-		edges += int64(offsets[u+1] - offsets[u])
-		for _, v := range neighbors[offsets[u]:offsets[u+1]] {
-			if dist[v] == Unreachable {
-				dist[v] = du + 1
-				reached++
-				q = append(q, v)
-			}
-		}
-	}
-	if runLen > peak {
-		peak = runLen
-	}
-	s.queue = q[:0]
-	km := &kernelMetrics[kTopDown]
-	km.calls.Add(1)
-	km.sources.Add(1)
-	km.nodes.Add(int64(reached))
-	km.edges.Add(edges)
-	peakMax(&km.frontierPeak, int64(peak))
-	observeSweep(kTopDown, start, 1, int64(reached), edges)
-	return reached, ecc
-}
-
-// dirOptBFS is the direction-optimizing kernel. Distances are identical to
-// topDownBFS (BFS levels are order-independent); only the edge-examination
-// order differs.
+// dirOptBFS is the direction-optimizing kernel, the one every
+// single-source BFS runs. Distances are those of a plain level-order BFS
+// (levels are order-independent); only the edge-examination order differs.
 //
 //convlint:hotpath
 func dirOptBFS(g *graph.Graph, src int, dist []int32, s *Scratch) (reached int, ecc int32) {

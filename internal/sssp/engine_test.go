@@ -3,44 +3,52 @@ package sssp
 import (
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/invariant"
 )
 
-// TestEngineNameRoundTrip pins that every engine name String() produces is
-// accepted back by ParseEngine, and that the ParseEngine error enumerates
-// every name (so -engine stays self-documenting as kernels are added).
-func TestEngineNameRoundTrip(t *testing.T) {
-	all := []Engine{Auto, TopDown, DirectionOpt, BitParallel64}
-	if len(all) != len(EngineNames()) {
-		t.Fatalf("EngineNames lists %d engines, test covers %d — keep both in sync", len(EngineNames()), len(all))
+// TestSweepKernelPolicy pins the one kernel policy of the multi-source
+// drivers: a sweep below msAutoThreshold sources runs dirOptBFS once per
+// source and never touches the batch kernel; a sweep of exactly
+// msAutoThreshold sources runs one 64-lane bitparallel64 batch and no
+// per-source BFS. Both drivers share the rule.
+func TestSweepKernelPolicy(t *testing.T) {
+	g := graph.FromEdges(12, []graph.Edge{
+		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}, {U: 4, V: 5},
+		{U: 5, V: 6}, {U: 6, V: 7}, {U: 7, V: 8}, {U: 8, V: 9}, {U: 9, V: 10},
+	})
+	below := []int{0, 1, 2, 3, 4, 5, 6}
+	at := []int{0, 1, 2, 3, 4, 5, 6, 11}
+	if len(below) != msAutoThreshold-1 || len(at) != msAutoThreshold {
+		t.Fatalf("source sets of %d and %d straddle no threshold of %d", len(below), len(at), msAutoThreshold)
 	}
-	for _, e := range all {
-		got, err := ParseEngine(e.String())
-		if err != nil {
-			t.Fatalf("ParseEngine(%q): %v", e.String(), err)
+	for _, workers := range []int{1, 2} {
+		for _, paired := range []bool{false, true} {
+			sweep := func(sources []int) MetricsSnapshot {
+				before := SnapshotMetrics()
+				if paired {
+					PairedSourcesFunc(g, g, sources, workers, func(int, []int32, []int32) {})
+				} else {
+					AllSourcesFunc(g, sources, workers, func(int, []int32) {})
+				}
+				return SnapshotMetrics().Sub(before)
+			}
+			legs := int64(1)
+			if paired {
+				legs = 2
+			}
+			d := sweep(below)
+			if d.DirectionOpt.Calls != legs*int64(len(below)) || d.BitParallel64.Calls != 0 {
+				t.Fatalf("workers %d paired %v: %d sources ran %d diropt and %d bitparallel64 calls, want %d and 0",
+					workers, paired, len(below), d.DirectionOpt.Calls, d.BitParallel64.Calls, legs*int64(len(below)))
+			}
+			d = sweep(at)
+			if d.BitParallel64.Calls != legs || d.BitParallel64.Sources != legs*int64(len(at)) || d.DirectionOpt.Calls != 0 {
+				t.Fatalf("workers %d paired %v: %d sources ran %d bitparallel64 batches over %d sources and %d diropt calls, want %d over %d and 0",
+					workers, paired, len(at), d.BitParallel64.Calls, d.BitParallel64.Sources, d.DirectionOpt.Calls, legs, legs*int64(len(at)))
+			}
 		}
-		if got != e {
-			t.Fatalf("ParseEngine(%q) = %v, want %v", e.String(), got, e)
-		}
 	}
-	_, err := ParseEngine("nonsense")
-	if err == nil {
-		t.Fatal("ParseEngine(nonsense): expected error")
-	}
-	for _, name := range EngineNames() {
-		if !containsStr(err.Error(), name) {
-			t.Fatalf("ParseEngine error %q does not mention engine %q", err, name)
-		}
-	}
-}
-
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
 
 // TestClampWorkers is the table test for the one shared worker-clamping rule

@@ -72,36 +72,65 @@ func prefAttach(n, k, isolated int, rng *rand.Rand) *graph.Graph {
 	return b.Build()
 }
 
-// engineList returns every selectable kernel.
-func engineList() []Engine {
-	return []Engine{TopDown, DirectionOpt, BitParallel64}
+// bfsKernel is one BFS kernel driven from a single source.
+type bfsKernel struct {
+	name string
+	run  func(g *graph.Graph, src int, dist []int32, s *Scratch) (reached int, ecc int32)
 }
 
-// assertEngineMatch runs every engine from src, with pooled and with
+// kernels lists both BFS kernels: BFSWith, which runs dirOptBFS, and a
+// one-lane msBFSBatch, the kernel every sweep of msAutoThreshold or more
+// sources runs.
+var kernels = []bfsKernel{
+	{"diropt", BFSWith},
+	{"bitparallel64", oneLaneBatch},
+}
+
+// oneLaneBatch runs msBFSBatch for the single source src into dist and
+// reads the reached count and eccentricity off the row. A nil scratch
+// borrows a pooled one, as BFSWith does.
+func oneLaneBatch(g *graph.Graph, src int, dist []int32, s *Scratch) (reached int, ecc int32) {
+	if s == nil {
+		s = getScratch(g.NumNodes())
+		defer putScratch(s)
+	}
+	sources := [1]int{src}
+	rows := [1][]int32{dist}
+	msBFSBatch(g, sources[:], rows[:], s)
+	for _, d := range dist {
+		if d >= 0 {
+			reached++
+			ecc = max(ecc, d)
+		}
+	}
+	return reached, ecc
+}
+
+// assertKernelsMatch runs both kernels from src, with pooled and with
 // caller-owned scratch, and compares against the reference oracle.
-func assertEngineMatch(t *testing.T, g *graph.Graph, src int, label string) {
+func assertKernelsMatch(t *testing.T, g *graph.Graph, src int, label string) {
 	t.Helper()
 	want, wantReached, wantEcc := referenceBFS(g, src)
 	dist := make([]int32, g.NumNodes())
 	scratch := NewScratch(g.NumNodes())
-	for _, e := range engineList() {
+	for _, k := range kernels {
 		for _, s := range []*Scratch{nil, scratch} {
-			reached, ecc := BFSWith(g, src, dist, e, s)
+			reached, ecc := k.run(g, src, dist, s)
 			if reached != wantReached || ecc != wantEcc {
-				t.Fatalf("%s: engine %v src %d: (reached, ecc) = (%d, %d), want (%d, %d)",
-					label, e, src, reached, ecc, wantReached, wantEcc)
+				t.Fatalf("%s: kernel %s src %d: (reached, ecc) = (%d, %d), want (%d, %d)",
+					label, k.name, src, reached, ecc, wantReached, wantEcc)
 			}
 			for v := range dist {
 				if dist[v] != want[v] {
-					t.Fatalf("%s: engine %v src %d: dist[%d] = %d, want %d",
-						label, e, src, v, dist[v], want[v])
+					t.Fatalf("%s: kernel %s src %d: dist[%d] = %d, want %d",
+						label, k.name, src, v, dist[v], want[v])
 				}
 			}
 		}
 	}
 }
 
-// TestEnginesDifferential asserts every engine returns bit-identical
+// TestEnginesDifferential asserts both kernels return bit-identical
 // distances, reached counts, and eccentricities on random Erdős–Rényi and
 // preferential-attachment graphs, including disconnected graphs and
 // isolated nodes.
@@ -128,7 +157,7 @@ func TestEnginesDifferential(t *testing.T) {
 			}
 			label := fmt.Sprintf("%s/%d", gn.name, trial)
 			for i := 0; i < 10; i++ {
-				assertEngineMatch(t, g, rng.Intn(n), label)
+				assertKernelsMatch(t, g, rng.Intn(n), label)
 			}
 		}
 	}
@@ -136,8 +165,10 @@ func TestEnginesDifferential(t *testing.T) {
 
 // TestDriversDifferential asserts the multi-source drivers agree with the
 // oracle for every source, serial and with workers spreading sources (or
-// 64-source batches) across goroutines, on a source set that spans several
-// batch boundaries and contains duplicates (which must get identical rows).
+// 64-source batches) across goroutines. It sweeps a source set above
+// msAutoThreshold that spans several batch boundaries, and one just below
+// it that runs per source; both contain duplicates (which must get
+// identical rows).
 func TestDriversDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := prefAttach(400, 2, 10, rng)
@@ -148,6 +179,7 @@ func TestDriversDifferential(t *testing.T) {
 		sources = append(sources, rng.Intn(n))
 	}
 	sources = append(sources, sources[0], sources[1], n-1, n-1) // duplicates, isolated
+	small := append(append([]int{}, sources[:msAutoThreshold-3]...), sources[0], n-1)
 	// Prefill the oracles serially: the callbacks below run concurrently
 	// when workers > 1 and must only read shared state.
 	want1 := map[int][]int32{}
@@ -164,30 +196,30 @@ func TestDriversDifferential(t *testing.T) {
 		}
 		return true
 	}
-	for _, e := range []Engine{TopDown, DirectionOpt, BitParallel64, Auto} {
+	for _, set := range [][]int{sources, small} {
 		for _, workers := range []int{1, 2} {
 			var calls atomic.Int64
 			var bad atomic.Bool
-			AllSourcesEngineFunc(g, sources, workers, e, func(src int, dist []int32) {
+			AllSourcesFunc(g, set, workers, func(src int, dist []int32) {
 				calls.Add(1)
 				if !equal(dist, want1[src]) {
 					bad.Store(true)
 				}
 			})
-			if bad.Load() || calls.Load() != int64(len(sources)) {
-				t.Fatalf("engine %v workers %d: AllSources diverged from oracle (calls %d, want %d)",
-					e, workers, calls.Load(), len(sources))
+			if bad.Load() || calls.Load() != int64(len(set)) {
+				t.Fatalf("%d sources workers %d: AllSources diverged from oracle (calls %d, want %d)",
+					len(set), workers, calls.Load(), len(set))
 			}
 			calls.Store(0)
-			PairedSourcesEngineFunc(g, g2, sources, workers, e, func(src int, d1, d2 []int32) {
+			PairedSourcesFunc(g, g2, set, workers, func(src int, d1, d2 []int32) {
 				calls.Add(1)
 				if !equal(d1, want1[src]) || !equal(d2, want2[src]) {
 					bad.Store(true)
 				}
 			})
-			if bad.Load() || calls.Load() != int64(len(sources)) {
-				t.Fatalf("engine %v workers %d: PairedSources diverged from oracle (calls %d, want %d)",
-					e, workers, calls.Load(), len(sources))
+			if bad.Load() || calls.Load() != int64(len(set)) {
+				t.Fatalf("%d sources workers %d: PairedSources diverged from oracle (calls %d, want %d)",
+					len(set), workers, calls.Load(), len(set))
 			}
 		}
 	}
@@ -216,8 +248,8 @@ func TestMultiSourceEnvelope(t *testing.T) {
 	}
 }
 
-// FuzzEngines feeds arbitrary byte-derived graphs and sources through every
-// kernel; all engines must agree with the oracle exactly.
+// FuzzEngines feeds arbitrary byte-derived graphs and sources through both
+// kernels; each must agree with the oracle exactly.
 func FuzzEngines(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 2, 2, 0}, uint8(0))
 	f.Add([]byte{}, uint8(3))
@@ -235,14 +267,14 @@ func FuzzEngines(f *testing.F) {
 		src := int(srcByte) % n
 		want, wantReached, wantEcc := referenceBFS(g, src)
 		dist := make([]int32, n)
-		for _, e := range engineList() {
-			reached, ecc := BFSWith(g, src, dist, e, nil)
+		for _, k := range kernels {
+			reached, ecc := k.run(g, src, dist, nil)
 			if reached != wantReached || ecc != wantEcc {
-				t.Fatalf("engine %v: (reached, ecc) = (%d, %d), want (%d, %d)", e, reached, ecc, wantReached, wantEcc)
+				t.Fatalf("kernel %s: (reached, ecc) = (%d, %d), want (%d, %d)", k.name, reached, ecc, wantReached, wantEcc)
 			}
 			for v := range dist {
 				if dist[v] != want[v] {
-					t.Fatalf("engine %v: dist[%d] = %d, want %d", e, v, dist[v], want[v])
+					t.Fatalf("kernel %s: dist[%d] = %d, want %d", k.name, v, dist[v], want[v])
 				}
 			}
 		}

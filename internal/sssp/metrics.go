@@ -15,16 +15,15 @@ import (
 // (backed by TestBFSWithZeroAllocs).
 //
 // Counters are attributed per kernel so a run shows where its SSSPs really
-// executed: an Auto sweep lands on diropt or bitparallel64 depending on
-// shape, and the paper's cost model (1 SSSP = 1 unit) can be compared
-// against the machine-level work (edges scanned) each engine actually did.
+// executed: a sweep lands on diropt or bitparallel64 depending on its
+// source count, and the paper's cost model (1 SSSP = 1 unit) can be compared
+// against the machine-level work (edges scanned) each kernel actually did.
 
 // kernelIndex identifies one instrumented kernel.
 type kernelIndex int
 
 const (
-	kTopDown kernelIndex = iota
-	kDirOpt
+	kDirOpt kernelIndex = iota
 	kBitParallel
 	kEnvelope // MultiSourceBFS lower-envelope sweep
 	kDijkstra
@@ -153,7 +152,6 @@ func (k KernelCounters) add(o KernelCounters) KernelCounters {
 // call's flush). Diff two snapshots with Sub to attribute work to a region
 // of a run.
 type MetricsSnapshot struct {
-	TopDown       KernelCounters
 	DirectionOpt  KernelCounters
 	BitParallel64 KernelCounters
 	Envelope      KernelCounters
@@ -224,7 +222,6 @@ func SnapshotMetrics() MetricsSnapshot {
 		}
 	}
 	return MetricsSnapshot{
-		TopDown:       read(kTopDown),
 		DirectionOpt:  read(kDirOpt),
 		BitParallel64: read(kBitParallel),
 		Envelope:      read(kEnvelope),
@@ -238,7 +235,6 @@ func SnapshotMetrics() MetricsSnapshot {
 // fields keep s's high-water marks.
 func (s MetricsSnapshot) Sub(prev MetricsSnapshot) MetricsSnapshot {
 	return MetricsSnapshot{
-		TopDown:       s.TopDown.sub(prev.TopDown),
 		DirectionOpt:  s.DirectionOpt.sub(prev.DirectionOpt),
 		BitParallel64: s.BitParallel64.sub(prev.BitParallel64),
 		Envelope:      s.Envelope.sub(prev.Envelope),
@@ -250,7 +246,7 @@ func (s MetricsSnapshot) Sub(prev MetricsSnapshot) MetricsSnapshot {
 
 // Total sums the kernels (FrontierPeak takes the max across kernels).
 func (s MetricsSnapshot) Total() KernelCounters {
-	return s.TopDown.add(s.DirectionOpt).add(s.BitParallel64).add(s.Envelope).
+	return s.DirectionOpt.add(s.BitParallel64).add(s.Envelope).
 		add(s.Dijkstra).add(s.Repair).add(s.PrunedBFS)
 }
 
@@ -298,7 +294,6 @@ func RecordPrunedBFS(nodes, edges, frontierPeak int64, cut bool, skippedNodes, s
 // exposes them without further wiring.
 func init() {
 	names := [numKernels]string{
-		kTopDown:     "topdown",
 		kDirOpt:      "diropt",
 		kBitParallel: "bitparallel64",
 		kEnvelope:    "envelope",

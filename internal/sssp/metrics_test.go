@@ -15,45 +15,25 @@ func path5(t *testing.T) *graph.Graph {
 	return graph.FromEdges(5, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}})
 }
 
-func TestKernelMetricsTopDown(t *testing.T) {
-	g := path5(t)
-	dist := make([]int32, 5)
-	before := SnapshotMetrics()
-	BFSWith(g, 0, dist, TopDown, nil)
-	d := SnapshotMetrics().Sub(before)
-	if d.TopDown.Calls != 1 || d.TopDown.Sources != 1 {
-		t.Fatalf("topdown calls/sources = %d/%d, want 1/1", d.TopDown.Calls, d.TopDown.Sources)
-	}
-	if d.TopDown.Nodes != 5 {
-		t.Fatalf("topdown nodes = %d, want 5", d.TopDown.Nodes)
-	}
-	// Every directed edge is examined exactly once: 2*4 = 8.
-	if d.TopDown.Edges != 8 {
-		t.Fatalf("topdown edges = %d, want 8", d.TopDown.Edges)
-	}
-	// Path frontiers are single nodes; the peak is a process-wide high-water
-	// mark so other tests may have pushed it higher, but it must be >= 1.
-	if SnapshotMetrics().TopDown.FrontierPeak < 1 {
-		t.Fatalf("topdown frontier peak = %d, want >= 1", SnapshotMetrics().TopDown.FrontierPeak)
-	}
-}
+// sweep8 is a sweep of msAutoThreshold sources over path5, with repeats:
+// the smallest source set the drivers run through the batch kernel.
+var sweep8 = []int{0, 1, 2, 3, 4, 0, 1, 2}
 
 func TestKernelMetricsAttributePerEngine(t *testing.T) {
 	g := path5(t)
 	dist := make([]int32, 5)
 	before := SnapshotMetrics()
-	BFSWith(g, 0, dist, DirectionOpt, nil)
-	BFSWith(g, 0, dist, BitParallel64, nil)
+	BFSWith(g, 0, dist, nil)
+	AllSourcesFunc(g, sweep8, 1, func(int, []int32) {})
 	d := SnapshotMetrics().Sub(before)
-	if d.DirectionOpt.Calls != 1 {
-		t.Errorf("diropt calls = %d, want 1", d.DirectionOpt.Calls)
+	if d.DirectionOpt.Calls != 1 || d.DirectionOpt.Nodes != 5 || d.DirectionOpt.Edges != 8 {
+		// Every directed edge of the path is examined once: 2*4 = 8.
+		t.Errorf("diropt calls/nodes/edges = %d/%d/%d, want 1/5/8",
+			d.DirectionOpt.Calls, d.DirectionOpt.Nodes, d.DirectionOpt.Edges)
 	}
-	if d.BitParallel64.Calls != 1 || d.BitParallel64.Sources != 1 {
-		t.Errorf("bitparallel calls/sources = %d/%d, want 1/1",
-			d.BitParallel64.Calls, d.BitParallel64.Sources)
-	}
-	if d.TopDown.Calls != 0 {
-		t.Errorf("topdown calls = %d, want 0 (no topdown work ran)", d.TopDown.Calls)
+	if d.BitParallel64.Calls != 1 || d.BitParallel64.Sources != int64(len(sweep8)) {
+		t.Errorf("bitparallel calls/sources = %d/%d, want 1/%d",
+			d.BitParallel64.Calls, d.BitParallel64.Sources, len(sweep8))
 	}
 	if tot := d.Total(); tot.Calls != 2 {
 		t.Errorf("total calls = %d, want 2", tot.Calls)
@@ -72,7 +52,7 @@ func TestDirectionOptSwitchCounter(t *testing.T) {
 	g := graph.FromEdges(n, edges)
 	dist := make([]int32, n)
 	before := SnapshotMetrics()
-	BFSWith(g, 0, dist, DirectionOpt, nil)
+	BFSWith(g, 0, dist, nil)
 	d := SnapshotMetrics().Sub(before)
 	if d.DirectionOpt.Switches < 1 {
 		t.Fatalf("diropt switches = %d, want >= 1 on a star from its center", d.DirectionOpt.Switches)
@@ -87,20 +67,19 @@ func TestDirectionOptSwitchCounter(t *testing.T) {
 
 func TestBatchFillMetric(t *testing.T) {
 	g := path5(t)
-	sources := []int{0, 1, 2}
 	before := SnapshotMetrics()
-	AllSourcesEngineFunc(g, sources, 1, BitParallel64, func(src int, dist []int32) {})
+	AllSourcesFunc(g, sweep8, 1, func(src int, dist []int32) {})
 	d := SnapshotMetrics().Sub(before)
-	if d.BitParallel64.Calls != 1 || d.BitParallel64.Sources != 3 {
-		t.Fatalf("batch calls/sources = %d/%d, want 1/3", d.BitParallel64.Calls, d.BitParallel64.Sources)
+	if d.BitParallel64.Calls != 1 || d.BitParallel64.Sources != 8 {
+		t.Fatalf("batch calls/sources = %d/%d, want 1/8", d.BitParallel64.Calls, d.BitParallel64.Sources)
 	}
-	want := 3.0 / 64.0
+	want := 8.0 / 64.0
 	if fill := d.BitParallel64.BatchFill(); fill != want {
 		t.Fatalf("batch fill = %v, want %v", fill, want)
 	}
 	// Every (source, node) pair on a connected graph is one visit.
-	if d.BitParallel64.Nodes != 15 {
-		t.Fatalf("batch visits = %d, want 15", d.BitParallel64.Nodes)
+	if d.BitParallel64.Nodes != 40 {
+		t.Fatalf("batch visits = %d, want 40", d.BitParallel64.Nodes)
 	}
 }
 
@@ -139,14 +118,14 @@ func TestDijkstraMetrics(t *testing.T) {
 func TestMetricsExposedThroughObs(t *testing.T) {
 	g := path5(t)
 	dist := make([]int32, 5)
-	BFSWith(g, 0, dist, TopDown, nil)
+	BFSWith(g, 0, dist, nil)
 	var buf bytes.Buffer
 	if err := obs.WriteMetrics(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"sssp.topdown.calls", "sssp.diropt.switches", "sssp.bitparallel64.sources",
+		"sssp.diropt.calls", "sssp.diropt.switches", "sssp.bitparallel64.sources",
 		"sssp.envelope.edges_scanned", "sssp.dijkstra.calls",
 	} {
 		if !strings.Contains(out, want) {
@@ -158,12 +137,12 @@ func TestMetricsExposedThroughObs(t *testing.T) {
 func TestSweepHistogramsObservePerKernel(t *testing.T) {
 	g := path5(t)
 	dist := make([]int32, 5)
-	h := &kernelHist[kTopDown]
+	h := &kernelHist[kDirOpt]
 	before := h.sweepNS.Snapshot()
 	nodesBefore := h.nodesPerSource.Snapshot()
 	edgesBefore := h.edgesPerSource.Snapshot()
-	BFSWith(g, 0, dist, TopDown, nil)
-	BFSWith(g, 4, dist, TopDown, nil)
+	BFSWith(g, 0, dist, nil)
+	BFSWith(g, 4, dist, nil)
 	if d := h.sweepNS.Snapshot().Sub(before); d.Count != 2 {
 		t.Errorf("sweep_ns delta count = %d, want 2", d.Count)
 	}
@@ -179,7 +158,7 @@ func TestSweepHistogramsObservePerKernel(t *testing.T) {
 func TestSweepHistogramsExposed(t *testing.T) {
 	g := path5(t)
 	dist := make([]int32, 5)
-	BFSWith(g, 0, dist, TopDown, nil)
+	BFSWith(g, 0, dist, nil)
 	var buf bytes.Buffer
 	if err := obs.WriteMetrics(&buf); err != nil {
 		t.Fatal(err)
@@ -187,9 +166,9 @@ func TestSweepHistogramsExposed(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"# TYPE sssp.sweep_ns histogram",
-		`sssp.sweep_ns_count{kernel="topdown"}`,
-		`sssp.nodes_per_source_count{kernel="topdown"}`,
-		`sssp.edges_per_source_count{kernel="topdown"}`,
+		`sssp.sweep_ns_count{kernel="diropt"}`,
+		`sssp.nodes_per_source_count{kernel="diropt"}`,
+		`sssp.edges_per_source_count{kernel="diropt"}`,
 		`sssp.sweep_ns_count{kernel="repair"}`,
 	} {
 		if !strings.Contains(out, want) {

@@ -264,23 +264,6 @@ func TestPairedSourcesFunc(t *testing.T) {
 	}
 }
 
-func TestDistanceMatrix(t *testing.T) {
-	g := pathGraph(4)
-	rows := DistanceMatrix(g, []int{0, 3, 0}, 2)
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(rows))
-	}
-	if !reflect.DeepEqual(rows[0], []int32{0, 1, 2, 3}) {
-		t.Errorf("row 0 = %v", rows[0])
-	}
-	if !reflect.DeepEqual(rows[1], []int32{3, 2, 1, 0}) {
-		t.Errorf("row 1 = %v", rows[1])
-	}
-	if !reflect.DeepEqual(rows[2], rows[0]) {
-		t.Errorf("duplicate source row = %v, want same as row 0", rows[2])
-	}
-}
-
 func TestDoubleSweepLowerBound(t *testing.T) {
 	g := pathGraph(9)
 	if got := DoubleSweepLowerBound(g, 4); got != 8 {

