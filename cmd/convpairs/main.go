@@ -13,6 +13,7 @@
 // -weighted the input must be the 4-column "u v t w" format (gendata
 // -weighted) and the run goes through the same Algorithm 1 pipeline with
 // Dijkstra distances; -trace, -metricsaddr, and -events work identically.
+// Traversals run across GOMAXPROCS workers; set that variable to cap them.
 package main
 
 import (
@@ -21,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	convergence "repro"
 	"repro/internal/candidates"
@@ -48,8 +48,6 @@ func main() {
 	explain := flag.Bool("explain", false, "trace each found pair's shortest path and mark the new edges behind it")
 	dotOut := flag.String("dot", "", "write a GraphViz DOT rendering of G_t2 with the found pairs highlighted")
 	jsonOut := flag.String("json", "", "write the run result as a JSON report")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "across-source BFS parallelism (concurrent traversals)")
-	pruneOn := flag.Bool("prune", true, "Δ-threshold pruned extraction for -k runs (bit-identical output, less traversal); -prune=false forces full traversals")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON of the run's phases (load at chrome://tracing or ui.perfetto.dev)")
 	ocli := obs.BindCLIFlags(flag.CommandLine)
 	flag.Parse()
@@ -81,7 +79,7 @@ func main() {
 		if *exact || *modelPath != "" || *explain || *dotOut != "" {
 			fatal(fmt.Errorf("-weighted runs the budgeted name-based pipeline only (drop -exact, -model, -explain, and -dot)"))
 		}
-		runWeighted(ds, *selName, *m, *l, *k, int32(*delta), *f1, *f2, *seed, *workers, *traceOut, *jsonOut)
+		runWeighted(ds, *selName, *m, *l, *k, int32(*delta), *f1, *f2, *seed, *traceOut, *jsonOut)
 		return
 	}
 
@@ -93,7 +91,7 @@ func main() {
 		ds.Name, pair.G1.NumEdges(), pair.G2.NumEdges(), pair.G1.NumNodes())
 
 	if *exact {
-		pairs, err := convergence.Exact(pair, *k, *workers)
+		pairs, err := convergence.Exact(pair, *k, 0)
 		if err != nil {
 			fatal(err)
 		}
@@ -120,16 +118,13 @@ func main() {
 	// makes the thin client's budget routing visible (convlint budgetcheck
 	// requires Session queries to show where their meter comes from).
 	opts := convergence.Options{
-		Selector: sel, M: *m, L: *l, Seed: *seed, Workers: *workers,
+		Selector: sel, M: *m, L: *l, Seed: *seed,
 		Meter: convergence.NewBudgetMeter(*m),
 	}
 	if *delta > 0 {
 		opts.MinDelta = int32(*delta)
 	} else {
 		opts.K = *k
-	}
-	if !*pruneOn {
-		opts.Prune = convergence.PruneOff
 	}
 	var tr *convergence.Trace
 	var kernelsBefore sssp.MetricsSnapshot
@@ -194,14 +189,14 @@ func main() {
 // runWeighted is the -weighted leg: the same Algorithm 1 run on the unified
 // pipeline with Dijkstra distances, sharing the trace verification and
 // output plumbing with the unweighted path.
-func runWeighted(ds *dataset.Dataset, selName string, m, l, k int, delta int32, f1, f2 float64, seed int64, workers int, traceOut, jsonOut string) {
+func runWeighted(ds *dataset.Dataset, selName string, m, l, k int, delta int32, f1, f2 float64, seed int64, traceOut, jsonOut string) {
 	sp, err := ds.WeightedPair(f1, f2)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("dataset %s (weighted): G_t1 %d edges, G_t2 %d edges over %d nodes\n",
 		ds.Name, sp.G1.NumEdges(), sp.G2.NumEdges(), sp.G1.NumNodes())
-	opts := convergence.WeightedOptions{Selector: selName, M: m, L: l, Seed: seed, Workers: workers}
+	opts := convergence.WeightedOptions{Selector: selName, M: m, L: l, Seed: seed}
 	if delta > 0 {
 		opts.MinDelta = delta
 	} else {

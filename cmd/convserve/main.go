@@ -67,7 +67,6 @@ func main() {
 	retain := flag.Int("retain", 0, "epochs to retain (0 = unlimited; old unpinned epochs are pruned)")
 	maxSessions := flag.Int("maxsessions", 0, "cached per-window query sessions (0 = default)")
 	tenantLimit := flag.Int("tenantlimit", 0, "SSSP allowance for tenants auto-created by their first query (0 = unlimited)")
-	workers := flag.Int("workers", 0, "across-source BFS parallelism per query (0 = all cores)")
 	var tenants tenantFlags
 	flag.Var(&tenants, "tenant", "declare a tenant as name=limit (repeatable; limit <= 0 = unlimited)")
 	ocli := obs.BindCLIFlags(flag.CommandLine)
@@ -76,7 +75,6 @@ func main() {
 	cfg := serve.Config{
 		Universe:    *universe,
 		Retain:      *retain,
-		Workers:     *workers,
 		TenantLimit: *tenantLimit,
 		MaxSessions: *maxSessions,
 	}

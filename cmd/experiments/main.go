@@ -56,7 +56,6 @@ func main() {
 			"ablation-landmarks", "ablation-cover", "ablation-strategy",
 			"extensions", "streaming", "oracle", "oracle-accuracy",
 			"structure", "expansion", "weighted", "snapshot-sweep", "latency",
-			"prune",
 		} {
 			fmt.Println(name)
 		}
@@ -142,7 +141,6 @@ func main() {
 	run("expansion", func() (fmt.Stringer, error) { return suite.ExpansionTable() })
 	run("weighted", func() (fmt.Stringer, error) { return suite.WeightedTable() })
 	run("snapshot-sweep", func() (fmt.Stringer, error) { return suite.SnapshotSweep(nil) })
-	run("prune", func() (fmt.Stringer, error) { return suite.PruneTable(nil) })
 	run("latency", func() (fmt.Stringer, error) {
 		lat, err := suite.LatencyTable(5)
 		if err != nil {

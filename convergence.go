@@ -34,16 +34,6 @@ import (
 	"repro/internal/topk"
 )
 
-// Prune modes, re-exported for Options.Prune.
-const (
-	// PruneAuto (default) runs top-K extraction with the Δ-threshold pruning;
-	// output is bit-identical, only traversal work drops. MinDelta queries
-	// are never pruned.
-	PruneAuto = core.PruneAuto
-	// PruneOff forces full traversals — the differential baseline.
-	PruneOff = core.PruneOff
-)
-
 // Re-exported graph substrate types. Node IDs are dense ints in
 // [0, NumNodes); snapshots from one Evolving stream share a node universe.
 type (
@@ -87,10 +77,8 @@ type (
 	Result = core.Result
 	// BudgetReport is the per-phase SSSP spending of a run.
 	BudgetReport = budget.Report
-	// PruneMode controls the Δ-threshold pruned extraction (Options.Prune):
-	// PruneAuto prunes top-K queries bit-identically, PruneOff disables.
-	PruneMode = core.PruneMode
-	// PruneStats reports what pruning did in one run (Result.Pruned).
+	// PruneStats reports what the top-K Δ-threshold pruning did in one run
+	// (Result.Pruned).
 	PruneStats = core.PruneStats
 	// WarmCache memoizes selections and kth-Δ prune seeds across repeated
 	// queries over one snapshot pair (Options.Warm); create with NewWarmCache.

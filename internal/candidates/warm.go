@@ -17,11 +17,28 @@ import (
 // the prune threshold only for a query whose shape recomputes the identical
 // pair set.
 //
+// The memo holds at most warmKeys selection keys; storing a new key beyond
+// that evicts the oldest one together with its kth-Δ entries. Eviction only
+// turns a later hit into a cold run with the identical result and budget
+// report, so a client that varies its seed cannot grow the cache without
+// bound.
+//
 // Warm is safe for concurrent use.
 type Warm struct {
-	mu  sync.Mutex
-	sel map[string]*warmSelection
-	kth map[string]int32
+	mu      sync.Mutex
+	entries map[string]warmEntry
+	order   []string // keys of entries, oldest first
+}
+
+// warmKeys caps the selection keys one Warm memoizes. A served window sees
+// far fewer distinct shapes in steady use; each entry holds the selector's
+// cached distance rows, so the cap bounds a window's warm memory.
+const warmKeys = 64
+
+// warmEntry is everything memoized under one selection key.
+type warmEntry struct {
+	sel *warmSelection // nil until a selection is stored
+	kth map[int]int32  // final kth Δ by k
 }
 
 // WarmCharge is one successful meter charge recorded during a cold
@@ -45,7 +62,20 @@ type warmSelection struct {
 
 // NewWarm returns an empty warm cache.
 func NewWarm() *Warm {
-	return &Warm{sel: make(map[string]*warmSelection), kth: make(map[string]int32)}
+	return &Warm{entries: make(map[string]warmEntry)}
+}
+
+// put stores e under key. A new key evicts the oldest one when the memo is
+// full. Called with mu held.
+func (w *Warm) put(key string, e warmEntry) {
+	if _, ok := w.entries[key]; !ok {
+		if len(w.order) == warmKeys {
+			delete(w.entries, w.order[0])
+			w.order = append(w.order[:0], w.order[1:]...)
+		}
+		w.order = append(w.order, key)
+	}
+	w.entries[key] = e
 }
 
 // LookupSelection restores a memoized selection into ctx (row caches and
@@ -53,9 +83,9 @@ func NewWarm() *Warm {
 // The returned slices are private copies; row contents are shared read-only.
 func (w *Warm) LookupSelection(key string, ctx *Context) ([]int, []WarmCharge, bool) {
 	w.mu.Lock()
-	s, ok := w.sel[key]
+	s := w.entries[key].sel
 	w.mu.Unlock()
-	if !ok {
+	if s == nil {
 		return nil, nil, false
 	}
 	ctx.D1Rows = copyRows(s.d1)
@@ -77,7 +107,9 @@ func (w *Warm) StoreSelection(key string, cands []int, ctx *Context, charges []W
 		charges:   append([]WarmCharge(nil), charges...),
 	}
 	w.mu.Lock()
-	w.sel[key] = s
+	e := w.entries[key]
+	e.sel = s
+	w.put(key, e)
 	w.mu.Unlock()
 }
 
@@ -86,7 +118,7 @@ func (w *Warm) StoreSelection(key string, cands []int, ctx *Context, charges []W
 // for an identical query (it recomputes the identical pair set).
 func (w *Warm) KthDelta(selKey string, k int) (int32, bool) {
 	w.mu.Lock()
-	d, ok := w.kth[kthKey(selKey, k)]
+	d, ok := w.entries[selKey].kth[k]
 	w.mu.Unlock()
 	return d, ok
 }
@@ -96,20 +128,13 @@ func (w *Warm) KthDelta(selKey string, k int) (int32, bool) {
 // has no kth boundary.
 func (w *Warm) StoreKthDelta(selKey string, k int, delta int32) {
 	w.mu.Lock()
-	w.kth[kthKey(selKey, k)] = delta
-	w.mu.Unlock()
-}
-
-func kthKey(selKey string, k int) string {
-	// Manual itoa keeps this free of fmt; k is always small and positive.
-	buf := [20]byte{}
-	i := len(buf)
-	for k > 0 {
-		i--
-		buf[i] = byte('0' + k%10)
-		k /= 10
+	e := w.entries[selKey]
+	if e.kth == nil {
+		e.kth = make(map[int]int32)
 	}
-	return selKey + "|k" + string(buf[i:])
+	e.kth[k] = delta
+	w.put(selKey, e)
+	w.mu.Unlock()
 }
 
 // copyRows clones the map headers; the row slices themselves are shared

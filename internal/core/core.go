@@ -52,12 +52,6 @@ type Options struct {
 	// Deprecated: PairedMode is ignored. Every query computes its G_t2 rows
 	// with the one paired kernel (see dist.PairedSession).
 	PairedMode dist.PairedMode
-	// Prune controls the Δ-threshold pruned extraction. The zero value
-	// PruneAuto prunes top-K queries (output stays bit-identical; only
-	// traversal work and wall time drop) and never prunes MinDelta queries,
-	// which must return every qualifying pair. PruneOff forces full
-	// traversals everywhere — the differential baseline.
-	Prune PruneMode
 	// Warm, when non-nil, is a per-snapshot-pair warm cache: selection
 	// results are memoized (with their budget charges replayed on hits) and
 	// completed top-K queries seed the prune threshold of identical later
@@ -96,28 +90,13 @@ type Result struct {
 	Pruned PruneStats
 }
 
-// PruneMode controls the Δ-threshold pruned extraction (Options.Prune).
-type PruneMode int
-
-const (
-	// PruneAuto prunes exactly the queries where it is sound: top-K
-	// queries, where pairs provably below the kth-best Δ cannot change the
-	// output. MinDelta queries are never pruned.
-	PruneAuto PruneMode = iota
-	// PruneOff disables pruning everywhere.
-	PruneOff
-)
-
-// PruneStats summarizes the pruned extraction of one query.
+// PruneStats summarizes the pruned extraction of one query. Only top-K
+// queries prune; a MinDelta query reports the zero value.
 type PruneStats struct {
-	// Enabled reports whether extraction ran with the Δ-threshold.
-	Enabled bool
 	// CandidatesSkipped counts candidates whose landmark upper bound proved
 	// no pair of theirs can reach the top-k; their rows were charged but
 	// never traversed.
 	CandidatesSkipped int
-	// FinalThreshold is the kth-Δ threshold when extraction finished.
-	FinalThreshold int32
 }
 
 // CandidateSet returns the candidate endpoints as a set, the form the
@@ -134,7 +113,8 @@ func (r *Result) Coverage(truePairs []topk.Pair) float64 {
 var ErrNoSelector = errors.New("core: no selector configured")
 
 // Validate reports what Session.TopK rejects a query for before doing any
-// work: no selector, not exactly one of K and MinDelta positive, or M <= 0.
+// work: no selector, not exactly one of K and MinDelta positive, M <= 0, or
+// an M whose 2M SSSP limit overflows int.
 func (opts Options) Validate() error {
 	if opts.Selector == nil {
 		return ErrNoSelector
@@ -145,6 +125,9 @@ func (opts Options) Validate() error {
 	}
 	if opts.M <= 0 {
 		return fmt.Errorf("core: non-positive endpoint budget m=%d", opts.M)
+	}
+	if opts.M > budget.Unlimited/2 {
+		return fmt.Errorf("core: endpoint budget m=%d overflows the 2m SSSP limit", opts.M)
 	}
 	return nil
 }

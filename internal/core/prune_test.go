@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strconv"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/sssp"
+	"repro/internal/topk"
 )
 
 // disconnectedPair builds a snapshot pair whose stream grows `comps`
@@ -41,27 +43,63 @@ func disconnectedPair(t testing.TB, n, comps int, seed int64) graph.SnapshotPair
 	return sp
 }
 
-// requireSameResult asserts the full and pruned runs of one query agree on
-// everything the algorithm defines: pairs (bit-equal, post sort-cut),
-// candidates, and the budget report.
-func requireSameResult(t *testing.T, label string, full, pruned *Result) {
+// requireSameResult asserts two runs of one query agree on everything the
+// algorithm defines: pairs (bit-equal, post sort-cut), candidates, and the
+// budget report.
+func requireSameResult(t *testing.T, label string, want, got *Result) {
 	t.Helper()
-	if !reflect.DeepEqual(full.Pairs, pruned.Pairs) {
-		t.Errorf("%s: pairs differ:\nfull   %v\npruned %v", label, full.Pairs, pruned.Pairs)
+	if !reflect.DeepEqual(want.Pairs, got.Pairs) {
+		t.Errorf("%s: pairs differ:\nwant %v\ngot  %v", label, want.Pairs, got.Pairs)
 	}
-	if !reflect.DeepEqual(full.Candidates, pruned.Candidates) {
-		t.Errorf("%s: candidates differ:\nfull   %v\npruned %v", label, full.Candidates, pruned.Candidates)
+	if !reflect.DeepEqual(want.Candidates, got.Candidates) {
+		t.Errorf("%s: candidates differ:\nwant %v\ngot  %v", label, want.Candidates, got.Candidates)
 	}
-	if full.Budget != pruned.Budget {
-		t.Errorf("%s: budget reports differ: full %+v, pruned %+v", label, full.Budget, pruned.Budget)
+	if want.Budget != got.Budget {
+		t.Errorf("%s: budget reports differ: want %+v, got %+v", label, want.Budget, got.Budget)
 	}
 }
 
-// TestPrunedEquivalentFuzz is the pruning differential: across selectors
-// (landmark-using and not) and connected and disconnected random graphs,
-// the pruned extraction must be bit-identical to the full one. Small k on dense-delta graphs makes ties at
-// the kth boundary routine, so the strict-inequality cut discipline (ties at
-// the threshold are kept) is exercised throughout.
+// exactExtraction is the oracle extraction is checked against. It shares no
+// code with extractPairs: topk.Compute's exact all-pairs sweep, restricted
+// to pairs with an endpoint in res.Candidates and Δ >= max(1, δ), in
+// canonical order, cut to K.
+func exactExtraction(t *testing.T, sp graph.SnapshotPair, opts Options, res *Result) []topk.Pair {
+	t.Helper()
+	gt, err := topk.Compute(sp, topk.Options{Workers: 1, Slack: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	floor := max(1, opts.MinDelta)
+	inM := res.CandidateSet()
+	var want []topk.Pair
+	for _, p := range gt.Pairs {
+		if p.Delta >= floor && (inM[p.U] || inM[p.V]) {
+			want = append(want, p)
+		}
+	}
+	if opts.K > 0 && len(want) > opts.K {
+		want = want[:opts.K]
+	}
+	return want
+}
+
+// requireExact asserts res returned exactly the oracle's pairs.
+func requireExact(t *testing.T, label string, sp graph.SnapshotPair, opts Options, res *Result) {
+	t.Helper()
+	want := exactExtraction(t, sp, opts, res)
+	if len(want) != len(res.Pairs) || (len(want) > 0 && !reflect.DeepEqual(want, res.Pairs)) {
+		t.Errorf("%s: pairs differ from the exact oracle:\nexact %v\ngot   %v", label, want, res.Pairs)
+	}
+}
+
+// TestPrunedEquivalentFuzz is the extraction differential: across selectors
+// (landmark-using and not), connected and disconnected random graphs, top-K
+// shapes (pruned) and δ shapes (full rows, including a δ above every Δmax),
+// a one-worker run must return exactly the oracle's pairs, and a
+// three-worker run, whose threshold rises at different moments, must match
+// it in pairs, candidates and budget. Small k on dense-delta graphs makes
+// ties at the kth boundary routine, so the strict-inequality cut discipline
+// (ties at the threshold are kept) is exercised throughout.
 func TestPrunedEquivalentFuzz(t *testing.T) {
 	pairs := []struct {
 		name string
@@ -77,47 +115,47 @@ func TestPrunedEquivalentFuzz(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, k := range []int{3, 10} {
-				label := g.name + "/" + selName
-				opts := Options{Selector: sel, M: 25, L: 5, K: k, Seed: 7, Workers: 3}
-				opts.Prune = PruneOff
-				full, err := TopK(g.sp, opts)
+			shapes := []Options{{K: 3}, {K: 10}}
+			for _, d := range []int32{1, 2, 3, 5, 40} {
+				shapes = append(shapes, Options{MinDelta: d})
+			}
+			for _, shape := range shapes {
+				label := fmt.Sprintf("%s/%s/k%d/delta%d", g.name, selName, shape.K, shape.MinDelta)
+				opts := Options{Selector: sel, M: 25, L: 5, K: shape.K, MinDelta: shape.MinDelta, Seed: 7, Workers: 1}
+				serial, err := TopK(g.sp, opts)
 				if err != nil {
-					t.Fatalf("%s full: %v", label, err)
+					t.Fatalf("%s workers=1: %v", label, err)
 				}
-				opts.Prune = PruneAuto
-				pruned, err := TopK(g.sp, opts)
+				requireExact(t, label, g.sp, opts, serial)
+				opts.Workers = 3
+				par, err := TopK(g.sp, opts)
 				if err != nil {
-					t.Fatalf("%s pruned: %v", label, err)
+					t.Fatalf("%s workers=3: %v", label, err)
 				}
-				if !pruned.Pruned.Enabled {
-					t.Fatalf("%s: PruneAuto did not prune a top-k query", label)
-				}
-				requireSameResult(t, label, full, pruned)
+				requireSameResult(t, label, serial, par)
 			}
 		}
 	}
 }
 
-// TestPruneAutoSkipsMinDelta: a δ-threshold query must return every
-// qualifying pair, so PruneAuto must leave it unpruned (and the result must
-// of course match a PruneOff run).
+// TestPruneAutoSkipsMinDelta pins the fixed pruning policy for δ queries:
+// they must return every qualifying pair, so they run full rows. The result
+// equals the oracle, no candidate is skipped, and no bounded traversal runs.
 func TestPruneAutoSkipsMinDelta(t *testing.T) {
 	sp := growingPair(t, 150, 11)
 	opts := Options{Selector: candidates.MMSD(), M: 20, L: 5, MinDelta: 2, Seed: 7, Workers: 2}
-	auto, err := TopK(sp, opts)
+	before := sssp.SnapshotMetrics()
+	res, err := TopK(sp, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if auto.Pruned.Enabled {
-		t.Fatal("PruneAuto pruned a MinDelta query")
+	if calls := sssp.SnapshotMetrics().Sub(before).PrunedBFS.Calls; calls != 0 {
+		t.Errorf("δ query ran %d bounded traversals, want 0", calls)
 	}
-	opts.Prune = PruneOff
-	off, err := TopK(sp, opts)
-	if err != nil {
-		t.Fatal(err)
+	if res.Pruned.CandidatesSkipped != 0 {
+		t.Errorf("δ query skipped %d candidates, want 0", res.Pruned.CandidatesSkipped)
 	}
-	requireSameResult(t, "mindelta", auto, off)
+	requireExact(t, "mindelta", sp, opts, res)
 }
 
 // TestPruneSeedSound: seeding the threshold with the true kth Δ of the same
@@ -127,17 +165,16 @@ func TestPruneAutoSkipsMinDelta(t *testing.T) {
 func TestPruneSeedSound(t *testing.T) {
 	sp := growingPair(t, 200, 3)
 	opts := Options{Selector: candidates.MMSD(), M: 25, L: 5, K: 10, Seed: 7, Workers: 2}
-	opts.Prune = PruneOff
-	full, err := TopK(sp, opts)
+	plain, err := TopK(sp, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(full.Pairs) < opts.K {
-		t.Skipf("only %d pairs on this graph", len(full.Pairs))
+	exact := exactExtraction(t, sp, opts, plain)
+	if len(exact) < opts.K {
+		t.Skipf("only %d pairs on this graph", len(exact))
 	}
-	opts.Prune = PruneAuto
 	opts.Warm = candidates.NewWarm()
-	opts.Warm.StoreKthDelta(warmCacheKey(opts), opts.K, full.Pairs[opts.K-1].Delta)
+	opts.Warm.StoreKthDelta(warmCacheKey(opts), opts.K, exact[opts.K-1].Delta)
 	before := metricValue(t, "prune.threshold_seeded")
 	seeded, err := TopK(sp, opts)
 	if err != nil {
@@ -146,7 +183,8 @@ func TestPruneSeedSound(t *testing.T) {
 	if got := metricValue(t, "prune.threshold_seeded") - before; got != 1 {
 		t.Fatalf("threshold seeded %d times, want 1: the stored kth Δ went unused", got)
 	}
-	requireSameResult(t, "seeded", full, seeded)
+	requireExact(t, "seeded", sp, opts, seeded)
+	requireSameResult(t, "seeded", plain, seeded)
 }
 
 // metricValue reads one unlabeled series from the /metrics exposition.
@@ -174,8 +212,7 @@ func metricValue(t *testing.T, name string) int64 {
 // doing strictly less traversal work on the repeat — the selection is
 // replayed from the memo and the kth-Δ seed starts the threshold tight.
 // The kth-Δ seed is the strongest one pruning can ever get (the true final
-// kth Δ of the same query), so the warm result must also equal an unpruned
-// run.
+// kth Δ of the same query), so the warm result must also equal the oracle.
 func TestWarmCacheIdentical(t *testing.T) {
 	sp := growingPair(t, 200, 17)
 	sess, err := NewSession(sp)
@@ -212,43 +249,36 @@ func TestWarmCacheIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameResult(t, "warm-vs-plain", cold, plain)
-	opts.Prune = PruneOff
-	off, err := sess.TopK(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResult(t, "warm-vs-unpruned", off, warmRes)
+	requireExact(t, "warm-vs-exact", sp, opts, warmRes)
 }
 
 // TestPrunedTraceConsistency pins the observability contract of pruning:
 // skipped candidates were still charged, so the trace's charge-based
-// per-phase SSSP attribution and the budget report stay exactly what the
-// full run produces — the savings appear only in the kernel machine-work
+// per-phase SSSP attribution and the budget report stay exactly what an
+// unseeded run produces — the savings appear only in the kernel machine-work
 // counters and the prune/pruned-BFS series on /metrics.
 func TestPrunedTraceConsistency(t *testing.T) {
 	sp := growingPair(t, 400, 9)
 	base := Options{Selector: candidates.MMSD(), M: 30, L: 5, K: 3, Seed: 7, Workers: 2}
 
-	opts := base
-	opts.Prune = PruneOff
 	fullBefore := sssp.SnapshotMetrics()
-	full, err := TopK(sp, opts)
+	full, err := TopK(sp, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fullWork := sssp.SnapshotMetrics().Sub(fullBefore).Total()
-	if len(full.Pairs) < base.K {
-		t.Skipf("only %d pairs on this graph", len(full.Pairs))
+	exact := exactExtraction(t, sp, base, full)
+	if len(exact) < base.K {
+		t.Skipf("only %d pairs on this graph", len(exact))
 	}
 
 	// Seed the threshold with the true kth Δ so candidate skips are certain
 	// from the first dequeue, then check every accounting surface. The seed
 	// goes into a fresh warm cache that holds nothing else, so the selection
 	// still runs cold.
-	opts = base
-	opts.Prune = PruneAuto
+	opts := base
 	opts.Warm = candidates.NewWarm()
-	opts.Warm.StoreKthDelta(warmCacheKey(opts), base.K, full.Pairs[base.K-1].Delta)
+	opts.Warm.StoreKthDelta(warmCacheKey(opts), base.K, exact[base.K-1].Delta)
 	tr := obs.New("pruned")
 	opts.Trace = tr
 	prunedBefore := sssp.SnapshotMetrics()
@@ -258,6 +288,7 @@ func TestPrunedTraceConsistency(t *testing.T) {
 	}
 	prunedWork := sssp.SnapshotMetrics().Sub(prunedBefore).Total()
 
+	requireExact(t, "traced", sp, opts, pruned)
 	requireSameResult(t, "traced", full, pruned)
 	byPhase := tr.SSSPByPhase()
 	if got := byPhase["candidate-generation"]; got != pruned.Budget.CandidateGen {
@@ -267,7 +298,7 @@ func TestPrunedTraceConsistency(t *testing.T) {
 		t.Errorf("traced top-k-extraction = %d, budget report = %d", got, pruned.Budget.TopK)
 	}
 	if prunedWork.Edges >= fullWork.Edges {
-		t.Errorf("pruned run scanned %d edges, full scanned %d — expected a reduction",
+		t.Errorf("seeded run scanned %d edges, unseeded scanned %d — expected a reduction",
 			prunedWork.Edges, fullWork.Edges)
 	}
 
@@ -290,9 +321,9 @@ func TestPrunedTraceConsistency(t *testing.T) {
 	if rec.Kernels.PrunedBFSCalls == 0 {
 		t.Error("flight record shows no pruned-BFS calls — the extraction bound never reached a kernel")
 	}
-	if pruned.Pruned.CandidatesSkipped > 0 && rec.Kernels.Calls+rec.Kernels.PrunedBFSCalls >= fullWork.Calls {
-		t.Errorf("pruned run ran %d+%d traversals, full ran %d — skipped candidates still traversed?",
-			rec.Kernels.Calls, rec.Kernels.PrunedBFSCalls, fullWork.Calls)
+	if rows := rec.Kernels.Sources + rec.Kernels.PrunedBFSCalls; pruned.Pruned.CandidatesSkipped > 0 && rows >= int64(pruned.Budget.Total()) {
+		t.Errorf("pruned run traversed %d rows for %d charged — skipped candidates still traversed?",
+			rows, pruned.Budget.Total())
 	}
 
 	// The new counter families must be on /metrics.
@@ -311,8 +342,8 @@ func TestPrunedTraceConsistency(t *testing.T) {
 }
 
 // TestKthBoundaryTies pins the tie discipline on a crafted graph where many
-// pairs share the kth Δ: the pruned run must keep the same canonical winners
-// as the full run for every k around the tie plateau.
+// pairs share the kth Δ: the pruned run must keep the oracle's canonical
+// winners for every k around the tie plateau.
 func TestKthBoundaryTies(t *testing.T) {
 	// A star that gains spokes-to-spokes shortcuts: every shortcut pair
 	// converges by the same Δ (2 -> 1), giving a wide tie plateau.
@@ -334,16 +365,10 @@ func TestKthBoundaryTies(t *testing.T) {
 	}
 	for _, k := range []int{1, 5, 10, 19} {
 		opts := Options{Selector: candidates.MMSD(), M: 20, L: 5, K: k, Seed: 1, Workers: 2}
-		opts.Prune = PruneOff
-		full, err := TopK(sp, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.Prune = PruneAuto
 		pruned, err := TopK(sp, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameResult(t, "ties", full, pruned)
+		requireExact(t, fmt.Sprintf("ties/k%d", k), sp, opts, pruned)
 	}
 }

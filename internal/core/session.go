@@ -289,16 +289,16 @@ func warmCacheKey(opts Options) string {
 // for the candidate set (reusing rows the selector cached), form the
 // pairwise deltas, and keep the top pairs.
 //
-// For top-K queries (unless Options.Prune says otherwise) extraction runs
-// Δ-threshold pruned: a shared monotone threshold T tracks the kth-best Δ
-// offered so far, second-snapshot traversals stop once no undiscovered node
-// can still yield delta >= T (sssp.PrunedSecondBFS),
-// and candidates whose landmark upper bound proves every one of their pairs
-// is strictly below T are skipped whole. All of it is output-invariant: only
-// pairs with delta strictly below T <= the final kth Δ are ever dropped, and
-// those cannot survive the sort-cut. Budget charges are identical — the
+// Top-K queries run Δ-threshold pruned extraction: a shared monotone
+// threshold T tracks the kth-best Δ offered so far, second-snapshot
+// traversals stop once no undiscovered node can still yield delta >= T
+// (sssp.PrunedSecondBFS), and candidates whose landmark upper bound proves
+// every one of their pairs is strictly below T are skipped whole. All of it
+// is output-invariant: only pairs with delta strictly below T <= the final
+// kth Δ are ever dropped, and those cannot survive the sort-cut. Budget charges are identical — the
 // charge above counts rows produced, and a skipped candidate's rows were
-// still charged.
+// still charged. MinDelta queries run full rows: they must return every
+// qualifying pair, so there is no kth boundary to cut against.
 func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, cands []int, opts Options, meter *budget.Meter, phases *obs.PhaseNanos, warmKey string) ([]topk.Pair, PruneStats, error) {
 	if len(cands) == 0 {
 		return nil, PruneStats{}, nil
@@ -338,9 +338,8 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 		floor = 1
 	}
 
-	// Δ-threshold setup. Pruning is sound only for top-K (a MinDelta query
-	// must return every qualifying pair, so PruneAuto never prunes it).
-	pruneOn := opts.K > 0 && opts.Prune != PruneOff
+	// Δ-threshold setup: top-K queries only (see above).
+	pruneOn := opts.K > 0
 	var th *prune.Threshold
 	var boundFn func() int32 // nil asks the paired session for full rows
 	var ubounds []int32
@@ -454,12 +453,8 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 	}
 	close(next)
 	wg.Wait()
-	pstats := PruneStats{Enabled: pruneOn}
-	if pruneOn {
-		pstats.CandidatesSkipped = int(skipped.Load())
-		pstats.FinalThreshold = th.Load()
-		prune.SkipCandidates(pstats.CandidatesSkipped)
-	}
+	pstats := PruneStats{CandidatesSkipped: int(skipped.Load())}
+	prune.SkipCandidates(pstats.CandidatesSkipped)
 	extSpan.Set(obs.Int("raw-pairs", len(all)), obs.Int("pruned-skipped", pstats.CandidatesSkipped))
 	extSpan.End()
 	//convlint:nondet phase latency is observational, not part of results

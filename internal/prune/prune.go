@@ -156,10 +156,6 @@ var (
 // bound: their distance rows were charged to the budget but never traversed.
 func SkipCandidates(n int) { candidatesSkipped.Add(int64(n)) }
 
-// CandidatesSkipped reads the cumulative skip counter (tests and the
-// experiments harness diff it around a run).
-func CandidatesSkipped() int64 { return candidatesSkipped.Load() }
-
 func init() {
 	obs.RegisterMetric("prune.candidates_skipped", candidatesSkipped.Load)
 	obs.RegisterMetric("prune.threshold_raises", raises.Load)

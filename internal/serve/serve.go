@@ -45,8 +45,6 @@ type Config struct {
 	Universe int
 	// Retain bounds epoch retention (<= 0 for unlimited).
 	Retain int
-	// Workers bounds across-source sweep parallelism (0 = GOMAXPROCS).
-	Workers int
 	// TenantLimit is the SSSP allowance given to tenants created implicitly
 	// by their first query (<= 0 means unlimited). Tenants declared via
 	// POST /tenants carry their declared limit instead.
@@ -343,7 +341,9 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 
 // QueryRequest is one top-k converging-pairs query over an epoch window.
 // T1 and T2 are epoch sequence numbers; both 0 means the latest window
-// (T1 = latest-1, T2 = latest).
+// (T1 = latest-1, T2 = latest). Parallelism is not a request field: every
+// query runs its traversals at GOMAXPROCS, and a "workers" field from an
+// older client is ignored like any unknown field.
 type QueryRequest struct {
 	Tenant   string `json:"tenant"`
 	Selector string `json:"selector"`
@@ -355,7 +355,6 @@ type QueryRequest struct {
 	T1       int    `json:"t1,omitempty"`
 	T2       int    `json:"t2,omitempty"`
 	Paired   string `json:"paired,omitempty"`
-	Workers  int    `json:"workers,omitempty"`
 }
 
 // QueryResponse embeds the canonical run report — byte-identical to the JSON
@@ -417,7 +416,6 @@ func (s *Server) Query(r *http.Request, req *QueryRequest) (*QueryResponse, int,
 		K:        req.K,
 		MinDelta: req.MinDelta,
 		Seed:     req.Seed,
-		Workers:  orInt(req.Workers, s.cfg.Workers),
 	}
 	// Reject a malformed query before the registry can register its tenant.
 	if err := opts.Validate(); err != nil {
@@ -473,13 +471,6 @@ func (s *Server) Query(r *http.Request, req *QueryRequest) (*QueryResponse, int,
 // statusClientClosedRequest is nginx's conventional code for a request whose
 // client went away; net/http has no name for it.
 const statusClientClosedRequest = 499
-
-func orInt(v, def int) int {
-	if v == 0 {
-		return def
-	}
-	return v
-}
 
 // errorBody is the uniform JSON error envelope.
 type errorBody struct {

@@ -321,8 +321,9 @@ func TestTenantAdmission(t *testing.T) {
 }
 
 // TestRejectedQueryRegistersNoTenant pins that a query core would reject
-// (m = 0, or neither k nor delta) is a 400 that leaves the tenant registry
-// untouched: no new tenant with an unlimited allowance, no charge series.
+// (m = 0, neither k nor delta, or an m whose 2m limit overflows int) is a
+// 400 that leaves the tenant registry untouched: no new tenant with an
+// unlimited allowance, no charge series.
 func TestRejectedQueryRegistersNoTenant(t *testing.T) {
 	srv := New(Config{})
 	ts := httptest.NewServer(srv.Handler())
@@ -333,6 +334,7 @@ func TestRejectedQueryRegistersNoTenant(t *testing.T) {
 	bad := []QueryRequest{
 		{Tenant: "zero-m", Selector: "Degree", M: 0, K: 5},
 		{Tenant: "no-k-no-delta", Selector: "Degree", M: 5},
+		{Tenant: "overflow-m", Selector: "Degree", M: 1 << 62, K: 5},
 	}
 	for _, req := range bad {
 		if code := postJSON(t, ts.URL+"/query", req, nil); code != http.StatusBadRequest {
