@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -59,11 +60,11 @@ func requireSameResult(t *testing.T, label string, want, got *Result) {
 	}
 }
 
-// exactExtraction is the oracle extraction is checked against. It shares no
+// oraclePairs is the oracle extraction is checked against. It shares no
 // code with extractPairs: topk.Compute's exact all-pairs sweep, restricted
 // to pairs with an endpoint in res.Candidates and Δ >= max(1, δ), in
-// canonical order, cut to K.
-func exactExtraction(t *testing.T, sp graph.SnapshotPair, opts Options, res *Result) []topk.Pair {
+// canonical order, not yet cut to K.
+func oraclePairs(t *testing.T, sp graph.SnapshotPair, opts Options, res *Result) []topk.Pair {
 	t.Helper()
 	gt, err := topk.Compute(sp, topk.Options{Workers: 1, Slack: 1 << 30})
 	if err != nil {
@@ -77,6 +78,13 @@ func exactExtraction(t *testing.T, sp graph.SnapshotPair, opts Options, res *Res
 			want = append(want, p)
 		}
 	}
+	return want
+}
+
+// exactExtraction is oraclePairs cut to K: the pairs the query must return.
+func exactExtraction(t *testing.T, sp graph.SnapshotPair, opts Options, res *Result) []topk.Pair {
+	t.Helper()
+	want := oraclePairs(t, sp, opts, res)
 	if opts.K > 0 && len(want) > opts.K {
 		want = want[:opts.K]
 	}
@@ -370,5 +378,99 @@ func TestKthBoundaryTies(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireExact(t, fmt.Sprintf("ties/k%d", k), sp, opts, pruned)
+	}
+}
+
+// spanArg reads one integer annotation of the first span named span from
+// the trace's Chrome export.
+func spanArg(t *testing.T, tr *obs.Trace, span, key string) int {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range doc.TraceEvents {
+		if e.Name == span {
+			v, ok := e.Args[key].(float64)
+			if !ok {
+				t.Fatalf("span %s has no numeric %s: %v", span, key, e.Args)
+			}
+			return int(v)
+		}
+	}
+	t.Fatalf("trace has no %s span", span)
+	return 0
+}
+
+// TestEmissionCut pins that a top-K query emits only pairs that can still
+// reach the top-k. At one worker it emits strictly fewer pairs than its
+// candidates have with Δ >= 1 and still returns the oracle's pairs. Seeded
+// with its own final kth Δ, the threshold never moves, so at any worker
+// count it emits exactly the candidate pairs with Δ >= that kth Δ, ties
+// included. A δ query emits exactly the pairs the oracle returns.
+func TestEmissionCut(t *testing.T) {
+	sp := growingPair(t, 200, 3)
+	base := Options{Selector: candidates.MMSD(), M: 25, L: 5, K: 10, Seed: 7, Workers: 1}
+
+	opts := base
+	opts.Trace = obs.New("emission")
+	res, err := TopK(sp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireExact(t, "k10", sp, opts, res)
+	all := oraclePairs(t, sp, opts, res)
+	if len(all) <= opts.K {
+		t.Fatalf("only %d candidate pairs with Δ >= 1; the test is vacuous", len(all))
+	}
+	if got := spanArg(t, opts.Trace, "extraction", "emitted-pairs"); got >= len(all) {
+		t.Errorf("k10 emitted %d pairs, want fewer than the %d candidate pairs with Δ >= 1", got, len(all))
+	}
+
+	kth := all[base.K-1].Delta
+	atLeastKth := 0
+	for _, p := range all {
+		if p.Delta >= kth {
+			atLeastKth++
+		}
+	}
+	for _, workers := range []int{1, 3} {
+		opts := base
+		opts.Workers = workers
+		opts.Warm = candidates.NewWarm()
+		opts.Warm.StoreKthDelta(warmCacheKey(opts), opts.K, kth)
+		opts.Trace = obs.New("emission-seeded")
+		seeded, err := TopK(sp, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("seeded/workers%d", workers)
+		requireExact(t, label, sp, opts, seeded)
+		if got := spanArg(t, opts.Trace, "extraction", "emitted-pairs"); got != atLeastKth {
+			t.Errorf("%s: emitted %d pairs, want the %d candidate pairs with Δ >= %d", label, got, atLeastKth, kth)
+		}
+	}
+
+	for _, delta := range []int32{1, 2, 3} {
+		opts := Options{Selector: candidates.MMSD(), M: 25, L: 5, MinDelta: delta, Seed: 7, Workers: 2, Trace: obs.New("emission-delta")}
+		res, err := TopK(sp, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("delta%d", delta)
+		requireExact(t, label, sp, opts, res)
+		want := exactExtraction(t, sp, opts, res)
+		if got := spanArg(t, opts.Trace, "extraction", "emitted-pairs"); got != len(want) {
+			t.Errorf("%s: emitted %d pairs, want the oracle's %d", label, got, len(want))
+		}
 	}
 }

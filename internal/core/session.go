@@ -148,8 +148,9 @@ func (s *Session) TopK(ctx context.Context, opts Options) (result *Result, err e
 	kernelsBefore := sssp.SnapshotMetrics()
 	prunedBefore := sssp.SnapshotPrunedWork()
 	var phases obs.PhaseNanos
+	workers := 0 // extraction workers, resolved once the candidates are known
 	defer func() {
-		recordRun(opts, s.kernel, meter, kernelsBefore, prunedBefore, runStart, phases, result, err)
+		recordRun(opts, s.kernel, workers, meter, kernelsBefore, prunedBefore, runStart, phases, result, err)
 	}()
 	tr := opts.Trace
 	warmKey := warmCacheKey(opts)
@@ -235,21 +236,23 @@ func (s *Session) TopK(ctx context.Context, opts Options) (result *Result, err e
 		opts.Warm.StoreSelection(warmKey, cands, cctx, warmCharges)
 	}
 	// Defensive dedupe: a duplicated candidate would double-charge the
-	// budget and double-count its pairs.
-	seen := make(map[int]bool, len(cands))
+	// budget and double-count its pairs. The membership it builds is the one
+	// extraction reads for every node of every candidate row.
+	inM := make([]bool, s.src.NumNodes())
 	uniq := cands[:0]
 	for _, u := range cands {
-		if u < 0 || u >= s.src.NumNodes() {
+		if u < 0 || u >= len(inM) {
 			return nil, fmt.Errorf("core: selector %s returned out-of-range candidate %d",
 				opts.Selector.Name(), u)
 		}
-		if !seen[u] {
-			seen[u] = true
+		if !inM[u] {
+			inM[u] = true
 			uniq = append(uniq, u)
 		}
 	}
 	cands = uniq
-	pairs, pstats, err := s.extractPairs(ctx, cctx, cands, opts, meter, &phases, warmKey)
+	workers = sssp.ClampWorkers(opts.Workers, len(cands))
+	pairs, pstats, err := s.extractPairs(ctx, cctx, cands, inM, workers, opts, meter, &phases, warmKey)
 	if err != nil {
 		return nil, err
 	}
@@ -287,19 +290,23 @@ func warmCacheKey(opts Options) string {
 
 // extractPairs implements lines 2-5 of Algorithm 1: compute D1 and D2 rows
 // for the candidate set (reusing rows the selector cached), form the
-// pairwise deltas, and keep the top pairs.
+// pairwise deltas, and keep the top pairs. inM marks the candidates, indexed
+// by node; workers is the resolved extraction worker count.
 //
 // Top-K queries run Δ-threshold pruned extraction: a shared monotone
-// threshold T tracks the kth-best Δ offered so far, second-snapshot
-// traversals stop once no undiscovered node can still yield delta >= T
-// (sssp.PrunedSecondBFS), and candidates whose landmark upper bound proves
-// every one of their pairs is strictly below T are skipped whole. All of it
-// is output-invariant: only pairs with delta strictly below T <= the final
-// kth Δ are ever dropped, and those cannot survive the sort-cut. Budget charges are identical — the
-// charge above counts rows produced, and a skipped candidate's rows were
-// still charged. MinDelta queries run full rows: they must return every
+// threshold T tracks the kth-best Δ offered so far, and three cuts act on
+// it. Second-snapshot traversals stop once no undiscovered node can still
+// yield delta >= T (sssp.PrunedSecondBFS); candidates whose landmark upper
+// bound proves every one of their pairs is strictly below T are skipped
+// whole; and a pair whose delta is strictly below T is never emitted, so
+// sort-cut sorts only pairs that could still reach the top-k. All three are
+// output-invariant: only pairs with delta strictly below T <= the final kth
+// Δ are ever dropped, and those cannot survive the sort-cut. Budget charges
+// are identical — the charge above counts rows produced, and a skipped
+// candidate's rows were still charged. MinDelta queries run full rows and
+// emit exactly the pairs with delta >= δ: they must return every
 // qualifying pair, so there is no kth boundary to cut against.
-func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, cands []int, opts Options, meter *budget.Meter, phases *obs.PhaseNanos, warmKey string) ([]topk.Pair, PruneStats, error) {
+func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, cands []int, inM []bool, workers int, opts Options, meter *budget.Meter, phases *obs.PhaseNanos, warmKey string) ([]topk.Pair, PruneStats, error) {
 	if len(cands) == 0 {
 		return nil, PruneStats{}, nil
 	}
@@ -326,11 +333,6 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 		phases.Extraction = time.Since(extStart).Nanoseconds()
 		extractionNS.Observe(phases.Extraction)
 		return nil, PruneStats{}, fmt.Errorf("core: extraction phase: %w", err)
-	}
-
-	inM := make(map[int]bool, len(cands))
-	for _, u := range cands {
-		inM[u] = true
 	}
 
 	floor := opts.MinDelta
@@ -369,7 +371,6 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 		sort.SliceStable(order, func(a, b int) bool { return ubounds[order[a]] > ubounds[order[b]] })
 	}
 
-	workers := sssp.ClampWorkers(opts.Workers, len(cands))
 	var mu sync.Mutex
 	var all []topk.Pair
 	next := make(chan int, workers)
@@ -422,6 +423,15 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 						st.sess1.DistancesInto(u, st.d1buf)
 						d1 = st.d1buf
 					}
+					// Emission cut: lo = max(floor, T), re-read at the row
+					// start and after every offer. A pair strictly below lo
+					// cannot reach the top-k, and Offer would ignore it (it
+					// drops any delta <= T), so skipping it leaves the
+					// threshold's evolution unchanged. Ties at lo are kept.
+					lo := floor
+					if pruneOn {
+						lo = max(lo, th.Load())
+					}
 					for v := 0; v < n; v++ {
 						if v == u || (inM[v] && v < u) {
 							continue // the pair is found from the smaller candidate
@@ -430,11 +440,12 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 							continue
 						}
 						delta := d1[v] - d2[v]
-						if delta < floor {
+						if delta < lo {
 							continue
 						}
 						if pruneOn {
 							th.Offer(delta)
+							lo = max(lo, th.Load())
 						}
 						p := topk.Pair{U: int32(u), V: int32(v), D1: d1[v], D2: d2[v], Delta: delta}
 						if p.U > p.V {
@@ -455,7 +466,7 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 	wg.Wait()
 	pstats := PruneStats{CandidatesSkipped: int(skipped.Load())}
 	prune.SkipCandidates(pstats.CandidatesSkipped)
-	extSpan.Set(obs.Int("raw-pairs", len(all)), obs.Int("pruned-skipped", pstats.CandidatesSkipped))
+	extSpan.Set(obs.Int("emitted-pairs", len(all)), obs.Int("pruned-skipped", pstats.CandidatesSkipped))
 	extSpan.End()
 	//convlint:nondet phase latency is observational, not part of results
 	phases.Extraction = time.Since(extStart).Nanoseconds()

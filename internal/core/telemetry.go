@@ -34,15 +34,17 @@ func PhaseLatencies() map[string]obs.HistogramSnapshot {
 }
 
 // fingerprint compacts the options that determine a run's result, plus the
-// kernel the session's sources ran, into one string: the flight record's
-// identity line.
-func fingerprint(opts Options, kernel string) string {
+// kernel the session's sources ran and the extraction worker count it
+// resolved (0 when the run ended before extraction), into one string: the
+// flight record's identity line. Pruned work depends on the worker count,
+// so the record names the count that ran, not the one requested.
+func fingerprint(opts Options, kernel string, workers int) string {
 	name := "none"
 	if opts.Selector != nil {
 		name = opts.Selector.Name()
 	}
 	return fmt.Sprintf("selector=%s m=%d k=%d delta=%d seed=%d engine=%s workers=%d",
-		name, opts.M, opts.K, opts.MinDelta, opts.Seed, kernel, opts.Workers)
+		name, opts.M, opts.K, opts.MinDelta, opts.Seed, kernel, workers)
 }
 
 // recordRun closes out one run's telemetry: the total-phase histogram sample
@@ -51,7 +53,7 @@ func fingerprint(opts Options, kernel string) string {
 // kernel counters are process-global, so under concurrent runs the delta
 // attributes overlapping traversal work to whichever run reads it — an
 // accepted imprecision, same as SnapshotMetrics region attribution.
-func recordRun(opts Options, kernel string, meter *budget.Meter, before sssp.MetricsSnapshot, prunedBefore sssp.PrunedWork, start time.Time, phases obs.PhaseNanos, res *Result, err error) {
+func recordRun(opts Options, kernel string, workers int, meter *budget.Meter, before sssp.MetricsSnapshot, prunedBefore sssp.PrunedWork, start time.Time, phases obs.PhaseNanos, res *Result, err error) {
 	//convlint:nondet phase latency is observational, not part of results
 	phases.Total = time.Since(start).Nanoseconds()
 	totalNS.Observe(phases.Total)
@@ -61,7 +63,7 @@ func recordRun(opts Options, kernel string, meter *budget.Meter, before sssp.Met
 	rep := meter.Report()
 	rec := obs.RunRecord{
 		Kind:        "topk",
-		Fingerprint: fingerprint(opts, kernel),
+		Fingerprint: fingerprint(opts, kernel, workers),
 		Phases:      phases,
 		Budget:      obs.BudgetSplit{Limit: rep.Limit, CandidateGen: rep.CandidateGen, TopK: rep.TopK},
 		Kernels: obs.KernelDelta{

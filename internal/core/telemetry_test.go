@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/sssp"
 )
 
 // TestPhaseHistogramsMatchSpanCounts ties the two latency views together:
@@ -146,8 +148,10 @@ func TestFlightRecordsFailedRun(t *testing.T) {
 }
 
 // TestFlightRecordNamesSessionKernel: the fingerprint names the kernel
-// family the session's sources run: engine=bfs for a BFS session and
-// engine=dijkstra for a Dijkstra one.
+// family the session's sources run, engine=bfs for a BFS session and
+// engine=dijkstra for a Dijkstra one, and the extraction worker count the
+// query resolved: a request for 0 (GOMAXPROCS) or for more workers than
+// candidates records the count that ran.
 func TestFlightRecordNamesSessionKernel(t *testing.T) {
 	sp := growingPair(t, 80, 21)
 	bfs, err := NewSession(sp)
@@ -159,12 +163,21 @@ func TestFlightRecordNamesSessionKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for want, sess := range map[string]*Session{"engine=bfs": bfs, "engine=dijkstra": weighted} {
-		opts := Options{Selector: candidates.Degree(), M: 5, K: 3, Meter: budget.NewMeter(5)}
-		if _, err := sess.TopK(context.Background(), opts); err != nil {
-			t.Fatal(err)
-		}
-		if fp := obs.Flight.Last(1)[0].Fingerprint; !strings.Contains(fp, want) {
-			t.Errorf("fingerprint %q, want %s", fp, want)
+		for _, requested := range []int{0, 8} {
+			opts := Options{Selector: candidates.Degree(), M: 5, K: 3, Workers: requested, Meter: budget.NewMeter(5)}
+			res, err := sess.TopK(context.Background(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fp := obs.Flight.Last(1)[0].Fingerprint
+			if !strings.Contains(fp, want) {
+				t.Errorf("fingerprint %q, want %s", fp, want)
+			}
+			workers := fmt.Sprintf(" workers=%d", sssp.ClampWorkers(requested, len(res.Candidates)))
+			if !strings.HasSuffix(fp, workers) {
+				t.Errorf("requested %d workers for %d candidates: fingerprint %q, want%s",
+					requested, len(res.Candidates), fp, workers)
+			}
 		}
 	}
 }

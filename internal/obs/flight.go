@@ -64,7 +64,9 @@ type RunRecord struct {
 	// Kind distinguishes record sources: "topk", "watch-window".
 	Kind string `json:"kind"`
 	// Fingerprint identifies the run's options compactly, e.g.
-	// "selector=MMSD m=100 k=20 delta=0 seed=1 engine=auto workers=0".
+	// "selector=MMSD m=100 k=20 delta=0 seed=1 engine=bfs workers=2", where
+	// engine is the traversal kernel family and workers the extraction
+	// worker count the run resolved.
 	Fingerprint string `json:"fingerprint"`
 	// Phases is the per-phase wall time.
 	Phases PhaseNanos `json:"phases"`

@@ -15,6 +15,16 @@
 // pruned extraction bit-identical to the unpruned one across worker
 // schedules (pinned by the differential fuzz tests in internal/core).
 //
+// Extraction cuts three ways against the threshold T, each dropping only
+// work whose every delta is strictly below T: a second-snapshot traversal
+// stops once no undiscovered node can reach T (sssp.PrunedSecondBFS); a
+// candidate whose landmark upper bound is below T is skipped whole; and a
+// pair whose delta is below T is never emitted, so the final sort sees only
+// pairs that can still reach the top-k. The emission cut also leaves the
+// threshold itself unchanged: Offer ignores any delta <= T, and T never
+// decreases, so a delta below a value a worker has loaded would have been
+// ignored anyway.
+//
 // Δ-mode queries (Options.MinDelta) must never use a Threshold: they return
 // every qualifying pair, not the best k, so there is no kth boundary to
 // prune against (see DESIGN.md).

@@ -81,8 +81,29 @@ func BenchmarkMultiSourceBFS(b *testing.B) {
 // by 64 for the per-source cost) on one worker: batch64/diropt runs
 // dirOptBFS per source, the path of sweeps below msAutoThreshold, and
 // batch64/bitparallel64 is the sweep driver itself, where the bit-parallel
-// kernel's batching pays off.
+// kernel's batching pays off. The DBLP and Facebook rows run dirOptBFS on
+// the served workloads' graph shapes (servedSnapshot), cycling over 200
+// sources with an edge: benchGraph is one connected random component with
+// neither DBLP's diameter nor its unreachable components, so those rows
+// decide the direction rule.
 func BenchmarkBFSEngines(b *testing.B) {
+	for _, shape := range []struct {
+		dataset string
+		nodes   int
+	}{{"DBLP", 10000}, {"Facebook", 4700}} {
+		for _, frac := range []float64{0.8, 1} {
+			g := servedSnapshot(b, shape.dataset, shape.nodes, frac)
+			sources := liveSources(g, 200)
+			dist := make([]int32, g.NumNodes())
+			s := NewScratch(g.NumNodes())
+			b.Run(fmt.Sprintf("single/diropt/%s/n=%d/cut=%.1f", shape.dataset, shape.nodes, frac), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					BFSWith(g, sources[i%len(sources)], dist, s)
+				}
+			})
+		}
+	}
 	for _, n := range []int{10000, 50000} {
 		g := benchGraph(n, 1)
 		dist := make([]int32, n)

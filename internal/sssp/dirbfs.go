@@ -9,18 +9,29 @@ import (
 
 // Direction-optimizing BFS (Beamer, Asanović, Patterson: "Direction-
 // Optimizing Breadth-First Search", SC'12). Levels run top-down (scan the
-// frontier's adjacency) while the frontier is small, and bottom-up (scan
-// the unvisited nodes for any parent in the frontier) once the frontier's
-// outgoing edges outnumber a fraction of the unexplored edges. On the
-// small-diameter graphs of the paper's datasets the middle levels hold most
-// of the graph, and bottom-up terminates each node's scan at its first
-// frontier parent instead of examining every frontier edge.
+// frontier's adjacency) unless the frontier is large on three counts, when
+// they run bottom-up (scan the unvisited nodes for any parent in the
+// frontier): its outgoing edges outnumber a fraction of the unexplored
+// edges (Beamer's test), it holds a fixed share of the still-unvisited
+// nodes, and it holds a fixed fraction of the graph. On the small-diameter
+// graphs of the paper's Facebook dataset the middle levels pass all three,
+// and bottom-up ends each node's scan at its first frontier parent instead
+// of examining every frontier edge. On sparse large-diameter graphs such as
+// DBLP, Beamer's test alone also passes levels whose unvisited nodes mostly
+// lie beyond the frontier or in components the source cannot reach; each
+// such node scans its whole adjacency list, and the worst of those
+// bottom-up levels examined six to ten times the edges a top-down level
+// would have. The share test keeps them top-down (EXPERIMENTS.md, "Why
+// bottom-up waits for a large frontier").
 const (
-	// dirOptAlpha: switch top-down -> bottom-up when
+	// dirOptAlpha: bottom-up needs
 	// (edges out of frontier) > (edges out of unvisited) / alpha.
 	dirOptAlpha = 14
-	// dirOptBeta: switch bottom-up -> top-down when
-	// (frontier size) < n / beta.
+	// dirOptShare: bottom-up needs
+	// (frontier size) * share > (unvisited nodes).
+	dirOptShare = 3
+	// dirOptBeta: bottom-up needs
+	// (frontier size) >= n / beta.
 	dirOptBeta = 24
 )
 
@@ -55,7 +66,11 @@ func dirOptBFS(g *graph.Graph, src int, dist []int32, s *Scratch) (reached int, 
 	peak := 1
 
 	for {
-		if !bottomUp && mf > mu/dirOptAlpha && nf > 1 {
+		// A level runs bottom-up only while all three tests hold, and a
+		// one-node frontier always expands top-down. The kernel is
+		// level-synchronous, so distances do not depend on the direction.
+		wantBottomUp := nf > 1 && mf > mu/dirOptAlpha && nf*dirOptShare > n-reached && nf >= n/dirOptBeta
+		if wantBottomUp && !bottomUp {
 			// Switch: materialize the frontier as a bitmap.
 			clearWords(s.cur[:words])
 			for _, u := range q[levelStart:levelEnd] {
@@ -63,7 +78,7 @@ func dirOptBFS(g *graph.Graph, src int, dist []int32, s *Scratch) (reached int, 
 			}
 			bottomUp = true
 			switches++
-		} else if bottomUp && nf < n/dirOptBeta {
+		} else if !wantBottomUp && bottomUp {
 			// Switch back: collect the bitmap frontier into the queue.
 			levelStart = len(q)
 			for w, word := range s.cur[:words] {

@@ -248,14 +248,20 @@ func TestMultiSourceEnvelope(t *testing.T) {
 	}
 }
 
-// FuzzEngines feeds arbitrary byte-derived graphs and sources through both
-// kernels; each must agree with the oracle exactly.
+// FuzzEngines feeds byte-derived graphs and sources through both kernels;
+// each must agree with the oracle exactly. Every graph starts from
+// blockWithPaths, sized by the shape bytes: a dense block between two paths,
+// plus isolated nodes, so a source on a path meets both direction switches
+// of dirOptBFS. The data bytes add edges anywhere (growing the universe up
+// to 256 nodes), and the source byte picks the source.
 func FuzzEngines(f *testing.F) {
-	f.Add([]byte{0, 1, 1, 2, 2, 0}, uint8(0))
-	f.Add([]byte{}, uint8(3))
-	f.Add([]byte{255, 255, 0, 0, 7, 9}, uint8(9))
-	f.Fuzz(func(t *testing.T, data []byte, srcByte uint8) {
-		b := graph.NewBuilder(int(srcByte) + 1)
+	f.Add([]byte{0, 1, 1, 2, 2, 0}, uint8(0), uint8(0), uint8(0))
+	f.Add([]byte{}, uint8(3), uint8(2), uint8(1))
+	f.Add([]byte{255, 255, 0, 0, 7, 9}, uint8(9), uint8(5), uint8(30))
+	f.Add([]byte{}, uint8(51), uint8(40), uint8(12)) // far end of the first path
+	f.Add([]byte{60, 200, 3, 90}, uint8(70), uint8(47), uint8(25))
+	f.Fuzz(func(t *testing.T, data []byte, srcByte, blockByte, pathByte uint8) {
+		b := blockWithPaths(int(blockByte)%48, int(pathByte)%32, int(srcByte)%8+1)
 		for i := 0; i+1 < len(data); i += 2 {
 			_ = b.AddEdge(int(data[i]), int(data[i+1]))
 		}
