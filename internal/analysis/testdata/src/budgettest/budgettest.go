@@ -151,7 +151,7 @@ func meteredPairedSession(p dist.Pair, m *budget.Meter, d1, d2 []int32) error {
 // bound cuts traversal work, never charges. A cut-short row was still
 // produced (valid for delta extraction), so it is still one unit.
 
-func unmeteredPrunedBFS(g2 *graph.Graph, d1, d2 []int32, ps *sssp.PrunedScratch) {
+func unmeteredPrunedBFS(g2 *graph.Graph, d1, d2 []int32, ps *sssp.Scratch) {
 	sssp.PrunedSecondBFS(g2, 0, d1, d2, func() int32 { return 1 }, ps) // want `call to sssp.PrunedSecondBFS without`
 }
 

@@ -478,10 +478,7 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 	//convlint:nondet phase latency is observational, not part of results
 	cutStart := time.Now()
 	cutSpan := tr.StartSpan("sort-cut", obs.Int("pairs", len(all)))
-	topk.SortPairs(all)
-	if opts.K > 0 && len(all) > opts.K {
-		all = all[:opts.K]
-	}
+	all = topk.TopPairs(all, opts.K)
 	cutSpan.Set(obs.Int("kept", len(all)))
 	cutSpan.End()
 	//convlint:nondet phase latency is observational, not part of results

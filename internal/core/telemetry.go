@@ -76,11 +76,12 @@ func recordRun(opts Options, kernel string, workers int, meter *budget.Meter, be
 			RepairEdges: d.Repair.Edges,
 			// The pruned-extraction split: bounded t2 traversals are broken
 			// out like repairs, plus the work the Δ-threshold cuts avoided.
-			PrunedBFSCalls:     d.PrunedBFS.Calls,
-			PrunedBFSEdges:     d.PrunedBFS.Edges,
-			PrunedCutoffs:      pd.Cutoffs,
-			PrunedSkippedNodes: pd.Nodes,
-			PrunedSkippedEdges: pd.Edges,
+			PrunedBFSCalls:         d.PrunedBFS.Calls,
+			PrunedBFSEdges:         d.PrunedBFS.Edges,
+			PrunedBFSBottomUpSteps: d.PrunedBFS.BottomUpSteps,
+			PrunedCutoffs:          pd.Cutoffs,
+			PrunedSkippedNodes:     pd.Nodes,
+			PrunedSkippedEdges:     pd.Edges,
 		},
 		Outcome: "ok",
 	}

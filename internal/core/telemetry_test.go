@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/budget"
 	"repro/internal/candidates"
+	"repro/internal/datagen"
 	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -178,6 +179,40 @@ func TestFlightRecordNamesSessionKernel(t *testing.T) {
 				t.Errorf("requested %d workers for %d candidates: fingerprint %q, want%s",
 					requested, len(res.Candidates), fp, workers)
 			}
+		}
+	}
+}
+
+// TestFlightRecordShowsBoundedDirection: on a Facebook-shaped graph (one
+// small-diameter component, datagen at n=500) a top-K query's bounded t2
+// legs run some levels bottom-up, its flight record says how many, and
+// /metrics exposes the bounded leg's direction counters.
+func TestFlightRecordShowsBoundedDirection(t *testing.T) {
+	ev, err := datagen.ByName("Facebook", datagen.Config{Seed: 1, Scale: 500.0 / 4700})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := ev.Pair(0.8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := TopK(sp, Options{Selector: candidates.MaxMin(), M: 20, K: 10, Seed: 1, Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	k := obs.Flight.Last(1)[0].Kernels
+	if k.PrunedBFSCalls == 0 || k.PrunedBFSBottomUpSteps == 0 {
+		t.Errorf("flight record prunedbfs_calls = %d, prunedbfs_bottomup_steps = %d, want both > 0",
+			k.PrunedBFSCalls, k.PrunedBFSBottomUpSteps)
+	}
+	var buf bytes.Buffer
+	if err := obs.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{
+		"sssp.prunedbfs_topdown_steps", "sssp.prunedbfs_bottomup_steps", "sssp.prunedbfs_switches",
+	} {
+		if !strings.Contains(buf.String(), name) {
+			t.Errorf("/metrics is missing %s", name)
 		}
 	}
 }

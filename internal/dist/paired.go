@@ -72,7 +72,7 @@ func (e *PairedEngine) NewSession() *PairedSession {
 type PairedSession struct {
 	s1, s2 Session
 	g2     *graph.Graph
-	pruned *sssp.PrunedScratch
+	pruned *sssp.Scratch
 }
 
 // DistancesPairInto fills d1 and d2 (each length NumNodes) with the distance
@@ -90,7 +90,7 @@ func (s *PairedSession) DeriveInto(src int, d1, d2 []int32, bound func() int32) 
 		return false
 	}
 	if s.pruned == nil {
-		s.pruned = &sssp.PrunedScratch{}
+		s.pruned = sssp.NewScratch(s.g2.NumNodes())
 	}
 	return sssp.PrunedSecondBFS(s.g2, src, d1, d2, bound, s.pruned)
 }

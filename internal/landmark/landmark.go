@@ -17,6 +17,7 @@
 package landmark
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -25,6 +26,7 @@ import (
 	"repro/internal/budget"
 	"repro/internal/dist"
 	"repro/internal/graph"
+	"repro/internal/topk"
 )
 
 // Strategy selects how landmarks are picked from G_t1.
@@ -267,20 +269,16 @@ func TopByScore[T int64 | int32 | float64](score []T, m int, exclude map[int]boo
 	if m <= 0 {
 		return nil
 	}
-	idx := make([]int, 0, len(score))
-	for v := range score {
-		if !exclude[v] {
-			idx = append(idx, v)
+	best := topk.NewBest(min(m, len(score)), func(a, b int) int {
+		if c := cmp.Compare(score[b], score[a]); c != 0 {
+			return c
 		}
-	}
-	sort.Slice(idx, func(i, j int) bool {
-		if score[idx[i]] != score[idx[j]] {
-			return score[idx[i]] > score[idx[j]]
-		}
-		return idx[i] < idx[j]
+		return cmp.Compare(a, b)
 	})
-	if m > len(idx) {
-		m = len(idx)
+	for v := range score {
+		if best.Admits(v) && !exclude[v] {
+			best.Offer(v)
+		}
 	}
-	return idx[:m]
+	return best.Sorted()
 }

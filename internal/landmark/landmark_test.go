@@ -3,6 +3,8 @@ package landmark
 import (
 	"errors"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -294,5 +296,44 @@ func TestTopByScore(t *testing.T) {
 	}
 	if len(TopByScore(score, 100, nil)) != 5 {
 		t.Fatal("m beyond len should clamp")
+	}
+
+	// Randomized against a full sort: few distinct scores (heavy ties),
+	// random exclusions, m below, at and above the eligible count.
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(60)
+		i64, i32, f64 := make([]int64, n), make([]int32, n), make([]float64, n)
+		for v := 0; v < n; v++ {
+			x := rng.Intn(6) - 2
+			i64[v], i32[v], f64[v] = int64(x), int32(x), float64(x)/2
+		}
+		exclude := map[int]bool{}
+		for v := 0; v < n; v++ {
+			if rng.Intn(4) == 0 {
+				exclude[v] = true
+			}
+		}
+		m := rng.Intn(n+3) + 1
+		checkTopByScore(t, i64, m, exclude)
+		checkTopByScore(t, i32, m, exclude)
+		checkTopByScore(t, f64, m, nil)
+	}
+}
+
+// checkTopByScore compares TopByScore with a full sort of the eligible
+// nodes by (score descending, ID ascending) cut to m.
+func checkTopByScore[T int64 | int32 | float64](t *testing.T, score []T, m int, exclude map[int]bool) {
+	t.Helper()
+	var want []int
+	for v := range score {
+		if !exclude[v] {
+			want = append(want, v)
+		}
+	}
+	sort.SliceStable(want, func(i, j int) bool { return score[want[i]] > score[want[j]] })
+	want = want[:min(m, len(want))]
+	if got := TopByScore(score, m, exclude); !slices.Equal(got, want) {
+		t.Fatalf("TopByScore(%v, %d, %v) = %v, want %v", score, m, exclude, got, want)
 	}
 }

@@ -45,14 +45,15 @@ type KernelDelta struct {
 	RepairNodes int64 `json:"repair_nodes,omitempty"`
 	RepairEdges int64 `json:"repair_edges,omitempty"`
 	// The pruned-extraction split: how many bounded second-snapshot
-	// traversals ran (and the edges they still scanned), how many were cut
-	// short by the Δ-threshold, and the node visits / edge scans the cuts
-	// provably avoided.
-	PrunedBFSCalls     int64 `json:"prunedbfs_calls,omitempty"`
-	PrunedBFSEdges     int64 `json:"prunedbfs_edges,omitempty"`
-	PrunedCutoffs      int64 `json:"pruned_cutoffs,omitempty"`
-	PrunedSkippedNodes int64 `json:"pruned_skipped_nodes,omitempty"`
-	PrunedSkippedEdges int64 `json:"pruned_skipped_edges,omitempty"`
+	// traversals ran (the edges they still scanned, and how many of their
+	// levels ran bottom-up), how many were cut short by the Δ-threshold,
+	// and the node visits / edge scans the cuts provably avoided.
+	PrunedBFSCalls         int64 `json:"prunedbfs_calls,omitempty"`
+	PrunedBFSEdges         int64 `json:"prunedbfs_edges,omitempty"`
+	PrunedBFSBottomUpSteps int64 `json:"prunedbfs_bottomup_steps,omitempty"`
+	PrunedCutoffs          int64 `json:"pruned_cutoffs,omitempty"`
+	PrunedSkippedNodes     int64 `json:"pruned_skipped_nodes,omitempty"`
+	PrunedSkippedEdges     int64 `json:"pruned_skipped_edges,omitempty"`
 }
 
 // RunRecord is one flight-recorder entry.

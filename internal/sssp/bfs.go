@@ -40,6 +40,8 @@ func BFS(g *graph.Graph, src int, dist []int32) (reached int, ecc int32) {
 //
 //convlint:hotpath
 func BFSWith(g *graph.Graph, src int, dist []int32, s *Scratch) (reached int, ecc int32) {
+	//convlint:nondet sweep latency is observational, not part of results
+	start := time.Now()
 	n := g.NumNodes()
 	if len(dist) != n {
 		panic(fmt.Sprintf("sssp: dist buffer length %d, graph has %d nodes", len(dist), n))
@@ -56,7 +58,9 @@ func BFSWith(g *graph.Graph, src int, dist []int32, s *Scratch) (reached int, ec
 	for i := range dist {
 		dist[i] = Unreachable
 	}
-	return dirOptBFS(g, src, dist, s)
+	ecc, work := dirOptBFS(g, src, dist, s, nil)
+	work.flush(kDirOpt, start)
+	return int(work.nodes), ecc
 }
 
 // Distances is a convenience wrapper around BFS that allocates the buffer.

@@ -69,26 +69,50 @@ func blockWithPaths(block, path, isolated int) *graph.Builder {
 // alone examined about 2.5 times that; with the frontier-share test
 // dirOptBFS must stay at or below it. On Facebook bottom-up must still
 // engage and at least halve it.
+//
+// The bounded leg (PrunedSecondBFS from every source of the served pair,
+// G_t1 at 80% and G_t2 full, under constant thresholds) is held against
+// referencePrunedBFS, the top-down loop it ran before it shared dirOptBFS's:
+// on DBLP it may examine no more edges, and on Facebook, where a bounded
+// row used to examine more edges than a full one, it must cut them by
+// maxPrunedRatio.
 func TestDirectionRuleEdgeWork(t *testing.T) {
 	cases := []struct {
-		dataset  string
-		nodes    int
-		maxRatio float64
+		dataset        string
+		nodes          int
+		maxRatio       float64
+		maxPrunedRatio float64
 	}{
-		{"DBLP", 1000, 1},
-		{"Facebook", 500, 0.5},
+		{"DBLP", 1000, 1, 1},
+		{"Facebook", 500, 0.5, 0.6},
 	}
 	for _, c := range cases {
-		for _, frac := range []float64{0.8, 1} {
-			g := servedSnapshot(t, c.dataset, c.nodes, frac)
-			n := g.NumNodes()
-			dist := make([]int32, n)
-			s := NewScratch(n)
+		g1 := servedSnapshot(t, c.dataset, c.nodes, 0.8)
+		g2 := servedSnapshot(t, c.dataset, c.nodes, 1)
+		n := g2.NumNodes()
+		d1, d2, ref := make([]int32, n), make([]int32, n), make([]int32, n)
+		s := NewScratch(n)
+		var refEdges int64
+		before := SnapshotMetrics()
+		for _, th := range []int32{1, 2, 3} {
+			bound := func() int32 { return th }
+			for src := 0; src < n; src++ {
+				BFSWith(g1, src, d1, s)
+				PrunedSecondBFS(g2, src, d1, d2, bound, s)
+				_, e := referencePrunedBFS(g2, src, d1, ref, th)
+				refEdges += e
+			}
+		}
+		if got := SnapshotMetrics().Sub(before).PrunedBFS.Edges; float64(got) > c.maxPrunedRatio*float64(refEdges) {
+			t.Errorf("%s n=%d: bounded leg examined %d edges over %d sources at T = 1, 2, 3, reference %d (ratio %.2f, want <= %.1f)",
+				c.dataset, n, got, n, refEdges, float64(got)/float64(refEdges), c.maxPrunedRatio)
+		}
+		for i, g := range []*graph.Graph{g1, g2} {
 			var topDown int64
 			before := SnapshotMetrics()
 			for src := 0; src < n; src++ {
-				BFSWith(g, src, dist, s)
-				for v, d := range dist {
+				BFSWith(g, src, d1, s)
+				for v, d := range d1 {
 					if d != Unreachable {
 						topDown += int64(g.Degree(v))
 					}
@@ -96,8 +120,8 @@ func TestDirectionRuleEdgeWork(t *testing.T) {
 			}
 			got := SnapshotMetrics().Sub(before).DirectionOpt.Edges
 			if float64(got) > c.maxRatio*float64(topDown) {
-				t.Errorf("%s n=%d at %.0f%%: diropt examined %d edges over %d sources, top-down %d (ratio %.2f, want <= %.1f)",
-					c.dataset, n, 100*frac, got, n, topDown, float64(got)/float64(topDown), c.maxRatio)
+				t.Errorf("%s n=%d at %d%%: diropt examined %d edges over %d sources, top-down %d (ratio %.2f, want <= %.1f)",
+					c.dataset, n, 80+20*i, got, n, topDown, float64(got)/float64(topDown), c.maxRatio)
 			}
 		}
 	}

@@ -46,15 +46,16 @@ func ClampWorkers(workers, jobs int) int {
 
 // Scratch holds every buffer a BFS kernel needs beyond the caller's dist
 // slice: the index-cursor frontier queue, the bottom-up frontier bitmaps,
-// the bit-parallel visit words (one per node), and the batch drivers' row
-// block. A Scratch grows to the largest graph it has served and is then
-// allocation-free; it is not safe for concurrent use. Parallel drivers keep
-// one Scratch per worker; single-shot entry points borrow one from an
-// internal pool.
+// the bounded rows' d1 histogram, the bit-parallel visit words (one per
+// node), and the batch drivers' row block. A Scratch grows to the largest
+// graph it has served and is then allocation-free; it is not safe for
+// concurrent use. Parallel drivers keep one Scratch per worker;
+// single-shot entry points borrow one from an internal pool.
 type Scratch struct {
 	queue []int32 // frontier queue, cursor-indexed (cap >= n)
 	cur   []uint64
 	nxt   []uint64 // bottom-up frontier bitmaps, (n+63)/64 words
+	cnt   []int32  // PrunedSecondBFS's d1 histogram, n+1 entries
 
 	// Bit-parallel (MS-BFS) state: one word per node.
 	seen  []uint64
@@ -85,6 +86,15 @@ func (s *Scratch) ensure(n int) {
 	if len(s.cur) < words {
 		s.cur = make([]uint64, words)
 		s.nxt = make([]uint64, words)
+	}
+}
+
+// ensureCut grows the buffers of a bounded second-snapshot row
+// (PrunedSecondBFS) to serve an n-node graph.
+func (s *Scratch) ensureCut(n int) {
+	s.ensure(n)
+	if len(s.cnt) < n+1 {
+		s.cnt = make([]int32, n+1)
 	}
 }
 

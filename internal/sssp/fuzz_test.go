@@ -286,71 +286,3 @@ func FuzzEngines(f *testing.F) {
 		}
 	})
 }
-
-// growingComponents builds a snapshot pair g1 ⊆ g2 over n nodes. The first
-// nodes split into comps blocks; g1 holds random edges inside blocks, and
-// g2 adds more, a few of them bridging blocks (merging components). The
-// last n/5 nodes stay isolated in both snapshots.
-func growingComponents(n, comps int, rng *rand.Rand) (g1, g2 *graph.Graph) {
-	live := n - n/5
-	b1, b2 := graph.NewBuilder(n), graph.NewBuilder(n)
-	for i := 0; i < 2*live; i++ {
-		u, v := rng.Intn(live), rng.Intn(live)
-		switch {
-		case u*comps/live != v*comps/live:
-			if rng.Intn(8) == 0 {
-				_ = b2.AddEdge(u, v)
-			}
-		case rng.Intn(2) == 0:
-			_ = b1.AddEdge(u, v)
-			_ = b2.AddEdge(u, v)
-		default:
-			_ = b2.AddEdge(u, v)
-		}
-	}
-	return b1.Build(), b2.Build()
-}
-
-// FuzzPrunedSecondBFS pins the bounded second-snapshot traversal against the
-// oracle under a fixed threshold T: d2[src] is 0; every node with
-// d1 > 0 whose true Δ reaches max(1, T) holds its true t2 distance; every
-// other node with d1 > 0 holds its true distance or the cut's filler d1;
-// and a run that reports no cut returns the true row exactly. One scratch
-// serves two sources, so state left over from a run cannot go unnoticed.
-func FuzzPrunedSecondBFS(f *testing.F) {
-	f.Add(int64(1), uint8(40), uint8(3), uint8(0), uint8(5), int8(1))
-	f.Add(int64(7), uint8(3), uint8(1), uint8(2), uint8(2), int8(0))
-	f.Add(int64(42), uint8(90), uint8(4), uint8(17), uint8(60), int8(3))
-	f.Add(int64(-3), uint8(120), uint8(2), uint8(99), uint8(1), int8(-2))
-	f.Fuzz(func(t *testing.T, seed int64, size, comps, srcA, srcB uint8, thByte int8) {
-		rng := rand.New(rand.NewSource(seed))
-		g1, g2 := growingComponents(int(size)%120+2, int(comps)%5+1, rng)
-		n := g1.NumNodes()
-		th := int32(thByte) % 8
-		floor := th
-		if floor < 1 {
-			floor = 1
-		}
-		ps := &PrunedScratch{}
-		d2 := make([]int32, n)
-		for _, src := range []int{int(srcA) % n, int(srcB) % n} {
-			d1, _, _ := referenceBFS(g1, src)
-			want, _, _ := referenceBFS(g2, src)
-			cut := PrunedSecondBFS(g2, src, d1, d2, func() int32 { return th }, ps)
-			if d2[src] != 0 {
-				t.Fatalf("src %d: d2[src] = %d, want 0", src, d2[src])
-			}
-			for v := range d2 {
-				if !cut && d2[v] != want[v] {
-					t.Fatalf("src %d T %d: uncut run has d2[%d] = %d, want %d", src, th, v, d2[v], want[v])
-				}
-				if d1[v] <= 0 || d2[v] == want[v] {
-					continue
-				}
-				if d1[v]-want[v] >= floor || d2[v] != d1[v] {
-					t.Fatalf("src %d T %d: d2[%d] = %d, want %d (d1 %d)", src, th, v, d2[v], want[v], d1[v])
-				}
-			}
-		}
-	})
-}

@@ -95,8 +95,9 @@ type KernelCounters struct {
 	// Nodes and Edges count node visits and edge examinations.
 	Nodes int64
 	Edges int64
-	// TopDownSteps and BottomUpSteps count DirectionOpt levels executed in
-	// each mode; Switches counts direction changes.
+	// TopDownSteps and BottomUpSteps count the direction-optimizing levels
+	// (DirectionOpt and PrunedBFS) executed in each mode; Switches counts
+	// direction changes.
 	TopDownSteps  int64
 	BottomUpSteps int64
 	Switches      int64
@@ -267,26 +268,30 @@ func RecordRepair(nodes, edges, frontierPeak int64, start time.Time) {
 	observeSweep(kRepair, start, 1, nodes, edges)
 }
 
-// RecordPrunedBFS flushes one bounded second-snapshot BFS into the
-// prunedbfs kernel counters: the nodes/edges it actually traversed, plus —
-// when the Δ-threshold cut fired (cut=true) — the work it avoided:
-// skippedNodes/skippedEdges count the abandoned undiscovered nodes and their
-// adjacency exactly, and remLevels is the remaining-depth estimate at the
-// cut point. Called once per traversal, never per edge.
-func RecordPrunedBFS(nodes, edges, frontierPeak int64, cut bool, skippedNodes, skippedEdges, remLevels int64, start time.Time) {
-	c := &kernelMetrics[kPrunedBFS]
+// flush adds one dirOptBFS call's work to kernel i's counters and
+// histograms: one call from one source, started at start. Called once per
+// call, never per edge.
+func (w *bfsWork) flush(i kernelIndex, start time.Time) {
+	c := &kernelMetrics[i]
 	c.calls.Add(1)
 	c.sources.Add(1)
-	c.nodes.Add(nodes)
-	c.edges.Add(edges)
-	peakMax(&c.frontierPeak, frontierPeak)
-	if cut {
-		prunedWork.cutoffs.Add(1)
-		prunedWork.nodes.Add(skippedNodes)
-		prunedWork.edges.Add(skippedEdges)
-		prunedWork.levels.Add(remLevels)
-	}
-	observeSweep(kPrunedBFS, start, 1, nodes, edges)
+	c.nodes.Add(w.nodes)
+	c.edges.Add(w.edges)
+	c.tdSteps.Add(w.tdSteps)
+	c.buSteps.Add(w.buSteps)
+	c.switches.Add(w.switches)
+	peakMax(&c.frontierPeak, w.peak)
+	observeSweep(i, start, 1, w.nodes, w.edges)
+}
+
+// recordCut adds what one fired Δ-threshold cut avoided: skippedNodes and
+// skippedEdges count the abandoned undiscovered nodes and their adjacency
+// exactly, and remLevels is the remaining-depth estimate at the cut point.
+func recordCut(skippedNodes, skippedEdges, remLevels int64) {
+	prunedWork.cutoffs.Add(1)
+	prunedWork.nodes.Add(skippedNodes)
+	prunedWork.edges.Add(skippedEdges)
+	prunedWork.levels.Add(remLevels)
 }
 
 // init publishes the kernel counters to the obs metrics registry so
@@ -331,6 +336,9 @@ func init() {
 	obs.RegisterMetric("sssp.prunedbfs_calls", pb.calls.Load)
 	obs.RegisterMetric("sssp.prunedbfs_nodes", pb.nodes.Load)
 	obs.RegisterMetric("sssp.prunedbfs_edges", pb.edges.Load)
+	obs.RegisterMetric("sssp.prunedbfs_topdown_steps", pb.tdSteps.Load)
+	obs.RegisterMetric("sssp.prunedbfs_bottomup_steps", pb.buSteps.Load)
+	obs.RegisterMetric("sssp.prunedbfs_switches", pb.switches.Load)
 	obs.RegisterMetric("sssp.pruned_cutoffs", prunedWork.cutoffs.Load)
 	obs.RegisterMetric("sssp.pruned_nodes", prunedWork.nodes.Load)
 	obs.RegisterMetric("sssp.pruned_edges", prunedWork.edges.Load)

@@ -40,28 +40,40 @@ func TestKernelMetricsAttributePerEngine(t *testing.T) {
 	}
 }
 
-// A star traversed from its center forces the Beamer heuristic to switch to
-// bottom-up (frontier edges = n >> unexplored edges / alpha), so the
-// direction-switch counter must move.
+// A wheel (a star plus a ring over its leaves) traversed from its center
+// sends the leaf level bottom-up: its frontier holds every other node and
+// its 3(n−1) outgoing edges outnumber both the unexplored edges / alpha and
+// the n nodes a bottom-up sweep visits, so the direction-switch counter
+// must move. A bare star's leaf level passes every other test but has only
+// n−1 frontier edges, so the entry test keeps it top-down: either
+// direction examines n−1 edges there.
 func TestDirectionOptSwitchCounter(t *testing.T) {
 	const n = 512
-	edges := make([]graph.Edge, 0, n-1)
+	star := make([]graph.Edge, 0, n-1)
 	for v := 1; v < n; v++ {
-		edges = append(edges, graph.Edge{U: 0, V: v})
+		star = append(star, graph.Edge{U: 0, V: v})
 	}
-	g := graph.FromEdges(n, edges)
+	wheel := append([]graph.Edge{}, star...)
+	for v := 1; v < n; v++ {
+		wheel = append(wheel, graph.Edge{U: v, V: v%(n-1) + 1})
+	}
 	dist := make([]int32, n)
 	before := SnapshotMetrics()
-	BFSWith(g, 0, dist, nil)
+	BFSWith(graph.FromEdges(n, wheel), 0, dist, nil)
 	d := SnapshotMetrics().Sub(before)
 	if d.DirectionOpt.Switches < 1 {
-		t.Fatalf("diropt switches = %d, want >= 1 on a star from its center", d.DirectionOpt.Switches)
+		t.Fatalf("diropt switches = %d, want >= 1 on a wheel from its center", d.DirectionOpt.Switches)
 	}
 	if d.DirectionOpt.BottomUpSteps < 1 {
 		t.Fatalf("diropt bottom-up steps = %d, want >= 1", d.DirectionOpt.BottomUpSteps)
 	}
 	if d.DirectionOpt.Nodes != n {
 		t.Fatalf("diropt nodes = %d, want %d", d.DirectionOpt.Nodes, n)
+	}
+	before = SnapshotMetrics()
+	BFSWith(graph.FromEdges(n, star), 0, dist, nil)
+	if d := SnapshotMetrics().Sub(before).DirectionOpt; d.BottomUpSteps != 0 {
+		t.Fatalf("diropt bottom-up steps = %d on a star from its center, want 0 (entry test)", d.BottomUpSteps)
 	}
 }
 

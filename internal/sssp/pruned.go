@@ -17,30 +17,14 @@ import (
 // Once that ceiling drops strictly below the current kth-Δ threshold, no
 // undiscovered node can enter the top-k and the traversal stops: abandoned
 // nodes get d2 = d1 (delta 0, discarded by the extraction floor), which
-// keeps the emitted pair set bit-identical to a full traversal.
+// keeps the emitted pair set bit-identical to a full traversal. The
+// argument needs only that levels complete one at a time, so the traversal
+// is dirOptBFS's level loop, and levels may run bottom-up.
 //
 // The d2 row a cut run produces is only valid for delta extraction against
 // this d1 — it must never be cached or served as a real distance row
 // (core.extractPairs never writes rows back, which is what makes bounded
 // calls safe to use there).
-
-// PrunedScratch holds the bounded kernel's buffers: the frontier queue and
-// the histogram of d1 values over still-undiscovered nodes that drives the
-// maxRem walk-down. Grow-only, not safe for concurrent use.
-type PrunedScratch struct {
-	queue []int32
-	cnt   []int32 // cnt[d] = undiscovered nodes with d1 == d (d1 > 0 only)
-}
-
-// ensure grows the buffers to serve an n-node graph.
-func (s *PrunedScratch) ensure(n int) {
-	if cap(s.queue) < n {
-		s.queue = make([]int32, 0, n)
-	}
-	if len(s.cnt) < n+1 {
-		s.cnt = make([]int32, n+1)
-	}
-}
 
 // PrunedSecondBFS fills d2 with second-snapshot distances from src,
 // stopping as soon as the Δ-threshold returned by bound proves no
@@ -48,103 +32,50 @@ func (s *PrunedScratch) ensure(n int) {
 // row from the same src, and g2 must be a supergraph of the first snapshot
 // (the growing-snapshot contract of dist.Pair) — both are what make the cut
 // sound. bound is sampled once per level; values below 1 are clamped to 1
-// (the extraction floor: delta 0 pairs are never emitted). Returns true if
-// the traversal was cut short.
+// (the extraction floor: delta 0 pairs are never emitted). s must not be
+// nil. Returns true if the traversal was cut short.
 //
 // On a cut, nodes with d1 > 0 that were not yet discovered get d2 = d1;
 // everything else undiscovered stays Unreachable. The row is then NOT a
 // true distance row — see the package comment above.
 //
 //convlint:hotpath
-func PrunedSecondBFS(g2 *graph.Graph, src int, d1, d2 []int32, bound func() int32, ps *PrunedScratch) bool {
+func PrunedSecondBFS(g2 *graph.Graph, src int, d1, d2 []int32, bound func() int32, s *Scratch) bool {
 	//convlint:nondet sweep latency is observational, not part of results
 	start := time.Now()
 	n := g2.NumNodes()
-	ps.ensure(n)
-	offsets, neighbors := g2.CSR()
+	s.ensureCut(n)
 
-	// Histogram of d1 over undiscovered nodes; maxRem is its top. Only
-	// d1 > 0 nodes are tracked: the extraction emit loop skips d1 <= 0, so
-	// they are the only nodes whose d2 can influence the output.
-	cnt := ps.cnt[:n+1]
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	maxRem := int32(-1)
+	// Only d1 > 0 nodes are tracked: the extraction emit loop skips
+	// d1 <= 0, so they are the only nodes whose d2 can influence the output.
+	var cut levelCut
+	cut.d1, cut.cnt, cut.maxRem, cut.bound = d1, s.cnt[:n+1], -1, bound
+	clear(cut.cnt)
 	for v := 0; v < n; v++ {
 		d2[v] = Unreachable
-		if v != src && d1[v] > 0 {
-			cnt[d1[v]]++
-			if d1[v] > maxRem {
-				maxRem = d1[v]
-			}
+		if d := d1[v]; d > 0 {
+			cut.cnt[d]++
+			cut.maxRem = max(cut.maxRem, d)
 		}
 	}
 
-	q := ps.queue[:0]
-	q = append(q, int32(src))
-	d2[src] = 0
-
-	var nodes, edges int64 = 1, 0
-	peak := 0
-	level := int32(0)
-	levelStart, levelEnd := 0, 1
-	cut := false
-	for levelStart < levelEnd {
-		// Cut check before expanding this level: nodes discovered during it
-		// get d2 = level+1, so every still-undiscovered node has true
-		// d2 >= level+1 and delta <= maxRem − (level+1). Strictly below the
-		// threshold means provably outside the top-k.
-		b := bound()
-		if b < 1 {
-			b = 1
-		}
-		if maxRem-(level+1) < b {
-			cut = true
-			break
-		}
-		if levelEnd-levelStart > peak {
-			peak = levelEnd - levelStart
-		}
-		for i := levelStart; i < levelEnd; i++ {
-			u := q[i]
-			edges += int64(offsets[u+1] - offsets[u])
-			for _, v := range neighbors[offsets[u]:offsets[u+1]] {
-				if d2[v] == Unreachable {
-					d2[v] = level + 1
-					nodes++
-					if d1[v] > 0 {
-						cnt[d1[v]]--
-					}
-					q = append(q, v)
-				}
-			}
-		}
-		for maxRem >= 0 && cnt[maxRem] == 0 {
-			maxRem--
-		}
-		levelStart, levelEnd = levelEnd, len(q)
-		level++
-	}
-	ps.queue = q[:0]
+	level, work := dirOptBFS(g2, src, d2, s, &cut)
 
 	// On a cut, settle the abandoned nodes and count exactly what the full
 	// traversal would still have done for them. d1 > 0 implies reachable in
 	// the supergraph g2, so their node visits and adjacency scans are an
 	// exact lower bound on the avoided work.
-	var skippedNodes, skippedEdges, remLevels int64
-	if cut {
+	if cut.fired {
+		var skippedNodes, skippedEdges int64
 		for v := 0; v < n; v++ {
 			if d2[v] == Unreachable && d1[v] > 0 {
 				d2[v] = d1[v]
 				skippedNodes++
-				skippedEdges += int64(offsets[v+1] - offsets[v])
+				skippedEdges += int64(g2.Degree(v))
 			}
 		}
-		if rem := int64(maxRem) - int64(level); rem > 0 {
-			remLevels = rem
-		}
+		recordCut(skippedNodes, skippedEdges, max(0, int64(cut.maxRem)-int64(level)))
 	}
-	RecordPrunedBFS(nodes, edges, int64(peak), cut, skippedNodes, skippedEdges, remLevels, start)
-	return cut
+	work.flush(kPrunedBFS, start)
+	return cut.fired
 }

@@ -10,7 +10,9 @@
 package topk
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -185,18 +187,39 @@ func ComputeSources(p dist.Pair, opts Options) (*GroundTruth, error) {
 	return gt, nil
 }
 
-// SortPairs orders pairs by Delta descending, breaking ties by (U, V)
-// ascending, the canonical order used across the library.
+// comparePairs is the canonical order used across the library: Delta
+// descending, then (U, V) ascending.
+func comparePairs(a, b Pair) int {
+	if a.Delta != b.Delta {
+		return cmp.Compare(b.Delta, a.Delta)
+	}
+	if a.U != b.U {
+		return cmp.Compare(a.U, b.U)
+	}
+	return cmp.Compare(a.V, b.V)
+}
+
+// SortPairs orders pairs canonically: Delta descending, breaking ties by
+// (U, V) ascending.
 func SortPairs(pairs []Pair) {
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].Delta != pairs[j].Delta {
-			return pairs[i].Delta > pairs[j].Delta
-		}
-		if pairs[i].U != pairs[j].U {
-			return pairs[i].U < pairs[j].U
-		}
-		return pairs[i].V < pairs[j].V
-	})
+	slices.SortFunc(pairs, comparePairs)
+}
+
+// TopPairs returns the first k pairs of the canonical order, sorted: what
+// SortPairs followed by a cut to k returns, without sorting the pairs the
+// cut drops. When k cuts, the result is a new slice and pairs is left as
+// is; otherwise (k <= 0 keeps every pair) pairs is sorted in place and
+// returned.
+func TopPairs(pairs []Pair, k int) []Pair {
+	if k <= 0 || k >= len(pairs) {
+		SortPairs(pairs)
+		return pairs
+	}
+	best := NewBest(k, comparePairs)
+	for _, p := range pairs {
+		best.Offer(p)
+	}
+	return best.Sorted()
 }
 
 // accumulator keeps the running Δ histogram plus all pairs within the slack

@@ -3,6 +3,7 @@ package topk
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -268,6 +269,39 @@ func TestSortPairsCanonicalOrder(t *testing.T) {
 	}
 	if !reflect.DeepEqual(pairs, want) {
 		t.Fatalf("sorted = %v", pairs)
+	}
+}
+
+// TestTopPairsMatchesSortAndCut: on random distinct pairs with few Δ
+// values (so thousands tie at the cut), TopPairs equals SortPairs followed
+// by the cut to k, for k below, at and above the pair count and k <= 0.
+func TestTopPairsMatchesSortAndCut(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 100; trial++ {
+		seen := map[[2]int32]bool{}
+		var pairs []Pair
+		for n := rng.Intn(300); len(pairs) < n; {
+			u, v := int32(rng.Intn(40)), int32(rng.Intn(40))
+			if u >= v || seen[[2]int32{u, v}] {
+				continue
+			}
+			seen[[2]int32{u, v}] = true
+			d := int32(rng.Intn(3) + 1)
+			pairs = append(pairs, Pair{U: u, V: v, D1: d + 1, D2: 1, Delta: d})
+		}
+		want := slices.Clone(pairs)
+		SortPairs(want)
+		for _, k := range []int{0, -1, 1, rng.Intn(len(pairs) + 1), len(pairs) - 1, len(pairs), len(pairs) + 5} {
+			in := slices.Clone(pairs)
+			got := TopPairs(in, k)
+			cut := want
+			if k > 0 && k < len(want) {
+				cut = want[:k]
+			}
+			if !slices.Equal(got, cut) {
+				t.Fatalf("trial %d k=%d of %d pairs: TopPairs = %v, want %v", trial, k, len(pairs), got, cut)
+			}
+		}
 	}
 }
 
