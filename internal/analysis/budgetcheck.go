@@ -45,8 +45,7 @@ var budgetExemptPkgs = map[string]bool{
 // are one per source in the batch.
 func budgetEntryPoint(name string) bool {
 	for _, prefix := range []string{
-		"BFS",            // BFS, BFSWith
-		"MultiSourceBFS", // MultiSourceBFS, MultiSourceBFSWith
+		"BFS", // BFS, BFSWith
 		"Dijkstra",
 		"AllSources",    // AllSourcesFunc
 		"PairedSources", // PairedSourcesFunc

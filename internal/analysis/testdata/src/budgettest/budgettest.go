@@ -41,12 +41,11 @@ func chargeAfter(g *graph.Graph, m *budget.Meter, dist []int32) {
 // closureMetered charges up front and spends inside a worker closure, the
 // selector pattern used throughout internal/core.
 func closureMetered(g *graph.Graph, m *budget.Meter, dist []int32) error {
-	if err := m.Charge(budget.PhaseTopK, 2); err != nil {
+	if err := m.Charge(budget.PhaseTopK, 1); err != nil {
 		return err
 	}
 	run := func() {
 		sssp.BFSWith(g, 0, dist, nil)
-		sssp.MultiSourceBFS(g, []int{0}, dist)
 	}
 	run()
 	return nil
@@ -134,8 +133,8 @@ func freeRepairReads(d *dynsssp.DynamicBFS) int {
 // DistancesPairInto, one for DeriveInto's t2 row.
 
 func unmeteredPairedSession(ps *dist.PairedSession, d1, d2 []int32) {
-	ps.DistancesPairInto(0, d1, d2, nil) // want `call to dist.DistancesPairInto without`
-	ps.DeriveInto(0, d1, d2, nil)        // want `call to dist.DeriveInto without`
+	ps.DistancesPairInto(0, d1, d2, func() int32 { return 1 }) // want `call to dist.DistancesPairInto without`
+	ps.DeriveInto(0, d1, d2, func() int32 { return 1 })        // want `call to dist.DeriveInto without`
 }
 
 func meteredPairedSession(p dist.Pair, m *budget.Meter, d1, d2 []int32) error {
@@ -143,21 +142,16 @@ func meteredPairedSession(p dist.Pair, m *budget.Meter, d1, d2 []int32) error {
 		return err
 	}
 	ps := dist.NewPairedEngine(p, dist.PairedFull).NewSession()
-	ps.DistancesPairInto(0, d1, d2, nil)
+	ps.DistancesPairInto(0, d1, d2, func() int32 { return 1 })
 	return nil
 }
 
-// The Δ-threshold bounded calls cost exactly what the full ones do: the
+// The Δ-threshold bounded calls cost exactly what a full row does: the
 // bound cuts traversal work, never charges. A cut-short row was still
 // produced (valid for delta extraction), so it is still one unit.
 
 func unmeteredPrunedBFS(g2 *graph.Graph, d1, d2 []int32, ps *sssp.Scratch) {
 	sssp.PrunedSecondBFS(g2, 0, d1, d2, func() int32 { return 1 }, ps) // want `call to sssp.PrunedSecondBFS without`
-}
-
-func unmeteredBoundedPair(ps *dist.PairedSession, d1, d2 []int32) {
-	ps.DistancesPairInto(0, d1, d2, func() int32 { return 1 }) // want `call to dist.DistancesPairInto without`
-	ps.DeriveInto(0, d1, d2, func() int32 { return 1 })        // want `call to dist.DeriveInto without`
 }
 
 // meteredThresholdLoop is the pruned-extraction idiom: charge every row up

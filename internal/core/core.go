@@ -85,17 +85,18 @@ type Result struct {
 	// re-observe it into per-tenant latency histograms.
 	Phases obs.PhaseNanos
 	// Pruned reports what the Δ-threshold pruning did. Observational only:
-	// worker timing changes how early the threshold tightens, so skip
-	// counts vary run to run while Pairs/Candidates/Budget never do.
+	// on a top-K query worker timing changes how early the threshold
+	// tightens, so skip counts vary run to run while Pairs/Candidates/Budget
+	// never do.
 	Pruned PruneStats
 }
 
-// PruneStats summarizes the pruned extraction of one query. Only top-K
-// queries prune; a MinDelta query reports the zero value.
+// PruneStats summarizes the pruned extraction of one query. Top-K and
+// MinDelta queries both prune: a δ query's threshold is δ throughout.
 type PruneStats struct {
 	// CandidatesSkipped counts candidates whose landmark upper bound proved
-	// no pair of theirs can reach the top-k; their rows were charged but
-	// never traversed.
+	// no pair of theirs can be returned (Δ below the threshold); their rows
+	// were charged but never traversed.
 	CandidatesSkipped int
 }
 

@@ -63,10 +63,10 @@ func fuzzGrowingPair(t *testing.T, seed int64, size, comps, pathLen int, frac fl
 // FuzzTopKOracle checks extraction against the exact oracle on random
 // growing pairs with disconnected parts, long paths and isolated nodes: a
 // selector from {Degree, DegDiff, MMSD, SumDiff}, a top-K query with
-// k in [1, 50] (pruned: rising threshold, landmark skips, bounded t2 rows
-// and the emission cut) or a δ query with δ in [1, 6] (full rows), at one
-// and at three workers. Both runs must return exactly exactExtraction's
-// pairs over the same candidates.
+// k in [1, 50] (rising threshold) or a δ query with δ in [1, 6] (the
+// constant threshold δ), both pruned by landmark skips, bounded t2 rows and
+// the emission cut, at one and at three workers. Both runs must return
+// exactly exactExtraction's pairs over the same candidates.
 func FuzzTopKOracle(f *testing.F) {
 	f.Add(int64(1), uint8(60), uint8(2), uint8(20), uint8(70), uint8(2), uint8(18), uint8(19))
 	f.Add(int64(7), uint8(30), uint8(1), uint8(0), uint8(50), uint8(0), uint8(5), uint8(3))

@@ -20,7 +20,7 @@ import (
 
 // disconnectedPair builds a snapshot pair whose stream grows `comps`
 // independent components — no edge ever bridges them, so every distance row
-// carries unreachable entries and the pruned kernels' histogram setup must
+// carries unreachable entries and the pruned kernel's set-up must
 // exclude them exactly like the full kernels' emit loop does.
 func disconnectedPair(t testing.TB, n, comps int, seed int64) graph.SnapshotPair {
 	t.Helper()
@@ -102,7 +102,7 @@ func requireExact(t *testing.T, label string, sp graph.SnapshotPair, opts Option
 
 // TestPrunedEquivalentFuzz is the extraction differential: across selectors
 // (landmark-using and not), connected and disconnected random graphs, top-K
-// shapes (pruned) and δ shapes (full rows, including a δ above every Δmax),
+// shapes and δ shapes (including a δ above every Δmax), all of them pruned,
 // a one-worker run must return exactly the oracle's pairs, and a
 // three-worker run, whose threshold rises at different moments, must match
 // it in pairs, candidates and budget. Small k on dense-delta graphs makes
@@ -146,22 +146,27 @@ func TestPrunedEquivalentFuzz(t *testing.T) {
 	}
 }
 
-// TestPruneAutoSkipsMinDelta pins the fixed pruning policy for δ queries:
-// they must return every qualifying pair, so they run full rows. The result
-// equals the oracle, no candidate is skipped, and no bounded traversal runs.
+// TestPruneAutoSkipsMinDelta pins the pruning policy for δ queries: δ is
+// the threshold's floor, so a δ query runs bounded t2 rows whose cut fires,
+// and on this fixture, where MMSD's landmark bounds bite, it skips at least
+// one candidate whole. The result still equals the oracle: every pair with
+// Δ >= δ.
 func TestPruneAutoSkipsMinDelta(t *testing.T) {
 	sp := growingPair(t, 150, 11)
 	opts := Options{Selector: candidates.MMSD(), M: 20, L: 5, MinDelta: 2, Seed: 7, Workers: 2}
-	before := sssp.SnapshotMetrics()
+	before, cutBefore := sssp.SnapshotMetrics(), sssp.SnapshotPrunedWork()
 	res, err := TopK(sp, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls := sssp.SnapshotMetrics().Sub(before).PrunedBFS.Calls; calls != 0 {
-		t.Errorf("δ query ran %d bounded traversals, want 0", calls)
+	if calls := sssp.SnapshotMetrics().Sub(before).PrunedBFS.Calls; calls == 0 {
+		t.Error("δ query ran no bounded traversal")
 	}
-	if res.Pruned.CandidatesSkipped != 0 {
-		t.Errorf("δ query skipped %d candidates, want 0", res.Pruned.CandidatesSkipped)
+	if cutoffs := sssp.SnapshotPrunedWork().Sub(cutBefore).Cutoffs; cutoffs == 0 {
+		t.Error("no bounded traversal of the δ query was cut")
+	}
+	if res.Pruned.CandidatesSkipped == 0 {
+		t.Error("δ query skipped no candidate by its landmark bound")
 	}
 	requireExact(t, "mindelta", sp, opts, res)
 }

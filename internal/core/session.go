@@ -293,19 +293,19 @@ func warmCacheKey(opts Options) string {
 // pairwise deltas, and keep the top pairs. inM marks the candidates, indexed
 // by node; workers is the resolved extraction worker count.
 //
-// Top-K queries run Δ-threshold pruned extraction: a shared monotone
-// threshold T tracks the kth-best Δ offered so far, and three cuts act on
-// it. Second-snapshot traversals stop once no undiscovered node can still
-// yield delta >= T (sssp.PrunedSecondBFS); candidates whose landmark upper
-// bound proves every one of their pairs is strictly below T are skipped
-// whole; and a pair whose delta is strictly below T is never emitted, so
-// sort-cut sorts only pairs that could still reach the top-k. All three are
-// output-invariant: only pairs with delta strictly below T <= the final kth
-// Δ are ever dropped, and those cannot survive the sort-cut. Budget charges
-// are identical — the charge above counts rows produced, and a skipped
-// candidate's rows were still charged. MinDelta queries run full rows and
-// emit exactly the pairs with delta >= δ: they must return every
-// qualifying pair, so there is no kth boundary to cut against.
+// Every query runs Δ-threshold pruned extraction: a shared monotone
+// threshold T starts at its floor (δ for a MinDelta query, 1 for a top-K
+// query), tracks the kth-best Δ offered so far on a top-K query and never
+// rises on a δ query, and three cuts act on it. Second-snapshot traversals
+// stop once no undiscovered node can still yield delta >= T
+// (sssp.PrunedSecondBFS); candidates whose landmark upper bound proves
+// every one of their pairs is strictly below T are skipped whole; and a
+// pair whose delta is strictly below T is never emitted, so sort-cut sorts
+// only pairs that could still be returned. All three are output-invariant:
+// only pairs with delta strictly below T are ever dropped, and T never
+// exceeds the final kth Δ of a top-K query or the δ of a δ query. Budget
+// charges are identical — the charge above counts rows produced, and a
+// skipped candidate's rows were still charged.
 func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, cands []int, inM []bool, workers int, opts Options, meter *budget.Meter, phases *obs.PhaseNanos, warmKey string) ([]topk.Pair, PruneStats, error) {
 	if len(cands) == 0 {
 		return nil, PruneStats{}, nil
@@ -335,30 +335,17 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 		return nil, PruneStats{}, fmt.Errorf("core: extraction phase: %w", err)
 	}
 
-	floor := opts.MinDelta
-	if floor <= 0 {
-		floor = 1
+	th := prune.NewThreshold(opts.K, opts.MinDelta)
+	if warmKey != "" {
+		if d, ok := opts.Warm.KthDelta(warmKey, opts.K); ok {
+			// The final kth Δ of the identical prior query lower-bounds
+			// this one's (same pair set), so seeding it is sound.
+			th.Seed(d)
+		}
 	}
-
-	// Δ-threshold setup: top-K queries only (see above).
-	pruneOn := opts.K > 0
-	var th *prune.Threshold
-	var boundFn func() int32 // nil asks the paired session for full rows
-	var ubounds []int32
+	ubounds := landmarkBounds(cctx, cands)
 	//convlint:shared lock-free skip tally; workers only Add, read after Wait
 	var skipped atomic.Int64
-	if pruneOn {
-		th = prune.NewThreshold(opts.K)
-		if warmKey != "" {
-			if d, ok := opts.Warm.KthDelta(warmKey, opts.K); ok {
-				// The final kth Δ of the identical prior query lower-bounds
-				// this one's (same pair set), so seeding it is sound.
-				th.Seed(d)
-			}
-		}
-		boundFn = th.Load
-		ubounds = landmarkBounds(cctx, cands)
-	}
 	// Processing order: largest upper bound first, so the candidates most
 	// likely to hold top pairs tighten the threshold before the hopeless tail
 	// is even dequeued. The order permutation leaves cands itself untouched —
@@ -389,32 +376,26 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 					if ctx.Err() != nil {
 						continue // drain without traversing
 					}
-					if ubounds != nil {
-						// Whole-candidate skip: the landmark bound caps every
-						// pair involving this candidate (including pairs it
-						// would have found for larger candidates), so a bound
-						// strictly below max(1, T) proves none can reach the
-						// top-k. Ties at T are kept.
-						t := th.Load()
-						if t < 1 {
-							t = 1
-						}
-						if ubounds[i] < t {
-							skipped.Add(1)
-							continue
-						}
+					// Whole-candidate skip: the landmark bound caps every
+					// pair involving this candidate (including pairs it
+					// would have found for larger candidates), so a bound
+					// strictly below T proves none can be returned. Ties at
+					// T are kept.
+					if ubounds != nil && ubounds[i] < th.Load() {
+						skipped.Add(1)
+						continue
 					}
 					u := cands[i]
 					d1 := cctx.D1Rows[u]
 					d2 := cctx.D2Rows[u]
 					switch {
 					case d1 == nil && d2 == nil:
-						st.ps.DistancesPairInto(u, st.d1buf, st.d2buf, boundFn)
+						st.ps.DistancesPairInto(u, st.d1buf, st.d2buf, th.Load)
 						d1, d2 = st.d1buf, st.d2buf
 					case d1 != nil && d2 == nil:
 						// The selector already paid for the t1 row; compute
 						// just the t2 row.
-						st.ps.DeriveInto(u, d1, st.d2buf, boundFn)
+						st.ps.DeriveInto(u, d1, st.d2buf, th.Load)
 						d2 = st.d2buf
 					case d1 == nil:
 						if st.sess1 == nil {
@@ -423,15 +404,12 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 						st.sess1.DistancesInto(u, st.d1buf)
 						d1 = st.d1buf
 					}
-					// Emission cut: lo = max(floor, T), re-read at the row
-					// start and after every offer. A pair strictly below lo
-					// cannot reach the top-k, and Offer would ignore it (it
-					// drops any delta <= T), so skipping it leaves the
-					// threshold's evolution unchanged. Ties at lo are kept.
-					lo := floor
-					if pruneOn {
-						lo = max(lo, th.Load())
-					}
+					// Emission cut: lo = T, re-read at the row start and
+					// after every offer. A pair strictly below lo cannot be
+					// returned, and Offer would ignore it (it drops any
+					// delta <= T), so skipping it leaves the threshold's
+					// evolution unchanged. Ties at lo are kept.
+					lo := th.Load()
 					for v := 0; v < n; v++ {
 						if v == u || (inM[v] && v < u) {
 							continue // the pair is found from the smaller candidate
@@ -443,10 +421,8 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 						if delta < lo {
 							continue
 						}
-						if pruneOn {
-							th.Offer(delta)
-							lo = max(lo, th.Load())
-						}
+						th.Offer(delta)
+						lo = th.Load()
 						p := topk.Pair{U: int32(u), V: int32(v), D1: d1[v], D2: d2[v], Delta: delta}
 						if p.U > p.V {
 							p.U, p.V = p.V, p.U

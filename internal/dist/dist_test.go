@@ -191,12 +191,12 @@ func evolvedPair(t testing.TB, n int, seed int64) (*graph.Graph, *graph.Graph) {
 }
 
 // TestPairedEngineSessions is the dist-level differential pin of the paired
-// engine: DistancesPairInto fills both rows and
-// DeriveInto computes just the t2 row from a caller-supplied t1 row,
-// bit-identical to direct source queries when the bound is nil. With a
-// bound T the t2 row keeps every delta >= T exact, and any other node holds
-// its exact distance or d2 = d1 (delta 0, the cut's filler). A Dijkstra
-// pair has no bounded kernel and always returns full rows.
+// engine against each source's own session: DistancesPairInto fills the
+// exact t1 row, and with a bound T the t2 row keeps every delta >= T exact,
+// while any other node holds its exact distance or d2 = d1 (delta 0, the
+// cut's filler); a call that reports no cut returns the exact t2 row.
+// DeriveInto computes the same t2 row from a caller-supplied t1 row. A
+// Dijkstra pair has no bounded kernel and always returns full rows.
 func TestPairedEngineSessions(t *testing.T) {
 	g1, g2 := evolvedPair(t, 50, 17)
 	n := g1.NumNodes()
@@ -204,31 +204,24 @@ func TestPairedEngineSessions(t *testing.T) {
 	want2 := make([]int32, n)
 	d1 := make([]int32, n)
 	d2 := make([]int32, n)
+	derived := make([]int32, n)
 	cuts := 0
 	p := BFSPair(graph.SnapshotPair{G1: g1, G2: g2})
+	s1, s2 := p.S1.NewSession(), p.S2.NewSession()
 	sess := NewPairedEngine(p, PairedFull).NewSession()
 	for u := 0; u < n; u += 5 {
-		p.S1.DistancesInto(u, want1)
-		p.S2.DistancesInto(u, want2)
-		if sess.DistancesPairInto(u, d1, d2, nil) {
-			t.Fatal("unbounded call reported a cut")
-		}
-		if !reflect.DeepEqual(d1, want1) || !reflect.DeepEqual(d2, want2) {
-			t.Fatalf("DistancesPairInto(%d) diverges", u)
-		}
-		for i := range d2 {
-			d2[i] = -7 // poison; DeriveInto must fully overwrite
-		}
-		sess.DeriveInto(u, want1, d2, nil)
-		if !reflect.DeepEqual(d2, want2) {
-			t.Fatalf("DeriveInto(%d) diverges", u)
-		}
+		s1.DistancesInto(u, want1)
+		s2.DistancesInto(u, want2)
 		for _, th := range []int32{1, 2, 3} {
-			if sess.DistancesPairInto(u, d1, d2, func() int32 { return th }) {
+			bound := func() int32 { return th }
+			cut := sess.DistancesPairInto(u, d1, d2, bound)
+			if cut {
 				cuts++
+			} else if !reflect.DeepEqual(d2, want2) {
+				t.Fatalf("bound %d: uncut t2 row of %d diverges from the source's session", th, u)
 			}
 			if !reflect.DeepEqual(d1, want1) {
-				t.Fatalf("bounded call changed the t1 row of %d", u)
+				t.Fatalf("bound %d: t1 row of %d diverges from the source's session", th, u)
 			}
 			for v := range d2 {
 				if want1[v] <= 0 || d2[v] == want2[v] {
@@ -238,6 +231,12 @@ func TestPairedEngineSessions(t *testing.T) {
 					t.Fatalf("bound %d: d2[%d] from %d = %d, want %d (d1 %d)",
 						th, v, u, d2[v], want2[v], want1[v])
 				}
+			}
+			for i := range derived {
+				derived[i] = -7 // poison; DeriveInto must fully overwrite
+			}
+			if sess.DeriveInto(u, want1, derived, bound) != cut || !reflect.DeepEqual(derived, d2) {
+				t.Fatalf("bound %d: DeriveInto(%d) diverges from DistancesPairInto", th, u)
 			}
 		}
 	}
@@ -338,7 +337,7 @@ func TestSweepEdgeCases(t *testing.T) {
 	}
 	sp := Pair{S1: NewBFS(single), S2: NewBFS(single)}
 	d1, d2 := []int32{-7}, []int32{-7}
-	NewPairedEngine(sp, PairedFull).NewSession().DistancesPairInto(0, d1, d2, nil)
+	NewPairedEngine(sp, PairedFull).NewSession().DistancesPairInto(0, d1, d2, func() int32 { return 1 })
 	if d1[0] != 0 || d2[0] != 0 {
 		t.Fatalf("single-node paired rows = %v, %v", d1, d2)
 	}

@@ -61,14 +61,14 @@ func (e *PairedEngine) NewSession() *PairedSession {
 // or not the bound cut the work short. Callers charge their meter
 // accordingly before invoking.
 //
-// bound is the Δ-threshold of pruned extraction: on a BFS pair a non-nil
-// bound runs sssp.PrunedSecondBFS, which stops the second-snapshot traversal
-// once bound() proves the remaining nodes cannot produce a top-k pair; nil,
-// or a second source that is not BFS-backed, gives the full row. Both
-// methods return whether the t2 work was cut short. A cut d2 row is only
-// valid for delta extraction against its d1: abandoned nodes hold d2 = d1
-// (delta 0), not their true distance, so such rows must never be cached or
-// served as distance rows.
+// bound is the Δ-threshold of pruned extraction: on a BFS pair the t2 row
+// comes from sssp.PrunedSecondBFS, which stops the second-snapshot
+// traversal once bound() proves the remaining nodes cannot produce a pair
+// the query returns; a second source that is not BFS-backed gives the full
+// row. Both methods return whether the t2 work was cut short. A cut d2 row
+// is only valid for delta extraction against its d1: abandoned nodes hold
+// d2 = d1 (delta 0), not their true distance, so such rows must never be
+// cached or served as distance rows.
 type PairedSession struct {
 	s1, s2 Session
 	g2     *graph.Graph
@@ -85,7 +85,7 @@ func (s *PairedSession) DistancesPairInto(src int, d1, d2 []int32, bound func() 
 // DeriveInto fills d2 with src's G_t2 row, given its already-computed G_t1
 // row d1, which only the bounded traversal reads. Costs 1 budget unit.
 func (s *PairedSession) DeriveInto(src int, d1, d2 []int32, bound func() int32) bool {
-	if bound == nil || s.g2 == nil {
+	if s.g2 == nil {
 		s.s2.DistancesInto(src, d2)
 		return false
 	}

@@ -1,7 +1,7 @@
-// Package prune implements the Δ-threshold substrate of pruned top-k
+// Package prune implements the Δ-threshold substrate of pruned
 // extraction: a small concurrent structure tracking the kth-largest delta
 // seen so far across all extraction workers, published as a lock-free
-// monotone threshold.
+// monotone threshold that never falls below a floor.
 //
 // The soundness argument pruning rests on: the kth-largest delta among any
 // subset of the final pair set is a lower bound on the kth-largest delta of
@@ -25,9 +25,11 @@
 // decreases, so a delta below a value a worker has loaded would have been
 // ignored anyway.
 //
-// Δ-mode queries (Options.MinDelta) must never use a Threshold: they return
-// every qualifying pair, not the best k, so there is no kth boundary to
-// prune against (see DESIGN.md).
+// A δ query (core.Options.MinDelta) uses the same Threshold with k = 0 and
+// floor δ: it returns every pair with Δ >= δ, so its threshold is δ from
+// the start and never rises, and every cut above drops only pairs below δ,
+// which the query never returns. A top-K query's floor is 1, since a
+// delta-0 pair is never emitted (see DESIGN.md).
 package prune
 
 import (
@@ -38,36 +40,41 @@ import (
 )
 
 // Threshold is the shared kth-Δ tracker of one extraction run. Workers
-// Offer every emitted delta; Load returns the largest value T such that at
-// least k offered deltas are >= T (0 until k offers arrive), or a sound
-// externally-provided seed, whichever is larger. Load is a single atomic
-// read, cheap enough for per-traversal-level bound checks.
+// Offer every emitted delta; Load returns the largest of the floor, a sound
+// externally-provided seed, and the largest value T such that at least k
+// offered deltas are >= T. Load is a single atomic read, cheap enough for
+// per-traversal-level bound checks.
 //
 // Concurrency contract: published is written only while mu is held (Offer's
 // slow path and Seed) and read lock-free everywhere; it is monotone
 // non-decreasing, so a stale read is merely a looser-but-sound threshold.
 type Threshold struct {
 	k int
-	// published is the live threshold: max(seeded value, heap minimum once
-	// the heap holds k deltas). Reads are lock-free; see struct comment.
+	// published is the live threshold: max(1, floor, seeded value, heap
+	// minimum once the heap holds k deltas). Reads are lock-free; see
+	// struct comment.
 	published atomic.Int32
 
 	mu   sync.Mutex
 	heap []int32 // min-heap of the k largest deltas offered so far
 }
 
-// NewThreshold creates a Threshold for a top-k query. k must be positive.
-// Nothing is preallocated: k comes from the client, and the heap grows by
-// append to at most one entry per offered delta.
-func NewThreshold(k int) *Threshold {
-	if k <= 0 {
-		panic("prune: non-positive k")
+// NewThreshold creates the Threshold of one query: k is a top-k query's k,
+// or 0 for a δ query, whose threshold never rises, and Load starts at
+// max(1, floor). A negative k panics. Nothing is preallocated: k comes from
+// the client, and the heap grows by append to at most one entry per
+// offered delta.
+func NewThreshold(k int, floor int32) *Threshold {
+	if k < 0 {
+		panic("prune: negative k")
 	}
-	return &Threshold{k: k}
+	t := &Threshold{k: k}
+	t.published.Store(max(1, floor))
+	return t
 }
 
-// Load returns the current threshold (0 before it first rises). Deltas
-// strictly below the returned value are provably outside the final top-k.
+// Load returns the current threshold, at least 1. Deltas strictly below
+// the returned value are provably outside the query's answer.
 func (t *Threshold) Load() int32 { return t.published.Load() }
 
 // Seed raises the threshold to at least delta without any offers backing
@@ -76,16 +83,18 @@ func (t *Threshold) Load() int32 { return t.published.Load() }
 // cache satisfies it by seeding only with the final kth delta of a previous
 // query with the identical result-determining shape (same epoch window,
 // selector, m, l, k, and seed), which recomputes the identical pair set.
+// prune.threshold_seeded counts every positive seed, one at or below the
+// floor included, so it counts the queries a warm kth Δ reached.
 //
 //convlint:shared published is mutex-guarded for writes, lock-free monotone for reads
 func (t *Threshold) Seed(delta int32) {
 	if delta <= 0 {
 		return
 	}
+	seeded.Add(1)
 	t.mu.Lock()
 	if delta > t.published.Load() {
 		t.published.Store(delta)
-		seeded.Add(1)
 	}
 	t.mu.Unlock()
 }
@@ -96,7 +105,7 @@ func (t *Threshold) Seed(delta int32) {
 //
 //convlint:shared fast path reads published lock-free; staleness is sound (threshold is monotone)
 func (t *Threshold) Offer(delta int32) {
-	if delta <= t.published.Load() {
+	if t.k == 0 || delta <= t.published.Load() {
 		return
 	}
 	t.mu.Lock()

@@ -37,24 +37,3 @@ func TestBFSWithZeroAllocs(t *testing.T) {
 		})
 	}
 }
-
-// TestMultiSourceBFSWithZeroAllocs covers the dispersion-selection driver
-// the same way.
-func TestMultiSourceBFSWithZeroAllocs(t *testing.T) {
-	if invariant.Enabled {
-		t.Skip("CSR invariant assertions allocate; zero-alloc holds for default builds")
-	}
-	rng := rand.New(rand.NewSource(11))
-	g := randomGraph(rng, 1500, 4000)
-	n := g.NumNodes()
-	dist := make([]int32, n)
-	sources := []int{0, 3, 9, 27}
-	s := NewScratch(n)
-	MultiSourceBFSWith(g, sources, dist, s)
-	allocs := testing.AllocsPerRun(50, func() {
-		MultiSourceBFSWith(g, sources, dist, s)
-	})
-	if allocs != 0 {
-		t.Errorf("%.1f allocs per MultiSourceBFSWith with provided Scratch, want 0", allocs)
-	}
-}

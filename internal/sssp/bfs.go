@@ -70,81 +70,6 @@ func Distances(g *graph.Graph, src int) []int32 {
 	return dist
 }
 
-// MultiSourceBFS computes, for every node, the distance to the nearest of the
-// given sources (the lower envelope of the sources' BFS trees). It is used by
-// dispersion-based selection, where each greedy step needs the minimum
-// distance to the already-selected set. dist must have length g.NumNodes().
-func MultiSourceBFS(g *graph.Graph, sources []int, dist []int32) {
-	MultiSourceBFSWith(g, sources, dist, nil)
-}
-
-// MultiSourceBFSWith is MultiSourceBFS with caller-provided scratch space,
-// for tight loops that seed from a growing set.
-//
-//convlint:hotpath
-func MultiSourceBFSWith(g *graph.Graph, sources []int, dist []int32, s *Scratch) {
-	//convlint:nondet sweep latency is observational, not part of results
-	start := time.Now()
-	n := g.NumNodes()
-	if len(dist) != n {
-		panic(fmt.Sprintf("sssp: dist buffer length %d, graph has %d nodes", len(dist), n))
-	}
-	for i := range dist {
-		dist[i] = Unreachable
-	}
-	if s == nil {
-		s = getScratch(n)
-		defer putScratch(s)
-	} else {
-		s.ensure(n)
-	}
-	offsets, neighbors := g.CSR()
-	q := s.queue[:0]
-	for _, src := range sources {
-		if src < 0 || src >= n {
-			panic(fmt.Sprintf("sssp: source %d out of range [0,%d)", src, n))
-		}
-		if dist[src] == Unreachable {
-			dist[src] = 0
-			q = append(q, int32(src))
-		}
-	}
-	// Metrics accumulate in registers; the queue is level-ordered, so runs
-	// of equal distances bound the frontier peak.
-	var edges int64
-	peak, runLen := 0, 0
-	runLevel := int32(0)
-	for head := 0; head < len(q); head++ {
-		u := q[head]
-		du := dist[u]
-		if du != runLevel {
-			if runLen > peak {
-				peak = runLen
-			}
-			runLen, runLevel = 0, du
-		}
-		runLen++
-		edges += int64(offsets[u+1] - offsets[u])
-		for _, v := range neighbors[offsets[u]:offsets[u+1]] {
-			if dist[v] == Unreachable {
-				dist[v] = du + 1
-				q = append(q, v)
-			}
-		}
-	}
-	if runLen > peak {
-		peak = runLen
-	}
-	km := &kernelMetrics[kEnvelope]
-	km.calls.Add(1)
-	km.sources.Add(int64(len(sources)))
-	km.nodes.Add(int64(len(q)))
-	km.edges.Add(edges)
-	peakMax(&km.frontierPeak, int64(peak))
-	observeSweep(kEnvelope, start, int64(len(sources)), int64(len(q)), edges)
-	s.queue = q[:0]
-}
-
 // Eccentricity returns the greatest finite distance from src.
 func Eccentricity(g *graph.Graph, src int) int32 {
 	return EccentricityInto(g, src, make([]int32, g.NumNodes()), nil)

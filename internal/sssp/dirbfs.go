@@ -38,14 +38,12 @@ const (
 	dirOptBeta = 24
 )
 
-// levelCut is the Δ-threshold cut of a bounded second-snapshot row
+// levelCut is the Δ-threshold depth limit of a bounded second-snapshot row
 // (PrunedSecondBFS, whose comment shows why it is sound).
 type levelCut struct {
-	d1     []int32      // the source's full first-snapshot row
-	cnt    []int32      // cnt[d] = undiscovered nodes with d1 == d (d1 > 0 only)
-	maxRem int32        // largest d1 among undiscovered nodes: the top of cnt
-	bound  func() int32 // the kth-Δ threshold, sampled once per level
-	fired  bool         // set when the cut stopped the traversal
+	maxD1 int32        // the largest first-snapshot distance of the row
+	bound func() int32 // the Δ threshold, sampled once per level
+	fired bool         // set when the cut stopped the traversal
 }
 
 // bfsWork is one dirOptBFS call's work, flushed once by its caller.
@@ -69,11 +67,6 @@ func dirOptBFS(g *graph.Graph, src int, dist []int32, s *Scratch, cut *levelCut)
 	dist[src] = 0
 	reached := 1
 
-	var d1, cnt []int32 // a bounded row's levelCut histogram
-	if cut != nil {
-		d1, cnt = cut.d1, cut.cnt
-	}
-
 	// mf counts directed edges out of the current frontier, mu directed
 	// edges out of still-unvisited nodes; both drive the Beamer heuristic.
 	mf := int64(offsets[src+1] - offsets[src])
@@ -91,7 +84,7 @@ func dirOptBFS(g *graph.Graph, src int, dist []int32, s *Scratch, cut *levelCut)
 	for {
 		// Cut check before expanding this level, whose nodes get
 		// d2 = level+1.
-		if cut != nil && cut.maxRem-(level+1) < max(1, cut.bound()) {
+		if cut != nil && cut.maxD1-(level+1) < max(1, cut.bound()) {
 			cut.fired = true
 			break
 		}
@@ -126,22 +119,19 @@ func dirOptBFS(g *graph.Graph, src int, dist []int32, s *Scratch, cut *levelCut)
 		var levelEdges, mfNext int64
 		if !bottomUp {
 			tdSteps++
-			q, levelEdges, mfNext = topDownStep(offsets, neighbors, dist, d1, cnt, q, levelStart, levelEnd, level+1)
+			q, levelEdges, mfNext = topDownStep(offsets, neighbors, dist, q, levelStart, levelEnd, level+1)
 			levelStart, levelEnd = levelEnd, len(q)
 			nf = levelEnd - levelStart
 		} else {
 			buSteps++
 			clearWords(s.nxt[:words])
-			nf, levelEdges, mfNext = bottomUpStep(offsets, neighbors, dist, d1, cnt, s.cur[:words], s.nxt[:words], level+1)
+			nf, levelEdges, mfNext = bottomUpStep(offsets, neighbors, dist, s.cur[:words], s.nxt[:words], level+1)
 			s.cur, s.nxt = s.nxt, s.cur
 		}
 		edges += levelEdges
 		reached += nf
 		mu -= mfNext
 		mf = mfNext
-		for cut != nil && cut.maxRem >= 0 && cnt[cut.maxRem] == 0 {
-			cut.maxRem--
-		}
 		if nf > peak {
 			peak = nf
 		}
@@ -158,21 +148,21 @@ func dirOptBFS(g *graph.Graph, src int, dist []int32, s *Scratch, cut *levelCut)
 }
 
 // topDownStep expands the frontier q[start:end]: every unvisited
-// neighbour gets distance next and joins q, and on a bounded row (d1
-// non-nil) leaves the cnt histogram. It returns the grown queue, the edges
-// examined and the new frontier's outgoing edges. The level steps are
-// functions of their own so that each loop's state stays in registers.
+// neighbour gets distance next and joins q. It returns the grown queue, the
+// edges examined and the new frontier's outgoing edges. The level steps are
+// functions of their own so that each loop's state stays in registers, and
+// topDownStep is kept out of line: inlined into dirOptBFS, it made the
+// full rows of BenchmarkBFSEngines 4–15% slower (EXPERIMENTS.md, "Why δ is
+// the threshold's floor and the cut has no histogram").
 //
 //convlint:hotpath
-func topDownStep(offsets, neighbors, dist, d1, cnt, q []int32, start, end int, next int32) (_ []int32, edges, mf int64) {
+//go:noinline
+func topDownStep(offsets, neighbors, dist, q []int32, start, end int, next int32) (_ []int32, edges, mf int64) {
 	for _, u := range q[start:end] {
 		edges += int64(offsets[u+1] - offsets[u])
 		for _, v := range neighbors[offsets[u]:offsets[u+1]] {
 			if dist[v] == Unreachable {
 				dist[v] = next
-				if d1 != nil && d1[v] > 0 {
-					cnt[d1[v]]--
-				}
 				mf += int64(offsets[v+1] - offsets[v])
 				q = append(q, v)
 			}
@@ -183,12 +173,11 @@ func topDownStep(offsets, neighbors, dist, d1, cnt, q []int32, start, end int, n
 
 // bottomUpStep gives every unvisited node with a parent in the frontier
 // bitmap cur distance next and marks it in nxt, ending each node's scan at
-// its first parent; cnt is kept as in topDownStep. It returns the new
-// frontier's size, the edges examined and the new frontier's outgoing
-// edges.
+// its first parent. It returns the new frontier's size, the edges examined
+// and the new frontier's outgoing edges.
 //
 //convlint:hotpath
-func bottomUpStep(offsets, neighbors, dist, d1, cnt []int32, cur, nxt []uint64, next int32) (nf int, edges, mf int64) {
+func bottomUpStep(offsets, neighbors, dist []int32, cur, nxt []uint64, next int32) (nf int, edges, mf int64) {
 	for v := range dist {
 		if dist[v] != Unreachable {
 			continue
@@ -197,9 +186,6 @@ func bottomUpStep(offsets, neighbors, dist, d1, cnt []int32, cur, nxt []uint64, 
 			edges++
 			if cur[w>>6]&(1<<(uint(w)&63)) != 0 {
 				dist[v] = next
-				if d1 != nil && d1[v] > 0 {
-					cnt[d1[v]]--
-				}
 				mf += int64(offsets[v+1] - offsets[v])
 				nxt[v>>6] |= 1 << (uint(v) & 63)
 				nf++

@@ -72,9 +72,9 @@ func blockWithPaths(block, path, isolated int) *graph.Builder {
 //
 // The bounded leg (PrunedSecondBFS from every source of the served pair,
 // G_t1 at 80% and G_t2 full, under constant thresholds) is held against
-// referencePrunedBFS, the top-down loop it ran before it shared dirOptBFS's:
-// on DBLP it may examine no more edges, and on Facebook, where a bounded
-// row used to examine more edges than a full one, it must cut them by
+// referencePrunedBFS, the same depth-limit cut as a plain top-down loop:
+// on DBLP it may examine no more edges, and on Facebook, where a top-down
+// bounded row examines more edges than a full one, it must cut them by
 // maxPrunedRatio.
 func TestDirectionRuleEdgeWork(t *testing.T) {
 	cases := []struct {

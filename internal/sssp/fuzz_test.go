@@ -225,29 +225,6 @@ func TestDriversDifferential(t *testing.T) {
 	}
 }
 
-// TestMultiSourceEnvelope asserts MultiSourceBFS equals the pointwise
-// minimum of the per-source BFS trees.
-func TestMultiSourceEnvelope(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	g := erdosRenyi(90, 0.04, rng)
-	n := g.NumNodes()
-	sources := []int{0, 17, 55, 55, 83}
-	dist := make([]int32, n)
-	MultiSourceBFSWith(g, sources, dist, NewScratch(n))
-	for v := 0; v < n; v++ {
-		want := Unreachable
-		for _, s := range sources {
-			d, _, _ := referenceBFS(g, s)
-			if d[v] != Unreachable && (want == Unreachable || d[v] < want) {
-				want = d[v]
-			}
-		}
-		if dist[v] != want {
-			t.Fatalf("envelope at %d: %d, want %d", v, dist[v], want)
-		}
-	}
-}
-
 // FuzzEngines feeds byte-derived graphs and sources through both kernels;
 // each must agree with the oracle exactly. Every graph starts from
 // blockWithPaths, sized by the shape bytes: a dense block between two paths,

@@ -25,7 +25,6 @@ type kernelIndex int
 const (
 	kDirOpt kernelIndex = iota
 	kBitParallel
-	kEnvelope // MultiSourceBFS lower-envelope sweep
 	kDijkstra
 	kRepair    // dynsssp decrease-only batch repair (monitor trackers, DynamicBFS)
 	kPrunedBFS // Δ-threshold bounded second-snapshot BFS (pruned extraction)
@@ -155,7 +154,6 @@ func (k KernelCounters) add(o KernelCounters) KernelCounters {
 type MetricsSnapshot struct {
 	DirectionOpt  KernelCounters
 	BitParallel64 KernelCounters
-	Envelope      KernelCounters
 	Dijkstra      KernelCounters
 	// Repair counts the dynsssp batch-repair kernel: the decrease-only wave
 	// that brings a distance vector up to date over inserted edges (the
@@ -169,15 +167,12 @@ type MetricsSnapshot struct {
 }
 
 // PrunedWork aggregates what the Δ-threshold cutoffs skipped, alongside the
-// PrunedBFS kernel counters that say what still ran. Cutoffs and
-// Nodes/Edges are exact (abandoned nodes and their adjacency are counted
-// when the traversal stops); Levels is the remaining-depth estimate at the
-// cut, an upper bound on levels the full traversal would have expanded.
+// PrunedBFS kernel counters that say what still ran. All three are exact:
+// abandoned nodes and their adjacency are counted when the traversal stops.
 type PrunedWork struct {
 	Cutoffs int64
 	Nodes   int64
 	Edges   int64
-	Levels  int64
 }
 
 // Sub diffs two PrunedWork readings.
@@ -186,7 +181,6 @@ func (p PrunedWork) Sub(prev PrunedWork) PrunedWork {
 		Cutoffs: p.Cutoffs - prev.Cutoffs,
 		Nodes:   p.Nodes - prev.Nodes,
 		Edges:   p.Edges - prev.Edges,
-		Levels:  p.Levels - prev.Levels,
 	}
 }
 
@@ -194,7 +188,6 @@ var prunedWork struct {
 	cutoffs atomic.Int64
 	nodes   atomic.Int64
 	edges   atomic.Int64
-	levels  atomic.Int64
 }
 
 // SnapshotPrunedWork reads the cumulative skipped-work counters.
@@ -203,7 +196,6 @@ func SnapshotPrunedWork() PrunedWork {
 		Cutoffs: prunedWork.cutoffs.Load(),
 		Nodes:   prunedWork.nodes.Load(),
 		Edges:   prunedWork.edges.Load(),
-		Levels:  prunedWork.levels.Load(),
 	}
 }
 
@@ -225,7 +217,6 @@ func SnapshotMetrics() MetricsSnapshot {
 	return MetricsSnapshot{
 		DirectionOpt:  read(kDirOpt),
 		BitParallel64: read(kBitParallel),
-		Envelope:      read(kEnvelope),
 		Dijkstra:      read(kDijkstra),
 		Repair:        read(kRepair),
 		PrunedBFS:     read(kPrunedBFS),
@@ -238,7 +229,6 @@ func (s MetricsSnapshot) Sub(prev MetricsSnapshot) MetricsSnapshot {
 	return MetricsSnapshot{
 		DirectionOpt:  s.DirectionOpt.sub(prev.DirectionOpt),
 		BitParallel64: s.BitParallel64.sub(prev.BitParallel64),
-		Envelope:      s.Envelope.sub(prev.Envelope),
 		Dijkstra:      s.Dijkstra.sub(prev.Dijkstra),
 		Repair:        s.Repair.sub(prev.Repair),
 		PrunedBFS:     s.PrunedBFS.sub(prev.PrunedBFS),
@@ -247,8 +237,8 @@ func (s MetricsSnapshot) Sub(prev MetricsSnapshot) MetricsSnapshot {
 
 // Total sums the kernels (FrontierPeak takes the max across kernels).
 func (s MetricsSnapshot) Total() KernelCounters {
-	return s.DirectionOpt.add(s.BitParallel64).add(s.Envelope).
-		add(s.Dijkstra).add(s.Repair).add(s.PrunedBFS)
+	return s.DirectionOpt.add(s.BitParallel64).add(s.Dijkstra).
+		add(s.Repair).add(s.PrunedBFS)
 }
 
 // RecordRepair flushes one dynsssp batch-repair run into the repair kernel
@@ -286,12 +276,11 @@ func (w *bfsWork) flush(i kernelIndex, start time.Time) {
 
 // recordCut adds what one fired Δ-threshold cut avoided: skippedNodes and
 // skippedEdges count the abandoned undiscovered nodes and their adjacency
-// exactly, and remLevels is the remaining-depth estimate at the cut point.
-func recordCut(skippedNodes, skippedEdges, remLevels int64) {
+// exactly.
+func recordCut(skippedNodes, skippedEdges int64) {
 	prunedWork.cutoffs.Add(1)
 	prunedWork.nodes.Add(skippedNodes)
 	prunedWork.edges.Add(skippedEdges)
-	prunedWork.levels.Add(remLevels)
 }
 
 // init publishes the kernel counters to the obs metrics registry so
@@ -301,7 +290,6 @@ func init() {
 	names := [numKernels]string{
 		kDirOpt:      "diropt",
 		kBitParallel: "bitparallel64",
-		kEnvelope:    "envelope",
 		kDijkstra:    "dijkstra",
 		kRepair:      "repair",
 		kPrunedBFS:   "prunedbfs",
@@ -342,5 +330,4 @@ func init() {
 	obs.RegisterMetric("sssp.pruned_cutoffs", prunedWork.cutoffs.Load)
 	obs.RegisterMetric("sssp.pruned_nodes", prunedWork.nodes.Load)
 	obs.RegisterMetric("sssp.pruned_edges", prunedWork.edges.Load)
-	obs.RegisterMetric("sssp.pruned_levels", prunedWork.levels.Load)
 }

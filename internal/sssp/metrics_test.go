@@ -95,20 +95,6 @@ func TestBatchFillMetric(t *testing.T) {
 	}
 }
 
-func TestEnvelopeMetrics(t *testing.T) {
-	g := path5(t)
-	dist := make([]int32, 5)
-	before := SnapshotMetrics()
-	MultiSourceBFS(g, []int{0, 4}, dist)
-	d := SnapshotMetrics().Sub(before)
-	if d.Envelope.Calls != 1 || d.Envelope.Sources != 2 {
-		t.Fatalf("envelope calls/sources = %d/%d, want 1/2", d.Envelope.Calls, d.Envelope.Sources)
-	}
-	if d.Envelope.Nodes != 5 {
-		t.Fatalf("envelope nodes = %d, want 5", d.Envelope.Nodes)
-	}
-}
-
 func TestDijkstraMetrics(t *testing.T) {
 	g, err := graph.NewWeighted(3, []graph.WeightedEdge{
 		{U: 0, V: 1, Weight: 2}, {U: 1, V: 2, Weight: 3},
@@ -138,7 +124,7 @@ func TestMetricsExposedThroughObs(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"sssp.diropt.calls", "sssp.diropt.switches", "sssp.bitparallel64.sources",
-		"sssp.envelope.edges_scanned", "sssp.dijkstra.calls",
+		"sssp.dijkstra.edges_scanned", "sssp.dijkstra.calls",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("obs exposition missing %q", want)

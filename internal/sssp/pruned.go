@@ -13,13 +13,14 @@ import (
 // this kernel for the second snapshot. Because the snapshots grow (G_t1 ⊆
 // G_t2), every node still undiscovered when the traversal is about to
 // expand level L has true d2 >= L+1, so its delta d1−d2 is at most
-// maxRem − (L+1), where maxRem is the largest d1 among undiscovered nodes.
-// Once that ceiling drops strictly below the current kth-Δ threshold, no
-// undiscovered node can enter the top-k and the traversal stops: abandoned
-// nodes get d2 = d1 (delta 0, discarded by the extraction floor), which
-// keeps the emitted pair set bit-identical to a full traversal. The
-// argument needs only that levels complete one at a time, so the traversal
-// is dirOptBFS's level loop, and levels may run bottom-up.
+// maxD1 − (L+1), where maxD1 is the largest d1 of the row. Once that
+// ceiling drops strictly below the current Δ threshold, no undiscovered
+// node can enter the answer and the traversal stops: the cut is a depth
+// limit of maxD1 − max(1, T) levels. Abandoned nodes get d2 = d1 (delta 0,
+// discarded by the extraction floor), which keeps the emitted pair set
+// bit-identical to a full traversal. The argument needs only that levels
+// complete one at a time, so the traversal is dirOptBFS's level loop, and
+// levels may run bottom-up.
 //
 // The d2 row a cut run produces is only valid for delta extraction against
 // this d1 — it must never be cached or served as a real distance row
@@ -28,7 +29,7 @@ import (
 
 // PrunedSecondBFS fills d2 with second-snapshot distances from src,
 // stopping as soon as the Δ-threshold returned by bound proves no
-// undiscovered node can reach the top-k. d1 must be the full first-snapshot
+// undiscovered node can reach it. d1 must be the full first-snapshot
 // row from the same src, and g2 must be a supergraph of the first snapshot
 // (the growing-snapshot contract of dist.Pair) — both are what make the cut
 // sound. bound is sampled once per level; values below 1 are clamped to 1
@@ -44,22 +45,20 @@ func PrunedSecondBFS(g2 *graph.Graph, src int, d1, d2 []int32, bound func() int3
 	//convlint:nondet sweep latency is observational, not part of results
 	start := time.Now()
 	n := g2.NumNodes()
-	s.ensureCut(n)
+	s.ensure(n)
 
-	// Only d1 > 0 nodes are tracked: the extraction emit loop skips
-	// d1 <= 0, so they are the only nodes whose d2 can influence the output.
-	var cut levelCut
-	cut.d1, cut.cnt, cut.maxRem, cut.bound = d1, s.cnt[:n+1], -1, bound
-	clear(cut.cnt)
-	for v := 0; v < n; v++ {
+	// Only d1 > 0 nodes matter: the extraction emit loop skips d1 <= 0, so
+	// they are the only nodes whose d2 can influence the output. A row with
+	// none keeps maxD1 = 0 and cuts before the first level.
+	maxD1 := int32(0)
+	for v, d := range d1[:n] {
 		d2[v] = Unreachable
-		if d := d1[v]; d > 0 {
-			cut.cnt[d]++
-			cut.maxRem = max(cut.maxRem, d)
-		}
+		maxD1 = max(maxD1, d)
 	}
+	var cut levelCut
+	cut.maxD1, cut.bound = maxD1, bound
 
-	level, work := dirOptBFS(g2, src, d2, s, &cut)
+	_, work := dirOptBFS(g2, src, d2, s, &cut)
 
 	// On a cut, settle the abandoned nodes and count exactly what the full
 	// traversal would still have done for them. d1 > 0 implies reachable in
@@ -74,7 +73,7 @@ func PrunedSecondBFS(g2 *graph.Graph, src int, d1, d2 []int32, bound func() int3
 				skippedEdges += int64(g2.Degree(v))
 			}
 		}
-		recordCut(skippedNodes, skippedEdges, max(0, int64(cut.maxRem)-int64(level)))
+		recordCut(skippedNodes, skippedEdges)
 	}
 	work.flush(kPrunedBFS, start)
 	return cut.fired

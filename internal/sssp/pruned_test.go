@@ -9,26 +9,21 @@ import (
 )
 
 // referencePrunedBFS is the bounded second-snapshot traversal as a plain
-// top-down level loop, the kernel PrunedSecondBFS ran before it shared
-// dirOptBFS's loop: the same d1 histogram, the same cut check before each
-// level under the constant threshold bound, and the same settle pass. It
-// fills d2 and returns whether the cut fired and how many edges the
-// traversal examined.
+// top-down level loop under the depth-limit rule: before expanding level L
+// it stops once maxD1 − (L+1), the largest d1 of the row less the next
+// level, is below max(1, bound), then runs the same settle pass. It fills
+// d2 and returns whether the cut fired and how many edges the traversal
+// examined.
 func referencePrunedBFS(g2 *graph.Graph, src int, d1, d2 []int32, bound int32) (cut bool, edges int64) {
-	n := g2.NumNodes()
-	cnt := make([]int32, n+1)
-	maxRem := int32(-1)
-	for v := 0; v < n; v++ {
+	maxD1 := int32(0)
+	for v := range d2 {
 		d2[v] = Unreachable
-		if d1[v] > 0 {
-			cnt[d1[v]]++
-			maxRem = max(maxRem, d1[v])
-		}
+		maxD1 = max(maxD1, d1[v])
 	}
 	d2[src] = 0
 	frontier := []int{src}
 	for level := int32(0); len(frontier) > 0; level++ {
-		if maxRem-(level+1) < max(1, bound) {
+		if maxD1-(level+1) < max(1, bound) {
 			cut = true
 			break
 		}
@@ -38,15 +33,9 @@ func referencePrunedBFS(g2 *graph.Graph, src int, d1, d2 []int32, bound int32) (
 			for _, v := range g2.Neighbors(u) {
 				if d2[v] == Unreachable {
 					d2[v] = level + 1
-					if d1[v] > 0 {
-						cnt[d1[v]]--
-					}
 					next = append(next, int(v))
 				}
 			}
-		}
-		for maxRem >= 0 && cnt[maxRem] == 0 {
-			maxRem--
 		}
 		frontier = next
 	}

@@ -74,28 +74,6 @@ func assertPanics(t *testing.T, name string, fn func()) {
 	fn()
 }
 
-func TestMultiSourceBFS(t *testing.T) {
-	g := pathGraph(7)
-	dist := make([]int32, 7)
-	MultiSourceBFS(g, []int{0, 6}, dist)
-	want := []int32{0, 1, 2, 3, 2, 1, 0}
-	if !reflect.DeepEqual(dist, want) {
-		t.Fatalf("dist = %v, want %v", dist, want)
-	}
-	// Duplicate sources are harmless.
-	MultiSourceBFS(g, []int{3, 3}, dist)
-	if dist[0] != 3 || dist[6] != 3 {
-		t.Fatalf("dist = %v after duplicate-source BFS", dist)
-	}
-	// No sources: everything unreachable.
-	MultiSourceBFS(g, nil, dist)
-	for v, d := range dist {
-		if d != Unreachable {
-			t.Fatalf("dist[%d] = %d with no sources", v, d)
-		}
-	}
-}
-
 // Property: BFS distances satisfy the edge relaxation condition
 // |d(u) - d(v)| <= 1 for every edge {u,v} with both ends reached, d(src)=0,
 // and every reached non-source node has a neighbor one step closer.
