@@ -80,8 +80,10 @@ type (
 	// PruneStats reports what the top-K Δ-threshold pruning did in one run
 	// (Result.Pruned).
 	PruneStats = core.PruneStats
-	// WarmCache memoizes selections and kth-Δ prune seeds across repeated
-	// queries over one snapshot pair (Options.Warm); create with NewWarmCache.
+	// WarmCache memoizes finished queries over one snapshot pair
+	// (Options.Warm): an exact repeat replays the first run's budget
+	// charges and returns its answer without traversing. Create with
+	// NewWarmCache.
 	WarmCache = candidates.Warm
 
 	// Trace records the phases of a run as spans (set Options.Trace or

@@ -111,12 +111,15 @@ func (ctx *Context) CacheD1(node int, row []int32) {
 	ctx.D1Rows[node] = row
 }
 
-// CacheD2 records a distance row on G_t2 for later reuse.
-func (ctx *Context) CacheD2(node int, row []int32) {
+// CacheRows records a node's distance rows on G_t1 and G_t2 for later
+// reuse. A G_t2 row is only ever cached beside its G_t1 row, so extraction
+// never meets a cached d2 row without its d1 row.
+func (ctx *Context) CacheRows(node int, d1, d2 []int32) {
+	ctx.CacheD1(node, d1)
 	if ctx.D2Rows == nil {
 		ctx.D2Rows = make(map[int][]int32)
 	}
-	ctx.D2Rows[node] = row
+	ctx.D2Rows[node] = d2
 }
 
 // Validate checks the Context invariants shared by all selectors, deriving
@@ -356,8 +359,7 @@ func (s landmarkSelector) Select(ctx *Context) ([]int, error) {
 	// candidate set, the extraction phase reuses them for free — and the
 	// pruned extraction bounds every candidate's Δ with them.
 	for i, u := range set.Nodes {
-		ctx.CacheD1(u, d1[i])
-		ctx.CacheD2(u, d2[i])
+		ctx.CacheRows(u, d1[i], d2[i])
 	}
 	ctx.LandmarkNodes = append([]int(nil), set.Nodes...)
 	m := ctx.M - len(set.Nodes)
@@ -418,8 +420,7 @@ func (s hybridSelector) Select(ctx *Context) ([]int, error) {
 		return nil, fmt.Errorf("%s: %w", s.Name(), err)
 	}
 	for i, u := range set.Nodes {
-		ctx.CacheD1(u, d1[i])
-		ctx.CacheD2(u, d2[i])
+		ctx.CacheRows(u, d1[i], d2[i])
 	}
 	ctx.LandmarkNodes = append([]int(nil), set.Nodes...)
 	// The dispersed landmarks join the candidate set (their SSSPs are paid

@@ -104,8 +104,7 @@ func BuildFeatures(ctx *Context, global bool) ([][]float64, error) {
 			return nil, fmt.Errorf("candidates: %v norms: %w", spec.strategy, err)
 		}
 		for i, w := range set.Nodes {
-			ctx.CacheD1(w, d1rows[i])
-			ctx.CacheD2(w, d2rows[i])
+			ctx.CacheRows(w, d1rows[i], d2rows[i])
 		}
 		for u := 0; u < n; u++ {
 			x[u][spec.l1Col] = float64(norms.L1[u])

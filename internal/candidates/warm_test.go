@@ -2,38 +2,52 @@ package candidates
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
+
+	"repro/internal/budget"
+	"repro/internal/topk"
 )
 
 // TestWarmEvictsOldestKey: storing one key past the cap evicts the oldest
-// key's selection and kth-Δ entries together, and keeps the newest.
+// key and keeps the newest; a result over the pair cap is not stored; and
+// changing a looked-up result leaves the memo unchanged.
 func TestWarmEvictsOldestKey(t *testing.T) {
 	w := NewWarm()
-	key := func(i int) string { return fmt.Sprintf("MMSD|m50|l10|s%d", i) }
+	key := func(i int) string { return fmt.Sprintf("MMSD|m50|l10|s%d|k10|d0", i) }
 	for i := 0; i <= warmKeys; i++ {
-		ctx := &Context{D1Rows: map[int][]int32{i: {0, 1}}}
-		w.StoreSelection(key(i), []int{i}, ctx, nil)
-		if i == 0 {
-			w.StoreKthDelta(key(0), 10, 3)
-		}
+		pairs := []topk.Pair{{U: int32(i), V: int32(i + 1), D1: 3, D2: 1, Delta: 2}}
+		w.Store(key(i), pairs, []int{i}, []WarmCharge{{Phase: budget.PhaseTopK, N: 2}})
 	}
-	if _, _, ok := w.LookupSelection(key(0), &Context{}); ok {
-		t.Error("oldest key's selection survived the cap")
+	if _, _, _, ok := w.Lookup(key(0)); ok {
+		t.Error("oldest key survived the cap")
 	}
-	if _, ok := w.KthDelta(key(0), 10); ok {
-		t.Error("oldest key's kth Δ survived the cap")
-	}
-	cands, _, ok := w.LookupSelection(key(warmKeys), &Context{})
-	if !ok || len(cands) != 1 || cands[0] != warmKeys {
-		t.Errorf("newest key's selection = %v, %v; want [%d], true", cands, ok, warmKeys)
-	}
-	w.StoreKthDelta(key(warmKeys), 10, 4)
-	if d, ok := w.KthDelta(key(warmKeys), 10); !ok || d != 4 {
-		t.Errorf("newest key's kth Δ = %d, %v; want 4, true", d, ok)
+	pairs, cands, charges, ok := w.Lookup(key(warmKeys))
+	if !ok || len(cands) != 1 || cands[0] != warmKeys || len(pairs) != 1 || len(charges) != 1 {
+		t.Fatalf("newest key = %v, %v, %v, %v; want one pair, [%d] and one charge", pairs, cands, charges, ok, warmKeys)
 	}
 	if len(w.entries) != warmKeys {
 		t.Errorf("memo holds %d keys, want the cap %d", len(w.entries), warmKeys)
+	}
+
+	pairs[0].Delta, cands[0], charges[0].N = 99, -1, 99
+	again, cands2, charges2, _ := w.Lookup(key(warmKeys))
+	if again[0].Delta != 2 || cands2[0] != warmKeys || charges2[0].N != 2 {
+		t.Errorf("changing a looked-up result changed the memo: %v, %v, %v", again, cands2, charges2)
+	}
+
+	big := make([]topk.Pair, warmMaxPairs+1)
+	w.Store("big", big, nil, nil)
+	if _, _, _, ok := w.Lookup("big"); ok {
+		t.Errorf("a result of %d pairs was stored over the cap of %d", len(big), warmMaxPairs)
+	}
+	if _, _, _, ok := w.Lookup(key(1)); !ok {
+		t.Error("a result over the pair cap evicted a stored key")
+	}
+	w.Store("cap", big[:warmMaxPairs], nil, nil)
+	if got, _, _, ok := w.Lookup("cap"); !ok || !reflect.DeepEqual(got, big[:warmMaxPairs]) {
+		t.Errorf("a result of exactly %d pairs was not stored", warmMaxPairs)
 	}
 }
 
@@ -48,10 +62,8 @@ func TestWarmConcurrentEviction(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2*warmKeys; i++ {
 				key := fmt.Sprintf("g%d|s%d", g, i)
-				w.StoreSelection(key, []int{i}, &Context{}, nil)
-				w.StoreKthDelta(key, 5, int32(i))
-				w.LookupSelection(key, &Context{})
-				w.KthDelta(key, 5)
+				w.Store(key, []topk.Pair{{U: 0, V: 1, Delta: int32(i)}}, []int{i}, nil)
+				w.Lookup(key)
 			}
 		}()
 	}

@@ -52,12 +52,13 @@ type Options struct {
 	// Deprecated: PairedMode is ignored. Every query computes its G_t2 rows
 	// with the one paired kernel (see dist.PairedSession).
 	PairedMode dist.PairedMode
-	// Warm, when non-nil, is a per-snapshot-pair warm cache: selection
-	// results are memoized (with their budget charges replayed on hits) and
-	// completed top-K queries seed the prune threshold of identical later
-	// queries. The caller must scope one Warm to one snapshot pair — the
-	// serve layer keeps one per epoch window. Ignored when RNG is set (an
-	// externally-advanced RNG makes the query shape unkeyable).
+	// Warm, when non-nil, is a per-snapshot-pair memo of finished queries:
+	// an exact repeat of a stored query (same selector, M, L, Seed, K and
+	// MinDelta) replays the cold run's budget charges and returns its pairs
+	// and candidates without selecting or traversing anything. The caller
+	// must scope one Warm to one snapshot pair — the serve layer keeps one
+	// per epoch window. Ignored when RNG is set (an externally-advanced RNG
+	// makes the query shape unkeyable).
 	Warm *candidates.Warm
 	// Meter overrides the default budget meter of 2M SSSPs. Useful for
 	// tests; normal callers leave it nil.
@@ -82,12 +83,15 @@ type Result struct {
 	SelectorName string
 	// Phases holds the query's wall-clock phase breakdown in nanoseconds —
 	// observational only (never part of result comparisons); serve layers
-	// re-observe it into per-tenant latency histograms.
+	// re-observe it into per-tenant latency histograms. Total is the same
+	// measurement the flight record and core.phase_ns{phase="total"} carry.
 	Phases obs.PhaseNanos
 	// Pruned reports what the Δ-threshold pruning did. Observational only:
 	// on a top-K query worker timing changes how early the threshold
 	// tightens, so skip counts vary run to run while Pairs/Candidates/Budget
-	// never do.
+	// never do. It is zero on a warm hit (Options.Warm), which runs no
+	// extraction: its flight record shows the replayed budget, no kernel
+	// work and workers=0.
 	Pruned PruneStats
 }
 

@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/budget"
 	"repro/internal/candidates"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -171,10 +172,11 @@ func TestPruneAutoSkipsMinDelta(t *testing.T) {
 	requireExact(t, "mindelta", sp, opts, res)
 }
 
-// TestPruneSeedSound: seeding the threshold with the true kth Δ of the same
-// query (the strongest seed the warm cache can ever supply) must not change
-// the result. The seed is stored straight into a fresh warm cache, so the
-// selection still runs cold and only the kth-Δ entry differs.
+// TestPruneSeedSound: a threshold that starts at the true kth Δ of a top-K
+// query (the strongest start pruning can get) drops nothing the query
+// returns. A floor is the one way to start a threshold high, so the δ = kth
+// query is that start: it returns the oracle's pairs, and its first K pairs
+// are the top-K answer.
 func TestPruneSeedSound(t *testing.T) {
 	sp := growingPair(t, 200, 3)
 	opts := Options{Selector: candidates.MMSD(), M: 25, L: 5, K: 10, Seed: 7, Workers: 2}
@@ -186,46 +188,35 @@ func TestPruneSeedSound(t *testing.T) {
 	if len(exact) < opts.K {
 		t.Skipf("only %d pairs on this graph", len(exact))
 	}
-	opts.Warm = candidates.NewWarm()
-	opts.Warm.StoreKthDelta(warmCacheKey(opts), opts.K, exact[opts.K-1].Delta)
-	before := metricValue(t, "prune.threshold_seeded")
-	seeded, err := TopK(sp, opts)
+	floor := kthFloor(opts, exact[opts.K-1].Delta)
+	seeded, err := TopK(sp, floor)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := metricValue(t, "prune.threshold_seeded") - before; got != 1 {
-		t.Fatalf("threshold seeded %d times, want 1: the stored kth Δ went unused", got)
-	}
-	requireExact(t, "seeded", sp, opts, seeded)
-	requireSameResult(t, "seeded", plain, seeded)
+	requireExact(t, "seeded", sp, floor, seeded)
+	requireSameResult(t, "seeded", plain, firstK(seeded, opts.K))
 }
 
-// metricValue reads one unlabeled series from the /metrics exposition.
-func metricValue(t *testing.T, name string) int64 {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := obs.WriteMetrics(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(buf.String(), "\n") {
-		if v, ok := strings.CutPrefix(line, name+" "); ok {
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			return n
-		}
-	}
-	t.Fatalf("/metrics is missing %s", name)
-	return 0
+// kthFloor turns a top-K query into the δ query whose floor is kth: the
+// threshold starts at kth and never moves.
+func kthFloor(opts Options, kth int32) Options {
+	opts.K, opts.MinDelta = 0, kth
+	return opts
 }
 
-// TestWarmCacheIdentical: repeated queries on one session with a shared warm
-// cache must return bit-identical results (pairs, candidates, budget) while
-// doing strictly less traversal work on the repeat — the selection is
-// replayed from the memo and the kth-Δ seed starts the threshold tight.
-// The kth-Δ seed is the strongest one pruning can ever get (the true final
-// kth Δ of the same query), so the warm result must also equal the oracle.
+// firstK is res cut to its first k pairs. For a δ = kth query that is the
+// top-K answer of the same selection.
+func firstK(res *Result, k int) *Result {
+	cut := *res
+	cut.Pairs = res.Pairs[:min(k, len(res.Pairs))]
+	return &cut
+}
+
+// TestWarmCacheIdentical: a repeat of a query on one session with a shared
+// memo returns the cold run's result (pairs, candidates, budget) and moves
+// no kernel counter: it selects and traverses nothing. The same query
+// without the memo and the exact oracle agree with it, and a query that
+// differs only in k, run against the same memo, equals its own cold run.
 func TestWarmCacheIdentical(t *testing.T) {
 	sp := growingPair(t, 200, 17)
 	sess, err := NewSession(sp)
@@ -234,42 +225,103 @@ func TestWarmCacheIdentical(t *testing.T) {
 	}
 	warm := candidates.NewWarm()
 	opts := Options{Selector: candidates.MMSD(), M: 25, L: 5, K: 10, Seed: 7, Workers: 2, Warm: warm}
-
-	before := sssp.SnapshotMetrics()
 	cold, err := sess.TopK(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldWork := sssp.SnapshotMetrics().Sub(before).Total()
 
-	before = sssp.SnapshotMetrics()
+	before, prunedBefore := sssp.SnapshotMetrics(), sssp.SnapshotPrunedWork()
 	warmRes, err := sess.TopK(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmWork := sssp.SnapshotMetrics().Sub(before).Total()
-
-	requireSameResult(t, "warm", cold, warmRes)
-	if warmWork.Edges >= coldWork.Edges {
-		t.Errorf("warm query scanned %d edges, cold scanned %d — expected a reduction",
-			warmWork.Edges, coldWork.Edges)
+	if w := sssp.SnapshotMetrics().Sub(before).Total(); w.Calls != 0 || w.Sources != 0 || w.Nodes != 0 || w.Edges != 0 {
+		t.Errorf("warm repeat ran %d kernel calls over %d edges, want none", w.Calls, w.Edges)
 	}
-	// The same query without the warm cache must also agree — warm reuse may
-	// never steer the result.
-	opts.Warm = nil
-	plain, err := sess.TopK(context.Background(), opts)
+	if p := sssp.SnapshotPrunedWork().Sub(prunedBefore); p != (sssp.PrunedWork{}) {
+		t.Errorf("warm repeat moved the pruned-work counters: %+v", p)
+	}
+	requireSameResult(t, "warm", cold, warmRes)
+
+	// The same query without the memo must also agree — reuse may never
+	// steer the result.
+	plain := opts
+	plain.Warm = nil
+	plainRes, err := sess.TopK(context.Background(), plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameResult(t, "warm-vs-plain", cold, plain)
+	requireSameResult(t, "warm-vs-plain", plainRes, warmRes)
 	requireExact(t, "warm-vs-exact", sp, opts, warmRes)
+
+	for _, k := range []int{5, 20} {
+		other := opts
+		other.K = k
+		memo, err := sess.TopK(context.Background(), other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		other.Warm = nil
+		own, err := sess.TopK(context.Background(), other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResult(t, fmt.Sprintf("k%d", k), own, memo)
+	}
+}
+
+// TestWarmHitFailsWhereColdFails: a warm hit replays the cold run's charges
+// in order, so a budget the cold run would exhaust stops the replay at the
+// same charge. With a limit one short of the selection's spending, and one
+// short of the whole query's, the cold run and the hit both fail with
+// ErrExhausted, in the same phase, and leave equal meter reports.
+func TestWarmHitFailsWhereColdFails(t *testing.T) {
+	sp := growingPair(t, 200, 17)
+	sess, err := NewSession(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Selector: candidates.MMSD(), M: 25, L: 5, K: 10, Seed: 7, Workers: 2}
+	warm := candidates.NewWarm()
+	stored := opts
+	stored.Warm = warm
+	full, err := sess.TopK(context.Background(), stored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		limit  int
+		prefix string
+	}{
+		{full.Budget.CandidateGen - 1, "core: candidate generation (MMSD)"},
+		{full.Budget.Total() - 1, "core: extraction phase"},
+	} {
+		cold := opts
+		cold.Meter = budget.NewMeterSSSP(c.limit)
+		_, coldErr := sess.TopK(context.Background(), cold)
+		hit := stored
+		hit.Meter = budget.NewMeterSSSP(c.limit)
+		_, hitErr := sess.TopK(context.Background(), hit)
+		for i, err := range []error{coldErr, hitErr} {
+			if !errors.Is(err, budget.ErrExhausted) || !strings.HasPrefix(err.Error(), c.prefix) {
+				t.Errorf("limit %d: %s run returned %v, want %q wrapping ErrExhausted", c.limit, []string{"cold", "hit"}[i], err, c.prefix)
+			}
+		}
+		if cr, hr := cold.Meter.Report(), hit.Meter.Report(); cr != hr {
+			t.Errorf("limit %d: cold run left %+v, hit left %+v", c.limit, cr, hr)
+		}
+	}
+	if _, _, _, ok := warm.Lookup(warmCacheKey(stored)); !ok {
+		t.Error("a failed replay dropped the stored query")
+	}
 }
 
 // TestPrunedTraceConsistency pins the observability contract of pruning:
 // skipped candidates were still charged, so the trace's charge-based
-// per-phase SSSP attribution and the budget report stay exactly what an
-// unseeded run produces — the savings appear only in the kernel machine-work
-// counters and the prune/pruned-BFS series on /metrics.
+// per-phase SSSP attribution and the budget report stay exactly what a
+// top-K run with a threshold starting at 1 produces — the savings appear
+// only in the kernel machine-work counters and the prune/pruned-BFS series
+// on /metrics.
 func TestPrunedTraceConsistency(t *testing.T) {
 	sp := growingPair(t, 400, 9)
 	base := Options{Selector: candidates.MMSD(), M: 30, L: 5, K: 3, Seed: 7, Workers: 2}
@@ -285,13 +337,10 @@ func TestPrunedTraceConsistency(t *testing.T) {
 		t.Skipf("only %d pairs on this graph", len(exact))
 	}
 
-	// Seed the threshold with the true kth Δ so candidate skips are certain
-	// from the first dequeue, then check every accounting surface. The seed
-	// goes into a fresh warm cache that holds nothing else, so the selection
-	// still runs cold.
-	opts := base
-	opts.Warm = candidates.NewWarm()
-	opts.Warm.StoreKthDelta(warmCacheKey(opts), base.K, exact[base.K-1].Delta)
+	// Start the threshold at the true kth Δ (the δ = kth query) so candidate
+	// skips are certain from the first dequeue, then check every accounting
+	// surface.
+	opts := kthFloor(base, exact[base.K-1].Delta)
 	tr := obs.New("pruned")
 	opts.Trace = tr
 	prunedBefore := sssp.SnapshotMetrics()
@@ -302,7 +351,7 @@ func TestPrunedTraceConsistency(t *testing.T) {
 	prunedWork := sssp.SnapshotMetrics().Sub(prunedBefore).Total()
 
 	requireExact(t, "traced", sp, opts, pruned)
-	requireSameResult(t, "traced", full, pruned)
+	requireSameResult(t, "traced", full, firstK(pruned, base.K))
 	byPhase := tr.SSSPByPhase()
 	if got := byPhase["candidate-generation"]; got != pruned.Budget.CandidateGen {
 		t.Errorf("traced candidate-generation = %d, budget report = %d", got, pruned.Budget.CandidateGen)
@@ -311,7 +360,7 @@ func TestPrunedTraceConsistency(t *testing.T) {
 		t.Errorf("traced top-k-extraction = %d, budget report = %d", got, pruned.Budget.TopK)
 	}
 	if prunedWork.Edges >= fullWork.Edges {
-		t.Errorf("seeded run scanned %d edges, unseeded scanned %d — expected a reduction",
+		t.Errorf("δ = kth run scanned %d edges, top-K scanned %d — expected a reduction",
 			prunedWork.Edges, fullWork.Edges)
 	}
 
@@ -418,10 +467,11 @@ func spanArg(t *testing.T, tr *obs.Trace, span, key string) int {
 
 // TestEmissionCut pins that a top-K query emits only pairs that can still
 // reach the top-k. At one worker it emits strictly fewer pairs than its
-// candidates have with Δ >= 1 and still returns the oracle's pairs. Seeded
-// with its own final kth Δ, the threshold never moves, so at any worker
-// count it emits exactly the candidate pairs with Δ >= that kth Δ, ties
-// included. A δ query emits exactly the pairs the oracle returns.
+// candidates have with Δ >= 1 and still returns the oracle's pairs. Started
+// at its own final kth Δ (the δ = kth query), the threshold never moves, so
+// at any worker count it emits exactly the candidate pairs with Δ >= that
+// kth Δ, ties included. A δ query emits exactly the pairs the oracle
+// returns.
 func TestEmissionCut(t *testing.T) {
 	sp := growingPair(t, 200, 3)
 	base := Options{Selector: candidates.MMSD(), M: 25, L: 5, K: 10, Seed: 7, Workers: 1}
@@ -449,10 +499,8 @@ func TestEmissionCut(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 3} {
-		opts := base
+		opts := kthFloor(base, kth)
 		opts.Workers = workers
-		opts.Warm = candidates.NewWarm()
-		opts.Warm.StoreKthDelta(warmCacheKey(opts), opts.K, kth)
 		opts.Trace = obs.New("emission-seeded")
 		seeded, err := TopK(sp, opts)
 		if err != nil {
@@ -460,6 +508,7 @@ func TestEmissionCut(t *testing.T) {
 		}
 		label := fmt.Sprintf("seeded/workers%d", workers)
 		requireExact(t, label, sp, opts, seeded)
+		requireSameResult(t, label, res, firstK(seeded, base.K))
 		if got := spanArg(t, opts.Trace, "extraction", "emitted-pairs"); got != atLeastKth {
 			t.Errorf("%s: emitted %d pairs, want the %d candidate pairs with Δ >= %d", label, got, atLeastKth, kth)
 		}

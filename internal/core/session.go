@@ -55,9 +55,6 @@ type SessionConfig struct{}
 type workerState struct {
 	d1buf, d2buf []int32
 	ps           *dist.PairedSession
-	// sess1 serves the rare only-d2-cached case; created lazily because most
-	// queries never hit it.
-	sess1 dist.Session
 }
 
 // NewSession prepares a reusable session over an unweighted snapshot pair
@@ -133,10 +130,6 @@ func (s *Session) TopK(ctx context.Context, opts Options) (result *Result, err e
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	rng := opts.RNG
-	if rng == nil {
-		rng = rand.New(rand.NewSource(opts.Seed))
-	}
 	meter := opts.Meter
 	if meter == nil {
 		meter = budget.NewMeter(opts.M)
@@ -153,21 +146,21 @@ func (s *Session) TopK(ctx context.Context, opts Options) (result *Result, err e
 		recordRun(opts, s.kernel, workers, meter, kernelsBefore, prunedBefore, runStart, phases, result, err)
 	}()
 	tr := opts.Trace
-	warmKey := warmCacheKey(opts)
-	var warmCharges []candidates.WarmCharge
-	recordWarm := false
-	if tr != nil || warmKey != "" {
+	key := warmCacheKey(opts)
+	var charges []candidates.WarmCharge
+	if tr != nil || key != "" {
 		// Every successful charge lands on the span open at that moment, so
 		// the trace's per-phase totals reproduce the meter's Report exactly.
-		// The same hook records a cold selection's charges for warm replay
-		// (recordWarm is toggled around the selector call only, on this
-		// goroutine — extraction charges happen after it is off again).
+		// The same hook records a run's charges for the memo. Every charge
+		// is made on this goroutine (selectors charge before their sweeps,
+		// and extraction makes its one charge before its workers start), so
+		// the append needs no lock.
 		meter.SetObserver(func(p budget.Phase, n int) {
 			if tr != nil {
 				tr.AddSSSP(p.String(), n)
 			}
-			if recordWarm {
-				warmCharges = append(warmCharges, candidates.WarmCharge{Phase: p, N: n})
+			if key != "" {
+				charges = append(charges, candidates.WarmCharge{Phase: p, N: n})
 			}
 		})
 		defer meter.SetObserver(nil)
@@ -177,6 +170,27 @@ func (s *Session) TopK(ctx context.Context, opts Options) (result *Result, err e
 		obs.Int("m", opts.M), obs.Int("k", opts.K),
 		obs.Int("nodes", s.src.NumNodes()))
 	defer run.End()
+	if key != "" {
+		if pairs, cands, recorded, ok := opts.Warm.Lookup(key); ok {
+			// Replay the cold run's charges so the meter (and the trace's
+			// per-phase attribution) report the identical spending, and a
+			// budget the cold run would exhaust fails at the same charge.
+			for _, c := range recorded {
+				if err := meter.Charge(c.Phase, c.N); err != nil {
+					if c.Phase == budget.PhaseTopK {
+						return nil, fmt.Errorf("core: extraction phase: %w", err)
+					}
+					return nil, fmt.Errorf("core: candidate generation (%s): %w", opts.Selector.Name(), err)
+				}
+			}
+			run.Set(obs.Int("warm-hit", 1))
+			return &Result{Pairs: pairs, Candidates: cands, Budget: meter.Report(), SelectorName: opts.Selector.Name()}, nil
+		}
+	}
+	rng := opts.RNG
+	if rng == nil {
+		rng = rand.New(rand.NewSource(opts.Seed))
+	}
 	cctx := &candidates.Context{
 		Pair:    s.pair,
 		S1:      s.src.S1,
@@ -191,29 +205,8 @@ func (s *Session) TopK(ctx context.Context, opts Options) (result *Result, err e
 	//convlint:nondet phase latency is observational, not part of results
 	selStart := time.Now()
 	selSpan := tr.StartSpan("selection", obs.Str("selector", opts.Selector.Name()))
-	var cands []int
-	var selErr error
-	warmSel := false
-	if warmKey != "" {
-		if wcands, charges, ok := opts.Warm.LookupSelection(warmKey, cctx); ok {
-			// Replay the cold run's charges so the meter (and the trace's
-			// per-phase attribution) report the identical spending — a warm
-			// hit changes machine work, never cost.
-			warmSel = true
-			cands = wcands
-			for _, c := range charges {
-				if selErr = meter.Charge(c.Phase, c.N); selErr != nil {
-					break
-				}
-			}
-		}
-	}
-	if !warmSel {
-		recordWarm = warmKey != ""
-		cands, selErr = opts.Selector.Select(cctx)
-		recordWarm = false
-	}
-	selSpan.Set(obs.Int("candidates", len(cands)), obs.Int("warm-hit", boolInt(warmSel)),
+	cands, selErr := opts.Selector.Select(cctx)
+	selSpan.Set(obs.Int("candidates", len(cands)),
 		obs.Int("d1-rows-cached", len(cctx.D1Rows)), obs.Int("d2-rows-cached", len(cctx.D2Rows)))
 	selSpan.End()
 	//convlint:nondet phase latency is observational, not part of results
@@ -228,12 +221,6 @@ func (s *Session) TopK(ctx context.Context, opts Options) (result *Result, err e
 	if len(cands) > opts.M {
 		return nil, fmt.Errorf("core: selector %s returned %d candidates for budget m=%d",
 			opts.Selector.Name(), len(cands), opts.M)
-	}
-	if !warmSel && warmKey != "" {
-		// Memoize only selections that validated cleanly; LookupSelection
-		// and StoreSelection both copy, so the dedupe below (which reuses
-		// the cands backing array) can never corrupt the cache.
-		opts.Warm.StoreSelection(warmKey, cands, cctx, warmCharges)
 	}
 	// Defensive dedupe: a duplicated candidate would double-charge the
 	// budget and double-count its pairs. The membership it builds is the one
@@ -252,14 +239,12 @@ func (s *Session) TopK(ctx context.Context, opts Options) (result *Result, err e
 	}
 	cands = uniq
 	workers = sssp.ClampWorkers(opts.Workers, len(cands))
-	pairs, pstats, err := s.extractPairs(ctx, cctx, cands, inM, workers, opts, meter, &phases, warmKey)
+	pairs, pstats, err := s.extractPairs(ctx, cctx, cands, inM, workers, opts, meter, &phases)
 	if err != nil {
 		return nil, err
 	}
-	if warmKey != "" && opts.K > 0 && len(pairs) == opts.K {
-		// A full-length top-k result pins its kth Δ — a sound prune seed for
-		// the identical query on this window (it recomputes the same pairs).
-		opts.Warm.StoreKthDelta(warmKey, opts.K, pairs[opts.K-1].Delta)
+	if key != "" {
+		opts.Warm.Store(key, pairs, cands, charges)
 	}
 	return &Result{
 		Pairs:        pairs,
@@ -271,21 +256,14 @@ func (s *Session) TopK(ctx context.Context, opts Options) (result *Result, err e
 	}, nil
 }
 
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// warmCacheKey is the query's result-determining selection shape, the key of
-// its warm-cache entries; empty when warm caching is off or unkeyable
-// (external RNG). The same key (plus k) also scopes the kth-Δ seed.
+// warmCacheKey is the query's result-determining shape, the key of its
+// memo entry: selector, m, l, seed, k and δ. It is empty when the memo is
+// off or the shape is unkeyable (an external RNG).
 func warmCacheKey(opts Options) string {
 	if opts.Warm == nil || opts.RNG != nil {
 		return ""
 	}
-	return fmt.Sprintf("%s|m%d|l%d|s%d", opts.Selector.Name(), opts.M, opts.L, opts.Seed)
+	return fmt.Sprintf("%s|m%d|l%d|s%d|k%d|d%d", opts.Selector.Name(), opts.M, opts.L, opts.Seed, opts.K, opts.MinDelta)
 }
 
 // extractPairs implements lines 2-5 of Algorithm 1: compute D1 and D2 rows
@@ -306,7 +284,7 @@ func warmCacheKey(opts Options) string {
 // exceeds the final kth Δ of a top-K query or the δ of a δ query. Budget
 // charges are identical — the charge above counts rows produced, and a
 // skipped candidate's rows were still charged.
-func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, cands []int, inM []bool, workers int, opts Options, meter *budget.Meter, phases *obs.PhaseNanos, warmKey string) ([]topk.Pair, PruneStats, error) {
+func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, cands []int, inM []bool, workers int, opts Options, meter *budget.Meter, phases *obs.PhaseNanos) ([]topk.Pair, PruneStats, error) {
 	if len(cands) == 0 {
 		return nil, PruneStats{}, nil
 	}
@@ -336,13 +314,6 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 	}
 
 	th := prune.NewThreshold(opts.K, opts.MinDelta)
-	if warmKey != "" {
-		if d, ok := opts.Warm.KthDelta(warmKey, opts.K); ok {
-			// The final kth Δ of the identical prior query lower-bounds
-			// this one's (same pair set), so seeding it is sound.
-			th.Seed(d)
-		}
-	}
 	ubounds := landmarkBounds(cctx, cands)
 	//convlint:shared lock-free skip tally; workers only Add, read after Wait
 	var skipped atomic.Int64
@@ -388,21 +359,18 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 					u := cands[i]
 					d1 := cctx.D1Rows[u]
 					d2 := cctx.D2Rows[u]
+					// Selectors cache a d2 row only beside its d1 row
+					// (Context.CacheRows), so a cached d1 row is the one
+					// partial case.
 					switch {
-					case d1 == nil && d2 == nil:
+					case d1 == nil:
 						st.ps.DistancesPairInto(u, st.d1buf, st.d2buf, th.Load)
 						d1, d2 = st.d1buf, st.d2buf
-					case d1 != nil && d2 == nil:
+					case d2 == nil:
 						// The selector already paid for the t1 row; compute
 						// just the t2 row.
 						st.ps.DeriveInto(u, d1, st.d2buf, th.Load)
 						d2 = st.d2buf
-					case d1 == nil:
-						if st.sess1 == nil {
-							st.sess1 = s.src.S1.NewSession()
-						}
-						st.sess1.DistancesInto(u, st.d1buf)
-						d1 = st.d1buf
 					}
 					// Emission cut: lo = T, re-read at the row start and
 					// after every offer. A pair strictly below lo cannot be

@@ -47,9 +47,10 @@ func fingerprint(opts Options, kernel string, workers int) string {
 		name, opts.M, opts.K, opts.MinDelta, opts.Seed, kernel, workers)
 }
 
-// recordRun closes out one run's telemetry: the total-phase histogram sample
-// and a flight-recorder entry carrying the options fingerprint, per-phase
-// wall times, the meter's final report, and the kernel-counter delta. The
+// recordRun closes out one run's telemetry: the total-phase histogram sample,
+// res.Phases.Total when the run succeeded, and a flight-recorder entry
+// carrying the options fingerprint, per-phase wall times, the meter's final
+// report, and the kernel-counter delta. The
 // kernel counters are process-global, so under concurrent runs the delta
 // attributes overlapping traversal work to whichever run reads it — an
 // accepted imprecision, same as SnapshotMetrics region attribution.
@@ -86,6 +87,7 @@ func recordRun(opts Options, kernel string, workers int, meter *budget.Meter, be
 		Outcome: "ok",
 	}
 	if res != nil {
+		res.Phases.Total = phases.Total
 		rec.Candidates = len(res.Candidates)
 		rec.Pairs = len(res.Pairs)
 		rec.PrunedCandidates = res.Pruned.CandidatesSkipped

@@ -124,6 +124,30 @@ func TestFlightRecordMatchesBudgetReport(t *testing.T) {
 	}
 }
 
+// TestResultPhasesTotal: a query's Result.Phases.Total is the measurement
+// its flight record carries, positive and at least the sum of the other
+// three phases, on a cold run and on a warm hit alike.
+func TestResultPhasesTotal(t *testing.T) {
+	sess, err := NewSession(growingPair(t, 150, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Selector: candidates.MMSD(), M: 20, L: 5, K: 10, Warm: candidates.NewWarm()}
+	for _, run := range []string{"cold", "warm"} {
+		res, err := sess.TopK(context.Background(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ph := res.Phases
+		if ph.Total <= 0 || ph.Total < ph.Selection+ph.Extraction+ph.SortCut {
+			t.Errorf("%s: Phases = %+v, want a positive Total of at least the other three", run, ph)
+		}
+		if rec := obs.Flight.Last(1)[0]; rec.Phases != ph {
+			t.Errorf("%s: flight record phases %+v, result phases %+v", run, rec.Phases, ph)
+		}
+	}
+}
+
 // TestFlightRecordsFailedRun: a run that dies mid-flight (budget exhaustion
 // in extraction) still leaves a record, with the error text as the outcome.
 func TestFlightRecordsFailedRun(t *testing.T) {

@@ -58,8 +58,7 @@ func (s selector) Select(ctx *candidates.Context) ([]int, error) {
 	}
 	d2rows := dist.DistanceMatrix(dist.NewBFS(pair.G2), set.Nodes, ctx.Workers)
 	for i, w := range set.Nodes {
-		ctx.CacheD1(w, set.D1[i])
-		ctx.CacheD2(w, d2rows[i])
+		ctx.CacheRows(w, set.D1[i], d2rows[i])
 	}
 
 	e1, err := Embed(pair.G1, set.Nodes, set.D1, s.opts, ctx.RNG)

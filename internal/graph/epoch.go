@@ -196,59 +196,6 @@ func PadUniverse(g *Graph, n int) *Graph {
 	return &Graph{offsets: offsets, neighbors: g.neighbors, numEdges: g.numEdges}
 }
 
-// MergeDeltas concatenates consecutive epoch deltas into one. The inputs
-// must be deltas of an insertion-only chain (disjoint, each sorted); the
-// result is sorted canonical, equal to the direct delta of the chain's
-// endpoints — the identity the epoch store's incremental consumers rely on,
-// pinned by TestDeltaChainComposition.
-func MergeDeltas(deltas ...*Delta) *Delta {
-	total := 0
-	for _, d := range deltas {
-		total += len(d.Edges)
-	}
-	if total == 0 {
-		return &Delta{}
-	}
-	out := make([]Edge, 0, total)
-	// k-way merge by repeated two-way merges; chains are short (a handful of
-	// epochs), so simplicity beats a heap.
-	for _, d := range deltas {
-		out = mergeEdges(out, d.Edges)
-	}
-	return &Delta{Edges: out}
-}
-
-// mergeEdges merges two sorted canonical edge lists into a fresh sorted list.
-func mergeEdges(a, b []Edge) []Edge {
-	if len(a) == 0 {
-		return append([]Edge(nil), b...)
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]Edge, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if edgeLess(a[i], b[j]) {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
-func edgeLess(a, b Edge) bool {
-	if a.U != b.U {
-		return a.U < b.U
-	}
-	return a.V < b.V
-}
-
 // IngesterOptions tunes a streaming Ingester.
 type IngesterOptions struct {
 	// Universe is the minimum node-universe size of every sealed epoch. Set
@@ -267,26 +214,17 @@ type IngesterOptions struct {
 // skipped (the wire repeats itself; only first insertion counts), unlike
 // NewEvolving's strict validation — this is the service-facing boundary.
 type Ingester struct {
-	mu       sync.Mutex
-	store    *Store
-	builder  *Builder
-	seen     map[Edge]struct{}
-	maxTime  int64
-	universe int
+	mu    sync.Mutex
+	store *Store
+	// builder holds the one copy of the ingested edge set and the node
+	// universe (the configured floor or the largest node ID seen plus one).
+	builder *Builder
+	maxTime int64
 }
 
 // NewIngester creates an ingester with a fresh epoch store.
 func NewIngester(opts IngesterOptions) *Ingester {
-	u := opts.Universe
-	if u < 0 {
-		u = 0
-	}
-	return &Ingester{
-		store:    NewStore(opts.Retain),
-		builder:  NewBuilder(u),
-		seen:     make(map[Edge]struct{}),
-		universe: u,
-	}
+	return &Ingester{store: NewStore(opts.Retain), builder: NewBuilder(max(opts.Universe, 0))}
 }
 
 // Store returns the epoch store the ingester seals into.
@@ -327,21 +265,16 @@ func (in *Ingester) addEach(edges []TimedEdge) int {
 	return added
 }
 
+// addLocked adds one validated edge and reports whether it was new. The
+// Builder drops duplicates and self-loops, so its edge count says which.
 func (in *Ingester) addLocked(te TimedEdge) bool {
-	if te.U == te.V {
+	before := in.builder.NumEdges()
+	_ = in.builder.AddEdge(te.U, te.V) // IDs validated by the caller; cannot fail
+	if in.builder.NumEdges() == before {
 		return false
 	}
-	c := Edge{te.U, te.V}.Canon()
-	if _, dup := in.seen[c]; dup {
-		return false
-	}
-	in.seen[c] = struct{}{}
-	_ = in.builder.AddEdge(c.U, c.V) // IDs validated by the caller; cannot fail
 	if te.Time > in.maxTime {
 		in.maxTime = te.Time
-	}
-	if c.V >= in.universe {
-		in.universe = c.V + 1
 	}
 	return true
 }
@@ -356,10 +289,7 @@ func (in *Ingester) Seal() *Epoch {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	g := in.builder.Build()
-	if g.NumNodes() < in.universe {
-		g = PadUniverse(g, in.universe)
-	}
-	e := &Epoch{Time: in.maxTime, EdgeCount: len(in.seen), g: g}
+	e := &Epoch{Time: in.maxTime, EdgeCount: g.NumEdges(), g: g}
 
 	in.store.mu.Lock()
 	if latest, ok := in.store.Latest(); ok {
@@ -376,7 +306,7 @@ func (in *Ingester) Seal() *Epoch {
 func (in *Ingester) EdgeCount() int {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return len(in.seen)
+	return in.builder.NumEdges()
 }
 
 // NumNodes returns the current node-universe size (the configured floor or
@@ -384,5 +314,5 @@ func (in *Ingester) EdgeCount() int {
 func (in *Ingester) NumNodes() int {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return in.universe
+	return in.builder.n
 }

@@ -276,32 +276,6 @@ func TestDeltaIdenticalSnapshots(t *testing.T) {
 	}
 }
 
-// TestDeltaChainComposition pins that composing per-epoch deltas along a
-// chain equals the direct delta of the chain's endpoints — what lets
-// incremental consumers repair across several epochs without rebuilding.
-func TestDeltaChainComposition(t *testing.T) {
-	stream := randomStream(t, 25, 90, 5)
-	in := NewIngester(IngesterOptions{Universe: 25})
-	var epochs []*Epoch
-	for i := 0; i < len(stream); i += 30 {
-		in.IngestBatch(stream[i : i+30])
-		epochs = append(epochs, in.Seal())
-	}
-	var steps []*Delta
-	for i := 1; i < len(epochs); i++ {
-		steps = append(steps, NewDelta(epochs[i-1].Graph(), epochs[i].Graph()))
-	}
-	merged := MergeDeltas(steps...)
-	direct := NewDelta(epochs[0].Graph(), epochs[len(epochs)-1].Graph())
-	if !reflect.DeepEqual(merged.Edges, direct.Edges) {
-		t.Fatalf("delta composition differs from direct delta:\nmerged %v\ndirect %v",
-			merged.Edges, direct.Edges)
-	}
-	if MergeDeltas().NumEdges() != 0 || MergeDeltas(&Delta{}).NumEdges() != 0 {
-		t.Fatalf("empty merge is not empty")
-	}
-}
-
 // TestDeltaUniverseGrowth pins NewDelta across epochs whose node universes
 // differ: nodes beyond the earlier universe contribute all their edges, and
 // padding the earlier snapshot first gives the same answer.

@@ -29,7 +29,8 @@
 // floor δ: it returns every pair with Δ >= δ, so its threshold is δ from
 // the start and never rises, and every cut above drops only pairs below δ,
 // which the query never returns. A top-K query's floor is 1, since a
-// delta-0 pair is never emitted (see DESIGN.md).
+// delta-0 pair is never emitted (see DESIGN.md). The floor is the only way
+// a threshold starts high: every later rise is backed by k offered deltas.
 package prune
 
 import (
@@ -40,19 +41,20 @@ import (
 )
 
 // Threshold is the shared kth-Δ tracker of one extraction run. Workers
-// Offer every emitted delta; Load returns the largest of the floor, a sound
-// externally-provided seed, and the largest value T such that at least k
-// offered deltas are >= T. Load is a single atomic read, cheap enough for
-// per-traversal-level bound checks.
+// Offer every emitted delta; Load returns the larger of max(1, floor) and
+// the largest value T such that at least k offered deltas are >= T. The
+// floor is the one way a threshold starts high: a δ query's floor is δ.
+// Load is a single atomic read, cheap enough for per-traversal-level bound
+// checks.
 //
-// Concurrency contract: published is written only while mu is held (Offer's
-// slow path and Seed) and read lock-free everywhere; it is monotone
-// non-decreasing, so a stale read is merely a looser-but-sound threshold.
+// Concurrency contract: after construction, published is written only by
+// Offer's slow path, while mu is held, and read lock-free everywhere; it is
+// monotone non-decreasing, so a stale read is merely a looser-but-sound
+// threshold.
 type Threshold struct {
 	k int
-	// published is the live threshold: max(1, floor, seeded value, heap
-	// minimum once the heap holds k deltas). Reads are lock-free; see
-	// struct comment.
+	// published is the live threshold: max(1, floor, heap minimum once the
+	// heap holds k deltas). Reads are lock-free; see struct comment.
 	published atomic.Int32
 
 	mu   sync.Mutex
@@ -76,28 +78,6 @@ func NewThreshold(k int, floor int32) *Threshold {
 // Load returns the current threshold, at least 1. Deltas strictly below
 // the returned value are provably outside the query's answer.
 func (t *Threshold) Load() int32 { return t.published.Load() }
-
-// Seed raises the threshold to at least delta without any offers backing
-// it. SOUNDNESS IS THE CALLER'S OBLIGATION: delta must be a lower bound on
-// the final kth-largest delta of THIS exact query. The serve layer's warm
-// cache satisfies it by seeding only with the final kth delta of a previous
-// query with the identical result-determining shape (same epoch window,
-// selector, m, l, k, and seed), which recomputes the identical pair set.
-// prune.threshold_seeded counts every positive seed, one at or below the
-// floor included, so it counts the queries a warm kth Δ reached.
-//
-//convlint:shared published is mutex-guarded for writes, lock-free monotone for reads
-func (t *Threshold) Seed(delta int32) {
-	if delta <= 0 {
-		return
-	}
-	seeded.Add(1)
-	t.mu.Lock()
-	if delta > t.published.Load() {
-		t.published.Store(delta)
-	}
-	t.mu.Unlock()
-}
 
 // Offer records one emitted pair delta. The fast path (delta no larger than
 // the published threshold) is a single atomic read: such a delta can change
@@ -168,7 +148,6 @@ func down(h []int32, i int) {
 var (
 	candidatesSkipped atomic.Int64
 	raises            atomic.Int64
-	seeded            atomic.Int64
 )
 
 // SkipCandidates records n whole candidates skipped by a landmark upper
@@ -178,5 +157,4 @@ func SkipCandidates(n int) { candidatesSkipped.Add(int64(n)) }
 func init() {
 	obs.RegisterMetric("prune.candidates_skipped", candidatesSkipped.Load)
 	obs.RegisterMetric("prune.threshold_raises", raises.Load)
-	obs.RegisterMetric("prune.threshold_seeded", seeded.Load)
 }

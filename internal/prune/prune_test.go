@@ -95,53 +95,6 @@ func TestThresholdMonotoneUnderConcurrency(t *testing.T) {
 	}
 }
 
-func TestSeedRaisesButNeverLowers(t *testing.T) {
-	th := NewThreshold(3, 0)
-	th.Seed(4)
-	if got := th.Load(); got != 4 {
-		t.Fatalf("after Seed(4): %d", got)
-	}
-	th.Seed(2) // lower seed must not regress
-	if got := th.Load(); got != 4 {
-		t.Fatalf("after Seed(2): %d", got)
-	}
-	th.Seed(0) // non-positive ignored
-	th.Seed(-3)
-	if got := th.Load(); got != 4 {
-		t.Fatalf("after non-positive seeds: %d", got)
-	}
-	// Offers below the seed never lower it; enough above it take over.
-	for _, d := range []int32{1, 1, 1} {
-		th.Offer(d)
-	}
-	if got := th.Load(); got != 4 {
-		t.Fatalf("low offers lowered seed: %d", got)
-	}
-	for _, d := range []int32{9, 8, 7} {
-		th.Offer(d)
-	}
-	if got := th.Load(); got != 7 {
-		t.Fatalf("after high offers: %d want 7", got)
-	}
-}
-
-// TestSeedCountsEveryPositiveSeed: a warm seed at the floor leaves the
-// threshold where it was but still counts in prune.threshold_seeded, which
-// counts the queries a warm kth Δ reached; non-positive seeds count nothing.
-func TestSeedCountsEveryPositiveSeed(t *testing.T) {
-	th := NewThreshold(5, 1)
-	before := seeded.Load()
-	th.Seed(1)
-	th.Seed(0)
-	th.Seed(-2)
-	if got := th.Load(); got != 1 {
-		t.Fatalf("after Seed(1) at floor 1: Load=%d", got)
-	}
-	if got := seeded.Load() - before; got != 1 {
-		t.Fatalf("threshold_seeded rose by %d, want 1", got)
-	}
-}
-
 func TestNewThresholdPanicsOnBadK(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -76,9 +76,10 @@ type winKey struct{ T1, T2 int }
 type winSession struct {
 	win  *graph.Window
 	sess *core.Session
-	// warm is the window's warm cache: memoized selections and kth-Δ prune
-	// seeds, both scoped to this (t1, t2) pair. Evicting the session drops
-	// the cache with it, so warm state can never leak across windows.
+	// warm is the window's memo of finished queries, scoped to this
+	// (t1, t2) pair: an exact repeat replays its charges and answer without
+	// traversing. Evicting the session drops the memo with it, so warm
+	// state can never leak across windows.
 	warm *candidates.Warm
 }
 

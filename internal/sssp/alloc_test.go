@@ -2,6 +2,7 @@ package sssp
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/invariant"
@@ -35,5 +36,25 @@ func TestBFSWithZeroAllocs(t *testing.T) {
 				t.Errorf("kernel %s: %.1f allocs per call with provided Scratch, want 0", k.name, allocs)
 			}
 		})
+	}
+}
+
+// TestSweepRowBlockSizedToSources: a sweep allocates its bit-parallel row
+// block for the lanes it can fill, not for all 64. A 10-source sweep at one
+// worker on 10,000 nodes needs 10 rows plus the kernel's per-node words,
+// about 18·n int32; a 64-row block alone would be 64·n.
+func TestSweepRowBlockSizedToSources(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("CSR invariant assertions allocate; the bound holds for default builds")
+	}
+	const n = 10000
+	g := randomGraph(rand.New(rand.NewSource(3)), n, 3*n)
+	sources := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	AllSourcesFunc(g, sources, 1, func(int, []int32) {})
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(32*n*4); got >= limit {
+		t.Errorf("a %d-source sweep allocated %d bytes, want under %d (32·n int32)", len(sources), got, limit)
 	}
 }

@@ -36,10 +36,11 @@ func AllSourcesFunc(g *graph.Graph, sources []int, workers int, fn func(src int,
 	n := g.NumNodes()
 	scratches := make([]Scratch, workers)
 	if len(sources) >= msAutoThreshold {
+		lanes := min(msBatchBits, len(sources))
 		forEachChunk(len(sources), workers, msBatchBits, "bitparallel64", func(w, start, end int) {
 			s := &scratches[w]
 			batch := sources[start:end]
-			rows := s.ensureRows(n)[:len(batch)]
+			rows := s.ensureRows(lanes, n)[:len(batch)]
 			msBFSBatch(g, batch, rows, s)
 			for i, src := range batch {
 				fn(src, rows[i])
@@ -68,10 +69,11 @@ func PairedSourcesFunc(g1, g2 *graph.Graph, sources []int, workers int, fn func(
 	s1 := make([]Scratch, workers)
 	s2 := make([]Scratch, workers)
 	if len(sources) >= msAutoThreshold {
+		lanes := min(msBatchBits, len(sources))
 		forEachChunk(len(sources), workers, msBatchBits, "bitparallel64", func(w, start, end int) {
 			batch := sources[start:end]
-			rows1 := s1[w].ensureRows(g1.NumNodes())[:len(batch)]
-			rows2 := s2[w].ensureRows(g2.NumNodes())[:len(batch)]
+			rows1 := s1[w].ensureRows(lanes, g1.NumNodes())[:len(batch)]
+			rows2 := s2[w].ensureRows(lanes, g2.NumNodes())[:len(batch)]
 			msBFSBatch(g1, batch, rows1, &s1[w])
 			msBFSBatch(g2, batch, rows2, &s2[w])
 			for i, src := range batch {

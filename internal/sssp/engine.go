@@ -47,10 +47,11 @@ func ClampWorkers(workers, jobs int) int {
 // Scratch holds every buffer a BFS kernel needs beyond the caller's dist
 // slice: the index-cursor frontier queue, the bottom-up frontier bitmaps,
 // the bit-parallel visit words (one per node), and the batch drivers' row
-// block. A Scratch grows to the largest graph it has served and is then
-// allocation-free; it is not safe for concurrent use. Parallel drivers keep
-// one Scratch per worker; single-shot entry points borrow one from an
-// internal pool.
+// block, which is sized once, to its sweep (see ensureRows). The other
+// buffers grow to the largest graph a Scratch has served and are then
+// allocation-free; a Scratch is not safe for concurrent use. Parallel
+// drivers keep one Scratch per worker; single-shot entry points borrow one
+// from an internal pool.
 type Scratch struct {
 	queue []int32 // frontier queue, cursor-indexed (cap >= n)
 	cur   []uint64
@@ -62,11 +63,9 @@ type Scratch struct {
 	next  []uint64
 	nextQ []int32
 
-	// rows is the batch drivers' distance-row block: 64 rows of length
-	// rowsN, all views into the grow-only rowsBacking array (see ensureRows).
-	rows        [][]int32
-	rowsBacking []int32
-	rowsN       int
+	// rows is the batch drivers' distance-row block, allocated on first use
+	// with one row per lane the sweep can fill (see ensureRows).
+	rows [][]int32
 }
 
 // NewScratch returns a Scratch pre-sized for graphs of n nodes.
@@ -106,26 +105,19 @@ func (s *Scratch) ensureMS(n int) {
 	}
 }
 
-// ensureRows returns the batch drivers' 64 distance rows of exactly length
-// n, all views into one grow-only backing array. The backing only ever
-// grows: eval suites alternating between graph sizes re-point the row
-// headers without reallocating, so a warmed Scratch serves any n it has ever
-// seen allocation-free (pinned by TestEnsureRowsGrowOnly). Only the batch
-// drivers call this.
-func (s *Scratch) ensureRows(n int) [][]int32 {
-	if s.rows != nil && s.rowsN == n {
-		return s.rows
-	}
-	if need := msBatchBits * n; cap(s.rowsBacking) < need {
-		s.rowsBacking = make([]int32, need)
-	}
+// ensureRows returns the batch drivers' block of lanes distance rows of
+// length n, allocating it on first use. Every sweep builds fresh Scratches,
+// so the block is sized once, to the sweep: a driver asks for
+// min(64, sources) lanes, and a 10-source sweep allocates 10 rows, not 64.
+// Only the batch drivers call this.
+func (s *Scratch) ensureRows(lanes, n int) [][]int32 {
 	if s.rows == nil {
-		s.rows = make([][]int32, msBatchBits)
+		backing := make([]int32, lanes*n)
+		s.rows = make([][]int32, lanes)
+		for i := range s.rows {
+			s.rows[i] = backing[i*n : (i+1)*n]
+		}
 	}
-	for i := range s.rows {
-		s.rows[i] = s.rowsBacking[i*n : (i+1)*n]
-	}
-	s.rowsN = n
 	return s.rows
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/invariant"
 )
 
 // TestSweepKernelPolicy pins the one kernel policy of the multi-source
@@ -75,35 +74,5 @@ func TestClampWorkers(t *testing.T) {
 			t.Errorf("ClampWorkers(%d, %d) = %d, want in [%d, %d]",
 				c.workers, c.jobs, got, c.wantMin, c.wantMax)
 		}
-	}
-}
-
-// TestEnsureRowsGrowOnly is the regression test for the ensureRows thrash
-// fix: alternating between graph sizes must not re-pay the row-block
-// allocation once the largest size has been served.
-func TestEnsureRowsGrowOnly(t *testing.T) {
-	if invariant.Enabled {
-		t.Skip("invariant builds allocate in assertions; grow-only holds for default builds")
-	}
-	s := &Scratch{}
-	_ = s.ensureRows(1000) // warm with the largest size
-	sizes := []int{1000, 500, 7, 1000, 0, 999}
-	allocs := testing.AllocsPerRun(20, func() {
-		for _, n := range sizes {
-			rows := s.ensureRows(n)
-			if len(rows) != msBatchBits || len(rows[0]) != n {
-				t.Fatalf("ensureRows(%d): got %d rows of len %d", n, len(rows), len(rows[0]))
-			}
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("%.1f allocs per alternating ensureRows cycle, want 0 (grow-only)", allocs)
-	}
-	// Rows must be disjoint, correctly sized views.
-	rows := s.ensureRows(100)
-	rows[0][99] = 7
-	rows[1][0] = 9
-	if rows[0][99] != 7 || rows[1][0] != 9 || &rows[0][99] == &rows[1][0] {
-		t.Fatal("ensureRows rows alias each other")
 	}
 }
