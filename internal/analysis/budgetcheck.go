@@ -65,9 +65,9 @@ func budgetEntryPoint(name string) bool {
 }
 
 // distEntryPoint reports whether a dist-package function or method named
-// name costs budget: one unit per DistancesInto call (Source or Session),
-// one per row for the PairedSession calls (bounded or not: the Δ-threshold
-// cuts traversal, not charges), one per source for the batched sweeps and
+// name costs budget: one unit per Source.DistancesInto call, one per row
+// for the PairedEngine calls (bounded or not: the Δ-threshold cuts
+// traversal, not charges), one per source for the batched sweeps and
 // DistanceMatrix.
 func distEntryPoint(name string) bool {
 	switch name {

@@ -24,12 +24,14 @@ var scratchTypes = []struct{ pkgPath, name string }{
 //     workers must create their own scratch or take &scratches[w], the
 //     index-partitioned slot idiom, which stays legal.
 //
-// The sync.Pool get/put calls in getScratch/putScratch are method-call
+// The sync.Pool get/put calls of sssp's scratch pools are method-call
 // boundaries, not stores, and stay legal: the pool hands each value to
-// exactly one goroutine at a time.
+// exactly one goroutine at a time. One worker reusing its scratch across
+// both snapshots of a paired sweep stays on one goroutine and is legal
+// too.
 //
-// Intentional sharing (e.g. a paired sweep reusing one scratch across both
-// sweeps of a single worker) is annotated //convlint:shared <reason>.
+// Intentional sharing across goroutines is annotated //convlint:shared
+// <reason>.
 var ScratchEscape = &Analyzer{
 	Name: "scratchescape",
 	Doc:  "per-worker scratch must not escape its worker (no channel sends, package state, or cross-goroutine capture)",

@@ -79,7 +79,7 @@ func meteredSession(s dist.Source, m *budget.Meter, row []int32) error {
 	if err := m.Charge(budget.PhaseTopK, 1); err != nil {
 		return err
 	}
-	s.NewSession().DistancesInto(0, row)
+	s.DistancesInto(0, row)
 	return nil
 }
 
@@ -129,19 +129,19 @@ func freeRepairReads(d *dynsssp.DynamicBFS) int {
 	return d.NumNodes() + int(d.Dist(0)) + d.RepairStats().Nodes
 }
 
-// The paired-session entry points cost one unit per row produced: two for
+// The paired-engine entry points cost one unit per row produced: two for
 // DistancesPairInto, one for DeriveInto's t2 row.
 
-func unmeteredPairedSession(ps *dist.PairedSession, d1, d2 []int32) {
+func unmeteredPairedEngine(ps *dist.PairedEngine, d1, d2 []int32) {
 	ps.DistancesPairInto(0, d1, d2, func() int32 { return 1 }) // want `call to dist.DistancesPairInto without`
 	ps.DeriveInto(0, d1, d2, func() int32 { return 1 })        // want `call to dist.DeriveInto without`
 }
 
-func meteredPairedSession(p dist.Pair, m *budget.Meter, d1, d2 []int32) error {
+func meteredPairedEngine(p dist.Pair, m *budget.Meter, d1, d2 []int32) error {
 	if err := m.Charge(budget.PhaseTopK, 2); err != nil {
 		return err
 	}
-	ps := dist.NewPairedEngine(p, dist.PairedFull).NewSession()
+	ps := dist.NewPairedEngine(p, dist.PairedFull)
 	ps.DistancesPairInto(0, d1, d2, func() int32 { return 1 })
 	return nil
 }
@@ -155,7 +155,7 @@ func unmeteredPrunedBFS(g2 *graph.Graph, d1, d2 []int32, ps *sssp.Scratch) {
 }
 
 // meteredThresholdLoop is the pruned-extraction idiom: charge every row up
-// front, compute bounded rows through the paired session with the shared
+// front, compute bounded rows through the paired engine with the shared
 // threshold as the bound, and offer each emitted delta back to the
 // threshold. Threshold reads and offers cost nothing — only the row
 // computations are budget-relevant.
@@ -163,7 +163,7 @@ func meteredThresholdLoop(p dist.Pair, m *budget.Meter, th *prune.Threshold, d1,
 	if err := m.Charge(budget.PhaseTopK, 2); err != nil {
 		return err
 	}
-	ps := dist.NewPairedEngine(p, dist.PairedFull).NewSession()
+	ps := dist.NewPairedEngine(p, dist.PairedFull)
 	ps.DistancesPairInto(0, d1, d2, th.Load)
 	for v := range d1 {
 		if d1[v] > 0 && d1[v]-d2[v] > 0 {

@@ -201,38 +201,21 @@ func (s degreeSelector) Select(ctx *Context) ([]int, error) {
 	s1, s2 := ctx.S1, ctx.S2
 	n := s1.NumNodes()
 	score := make([]float64, n)
-	eligible := make([]int, 0, n)
+	absent := map[int]bool{} // nodes not present in G_t1, which no ranking returns
 	for u := 0; u < n; u++ {
 		d1, d2 := s1.Degree(u), s2.Degree(u)
-		switch s.kind {
-		case byDegree:
-			if d1 == 0 {
-				continue // not present in G_t1
-			}
+		switch {
+		case d1 == 0:
+			absent[u] = true // DegRel's relative change is undefined here
+		case s.kind == byDegree:
 			score[u] = float64(d1)
-		case byDegDiff:
-			if d1 == 0 {
-				continue
-			}
+		case s.kind == byDegDiff:
 			score[u] = float64(d2 - d1)
-		case byDegRel:
-			if d1 == 0 {
-				continue // relative change undefined for new nodes
-			}
+		default:
 			score[u] = float64(d2-d1) / float64(d1)
 		}
-		eligible = append(eligible, u)
 	}
-	sort.Slice(eligible, func(i, j int) bool {
-		if score[eligible[i]] != score[eligible[j]] {
-			return score[eligible[i]] > score[eligible[j]]
-		}
-		return eligible[i] < eligible[j]
-	})
-	if len(eligible) > ctx.M {
-		eligible = eligible[:ctx.M]
-	}
-	return eligible, nil
+	return landmark.TopByScore(score, ctx.M, absent), nil
 }
 
 // --- Random baseline ---

@@ -3,6 +3,8 @@ package candidates
 import (
 	"errors"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/budget"
@@ -119,6 +121,82 @@ func TestDegreeSelectors(t *testing.T) {
 	if rep := ctx.Meter.Report(); rep.CandidateGen != 0 {
 		t.Fatalf("Degree charged %d SSSPs", rep.CandidateGen)
 	}
+
+	// Randomized half: each selector against a full-sort reference, on
+	// graphs whose degrees repeat (heavy ties), with nodes absent from G_t1
+	// scattered among the IDs, and m below, at and above the eligible count.
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		n := 4 + rng.Intn(40)
+		absent := make([]bool, n)
+		var present []int
+		for u := range absent {
+			if absent[u] = rng.Intn(4) == 0; !absent[u] {
+				present = append(present, u)
+			}
+		}
+		var e1, e2 []graph.Edge
+		for i := 0; len(present) > 1 && i < n; i++ {
+			u, v := present[rng.Intn(len(present))], present[rng.Intn(len(present))]
+			if u != v {
+				e1 = append(e1, graph.Edge{U: u, V: v})
+			}
+		}
+		e2 = append(e2, e1...)
+		for i := 0; i < n/2; i++ {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				e2 = append(e2, graph.Edge{U: u, V: v})
+			}
+		}
+		sp := graph.SnapshotPair{G1: graph.FromEdges(n, e1), G2: graph.FromEdges(n, e2)}
+		eligible := 0
+		for u := 0; u < n; u++ {
+			if sp.G1.Degree(u) > 0 {
+				eligible++
+			}
+		}
+		for _, sel := range []degreeSelector{{byDegree}, {byDegDiff}, {byDegRel}} {
+			for _, m := range []int{1, max(1, eligible-1), max(1, eligible), eligible + 3} {
+				got, err := sel.Select(newCtx(sp, m, 0, 1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := degreeReference(sel.kind, sp, m); !slices.Equal(got, want) {
+					t.Fatalf("trial %d: %s m=%d (eligible %d) = %v, want %v", trial, sel.Name(), m, eligible, got, want)
+				}
+			}
+		}
+	}
+}
+
+// degreeReference is the full-sort ranking of the degree selectors: every
+// node present in G_t1, by score descending and then node ID ascending,
+// cut to m.
+func degreeReference(kind degreeKind, sp graph.SnapshotPair, m int) []int {
+	score := map[int]float64{}
+	var eligible []int
+	for u := 0; u < sp.G1.NumNodes(); u++ {
+		d1, d2 := sp.G1.Degree(u), sp.G2.Degree(u)
+		if d1 == 0 {
+			continue
+		}
+		switch kind {
+		case byDegree:
+			score[u] = float64(d1)
+		case byDegDiff:
+			score[u] = float64(d2 - d1)
+		default:
+			score[u] = float64(d2-d1) / float64(d1)
+		}
+		eligible = append(eligible, u)
+	}
+	sort.Slice(eligible, func(i, j int) bool {
+		if a, b := score[eligible[i]], score[eligible[j]]; a != b {
+			return a > b
+		}
+		return eligible[i] < eligible[j]
+	})
+	return eligible[:min(m, len(eligible))]
 }
 
 func TestRandomSelector(t *testing.T) {

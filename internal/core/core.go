@@ -38,7 +38,7 @@ type Options struct {
 	// paper's default of 10.
 	L int
 	// K asks for the K pairs with the largest distance decrease. Exactly one
-	// of K and MinDelta must be set.
+	// of K and MinDelta must be positive, and neither may be negative.
 	K int
 	// MinDelta asks for every discovered pair whose distance decreased by at
 	// least MinDelta (the paper's δ-threshold formulation).
@@ -50,7 +50,7 @@ type Options struct {
 	// Workers bounds SSSP parallelism; <=0 means GOMAXPROCS.
 	Workers int
 	// Deprecated: PairedMode is ignored. Every query computes its G_t2 rows
-	// with the one paired kernel (see dist.PairedSession).
+	// with the one paired kernel (see dist.PairedEngine).
 	PairedMode dist.PairedMode
 	// Warm, when non-nil, is a per-snapshot-pair memo of finished queries:
 	// an exact repeat of a stored query (same selector, M, L, Seed, K and
@@ -118,14 +118,14 @@ func (r *Result) Coverage(truePairs []topk.Pair) float64 {
 var ErrNoSelector = errors.New("core: no selector configured")
 
 // Validate reports what Session.TopK rejects a query for before doing any
-// work: no selector, not exactly one of K and MinDelta positive, M <= 0, or
-// an M whose 2M SSSP limit overflows int.
+// work: no selector, a negative K or MinDelta, not exactly one of them
+// positive, M <= 0, or an M whose 2M SSSP limit overflows int.
 func (opts Options) Validate() error {
 	if opts.Selector == nil {
 		return ErrNoSelector
 	}
-	if (opts.K > 0) == (opts.MinDelta > 0) {
-		return fmt.Errorf("core: exactly one of K (%d) and MinDelta (%d) must be positive",
+	if opts.K < 0 || opts.MinDelta < 0 || (opts.K > 0) == (opts.MinDelta > 0) {
+		return fmt.Errorf("core: exactly one of K (%d) and MinDelta (%d) must be positive, and neither negative",
 			opts.K, opts.MinDelta)
 	}
 	if opts.M <= 0 {

@@ -56,6 +56,12 @@ func TestTopKValidation(t *testing.T) {
 	if _, err := TopK(sp, Options{Selector: sel, M: 5, K: 3, MinDelta: 2}); err == nil {
 		t.Fatal("both K and MinDelta should fail")
 	}
+	if _, err := TopK(sp, Options{Selector: sel, M: 5, K: -5, MinDelta: 2}); err == nil {
+		t.Fatal("a negative K beside a positive MinDelta should fail")
+	}
+	if _, err := TopK(sp, Options{Selector: sel, M: 5, K: 5, MinDelta: -1}); err == nil {
+		t.Fatal("a negative MinDelta beside a positive K should fail")
+	}
 	if _, err := TopK(sp, Options{Selector: sel, M: 0, K: 3}); err == nil {
 		t.Fatal("m=0 should fail")
 	}

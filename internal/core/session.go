@@ -22,24 +22,26 @@ import (
 )
 
 // Session is the reusable form of Algorithm 1 over one snapshot pair:
-// distance sources, the paired engine, and per-worker extraction scratch are
-// prepared once and shared across queries, so a service answering many
-// queries over the same epoch window pays setup cost once instead of per
-// call. Results are bit-identical to the one-shot
+// distance sources, the paired engine, and per-worker extraction row
+// buffers are prepared once and shared across queries, so a service
+// answering many queries over the same epoch window pays setup cost once
+// instead of per call. Results are bit-identical to the one-shot
 // TopK path — the session caches machine state (visible in kernel metrics
 // and allocation profiles), never anything that feeds the algorithm's
 // output.
 //
 // A Session is safe for concurrent TopK calls: queries share the paired
-// engine read-only and draw per-worker scratch from a pool.
+// engine, which holds no traversal state, and draw per-worker row buffers
+// from a pool; traversal scratch comes from sssp's pools.
 type Session struct {
 	src  dist.Pair
 	pair graph.SnapshotPair // structural view; zero for metric-only sources
 	// kernel names the traversal kernel family the sources run (bfs or
 	// dijkstra) for the flight record's fingerprint.
 	kernel string
-	// paired is built once in newSession; extraction workers of any query
-	// check their state out of pool and back in.
+	// paired is built once in newSession and called by every extraction
+	// worker of any query; the workers check their row buffers out of pool
+	// and back in.
 	paired *dist.PairedEngine
 	pool   sync.Pool // *workerState
 }
@@ -50,11 +52,10 @@ type Session struct {
 // Deprecated: a session has no machine-level knobs left to configure.
 type SessionConfig struct{}
 
-// workerState is one extraction worker's scratch: the distance-row buffers
-// and the engine-bound paired session (which owns traversal scratch).
+// workerState is one extraction worker's distance-row buffers. Traversal
+// scratch is not the worker's: sssp's kernels borrow it from their pools.
 type workerState struct {
 	d1buf, d2buf []int32
-	ps           *dist.PairedSession
 }
 
 // NewSession prepares a reusable session over an unweighted snapshot pair
@@ -101,17 +102,13 @@ func (s *Session) Sources() dist.Pair { return s.src }
 // NumNodes returns the shared node-universe size.
 func (s *Session) NumNodes() int { return s.src.NumNodes() }
 
-// checkout draws per-worker extraction state from the pool (allocating on
-// first use), bound to the session's paired engine.
+// checkout draws per-worker row buffers from the pool, allocating on first
+// use.
 func (s *Session) checkout(n int) *workerState {
 	if st, _ := s.pool.Get().(*workerState); st != nil {
 		return st
 	}
-	return &workerState{
-		d1buf: make([]int32, n),
-		d2buf: make([]int32, n),
-		ps:    s.paired.NewSession(),
-	}
+	return &workerState{d1buf: make([]int32, n), d2buf: make([]int32, n)}
 }
 
 // TopK runs one query of Algorithm 1 on the session. It is the former
@@ -364,12 +361,12 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 					// partial case.
 					switch {
 					case d1 == nil:
-						st.ps.DistancesPairInto(u, st.d1buf, st.d2buf, th.Load)
+						s.paired.DistancesPairInto(u, st.d1buf, st.d2buf, th.Load)
 						d1, d2 = st.d1buf, st.d2buf
 					case d2 == nil:
 						// The selector already paid for the t1 row; compute
 						// just the t2 row.
-						st.ps.DeriveInto(u, d1, st.d2buf, th.Load)
+						s.paired.DeriveInto(u, d1, st.d2buf, th.Load)
 						d2 = st.d2buf
 					}
 					// Emission cut: lo = T, re-read at the row start and

@@ -54,22 +54,25 @@ func TestSessionMatchesOneShot(t *testing.T) {
 	}
 }
 
-// TestSessionConcurrentQueries runs queries with different seeds and budgets
-// concurrently on one Session and checks each against its own one-shot run —
-// the serve layer's exact usage pattern.
+// TestSessionConcurrentQueries runs queries with different selectors, seeds
+// and budgets concurrently on one Session and checks each against its own
+// one-shot run — the serve layer's exact usage pattern. MMSD and MaxMin
+// queries sweep landmarks and pick dispersed nodes, so concurrent queries
+// share sssp's pooled scratch as well as the session's paired engine.
 func TestSessionConcurrentQueries(t *testing.T) {
 	sp := growingPair(t, 100, 7)
 	sess, err := NewSession(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
+	selectors := []candidates.Selector{candidates.Random(), candidates.MMSD(), candidates.MaxMin()}
 	var wg sync.WaitGroup
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 9; i++ {
 		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			opts := Options{Selector: candidates.Random(), M: 4 + i, K: 4, Seed: int64(100 + i)}
+			opts := Options{Selector: selectors[i%3], M: 12 + i, L: 4, K: 4, Seed: int64(100 + i)}
 			want, err := TopK(sp, opts)
 			if err != nil {
 				t.Error(err)

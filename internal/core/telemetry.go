@@ -68,15 +68,14 @@ func recordRun(opts Options, kernel string, workers int, meter *budget.Meter, be
 		Phases:      phases,
 		Budget:      obs.BudgetSplit{Limit: rep.Limit, CandidateGen: rep.CandidateGen, TopK: rep.TopK},
 		Kernels: obs.KernelDelta{
-			Calls:       t.Calls - d.Repair.Calls - d.PrunedBFS.Calls,
-			Sources:     t.Sources - d.Repair.Sources - d.PrunedBFS.Sources,
-			Nodes:       t.Nodes - d.Repair.Nodes - d.PrunedBFS.Nodes,
-			Edges:       t.Edges - d.Repair.Edges - d.PrunedBFS.Edges,
-			RepairCalls: d.Repair.Calls,
-			RepairNodes: d.Repair.Nodes,
-			RepairEdges: d.Repair.Edges,
-			// The pruned-extraction split: bounded t2 traversals are broken
-			// out like repairs, plus the work the Δ-threshold cuts avoided.
+			// Repair-kernel work stays out of the totals (no query runs
+			// it), and bounded t2 traversals are broken out below.
+			Calls:   t.Calls - d.Repair.Calls - d.PrunedBFS.Calls,
+			Sources: t.Sources - d.Repair.Sources - d.PrunedBFS.Sources,
+			Nodes:   t.Nodes - d.Repair.Nodes - d.PrunedBFS.Nodes,
+			Edges:   t.Edges - d.Repair.Edges - d.PrunedBFS.Edges,
+			// The pruned-extraction split: bounded t2 traversals, plus the
+			// work the Δ-threshold cuts avoided.
 			PrunedBFSCalls:         d.PrunedBFS.Calls,
 			PrunedBFSEdges:         d.PrunedBFS.Edges,
 			PrunedBFSBottomUpSteps: d.PrunedBFS.BottomUpSteps,

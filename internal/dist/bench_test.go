@@ -54,11 +54,10 @@ func BenchmarkPairedSweep(b *testing.B) {
 
 		b.Run(fmt.Sprintf("secondleg/full/split=%d", pct), func(b *testing.B) {
 			b.ReportAllocs()
-			sess2 := p.S2.NewSession()
 			d2 := make([]int32, n)
 			for i := 0; i < b.N; i++ {
 				for _, src := range sources {
-					sess2.DistancesInto(src, d2)
+					p.S2.DistancesInto(src, d2)
 				}
 			}
 		})

@@ -58,21 +58,6 @@ func (s *BFS) DistancesInto(src int, dst []int32) {
 	sssp.BFSWith(s.g, src, dst, nil)
 }
 
-// NewSession returns a handle owning a private sssp.Scratch.
-func (s *BFS) NewSession() Session {
-	return &bfsSession{src: s, scratch: sssp.NewScratch(s.g.NumNodes())}
-}
-
-// bfsSession reuses one scratch across queries from a single goroutine.
-type bfsSession struct {
-	src     *BFS
-	scratch *sssp.Scratch
-}
-
-func (s *bfsSession) DistancesInto(src int, dst []int32) {
-	sssp.BFSWith(s.src.g, src, dst, s.scratch)
-}
-
 // UnweightedGraph returns the *graph.Graph under a BFS-backed Source.
 // Structural selectors (betweenness, embedding, incidence) use it to detect,
 // and cleanly reject, metrics they do not generalize to.

@@ -38,25 +38,9 @@ func (s *Dijkstra) NeighborIDs(u int) []int32 { return s.g.NeighborIDs(u) }
 // Graph returns the underlying weighted graph.
 func (s *Dijkstra) Graph() *graph.Weighted { return s.g }
 
-// DistancesInto runs one Dijkstra from src with a fresh scratch.
+// DistancesInto runs one Dijkstra from src, borrowing pooled scratch.
 func (s *Dijkstra) DistancesInto(src int, dst []int32) {
-	sssp.DijkstraWith(s.g, src, dst, nil)
-}
-
-// NewSession returns a handle owning a private DijkstraScratch, so repeated
-// queries reuse the settled bitmap and heap storage.
-func (s *Dijkstra) NewSession() Session {
-	return &dijkstraSession{src: s, scratch: sssp.NewDijkstraScratch(s.g.NumNodes())}
-}
-
-// dijkstraSession reuses one scratch across queries from a single goroutine.
-type dijkstraSession struct {
-	src     *Dijkstra
-	scratch *sssp.DijkstraScratch
-}
-
-func (s *dijkstraSession) DistancesInto(src int, dst []int32) {
-	sssp.DijkstraWith(s.src.g, src, dst, s.scratch)
+	sssp.Dijkstra(s.g, src, dst)
 }
 
 // WeightedGraph unwraps a Source to its underlying *graph.Weighted when it

@@ -10,13 +10,14 @@
 // DistancesInto call (callers charge their budget.Meter before invoking, a
 // discipline convlint's budgetcheck enforces mechanically). Batched helpers
 // (Sweep, PairedSweep, DistanceMatrix) route BFS sources to sssp's
-// multi-source drivers, and run everything else on per-worker Sessions so
-// scratch state is reused across calls rather than reallocated per source.
+// multi-source drivers, and run everything else on a worker pool that
+// calls DistancesInto per source.
 //
-// The package declares two interfaces, Source and its per-worker Session.
-// The two-snapshot rows of extraction come from the concrete PairedEngine
-// and its per-worker PairedSession. BFS-only fast paths are found by
-// asserting *BFS.
+// The package declares one interface, Source. The two-snapshot rows of
+// extraction come from the concrete PairedEngine. Traversal scratch belongs
+// to sssp, whose kernels borrow it from their pools, so nothing here holds
+// traversal state and callers own only their distance rows. BFS-only fast
+// paths are found by asserting *BFS.
 package dist
 
 import (
@@ -55,44 +56,31 @@ type Source interface {
 	// Unreachable for no path. One call costs one unit of the paper's SSSP
 	// budget; callers charge their meter before invoking.
 	DistancesInto(src int, dst []int32)
-	// NewSession returns a single-goroutine query handle that reuses
-	// traversal scratch across calls.
-	NewSession() Session
-}
-
-// Session is a single-goroutine handle for repeated distance queries on one
-// Source, reusing traversal scratch state across calls. Obtain one per
-// worker with Source.NewSession.
-type Session interface {
-	// DistancesInto behaves like Source.DistancesInto and costs the same one
-	// budget unit per call.
-	DistancesInto(src int, dst []int32)
 }
 
 // Sweep computes the distances from every source in sources, invoking
 // fn(src, dst) once per source from at most workers goroutines; dst is only
 // valid during the call. BFS sources run sssp's multi-source driver; others
-// get a session-per-worker pool. The sweep costs len(sources) budget units.
+// run the worker pool. The sweep costs len(sources) budget units.
 func Sweep(s Source, sources []int, workers int, fn func(src int, dst []int32)) {
 	if b, ok := s.(*BFS); ok {
 		sssp.AllSourcesFunc(b.g, sources, workers, fn)
 		return
 	}
 	n := s.NumNodes()
-	sessionPool(sources, workers, func() func(src int) {
-		sess := s.NewSession()
+	workerPool(sources, workers, func() func(src int) {
 		dst := make([]int32, n)
 		return func(src int) {
-			sess.DistancesInto(src, dst)
+			s.DistancesInto(src, dst)
 			fn(src, dst)
 		}
 	})
 }
 
-// sessionPool feeds sources to at most workers goroutines. Each worker
-// builds its own visit function (sessions and row buffers) once, then calls
-// it per source.
-func sessionPool(sources []int, workers int, newVisit func() func(src int)) {
+// workerPool feeds sources to at most workers goroutines. Each worker
+// builds its own visit function (its row buffers) once, then calls it per
+// source.
+func workerPool(sources []int, workers int, newVisit func() func(src int)) {
 	workers = sssp.ClampWorkers(workers, len(sources))
 	var wg sync.WaitGroup
 	next := make(chan int, workers)
@@ -170,7 +158,7 @@ func (p Pair) NumNodes() int { return p.S1.NumNodes() }
 // PairedSweep computes, for every source, its distance rows on both
 // snapshots and invokes fn(src, d1, d2); the buffers are only valid during
 // the call. BFS pairs route to sssp's paired multi-source driver; anything
-// else runs the session pool. Costs 2·len(sources) budget units.
+// else runs the worker pool. Costs 2·len(sources) budget units.
 func PairedSweep(p Pair, sources []int, workers int, fn func(src int, d1, d2 []int32)) {
 	b1, ok1 := p.S1.(*BFS)
 	b2, ok2 := p.S2.(*BFS)
@@ -179,12 +167,11 @@ func PairedSweep(p Pair, sources []int, workers int, fn func(src int, d1, d2 []i
 		return
 	}
 	n := p.NumNodes()
-	sessionPool(sources, workers, func() func(src int) {
-		s1, s2 := p.S1.NewSession(), p.S2.NewSession()
+	workerPool(sources, workers, func() func(src int) {
 		d1, d2 := make([]int32, n), make([]int32, n)
 		return func(src int) {
-			s1.DistancesInto(src, d1)
-			s2.DistancesInto(src, d2)
+			p.S1.DistancesInto(src, d1)
+			p.S2.DistancesInto(src, d2)
 			fn(src, d1, d2)
 		}
 	})

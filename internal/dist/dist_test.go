@@ -54,25 +54,6 @@ func TestBFSMatchesUnitWeightDijkstra(t *testing.T) {
 	}
 }
 
-// TestSessionsMatchDirectQueries pins that scratch-reusing sessions return
-// the same rows as one-shot queries, for both engines.
-func TestSessionsMatchDirectQueries(t *testing.T) {
-	g := randomGraph(t, 50, 7)
-	for _, src := range []Source{NewBFS(g), NewDijkstra(graph.FromUnweighted(g))} {
-		sess := src.NewSession()
-		n := src.NumNodes()
-		direct := make([]int32, n)
-		viaSess := make([]int32, n)
-		for u := 0; u < n; u += 3 {
-			src.DistancesInto(u, direct)
-			sess.DistancesInto(u, viaSess)
-			if !reflect.DeepEqual(direct, viaSess) {
-				t.Fatalf("%T: session row from %d differs", src, u)
-			}
-		}
-	}
-}
-
 // TestSweepAndMatrix checks the batched helpers against direct queries,
 // including duplicate-source aliasing in DistanceMatrix. The BFS source
 // also sweeps a list of more than the batch threshold's 8 sources with
@@ -136,7 +117,7 @@ func TestSweepAndMatrix(t *testing.T) {
 }
 
 // TestPairedSweepFastAndGenericAgree compares the BFS pair's kernel-backed
-// paired sweep against the generic session-pool fallback (forced by a mixed
+// paired sweep against the generic worker-pool fallback (forced by a mixed
 // pair: a BFS source and a unit-weight Dijkstra source), and against a
 // Dijkstra pair on unit weights.
 func TestPairedSweepFastAndGenericAgree(t *testing.T) {
@@ -191,7 +172,7 @@ func evolvedPair(t testing.TB, n int, seed int64) (*graph.Graph, *graph.Graph) {
 }
 
 // TestPairedEngineSessions is the dist-level differential pin of the paired
-// engine against each source's own session: DistancesPairInto fills the
+// engine against each source's own rows: DistancesPairInto fills the
 // exact t1 row, and with a bound T the t2 row keeps every delta >= T exact,
 // while any other node holds its exact distance or d2 = d1 (delta 0, the
 // cut's filler); a call that reports no cut returns the exact t2 row.
@@ -207,21 +188,20 @@ func TestPairedEngineSessions(t *testing.T) {
 	derived := make([]int32, n)
 	cuts := 0
 	p := BFSPair(graph.SnapshotPair{G1: g1, G2: g2})
-	s1, s2 := p.S1.NewSession(), p.S2.NewSession()
-	sess := NewPairedEngine(p, PairedFull).NewSession()
+	eng := NewPairedEngine(p, PairedFull)
 	for u := 0; u < n; u += 5 {
-		s1.DistancesInto(u, want1)
-		s2.DistancesInto(u, want2)
+		p.S1.DistancesInto(u, want1)
+		p.S2.DistancesInto(u, want2)
 		for _, th := range []int32{1, 2, 3} {
 			bound := func() int32 { return th }
-			cut := sess.DistancesPairInto(u, d1, d2, bound)
+			cut := eng.DistancesPairInto(u, d1, d2, bound)
 			if cut {
 				cuts++
 			} else if !reflect.DeepEqual(d2, want2) {
-				t.Fatalf("bound %d: uncut t2 row of %d diverges from the source's session", th, u)
+				t.Fatalf("bound %d: uncut t2 row of %d diverges from the source's row", th, u)
 			}
 			if !reflect.DeepEqual(d1, want1) {
-				t.Fatalf("bound %d: t1 row of %d diverges from the source's session", th, u)
+				t.Fatalf("bound %d: t1 row of %d diverges from the source's row", th, u)
 			}
 			for v := range d2 {
 				if want1[v] <= 0 || d2[v] == want2[v] {
@@ -235,7 +215,7 @@ func TestPairedEngineSessions(t *testing.T) {
 			for i := range derived {
 				derived[i] = -7 // poison; DeriveInto must fully overwrite
 			}
-			if sess.DeriveInto(u, want1, derived, bound) != cut || !reflect.DeepEqual(derived, d2) {
+			if eng.DeriveInto(u, want1, derived, bound) != cut || !reflect.DeepEqual(derived, d2) {
 				t.Fatalf("bound %d: DeriveInto(%d) diverges from DistancesPairInto", th, u)
 			}
 		}
@@ -245,13 +225,13 @@ func TestPairedEngineSessions(t *testing.T) {
 	}
 	// A Dijkstra pair gives the BFS rows on unit weights.
 	dp := DijkstraPair(graph.FromUnweighted(g1), graph.FromUnweighted(g2))
-	ds := NewPairedEngine(dp, PairedFull).NewSession()
+	de := NewPairedEngine(dp, PairedFull)
 	for u := 0; u < n; u += 7 {
 		p.S1.DistancesInto(u, want1)
 		p.S2.DistancesInto(u, want2)
 		// Dijkstra has no bounded kernel: a bound still yields full rows.
-		if ds.DistancesPairInto(u, d1, d2, func() int32 { return 3 }) {
-			t.Fatal("Dijkstra session reported a cut")
+		if de.DistancesPairInto(u, d1, d2, func() int32 { return 3 }) {
+			t.Fatal("Dijkstra pair reported a cut")
 		}
 		if !reflect.DeepEqual(d1, want1) || !reflect.DeepEqual(d2, want2) {
 			t.Fatalf("Dijkstra paired rows from %d diverge from BFS", u)
@@ -275,7 +255,7 @@ func TestParsePairedMode(t *testing.T) {
 // TestSweepEdgeCases covers the generic fallback corners only the batched
 // BFS path used to exercise: empty source sets, more workers than sources,
 // and a single-node graph — on Sweep, PairedSweep, and the paired engine,
-// for both the kernel-backed and session-pool paths.
+// for both the kernel-backed and worker-pool paths.
 func TestSweepEdgeCases(t *testing.T) {
 	single := graph.FromEdges(1, nil)
 	g := randomGraph(t, 12, 5)
@@ -337,7 +317,7 @@ func TestSweepEdgeCases(t *testing.T) {
 	}
 	sp := Pair{S1: NewBFS(single), S2: NewBFS(single)}
 	d1, d2 := []int32{-7}, []int32{-7}
-	NewPairedEngine(sp, PairedFull).NewSession().DistancesPairInto(0, d1, d2, func() int32 { return 1 })
+	NewPairedEngine(sp, PairedFull).DistancesPairInto(0, d1, d2, func() int32 { return 1 })
 	if d1[0] != 0 || d2[0] != 0 {
 		t.Fatalf("single-node paired rows = %v, %v", d1, d2)
 	}

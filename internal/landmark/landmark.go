@@ -146,14 +146,13 @@ func selectDispersed(strategy Strategy, s1 dist.Source, comp []int, l int, meter
 	isSelected := make([]bool, n)
 	score := make([]int64, n) // min- or sum-distance to selected
 	rows := make([][]int32, 0, l)
-	sess := s1.NewSession()
 
 	pick := func(u int) error {
 		if err := meter.Charge(budget.PhaseCandidateGen, 1); err != nil {
 			return err
 		}
 		row := make([]int32, n)
-		sess.DistancesInto(u, row)
+		s1.DistancesInto(u, row)
 		rows = append(rows, row)
 		selected = append(selected, u)
 		isSelected[u] = true

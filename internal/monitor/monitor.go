@@ -21,6 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dynsssp"
 	"repro/internal/graph"
+	"repro/internal/landmark"
 	"repro/internal/obs"
 	"repro/internal/sssp"
 	"repro/internal/topk"
@@ -341,20 +342,7 @@ func (t *LandmarkTracker) Top(m int) []int {
 			}
 		}
 	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if l1[idx[a]] != l1[idx[b]] {
-			return l1[idx[a]] > l1[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
-	if m > len(idx) {
-		m = len(idx)
-	}
-	return idx[:m]
+	return landmark.TopByScore(l1, m, nil)
 }
 
 // SSSPCostSaved estimates the SSSPs a per-window recomputation would have

@@ -37,13 +37,10 @@ type BudgetSplit struct {
 // KernelDelta is the traversal work a run performed, diffed from the sssp
 // kernel counters around the run.
 type KernelDelta struct {
-	Calls       int64 `json:"calls"`
-	Sources     int64 `json:"sources"`
-	Nodes       int64 `json:"nodes"`
-	Edges       int64 `json:"edges"`
-	RepairCalls int64 `json:"repair_calls,omitempty"`
-	RepairNodes int64 `json:"repair_nodes,omitempty"`
-	RepairEdges int64 `json:"repair_edges,omitempty"`
+	Calls   int64 `json:"calls"`
+	Sources int64 `json:"sources"`
+	Nodes   int64 `json:"nodes"`
+	Edges   int64 `json:"edges"`
 	// The pruned-extraction split: how many bounded second-snapshot
 	// traversals ran (the edges they still scanned, and how many of their
 	// levels ran bottom-up), how many were cut short by the Δ-threshold,

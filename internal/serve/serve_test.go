@@ -321,9 +321,10 @@ func TestTenantAdmission(t *testing.T) {
 }
 
 // TestRejectedQueryRegistersNoTenant pins that a query core would reject
-// (m = 0, neither k nor delta, or an m whose 2m limit overflows int) is a
-// 400 that leaves the tenant registry untouched: no new tenant with an
-// unlimited allowance, no charge series.
+// (m = 0, neither k nor delta, a negative k or delta beside a positive
+// other, or an m whose 2m limit overflows int) is a 400 that leaves the
+// tenant registry untouched: no new tenant with an unlimited allowance, no
+// charge series.
 func TestRejectedQueryRegistersNoTenant(t *testing.T) {
 	srv := New(Config{})
 	ts := httptest.NewServer(srv.Handler())
@@ -335,6 +336,8 @@ func TestRejectedQueryRegistersNoTenant(t *testing.T) {
 		{Tenant: "zero-m", Selector: "Degree", M: 0, K: 5},
 		{Tenant: "no-k-no-delta", Selector: "Degree", M: 5},
 		{Tenant: "overflow-m", Selector: "Degree", M: 1 << 62, K: 5},
+		{Tenant: "negative-k", Selector: "MMSD", M: 5, K: -5, MinDelta: 2},
+		{Tenant: "negative-delta", Selector: "MMSD", M: 5, K: 5, MinDelta: -1},
 	}
 	for _, req := range bad {
 		if code := postJSON(t, ts.URL+"/query", req, nil); code != http.StatusBadRequest {

@@ -32,29 +32,8 @@ func sweepWorker(wg *sync.WaitGroup, kernel string, body func()) {
 // more sources runs 64 sources per pass through the bit-parallel kernel;
 // a smaller one runs dirOptBFS per source.
 func AllSourcesFunc(g *graph.Graph, sources []int, workers int, fn func(src int, dist []int32)) {
-	workers = ClampWorkers(workers, len(sources))
-	n := g.NumNodes()
-	scratches := make([]Scratch, workers)
-	if len(sources) >= msAutoThreshold {
-		lanes := min(msBatchBits, len(sources))
-		forEachChunk(len(sources), workers, msBatchBits, "bitparallel64", func(w, start, end int) {
-			s := &scratches[w]
-			batch := sources[start:end]
-			rows := s.ensureRows(lanes, n)[:len(batch)]
-			msBFSBatch(g, batch, rows, s)
-			for i, src := range batch {
-				fn(src, rows[i])
-			}
-		})
-		return
-	}
-	dists := make([][]int32, workers)
-	forEachChunk(len(sources), workers, 1, "diropt", func(w, i, _ int) {
-		if dists[w] == nil {
-			dists[w] = make([]int32, n)
-		}
-		BFSWith(g, sources[i], dists[w], &scratches[w])
-		fn(sources[i], dists[w])
+	sweepRows([]*graph.Graph{g}, sources, workers, func(src int, rows [][]int32) {
+		fn(src, rows[0])
 	})
 }
 
@@ -63,74 +42,79 @@ func AllSourcesFunc(g *graph.Graph, sources []int, workers int, fn func(src int,
 // picks its kernel like AllSourcesFunc; the buffers are per-worker and must
 // not be retained.
 func PairedSourcesFunc(g1, g2 *graph.Graph, sources []int, workers int, fn func(src int, d1, d2 []int32)) {
-	workers = ClampWorkers(workers, len(sources))
-	// Two scratches per worker, one per snapshot: a batch holds each graph's
-	// distance rows until fn has seen both.
-	s1 := make([]Scratch, workers)
-	s2 := make([]Scratch, workers)
-	if len(sources) >= msAutoThreshold {
-		lanes := min(msBatchBits, len(sources))
-		forEachChunk(len(sources), workers, msBatchBits, "bitparallel64", func(w, start, end int) {
-			batch := sources[start:end]
-			rows1 := s1[w].ensureRows(lanes, g1.NumNodes())[:len(batch)]
-			rows2 := s2[w].ensureRows(lanes, g2.NumNodes())[:len(batch)]
-			msBFSBatch(g1, batch, rows1, &s1[w])
-			msBFSBatch(g2, batch, rows2, &s2[w])
-			for i, src := range batch {
-				fn(src, rows1[i], rows2[i])
-			}
-		})
-		return
-	}
-	d1s := make([][]int32, workers)
-	d2s := make([][]int32, workers)
-	forEachChunk(len(sources), workers, 1, "diropt", func(w, i, _ int) {
-		if d1s[w] == nil {
-			d1s[w] = make([]int32, g1.NumNodes())
-			d2s[w] = make([]int32, g2.NumNodes())
-		}
-		BFSWith(g1, sources[i], d1s[w], &s1[w])
-		BFSWith(g2, sources[i], d2s[w], &s2[w])
-		fn(sources[i], d1s[w], d2s[w])
+	sweepRows([]*graph.Graph{g1, g2}, sources, workers, func(src int, rows [][]int32) {
+		fn(src, rows[0], rows[1])
 	})
 }
 
-// forEachChunk splits [0, total) into chunks of at most size entries and runs
-// body(workerIndex, start, end) on each, spreading chunks across workers.
-// Worker indices are dense in [0, workers), so callers can keep per-worker
-// state (scratches, row buffers) in plain slices; a sweep's allocations are
-// then per worker, not per source. kernel labels the worker goroutines for
-// pprof.
-func forEachChunk(total, workers, size int, kernel string, body func(w, start, end int)) {
-	numChunks := (total + size - 1) / size
-	if workers > numChunks {
-		workers = numChunks
+// sweepRows is the multi-source drivers' kernel policy and worker pool.
+// The sources of a sweep of at least msAutoThreshold go through msBFSBatch
+// in chunks of up to 64, and a smaller sweep's go through dirOptBFS one at
+// a time. Chunks are spread across at most workers goroutines (<=0 means
+// GOMAXPROCS). Each worker borrows one pooled Scratch for the whole call
+// and allocates its rows once, one per source a chunk can hold
+// (min(64, sources) for a batched sweep) on each graph in gs, so a sweep
+// allocates rows per worker, never per source. A chunk is traversed on
+// every graph with the worker's Scratch, then visit(src, rows) gets src's
+// row on each graph, in gs order.
+func sweepRows(gs []*graph.Graph, sources []int, workers int, visit func(src int, rows [][]int32)) {
+	batched := len(sources) >= msAutoThreshold
+	size, kernel := 1, "diropt"
+	if batched {
+		size, kernel = min(msBatchBits, len(sources)), "bitparallel64"
 	}
-	chunk := func(c int) (int, int) {
-		start := c * size
-		return start, min(start+size, total)
-	}
-	if workers <= 1 {
-		for c := 0; c < numChunks; c++ {
-			start, end := chunk(c)
-			body(0, start, end)
-		}
+	numChunks := (len(sources) + size - 1) / size
+	if numChunks == 0 {
 		return
 	}
-	var wg sync.WaitGroup
-	next := make(chan int, workers)
-	for w := 0; w < workers; w++ {
-		w := w
-		sweepWorker(&wg, kernel, func() {
-			for c := range next {
-				start, end := chunk(c)
-				body(w, start, end)
-			}
-		})
-	}
+	next := make(chan int, numChunks)
 	for c := 0; c < numChunks; c++ {
 		next <- c
 	}
 	close(next)
+	work := func() {
+		s := getScratch()
+		defer putScratch(s)
+		blocks := make([][][]int32, len(gs))
+		for j, g := range gs {
+			blocks[j] = newRows(size, g.NumNodes())
+		}
+		out := make([][]int32, len(gs))
+		for c := range next {
+			batch := sources[c*size : min((c+1)*size, len(sources))]
+			for j, g := range gs {
+				if batched {
+					msBFSBatch(g, batch, blocks[j][:len(batch)], s)
+				} else {
+					BFSWith(g, batch[0], blocks[j][0], s)
+				}
+			}
+			for i, src := range batch {
+				for j := range gs {
+					out[j] = blocks[j][i]
+				}
+				visit(src, out)
+			}
+		}
+	}
+	workers = ClampWorkers(workers, numChunks)
+	if workers == 1 {
+		work()
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		sweepWorker(&wg, kernel, work)
+	}
 	wg.Wait()
+}
+
+// newRows returns count distance rows of length n over one backing array.
+func newRows(count, n int) [][]int32 {
+	backing := make([]int32, count*n)
+	rows := make([][]int32, count)
+	for i := range rows {
+		rows[i] = backing[i*n : (i+1)*n]
+	}
+	return rows
 }

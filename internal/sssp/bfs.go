@@ -50,11 +50,10 @@ func BFSWith(g *graph.Graph, src int, dist []int32, s *Scratch) (reached int, ec
 		panic(fmt.Sprintf("sssp: source %d out of range [0,%d)", src, n))
 	}
 	if s == nil {
-		s = getScratch(n)
+		s = getScratch()
 		defer putScratch(s)
-	} else {
-		s.ensure(n)
 	}
+	s.ensure(n)
 	for i := range dist {
 		dist[i] = Unreachable
 	}
@@ -68,41 +67,6 @@ func Distances(g *graph.Graph, src int) []int32 {
 	dist := make([]int32, g.NumNodes())
 	BFS(g, src, dist)
 	return dist
-}
-
-// Eccentricity returns the greatest finite distance from src.
-func Eccentricity(g *graph.Graph, src int) int32 {
-	return EccentricityInto(g, src, make([]int32, g.NumNodes()), nil)
-}
-
-// EccentricityInto is Eccentricity with a caller-provided distance buffer
-// (length g.NumNodes()) and optional scratch, for loops sweeping many
-// sources.
-func EccentricityInto(g *graph.Graph, src int, dist []int32, s *Scratch) int32 {
-	_, ecc := BFSWith(g, src, dist, s)
-	return ecc
-}
-
-// DoubleSweepLowerBound estimates the diameter of the component containing
-// start with two BFS sweeps: the eccentricity of the farthest node found from
-// start. The result is a lower bound on, and in practice usually equal to,
-// the true diameter; exact diameters come from topk's all-pairs sweep.
-func DoubleSweepLowerBound(g *graph.Graph, start int) int32 {
-	return DoubleSweepLowerBoundInto(g, start, make([]int32, g.NumNodes()), nil)
-}
-
-// DoubleSweepLowerBoundInto is DoubleSweepLowerBound with a caller-provided
-// distance buffer (length g.NumNodes()) and optional scratch.
-func DoubleSweepLowerBoundInto(g *graph.Graph, start int, dist []int32, s *Scratch) int32 {
-	BFSWith(g, start, dist, s)
-	far, farDist := start, int32(0)
-	for v, d := range dist {
-		if d > farDist {
-			far, farDist = v, d
-		}
-	}
-	_, ecc := BFSWith(g, far, dist, s)
-	return ecc
 }
 
 // Path returns one shortest path from src to dst as a node sequence
@@ -123,8 +87,9 @@ func Path(g *graph.Graph, src, dst int) []int {
 		parent[i] = -1
 	}
 	parent[src] = int32(src)
-	s := getScratch(n)
+	s := getScratch()
 	defer putScratch(s)
+	s.ensure(n)
 	q := s.queue[:0]
 	q = append(q, int32(src))
 	defer func() { s.queue = q[:0] }()

@@ -19,7 +19,7 @@ type heapItem struct {
 type minHeap []heapItem
 
 // push sifts a new entry up. The only allocation is the slice's own
-// amortized growth, which the enclosing Dijkstra pre-sizes.
+// amortized growth, which a pooled scratch keeps across calls.
 //
 //convlint:hotpath
 func (h *minHeap) push(it heapItem) {
@@ -63,19 +63,14 @@ func (h *minHeap) pop() heapItem {
 	return top
 }
 
-// DijkstraScratch holds the reusable working state of repeated Dijkstra
-// calls from one goroutine: the settled bitmap and the priority queue's
-// backing array. Like sssp.Scratch it is share-by-pointer (scratchcopy
-// enforces no by-value copies) and not safe for concurrent use.
+// DijkstraScratch holds the working state of one Dijkstra call: the
+// settled bitmap and the priority queue's backing array. Calls borrow one
+// from an internal pool, so repeated calls reuse both. Like sssp.Scratch it
+// is share-by-pointer (scratchcopy enforces no by-value copies) and not
+// safe for concurrent use.
 type DijkstraScratch struct {
 	done []bool
 	heap minHeap
-}
-
-// NewDijkstraScratch allocates a scratch sized for n-node graphs; it grows
-// transparently if later used on a larger graph.
-func NewDijkstraScratch(n int) *DijkstraScratch {
-	return &DijkstraScratch{done: make([]bool, n), heap: make(minHeap, 0, 256)}
 }
 
 // ensure resets the scratch for a fresh run over n nodes.
@@ -91,15 +86,9 @@ func (s *DijkstraScratch) ensure(n int) {
 
 // Dijkstra computes weighted shortest-path distances from src into dist,
 // which must have length g.NumNodes(). Unreached nodes get Unreachable.
-// Weights must be non-negative (enforced by graph.NewWeighted).
+// Weights must be non-negative (enforced by graph.NewWeighted). It borrows
+// a pooled DijkstraScratch, the weighted analogue of BFSWith's nil scratch.
 func Dijkstra(g *graph.Weighted, src int, dist []int32) {
-	DijkstraWith(g, src, dist, nil)
-}
-
-// DijkstraWith is Dijkstra with an explicit scratch, so repeated calls from
-// one goroutine reuse the settled bitmap and heap storage (the weighted
-// analogue of BFSWith). A nil scratch allocates a fresh one.
-func DijkstraWith(g *graph.Weighted, src int, dist []int32, s *DijkstraScratch) {
 	//convlint:nondet sweep latency is observational, not part of results
 	start := time.Now()
 	n := g.NumNodes()
@@ -109,9 +98,8 @@ func DijkstraWith(g *graph.Weighted, src int, dist []int32, s *DijkstraScratch) 
 	if src < 0 || src >= n {
 		panic(fmt.Sprintf("sssp: source %d out of range [0,%d)", src, n))
 	}
-	if s == nil {
-		s = NewDijkstraScratch(n)
-	}
+	s := dijkstraPool.Get().(*DijkstraScratch)
+	defer dijkstraPool.Put(s)
 	s.ensure(n)
 	done, h := s.done, &s.heap
 	for i := range dist {

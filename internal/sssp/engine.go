@@ -30,7 +30,7 @@ const msAutoThreshold = 8
 // ClampWorkers resolves a worker-count request against a job count: <= 0
 // asks for GOMAXPROCS, the result never exceeds jobs, and is at least 1.
 // This is the one shared clamping rule for every parallel driver (sssp
-// sweeps, dist sessions pools, topk shards, core extraction).
+// sweeps, dist worker pools, topk shards, core extraction).
 func ClampWorkers(workers, jobs int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -44,14 +44,15 @@ func ClampWorkers(workers, jobs int) int {
 	return workers
 }
 
-// Scratch holds every buffer a BFS kernel needs beyond the caller's dist
-// slice: the index-cursor frontier queue, the bottom-up frontier bitmaps,
-// the bit-parallel visit words (one per node), and the batch drivers' row
-// block, which is sized once, to its sweep (see ensureRows). The other
-// buffers grow to the largest graph a Scratch has served and are then
-// allocation-free; a Scratch is not safe for concurrent use. Parallel
-// drivers keep one Scratch per worker; single-shot entry points borrow one
-// from an internal pool.
+// Scratch holds every buffer a BFS kernel needs beyond the caller's rows:
+// the index-cursor frontier queue, the bottom-up frontier bitmaps and the
+// bit-parallel visit words (one per node). The buffers grow to the largest
+// graph a Scratch has served and are then allocation-free; a Scratch is not
+// safe for concurrent use. The package owns traversal scratch: every entry
+// point called without one, and every sweep worker, borrows one from an
+// internal pool for the length of its call, so callers own only their
+// distance rows. Tests and benchmarks that pin zero-allocation calls pass
+// their own.
 type Scratch struct {
 	queue []int32 // frontier queue, cursor-indexed (cap >= n)
 	cur   []uint64
@@ -62,10 +63,6 @@ type Scratch struct {
 	front []uint64
 	next  []uint64
 	nextQ []int32
-
-	// rows is the batch drivers' distance-row block, allocated on first use
-	// with one row per lane the sweep can fill (see ensureRows).
-	rows [][]int32
 }
 
 // NewScratch returns a Scratch pre-sized for graphs of n nodes.
@@ -105,35 +102,19 @@ func (s *Scratch) ensureMS(n int) {
 	}
 }
 
-// ensureRows returns the batch drivers' block of lanes distance rows of
-// length n, allocating it on first use. Every sweep builds fresh Scratches,
-// so the block is sized once, to the sweep: a driver asks for
-// min(64, sources) lanes, and a 10-source sweep allocates 10 rows, not 64.
-// Only the batch drivers call this.
-func (s *Scratch) ensureRows(lanes, n int) [][]int32 {
-	if s.rows == nil {
-		backing := make([]int32, lanes*n)
-		s.rows = make([][]int32, lanes)
-		for i := range s.rows {
-			s.rows[i] = backing[i*n : (i+1)*n]
-		}
-	}
-	return s.rows
-}
-
 func clearWords(w []uint64) {
 	for i := range w {
 		w[i] = 0
 	}
 }
 
-// scratchPool recycles Scratches for entry points called without one.
-var scratchPool = sync.Pool{New: func() any { return &Scratch{} }}
+// scratchPool and dijkstraPool recycle the scratch of every call made
+// without one and of every sweep worker. A borrowed scratch keeps the size
+// of the largest graph it served; the kernels size it for theirs.
+var (
+	scratchPool  = sync.Pool{New: func() any { return new(Scratch) }}
+	dijkstraPool = sync.Pool{New: func() any { return new(DijkstraScratch) }}
+)
 
-func getScratch(n int) *Scratch {
-	s := scratchPool.Get().(*Scratch)
-	s.ensure(n)
-	return s
-}
-
+func getScratch() *Scratch  { return scratchPool.Get().(*Scratch) }
 func putScratch(s *Scratch) { scratchPool.Put(s) }

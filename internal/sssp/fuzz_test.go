@@ -91,7 +91,7 @@ var kernels = []bfsKernel{
 // borrows a pooled one, as BFSWith does.
 func oneLaneBatch(g *graph.Graph, src int, dist []int32, s *Scratch) (reached int, ecc int32) {
 	if s == nil {
-		s = getScratch(g.NumNodes())
+		s = getScratch()
 		defer putScratch(s)
 	}
 	sources := [1]int{src}

@@ -33,8 +33,9 @@ import (
 // row from the same src, and g2 must be a supergraph of the first snapshot
 // (the growing-snapshot contract of dist.Pair) — both are what make the cut
 // sound. bound is sampled once per level; values below 1 are clamped to 1
-// (the extraction floor: delta 0 pairs are never emitted). s must not be
-// nil. Returns true if the traversal was cut short.
+// (the extraction floor: delta 0 pairs are never emitted). A nil s borrows
+// a pooled Scratch, as BFSWith does. Returns true if the traversal was cut
+// short.
 //
 // On a cut, nodes with d1 > 0 that were not yet discovered get d2 = d1;
 // everything else undiscovered stays Unreachable. The row is then NOT a
@@ -45,6 +46,10 @@ func PrunedSecondBFS(g2 *graph.Graph, src int, d1, d2 []int32, bound func() int3
 	//convlint:nondet sweep latency is observational, not part of results
 	start := time.Now()
 	n := g2.NumNodes()
+	if s == nil {
+		s = getScratch()
+		defer putScratch(s)
+	}
 	s.ensure(n)
 
 	// Only d1 > 0 nodes matter: the extraction emit loop skips d1 <= 0, so

@@ -242,16 +242,6 @@ func TestPairedSourcesFunc(t *testing.T) {
 	}
 }
 
-func TestDoubleSweepLowerBound(t *testing.T) {
-	g := pathGraph(9)
-	if got := DoubleSweepLowerBound(g, 4); got != 8 {
-		t.Fatalf("double sweep = %d, want 8", got)
-	}
-	if got := Eccentricity(g, 4); got != 4 {
-		t.Fatalf("eccentricity(4) = %d, want 4", got)
-	}
-}
-
 func TestAllSourcesSequentialPath(t *testing.T) {
 	// workers=1 and single-source inputs exercise the sequential fast path.
 	g := pathGraph(20)

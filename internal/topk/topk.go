@@ -124,7 +124,7 @@ func ComputeSources(p dist.Pair, opts Options) (*GroundTruth, error) {
 		free <- sh
 	}
 	// The BFS pair routes to sssp's paired multi-source driver (the
-	// all-pairs phase's hot path); Dijkstra runs a session pool.
+	// all-pairs phase's hot path); Dijkstra runs dist's worker pool.
 	dist.PairedSweep(p, sources, workers, func(src int, d1, d2 []int32) {
 		sh := <-free
 		for v := src + 1; v < n; v++ {
