@@ -49,6 +49,7 @@ func budgetEntryPoint(name string) bool {
 		"Dijkstra",
 		"AllSources",    // AllSourcesFunc
 		"PairedSources", // PairedSourcesFunc
+		"RowsInto",
 	} {
 		if strings.HasPrefix(name, prefix) {
 			return true
@@ -58,7 +59,10 @@ func budgetEntryPoint(name string) bool {
 	case "Distances", "WeightedDistances",
 		// The Δ-threshold bounded second traversal: cut short for machine
 		// work, but it still produces the charged row.
-		"PrunedSecondBFS":
+		"PrunedSecondBFS",
+		// The MaxMin chain step: a pick's pruned traversal, run under the
+		// pick's charge in place of its full row.
+		"LowerNearest":
 		return true
 	}
 	return false

@@ -150,6 +150,20 @@ func meteredPairedEngine(p dist.Pair, m *budget.Meter, d1, d2 []int32) error {
 // bound cuts traversal work, never charges. A cut-short row was still
 // produced (valid for delta extraction), so it is still one unit.
 
+// meteredChainStep is one MaxMin pick: its charge comes first, then the
+// pruned traversal that stands in for its full row.
+func meteredChainStep(g *graph.Graph, m *budget.Meter, near []int32) error {
+	if err := m.Charge(budget.PhaseCandidateGen, 1); err != nil {
+		return err
+	}
+	sssp.LowerNearest(g, 1, near, nil)
+	return nil
+}
+
+func unmeteredChainStep(g *graph.Graph, near []int32) {
+	sssp.LowerNearest(g, 1, near, nil) // want `call to sssp.LowerNearest without`
+}
+
 func unmeteredPrunedBFS(g2 *graph.Graph, d1, d2 []int32, ps *sssp.Scratch) {
 	sssp.PrunedSecondBFS(g2, 0, d1, d2, func() int32 { return 1 }, ps) // want `call to sssp.PrunedSecondBFS without`
 }

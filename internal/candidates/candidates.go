@@ -284,7 +284,7 @@ func (s dispersionSelector) Select(ctx *Context) ([]int, error) {
 	// Each greedy pick costs one SSSP on G_t1, charged inside
 	// landmark.SelectSource; the rows double as the D1 rows of the
 	// extraction phase.
-	set, err := landmark.SelectSource(s.strategy, ctx.S1, ctx.M, ctx.RNG, ctx.Meter)
+	set, err := landmark.SelectSource(s.strategy, ctx.S1, ctx.M, ctx.RNG, ctx.Meter, ctx.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", s.Name(), err)
 	}
@@ -330,7 +330,7 @@ func (s landmarkSelector) Select(ctx *Context) ([]int, error) {
 		// coverage. Returning no candidates models it faithfully.
 		return nil, fmt.Errorf("%w: m=%d <= l=%d random landmarks", ErrBudgetTooSmall, ctx.M, l)
 	}
-	set, err := landmark.SelectSource(landmark.Random, ctx.S1, l, ctx.RNG, ctx.Meter)
+	set, err := landmark.SelectSource(landmark.Random, ctx.S1, l, ctx.RNG, ctx.Meter, ctx.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", s.Name(), err)
 	}
@@ -394,7 +394,7 @@ func (s hybridSelector) Select(ctx *Context) ([]int, error) {
 		// unlike the random-landmark methods the budget is not wasted.
 		return dispersionSelector{s.strategy}.Select(ctx)
 	}
-	set, err := landmark.SelectSource(s.strategy, ctx.S1, l, ctx.RNG, ctx.Meter)
+	set, err := landmark.SelectSource(s.strategy, ctx.S1, l, ctx.RNG, ctx.Meter, ctx.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", s.Name(), err)
 	}

@@ -95,7 +95,7 @@ func BuildFeatures(ctx *Context, global bool) ([][]float64, error) {
 		{landmark.MaxMin, FeatL1MaxMin, FeatLInfMaxMin},
 		{landmark.MaxAvg, FeatL1MaxAvg, FeatLInfMaxAvg},
 	} {
-		set, err := landmark.SelectSource(spec.strategy, s1, ctx.Landmarks(), ctx.RNG, ctx.Meter)
+		set, err := landmark.SelectSource(spec.strategy, s1, ctx.Landmarks(), ctx.RNG, ctx.Meter, ctx.Workers)
 		if err != nil {
 			return nil, fmt.Errorf("candidates: %v landmarks: %w", spec.strategy, err)
 		}

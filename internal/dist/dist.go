@@ -68,20 +68,20 @@ func Sweep(s Source, sources []int, workers int, fn func(src int, dst []int32)) 
 		return
 	}
 	n := s.NumNodes()
-	workerPool(sources, workers, func() func(src int) {
+	workerPool(len(sources), workers, func() func(i int) {
 		dst := make([]int32, n)
-		return func(src int) {
-			s.DistancesInto(src, dst)
-			fn(src, dst)
+		return func(i int) {
+			s.DistancesInto(sources[i], dst)
+			fn(sources[i], dst)
 		}
 	})
 }
 
-// workerPool feeds sources to at most workers goroutines. Each worker
-// builds its own visit function (its row buffers) once, then calls it per
-// source.
-func workerPool(sources []int, workers int, newVisit func() func(src int)) {
-	workers = sssp.ClampWorkers(workers, len(sources))
+// workerPool feeds the indices [0, count) to at most workers goroutines.
+// Each worker builds its own visit function (its row buffers) once, then
+// calls it per index.
+func workerPool(count, workers int, newVisit func() func(i int)) {
+	workers = sssp.ClampWorkers(workers, count)
 	var wg sync.WaitGroup
 	next := make(chan int, workers)
 	for w := 0; w < workers; w++ {
@@ -91,11 +91,11 @@ func workerPool(sources []int, workers int, newVisit func() func(src int)) {
 				defer wg.Done()
 				visit := newVisit()
 				for i := range next {
-					visit(sources[i])
+					visit(i)
 				}
 			})
 	}
-	for i := range sources {
+	for i := 0; i < count; i++ {
 		next <- i
 	}
 	close(next)
@@ -104,31 +104,34 @@ func workerPool(sources []int, workers int, newVisit func() func(src int)) {
 
 // DistanceMatrix computes the full rows-by-n distance matrix from the given
 // sources (row i = distances from sources[i]). Intended for candidate and
-// landmark sets (small m), not all-pairs sweeps. Costs one budget unit per
-// distinct source.
+// landmark sets (small m), not all-pairs sweeps. Each distinct source's row
+// is allocated once and filled in place: BFS sources through sssp.RowsInto,
+// others by a worker pool calling DistancesInto on it. A duplicate source's
+// row aliases its first occurrence. Costs one budget unit per distinct
+// source.
 func DistanceMatrix(s Source, sources []int, workers int) [][]int32 {
+	n := s.NumNodes()
 	rows := make([][]int32, len(sources))
-	// Sweep each distinct source once: sweeping duplicates would have two
-	// workers store into the same slot concurrently.
-	index := make(map[int]int, len(sources))
+	first := make(map[int]int, len(sources))
 	unique := make([]int, 0, len(sources))
+	into := make([][]int32, 0, len(sources))
 	for i, src := range sources {
-		if _, ok := index[src]; !ok {
-			index[src] = i
-			unique = append(unique, src)
+		if j, ok := first[src]; ok {
+			rows[i] = rows[j]
+			continue
 		}
+		first[src] = i
+		rows[i] = make([]int32, n)
+		unique = append(unique, src)
+		into = append(into, rows[i])
 	}
-	Sweep(s, unique, workers, func(src int, dst []int32) {
-		row := make([]int32, len(dst))
-		copy(row, dst)
-		rows[index[src]] = row
+	if b, ok := s.(*BFS); ok {
+		sssp.RowsInto(b.g, unique, into, workers)
+		return rows
+	}
+	workerPool(len(unique), workers, func() func(i int) {
+		return func(i int) { s.DistancesInto(unique[i], into[i]) }
 	})
-	// Duplicate sources all map to one computed row; alias it to the rest.
-	for i, src := range sources {
-		if rows[i] == nil {
-			rows[i] = rows[index[src]]
-		}
-	}
 	return rows
 }
 
@@ -167,12 +170,12 @@ func PairedSweep(p Pair, sources []int, workers int, fn func(src int, d1, d2 []i
 		return
 	}
 	n := p.NumNodes()
-	workerPool(sources, workers, func() func(src int) {
+	workerPool(len(sources), workers, func() func(i int) {
 		d1, d2 := make([]int32, n), make([]int32, n)
-		return func(src int) {
-			p.S1.DistancesInto(src, d1)
-			p.S2.DistancesInto(src, d2)
-			fn(src, d1, d2)
+		return func(i int) {
+			p.S1.DistancesInto(sources[i], d1)
+			p.S2.DistancesInto(sources[i], d2)
+			fn(sources[i], d1, d2)
 		}
 	})
 }

@@ -74,7 +74,12 @@ func TestSweepAndMatrix(t *testing.T) {
 		}
 	}
 	g := randomGraph(t, 40, 3)
-	bfsOnly := []int{0, 5, 9, 5, 12, 17, 23, 29, 31, 0, 38, 39} // 12 sources, 2 repeats
+	// 42 sources, 2 repeats: each of two workers' shares of the 40 distinct
+	// ones is large enough to batch.
+	bfsOnly := []int{5, 0}
+	for u := 0; u < 40; u++ {
+		bfsOnly = append(bfsOnly, u)
+	}
 	for _, src := range []Source{NewBFS(g), NewDijkstra(graph.FromUnweighted(g))} {
 		lists := [][]int{{0, 5, 9, 5}} // includes a duplicate
 		if _, ok := src.(*BFS); ok {

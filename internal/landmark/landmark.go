@@ -21,11 +21,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/budget"
 	"repro/internal/dist"
 	"repro/internal/graph"
+	"repro/internal/sssp"
 	"repro/internal/topk"
 )
 
@@ -75,9 +77,10 @@ type Set struct {
 }
 
 // Select picks l landmarks from the unweighted g1; it is SelectSource over a
-// BFS distance source, kept for structural callers (oracle, ablations).
+// BFS distance source at GOMAXPROCS workers, kept for structural callers
+// (oracle, ablations).
 func Select(strategy Strategy, g1 *graph.Graph, l int, rng *rand.Rand, meter *budget.Meter) (Set, error) {
-	return SelectSource(strategy, dist.NewBFS(g1), l, rng, meter)
+	return SelectSource(strategy, dist.NewBFS(g1), l, rng, meter, 0)
 }
 
 // SelectSource picks l landmarks from a snapshot under any distance metric.
@@ -85,8 +88,9 @@ func Select(strategy Strategy, g1 *graph.Graph, l int, rng *rand.Rand, meter *bu
 // dispersion distances are well defined. Dispersion strategies charge one
 // SSSP per pick to meter (candidate-generation phase); Random and HighDegree
 // are free. rng is used by Random only and may be nil for the other
-// strategies.
-func SelectSource(strategy Strategy, s1 dist.Source, l int, rng *rand.Rand, meter *budget.Meter) (Set, error) {
+// strategies. workers bounds the parallelism of the dispersion rows (<=0
+// means GOMAXPROCS); it never changes the set.
+func SelectSource(strategy Strategy, s1 dist.Source, l int, rng *rand.Rand, meter *budget.Meter, workers int) (Set, error) {
 	if l <= 0 {
 		return Set{}, fmt.Errorf("landmark: non-positive landmark count %d", l)
 	}
@@ -120,7 +124,7 @@ func SelectSource(strategy Strategy, s1 dist.Source, l int, rng *rand.Rand, mete
 		})
 		return Set{Strategy: HighDegree, Nodes: sorted[:l]}, nil
 	case MaxMin, MaxAvg:
-		return selectDispersed(strategy, s1, comp, l, meter)
+		return selectDispersed(strategy, s1, comp, l, meter, workers)
 	default:
 		return Set{}, fmt.Errorf("landmark: unknown strategy %v", strategy)
 	}
@@ -130,13 +134,24 @@ func SelectSource(strategy Strategy, s1 dist.Source, l int, rng *rand.Rand, mete
 // MaxAvg. The first pick is the highest-degree node of the component (a
 // deterministic, central anchor); each subsequent pick maximizes the
 // min (MaxMin) or sum (MaxAvg) of distances to the already-selected set.
-func selectDispersed(strategy Strategy, s1 dist.Source, comp []int, l int, meter *budget.Meter) (Set, error) {
+// MaxMin over a BFS source runs maxMinChain; MaxAvg, whose sums move at
+// every node, and Dijkstra sources compute one full row per pick.
+func selectDispersed(strategy Strategy, s1 dist.Source, comp []int, l int, meter *budget.Meter, workers int) (Set, error) {
 	first := comp[0]
 	for _, u := range comp {
 		if s1.Degree(u) > s1.Degree(first) {
 			first = u
 		}
 	}
+	if g, ok := dist.UnweightedGraph(s1); ok && strategy == MaxMin {
+		return maxMinChain(g, s1, comp, first, l, meter, workers)
+	}
+	return dispersedRows(strategy, s1, comp, first, l, meter)
+}
+
+// dispersedRows is the full-row greedy loop: each pick charges one SSSP
+// and computes its row, which updates every component node's score.
+func dispersedRows(strategy Strategy, s1 dist.Source, comp []int, first, l int, meter *budget.Meter) (Set, error) {
 	n := s1.NumNodes()
 	inComp := make([]bool, n)
 	for _, u := range comp {
@@ -191,6 +206,43 @@ func selectDispersed(strategy Strategy, s1 dist.Source, comp []int, l int, meter
 		}
 	}
 	return Set{Strategy: strategy, Nodes: selected, D1: rows}, nil
+}
+
+// maxMinChain is MaxMin over a BFS source, with dispersedRows's picks,
+// rows, charges and their order. Only the greedy choice is serial: near[v],
+// the distance to the nearest pick, starts as the first pick's full row, and
+// a later pick lowers it only inside its own Voronoi cell, which
+// sssp.LowerNearest traverses alone. Each pick still charges its one SSSP
+// before its traversal, and after the last pick one sweep at workers
+// produces the full rows those charges paid for.
+func maxMinChain(g *graph.Graph, s1 dist.Source, comp []int, first, l int, meter *budget.Meter, workers int) (Set, error) {
+	if err := meter.Charge(budget.PhaseCandidateGen, 1); err != nil {
+		return Set{}, fmt.Errorf("landmark: %v selection: %w", MaxMin, err)
+	}
+	row := make([]int32, g.NumNodes())
+	s1.DistancesInto(first, row)
+	near := slices.Clone(row)
+	nodes := append(make([]int, 0, l), first)
+	for len(nodes) < l {
+		// Picks have near 0 and the component's other nodes at least 1;
+		// the first of the farthest in component order wins.
+		best, bestNear := -1, int32(0)
+		for _, v := range comp {
+			if near[v] > bestNear {
+				best, bestNear = v, near[v]
+			}
+		}
+		if best < 0 {
+			break
+		}
+		if err := meter.Charge(budget.PhaseCandidateGen, 1); err != nil {
+			return Set{}, fmt.Errorf("landmark: %v selection: %w", MaxMin, err)
+		}
+		sssp.LowerNearest(g, best, near, nil)
+		nodes = append(nodes, best)
+	}
+	rows := append([][]int32{row}, dist.DistanceMatrix(s1, nodes[1:], workers)...)
+	return Set{Strategy: MaxMin, Nodes: nodes, D1: rows}, nil
 }
 
 // Norms holds, per node of the snapshot universe, the L1 and L∞ norms of the

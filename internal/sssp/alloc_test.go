@@ -41,17 +41,21 @@ func TestBFSWithZeroAllocs(t *testing.T) {
 
 // TestSweepRowBlockSizedToSources: a sweep allocates its bit-parallel row
 // block for the lanes it can fill, not for all 64, and borrows its
-// traversal scratch from the package pool. A 10-source sweep at one worker
-// on 10,000 nodes needs 10 rows plus the kernel's per-node words, about
-// 18·n int32 (a 64-row block alone would be 64·n); a repeated sweep finds
-// the words pooled and allocates little more than its 10 rows.
+// traversal scratch from the package pool. A one-worker sweep of
+// msShareThreshold sources, the smallest that batches, on 10,000 nodes
+// needs its 16 rows plus the kernel's per-node words, about 24·n int32 (a
+// 64-row block alone would be 64·n); a repeated sweep finds the words
+// pooled and allocates little more than its rows.
 func TestSweepRowBlockSizedToSources(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("CSR invariant assertions allocate; the bound holds for default builds")
 	}
 	const n = 10000
 	g := randomGraph(rand.New(rand.NewSource(3)), n, 3*n)
-	sources := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	sources := make([]int, msShareThreshold)
+	for i := range sources {
+		sources[i] = i
+	}
 	sweepBytes := func() uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -69,8 +73,9 @@ func TestSweepRowBlockSizedToSources(t *testing.T) {
 		// A collection between two sweeps can empty the pool, so the
 		// cheaper of two repeats is the one held to the bound.
 		got := min(sweepBytes(), sweepBytes())
-		if limit := uint64(12 * n * 4); got >= limit {
-			t.Errorf("a repeated %d-source sweep allocated %d bytes, want under %d (12·n int32: its rows plus slack)", len(sources), got, limit)
+		if rows := len(sources); got >= uint64((rows+2)*n*4) {
+			t.Errorf("a repeated %d-source sweep allocated %d bytes, want under %d (%d·n int32: its rows plus slack)",
+				rows, got, (rows+2)*n*4, rows+2)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package sssp
 
 import (
 	"context"
+	"fmt"
 	"runtime/pprof"
 	"sync"
 
@@ -28,13 +29,24 @@ func sweepWorker(wg *sync.WaitGroup, kernel string, body func()) {
 //
 // This is the exact-ground-truth workhorse: the topk package streams every
 // source's distance vector through a Δ-accumulating callback instead of
-// materializing an O(n²) distance matrix. A sweep of msAutoThreshold or
-// more sources runs 64 sources per pass through the bit-parallel kernel;
-// a smaller one runs dirOptBFS per source.
+// materializing an O(n²) distance matrix. The kernel follows sweepRows's
+// per-share policy.
 func AllSourcesFunc(g *graph.Graph, sources []int, workers int, fn func(src int, dist []int32)) {
-	sweepRows([]*graph.Graph{g}, sources, workers, func(src int, rows [][]int32) {
+	sweepRows([]*graph.Graph{g}, sources, workers, nil, func(src int, rows [][]int32) {
 		fn(src, rows[0])
 	})
+}
+
+// RowsInto fills rows[i] (length g.NumNodes()) with the BFS distances from
+// sources[i], spreading the sources across workers goroutines (<=0 means
+// GOMAXPROCS) under sweepRows's per-share policy. The sweep writes straight
+// into rows and allocates none of its own. Duplicate sources produce
+// identical rows; each source's row must be a distinct slice.
+func RowsInto(g *graph.Graph, sources []int, rows [][]int32, workers int) {
+	if len(rows) != len(sources) {
+		panic(fmt.Sprintf("sssp: %d rows for %d sources", len(rows), len(sources)))
+	}
+	sweepRows([]*graph.Graph{g}, sources, workers, rows, nil)
 }
 
 // PairedSourcesFunc runs BFS from each source on both snapshots and hands the
@@ -42,27 +54,29 @@ func AllSourcesFunc(g *graph.Graph, sources []int, workers int, fn func(src int,
 // picks its kernel like AllSourcesFunc; the buffers are per-worker and must
 // not be retained.
 func PairedSourcesFunc(g1, g2 *graph.Graph, sources []int, workers int, fn func(src int, d1, d2 []int32)) {
-	sweepRows([]*graph.Graph{g1, g2}, sources, workers, func(src int, rows [][]int32) {
+	sweepRows([]*graph.Graph{g1, g2}, sources, workers, nil, func(src int, rows [][]int32) {
 		fn(src, rows[0], rows[1])
 	})
 }
 
 // sweepRows is the multi-source drivers' kernel policy and worker pool.
-// The sources of a sweep of at least msAutoThreshold go through msBFSBatch
-// in chunks of up to 64, and a smaller sweep's go through dirOptBFS one at
-// a time. Chunks are spread across at most workers goroutines (<=0 means
-// GOMAXPROCS). Each worker borrows one pooled Scratch for the whole call
-// and allocates its rows once, one per source a chunk can hold
-// (min(64, sources) for a batched sweep) on each graph in gs, so a sweep
-// allocates rows per worker, never per source. A chunk is traversed on
-// every graph with the worker's Scratch, then visit(src, rows) gets src's
-// row on each graph, in gs order.
-func sweepRows(gs []*graph.Graph, sources []int, workers int, visit func(src int, rows [][]int32)) {
-	batched := len(sources) >= msAutoThreshold
+// The sources are spread over ClampWorkers(workers, len(sources))
+// goroutines, and the kernel is picked per worker share, ⌈sources/workers⌉:
+// a share of at least msShareThreshold goes through msBFSBatch in chunks of
+// up to 64 lanes (a share's worth when it has fewer), and a smaller one's
+// sources go through dirOptBFS one at a time. Each worker borrows one pooled
+// Scratch for the whole call. With into nil, a worker allocates its rows
+// once, one per source a chunk can hold on each graph in gs, traverses each
+// chunk on every graph, then hands visit(src, rows) src's row on each graph,
+// in gs order. With into set (one graph, visit nil), into[i] is the row of
+// sources[i], and the sweep allocates no rows.
+func sweepRows(gs []*graph.Graph, sources []int, workers int, into [][]int32, visit func(src int, rows [][]int32)) {
+	workers = ClampWorkers(workers, len(sources))
 	size, kernel := 1, "diropt"
-	if batched {
-		size, kernel = min(msBatchBits, len(sources)), "bitparallel64"
+	if share := (len(sources) + workers - 1) / workers; share >= msShareThreshold {
+		size, kernel = min(msBatchBits, share), "bitparallel64"
 	}
+	batched := size > 1
 	numChunks := (len(sources) + size - 1) / size
 	if numChunks == 0 {
 		return
@@ -75,19 +89,32 @@ func sweepRows(gs []*graph.Graph, sources []int, workers int, visit func(src int
 	work := func() {
 		s := getScratch()
 		defer putScratch(s)
-		blocks := make([][][]int32, len(gs))
-		for j, g := range gs {
-			blocks[j] = newRows(size, g.NumNodes())
+		var blocks [][][]int32
+		if into == nil {
+			blocks = make([][][]int32, len(gs))
+			for j, g := range gs {
+				blocks[j] = newRows(size, g.NumNodes())
+			}
 		}
 		out := make([][]int32, len(gs))
 		for c := range next {
-			batch := sources[c*size : min((c+1)*size, len(sources))]
+			lo, hi := c*size, min((c+1)*size, len(sources))
+			batch := sources[lo:hi]
 			for j, g := range gs {
-				if batched {
-					msBFSBatch(g, batch, blocks[j][:len(batch)], s)
+				var rows [][]int32
+				if into != nil {
+					rows = into[lo:hi]
 				} else {
-					BFSWith(g, batch[0], blocks[j][0], s)
+					rows = blocks[j][:len(batch)]
 				}
+				if batched {
+					msBFSBatch(g, batch, rows, s)
+				} else {
+					BFSWith(g, batch[0], rows[0], s)
+				}
+			}
+			if visit == nil {
+				continue
 			}
 			for i, src := range batch {
 				for j := range gs {
@@ -97,7 +124,7 @@ func sweepRows(gs []*graph.Graph, sources []int, workers int, visit func(src int
 			}
 		}
 	}
-	workers = ClampWorkers(workers, numChunks)
+	workers = min(workers, numChunks)
 	if workers == 1 {
 		work()
 		return

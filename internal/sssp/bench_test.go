@@ -69,9 +69,13 @@ func BenchmarkAllSourcesParallel(b *testing.B) {
 // BenchmarkBFSEngines compares the two kernels. Single-source rows
 // measure one BFS; the batch rows measure a 64-source sweep per op (divide
 // by 64 for the per-source cost) on one worker: batch64/diropt runs
-// dirOptBFS per source, the path of sweeps below msAutoThreshold, and
-// batch64/bitparallel64 is the sweep driver itself, where the bit-parallel
-// kernel's batching pays off. The DBLP and Facebook rows run dirOptBFS on
+// dirOptBFS per source, the path of worker shares below msShareThreshold,
+// and batch64/bitparallel64 is the sweep driver itself, where the
+// bit-parallel kernel's batching pays off. The lanes rows are the
+// threshold's evidence: on the four served snapshots (DBLP n=10k and
+// Facebook n=4,700, each at 80% and 100%), one op runs 8, 16, 32 or 64
+// sources either through dirOptBFS one at a time or as one msBFSBatch, and
+// reports ns/source. The DBLP and Facebook rows run dirOptBFS on
 // the served workloads' graph shapes (servedSnapshot), cycling over 200
 // sources with an edge: benchGraph is one connected random component with
 // neither DBLP's diameter nor its unreachable components, so those rows
@@ -153,6 +157,42 @@ func BenchmarkBFSEngines(b *testing.B) {
 					BFSWith(g, sources[i%len(sources)], dist, s)
 				}
 			})
+		}
+	}
+	for _, shape := range []struct {
+		dataset string
+		nodes   int
+	}{{"DBLP", 10000}, {"Facebook", 4700}} {
+		for _, frac := range []float64{0.8, 1} {
+			for _, lanes := range []int{8, 16, 32, 64} {
+				for _, batched := range []bool{false, true} {
+					kernel := "diropt"
+					if batched {
+						kernel = "bitparallel64"
+					}
+					b.Run(fmt.Sprintf("lanes/%s/%s/n=%d/cut=%.1f/sources=%d", kernel, shape.dataset, shape.nodes, frac, lanes), func(b *testing.B) {
+						g := snapshot(b, shape.dataset, shape.nodes, frac)
+						n := g.NumNodes()
+						pool := liveSources(g, 192)
+						rows := newRows(lanes, n)
+						s := NewScratch(n)
+						b.ReportAllocs()
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							lo := (i * lanes) % len(pool)
+							batch := pool[lo : lo+lanes]
+							if batched {
+								msBFSBatch(g, batch, rows, s)
+								continue
+							}
+							for j, src := range batch {
+								BFSWith(g, src, rows[j], s)
+							}
+						}
+						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lanes), "ns/source")
+					})
+				}
+			}
 		}
 	}
 	for _, n := range []int{10000, 50000} {

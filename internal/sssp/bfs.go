@@ -8,10 +8,11 @@
 // (candidate generation, all-pairs sweeps) do not allocate per source.
 //
 // Two BFS kernels back the unweighted entry points, chosen by call shape
-// alone: single-source calls and small sweeps run a Beamer-style
-// direction-optimizing BFS, and sweeps of msAutoThreshold or more sources
-// run a 64-lane bit-parallel multi-source batch kernel. Both produce
-// bit-identical distances.
+// alone: single-source calls and sweeps whose worker shares are small run a
+// Beamer-style direction-optimizing BFS, and a share of msShareThreshold or
+// more sources runs a bit-parallel multi-source batch kernel of up to 64
+// lanes. Both produce bit-identical distances. LowerNearest, the MaxMin
+// chain's step, is a third traversal that produces no row.
 package sssp
 
 import (

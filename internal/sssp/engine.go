@@ -7,7 +7,7 @@ import (
 
 // Engine and Auto remain only for callers written against the deleted
 // kernel-selection knob. Nothing reads them: the kernel is a fixed function
-// of the call shape (see msAutoThreshold).
+// of the call shape (see msShareThreshold).
 //
 // Deprecated: the BFS kernel can no longer be chosen.
 type Engine int
@@ -20,12 +20,14 @@ const Auto Engine = 0
 // msBatchBits is the MS-BFS lane width: one source per bit of a uint64.
 const msBatchBits = 64
 
-// msAutoThreshold fixes the kernel policy of the multi-source drivers: a
-// sweep of at least this many sources runs the 64-lane bit-parallel batch
-// kernel, and a smaller one runs dirOptBFS per source, where the per-batch
-// setup (three words per node) isn't worth amortizing. Single-source entry
-// points always run dirOptBFS.
-const msAutoThreshold = 8
+// msShareThreshold fixes the kernel policy of the multi-source drivers:
+// a worker share of at least this many sources runs through the bit-parallel
+// batch kernel, and a smaller one runs dirOptBFS per source. On the served
+// snapshots a batch's per-source cost against dirOptBFS read 0.95–1.16× at
+// 8 lanes and 0.76–0.82× at 16 (BenchmarkBFSEngines's lanes rows,
+// BENCH_sssp.json "share_threshold"). Single-source entry points always run
+// dirOptBFS.
+const msShareThreshold = 16
 
 // ClampWorkers resolves a worker-count request against a job count: <= 0
 // asks for GOMAXPROCS, the result never exceeds jobs, and is at least 1.

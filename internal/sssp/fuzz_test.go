@@ -79,8 +79,8 @@ type bfsKernel struct {
 }
 
 // kernels lists both BFS kernels: BFSWith, which runs dirOptBFS, and a
-// one-lane msBFSBatch, the kernel every sweep of msAutoThreshold or more
-// sources runs.
+// one-lane msBFSBatch, the kernel every sweep share of msShareThreshold or
+// more sources runs.
 var kernels = []bfsKernel{
 	{"diropt", BFSWith},
 	{"bitparallel64", oneLaneBatch},
@@ -163,12 +163,13 @@ func TestEnginesDifferential(t *testing.T) {
 	}
 }
 
-// TestDriversDifferential asserts the multi-source drivers agree with the
-// oracle for every source, serial and with workers spreading sources (or
-// 64-source batches) across goroutines. It sweeps a source set above
-// msAutoThreshold that spans several batch boundaries, and one just below
-// it that runs per source; both contain duplicates (which must get
-// identical rows).
+// TestDriversDifferential asserts the multi-source drivers, RowsInto among
+// them, agree with the oracle for every source, serial and with workers
+// spreading sources (or batches of up to 64) across goroutines. It sweeps a
+// source set whose shares pass msShareThreshold at every worker count and
+// span several batch boundaries (64-lane batches at one and two workers,
+// 50-lane ones at four), and one just below the threshold that runs per
+// source; both contain duplicates (which must get identical rows).
 func TestDriversDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := prefAttach(400, 2, 10, rng)
@@ -179,7 +180,7 @@ func TestDriversDifferential(t *testing.T) {
 		sources = append(sources, rng.Intn(n))
 	}
 	sources = append(sources, sources[0], sources[1], n-1, n-1) // duplicates, isolated
-	small := append(append([]int{}, sources[:msAutoThreshold-3]...), sources[0], n-1)
+	small := append(append([]int{}, sources[:msShareThreshold-3]...), sources[0], n-1)
 	// Prefill the oracles serially: the callbacks below run concurrently
 	// when workers > 1 and must only read shared state.
 	want1 := map[int][]int32{}
@@ -197,7 +198,7 @@ func TestDriversDifferential(t *testing.T) {
 		return true
 	}
 	for _, set := range [][]int{sources, small} {
-		for _, workers := range []int{1, 2} {
+		for _, workers := range []int{1, 2, 4} {
 			var calls atomic.Int64
 			var bad atomic.Bool
 			AllSourcesFunc(g, set, workers, func(src int, dist []int32) {
@@ -220,6 +221,17 @@ func TestDriversDifferential(t *testing.T) {
 			if bad.Load() || calls.Load() != int64(len(set)) {
 				t.Fatalf("%d sources workers %d: PairedSources diverged from oracle (calls %d, want %d)",
 					len(set), workers, calls.Load(), len(set))
+			}
+			rows := make([][]int32, len(set))
+			for i := range rows {
+				rows[i] = make([]int32, n)
+			}
+			RowsInto(g2, set, rows, workers)
+			for i, src := range set {
+				if !equal(rows[i], want2[src]) {
+					t.Fatalf("%d sources workers %d: RowsInto row %d (source %d) diverged from oracle",
+						len(set), workers, i, src)
+				}
 			}
 		}
 	}

@@ -16,7 +16,7 @@ import (
 //
 // Counters are attributed per kernel so a run shows where its SSSPs really
 // executed: a sweep lands on diropt or bitparallel64 depending on its
-// source count, and the paper's cost model (1 SSSP = 1 unit) can be compared
+// worker share, and the paper's cost model (1 SSSP = 1 unit) can be compared
 // against the machine-level work (edges scanned) each kernel actually did.
 
 // kernelIndex identifies one instrumented kernel.
@@ -28,6 +28,7 @@ const (
 	kDijkstra
 	kRepair    // dynsssp decrease-only batch repair (monitor trackers, DynamicBFS)
 	kPrunedBFS // Δ-threshold bounded second-snapshot BFS (pruned extraction)
+	kNearest   // MaxMin chain step: Voronoi-cell BFS lowering nearest-pick distances
 	numKernels
 )
 
@@ -164,6 +165,11 @@ type MetricsSnapshot struct {
 	// pruned extraction: Nodes/Edges are work actually done before the cut.
 	// The companion PrunedWork counters say what the cut avoided.
 	PrunedBFS KernelCounters
+	// Nearest counts the MaxMin chain's LowerNearest calls: each lowers the
+	// nearest-pick distances inside one pick's Voronoi cell and produces no
+	// row, so Sources stays 0; the picks' full rows are counted where a
+	// sweep computes them.
+	Nearest KernelCounters
 }
 
 // PrunedWork aggregates what the Δ-threshold cutoffs skipped, alongside the
@@ -220,6 +226,7 @@ func SnapshotMetrics() MetricsSnapshot {
 		Dijkstra:      read(kDijkstra),
 		Repair:        read(kRepair),
 		PrunedBFS:     read(kPrunedBFS),
+		Nearest:       read(kNearest),
 	}
 }
 
@@ -232,13 +239,14 @@ func (s MetricsSnapshot) Sub(prev MetricsSnapshot) MetricsSnapshot {
 		Dijkstra:      s.Dijkstra.sub(prev.Dijkstra),
 		Repair:        s.Repair.sub(prev.Repair),
 		PrunedBFS:     s.PrunedBFS.sub(prev.PrunedBFS),
+		Nearest:       s.Nearest.sub(prev.Nearest),
 	}
 }
 
 // Total sums the kernels (FrontierPeak takes the max across kernels).
 func (s MetricsSnapshot) Total() KernelCounters {
 	return s.DirectionOpt.add(s.BitParallel64).add(s.Dijkstra).
-		add(s.Repair).add(s.PrunedBFS)
+		add(s.Repair).add(s.PrunedBFS).add(s.Nearest)
 }
 
 // RecordRepair flushes one dynsssp batch-repair run into the repair kernel
@@ -293,6 +301,7 @@ func init() {
 		kDijkstra:    "dijkstra",
 		kRepair:      "repair",
 		kPrunedBFS:   "prunedbfs",
+		kNearest:     "nearest",
 	}
 	for i := kernelIndex(0); i < numKernels; i++ {
 		kernelHist[i] = kernelHists{

@@ -15,25 +15,26 @@ func path5(t *testing.T) *graph.Graph {
 	return graph.FromEdges(5, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}})
 }
 
-// sweep8 is a sweep of msAutoThreshold sources over path5, with repeats:
-// the smallest source set the drivers run through the batch kernel.
-var sweep8 = []int{0, 1, 2, 3, 4, 0, 1, 2}
+// sweep16 is a sweep of msShareThreshold sources over path5, with
+// repeats: the smallest source set a one-worker sweep runs through the
+// batch kernel.
+var sweep16 = []int{0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0}
 
 func TestKernelMetricsAttributePerEngine(t *testing.T) {
 	g := path5(t)
 	dist := make([]int32, 5)
 	before := SnapshotMetrics()
 	BFSWith(g, 0, dist, nil)
-	AllSourcesFunc(g, sweep8, 1, func(int, []int32) {})
+	AllSourcesFunc(g, sweep16, 1, func(int, []int32) {})
 	d := SnapshotMetrics().Sub(before)
 	if d.DirectionOpt.Calls != 1 || d.DirectionOpt.Nodes != 5 || d.DirectionOpt.Edges != 8 {
 		// Every directed edge of the path is examined once: 2*4 = 8.
 		t.Errorf("diropt calls/nodes/edges = %d/%d/%d, want 1/5/8",
 			d.DirectionOpt.Calls, d.DirectionOpt.Nodes, d.DirectionOpt.Edges)
 	}
-	if d.BitParallel64.Calls != 1 || d.BitParallel64.Sources != int64(len(sweep8)) {
+	if d.BitParallel64.Calls != 1 || d.BitParallel64.Sources != int64(len(sweep16)) {
 		t.Errorf("bitparallel calls/sources = %d/%d, want 1/%d",
-			d.BitParallel64.Calls, d.BitParallel64.Sources, len(sweep8))
+			d.BitParallel64.Calls, d.BitParallel64.Sources, len(sweep16))
 	}
 	if tot := d.Total(); tot.Calls != 2 {
 		t.Errorf("total calls = %d, want 2", tot.Calls)
@@ -80,18 +81,18 @@ func TestDirectionOptSwitchCounter(t *testing.T) {
 func TestBatchFillMetric(t *testing.T) {
 	g := path5(t)
 	before := SnapshotMetrics()
-	AllSourcesFunc(g, sweep8, 1, func(src int, dist []int32) {})
+	AllSourcesFunc(g, sweep16, 1, func(src int, dist []int32) {})
 	d := SnapshotMetrics().Sub(before)
-	if d.BitParallel64.Calls != 1 || d.BitParallel64.Sources != 8 {
-		t.Fatalf("batch calls/sources = %d/%d, want 1/8", d.BitParallel64.Calls, d.BitParallel64.Sources)
+	if d.BitParallel64.Calls != 1 || d.BitParallel64.Sources != 16 {
+		t.Fatalf("batch calls/sources = %d/%d, want 1/16", d.BitParallel64.Calls, d.BitParallel64.Sources)
 	}
-	want := 8.0 / 64.0
+	want := 16.0 / 64.0
 	if fill := d.BitParallel64.BatchFill(); fill != want {
 		t.Fatalf("batch fill = %v, want %v", fill, want)
 	}
 	// Every (source, node) pair on a connected graph is one visit.
-	if d.BitParallel64.Nodes != 40 {
-		t.Fatalf("batch visits = %d, want 40", d.BitParallel64.Nodes)
+	if d.BitParallel64.Nodes != 80 {
+		t.Fatalf("batch visits = %d, want 80", d.BitParallel64.Nodes)
 	}
 }
 
