@@ -69,14 +69,14 @@ func budgetEntryPoint(name string) bool {
 }
 
 // distEntryPoint reports whether a dist-package function or method named
-// name costs budget: one unit per Source.DistancesInto call, one per row
-// for the PairedEngine calls (bounded or not: the Δ-threshold cuts
-// traversal, not charges), one per source for the batched sweeps and
-// DistanceMatrix.
+// name costs budget: one unit per Source.DistancesInto call, one per t2
+// row for PairedEngine.DeriveInto (bounded or not: the Δ-threshold cuts
+// traversal, not charges), one per source for the batched sweeps,
+// RowsInto and DistanceMatrix.
 func distEntryPoint(name string) bool {
 	switch name {
-	case "DistancesInto", "DistanceMatrix", "Sweep", "PairedSweep",
-		"DistancesPairInto", "DeriveInto":
+	case "DistancesInto", "DistanceMatrix", "RowsInto", "Sweep", "PairedSweep",
+		"DeriveInto":
 		return true
 	}
 	return false

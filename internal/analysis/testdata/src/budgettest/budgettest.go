@@ -129,20 +129,21 @@ func freeRepairReads(d *dynsssp.DynamicBFS) int {
 	return d.NumNodes() + int(d.Dist(0)) + d.RepairStats().Nodes
 }
 
-// The paired-engine entry points cost one unit per row produced: two for
-// DistancesPairInto, one for DeriveInto's t2 row.
+// Extraction's entry points cost one unit per row produced: one per source
+// for the t1 rows RowsInto sweeps, one for each DeriveInto t2 row.
 
-func unmeteredPairedEngine(ps *dist.PairedEngine, d1, d2 []int32) {
-	ps.DistancesPairInto(0, d1, d2, func() int32 { return 1 }) // want `call to dist.DistancesPairInto without`
-	ps.DeriveInto(0, d1, d2, func() int32 { return 1 })        // want `call to dist.DeriveInto without`
+func unmeteredPairedEngine(p dist.Pair, ps *dist.PairedEngine, d1, d2 []int32) {
+	dist.RowsInto(p.S1, []int{0}, [][]int32{d1}, 1)     // want `call to dist.RowsInto without`
+	ps.DeriveInto(0, d1, d2, func() int32 { return 1 }) // want `call to dist.DeriveInto without`
 }
 
 func meteredPairedEngine(p dist.Pair, m *budget.Meter, d1, d2 []int32) error {
 	if err := m.Charge(budget.PhaseTopK, 2); err != nil {
 		return err
 	}
+	dist.RowsInto(p.S1, []int{0}, [][]int32{d1}, 1)
 	ps := dist.NewPairedEngine(p, dist.PairedFull)
-	ps.DistancesPairInto(0, d1, d2, func() int32 { return 1 })
+	ps.DeriveInto(0, d1, d2, func() int32 { return 1 })
 	return nil
 }
 
@@ -169,16 +170,17 @@ func unmeteredPrunedBFS(g2 *graph.Graph, d1, d2 []int32, ps *sssp.Scratch) {
 }
 
 // meteredThresholdLoop is the pruned-extraction idiom: charge every row up
-// front, compute bounded rows through the paired engine with the shared
-// threshold as the bound, and offer each emitted delta back to the
-// threshold. Threshold reads and offers cost nothing — only the row
+// front, sweep the t1 rows, derive bounded t2 rows through the paired
+// engine with the shared threshold as the bound, and offer each emitted
+// delta back to the threshold. Threshold reads and offers cost nothing — only the row
 // computations are budget-relevant.
 func meteredThresholdLoop(p dist.Pair, m *budget.Meter, th *prune.Threshold, d1, d2 []int32) error {
 	if err := m.Charge(budget.PhaseTopK, 2); err != nil {
 		return err
 	}
+	dist.RowsInto(p.S1, []int{0}, [][]int32{d1}, 1)
 	ps := dist.NewPairedEngine(p, dist.PairedFull)
-	ps.DistancesPairInto(0, d1, d2, th.Load)
+	ps.DeriveInto(0, d1, d2, th.Load)
 	for v := range d1 {
 		if d1[v] > 0 && d1[v]-d2[v] > 0 {
 			th.Offer(d1[v] - d2[v])

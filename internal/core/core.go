@@ -99,8 +99,10 @@ type Result struct {
 // MinDelta queries both prune: a δ query's threshold is δ throughout.
 type PruneStats struct {
 	// CandidatesSkipped counts candidates whose landmark upper bound proved
-	// no pair of theirs can be returned (Δ below the threshold); their rows
-	// were charged but never traversed.
+	// no pair of theirs can be returned (Δ below the threshold). Their rows
+	// were charged. A skip always saves the t2 row; it saves the t1 row only
+	// when the bound was below the threshold's floor or the row was cached,
+	// since extraction sweeps every other t1 row before its workers start.
 	CandidatesSkipped int
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -170,6 +171,96 @@ func TestPruneAutoSkipsMinDelta(t *testing.T) {
 		t.Error("δ query skipped no candidate by its landmark bound")
 	}
 	requireExact(t, "mindelta", sp, opts, res)
+}
+
+// TestExtractionSweepsT1Rows pins extraction's t1 sweep by its exact work.
+// Degree selection runs no traversal and caches no row, so a Degree query's
+// kernel work is extraction's alone: one swept t1 row and one bounded t2
+// row per candidate. At one worker the t1 rows run as one bitparallel64
+// batch with no diropt call; at four workers with m = 30 each share holds
+// 8 sources, under the batch threshold, so they run per source. A δ query
+// on TestPruneAutoSkipsMinDelta's fixture, with δ just above the smallest
+// landmark bound of an uncached candidate, sweeps only the uncached
+// candidates whose bound reaches δ: the rest are skipped at dequeue and
+// need no row. Every result equals the exact oracle.
+func TestExtractionSweepsT1Rows(t *testing.T) {
+	sp := growingPair(t, 200, 3)
+	for _, c := range []struct {
+		m, workers int
+		batched    bool
+	}{{16, 1, true}, {30, 1, true}, {30, 2, false}, {30, 4, false}} {
+		label := fmt.Sprintf("degree/m%d/workers%d", c.m, c.workers)
+		opts := Options{Selector: candidates.Degree(), M: c.m, K: 10, Seed: 7, Workers: c.workers, Trace: obs.New("sweep")}
+		before := sssp.SnapshotMetrics()
+		res, err := TopK(sp, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		work := sssp.SnapshotMetrics().Sub(before)
+		requireExact(t, label, sp, opts, res)
+		swept := spanArg(t, opts.Trace, "extraction", "t1-swept")
+		if swept != c.m || len(res.Candidates) != c.m {
+			t.Fatalf("%s: swept %d t1 rows for %d candidates, want %d", label, swept, len(res.Candidates), c.m)
+		}
+		if c.batched {
+			if work.BitParallel64.Calls != 1 || work.BitParallel64.Sources != int64(swept) || work.DirectionOpt.Calls != 0 {
+				t.Errorf("%s: t1 rows ran %d bitparallel64 batches over %d sources and %d diropt calls, want 1 over %d and 0",
+					label, work.BitParallel64.Calls, work.BitParallel64.Sources, work.DirectionOpt.Calls, swept)
+			}
+		} else if work.DirectionOpt.Calls != int64(swept) || work.BitParallel64.Calls != 0 {
+			t.Errorf("%s: t1 rows ran %d diropt calls and %d bitparallel64 batches, want %d and 0",
+				label, work.DirectionOpt.Calls, work.BitParallel64.Calls, swept)
+		}
+		if work.PrunedBFS.Calls != int64(swept) {
+			t.Errorf("%s: %d bounded t2 rows, want one per candidate (%d)", label, work.PrunedBFS.Calls, swept)
+		}
+	}
+
+	sp = growingPair(t, 150, 11)
+	opts := Options{Selector: candidates.MMSD(), M: 20, L: 5, Seed: 7, Workers: 2, Trace: obs.New("sweep-delta")}
+	// Selection is deterministic for a seed and does not read δ: replay it
+	// to learn which candidates it cached and their landmark bounds, then
+	// put δ one above the smallest bound of an uncached candidate.
+	cctx := &candidates.Context{Pair: sp, M: opts.M, L: opts.L, RNG: rand.New(rand.NewSource(opts.Seed)), Workers: opts.Workers}
+	cands, err := opts.Selector.Select(cctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := landmarkBounds(cctx, cands)
+	opts.MinDelta = math.MaxInt32
+	for i, u := range cands {
+		if _, cached := cctx.D1Rows[u]; !cached {
+			opts.MinDelta = min(opts.MinDelta, bounds[i]+1)
+		}
+	}
+	want, below := 0, 0
+	for i, u := range cands {
+		if _, cached := cctx.D1Rows[u]; cached {
+			continue
+		}
+		if bounds[i] < opts.MinDelta {
+			below++
+		} else {
+			want++
+		}
+	}
+	if want == 0 {
+		t.Fatalf("every uncached candidate's bound is below δ = %d; the δ leg is vacuous", opts.MinDelta)
+	}
+	before := sssp.SnapshotMetrics()
+	res, err := TopK(sp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireExact(t, "delta", sp, opts, res)
+	if got := spanArg(t, opts.Trace, "extraction", "t1-swept"); got != want {
+		t.Errorf("δ query swept %d t1 rows, want the %d uncached candidates whose bound reaches δ (%d are below it)", got, want, below)
+	}
+	// The threshold of a δ query never rises, so every swept candidate
+	// derives its t2 row.
+	if calls := sssp.SnapshotMetrics().Sub(before).PrunedBFS.Calls; calls != int64(want) {
+		t.Errorf("δ query derived %d bounded t2 rows, want %d", calls, want)
+	}
 }
 
 // TestPruneSeedSound: a threshold that starts at the true kth Δ of a top-K

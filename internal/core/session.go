@@ -22,8 +22,8 @@ import (
 )
 
 // Session is the reusable form of Algorithm 1 over one snapshot pair:
-// distance sources, the paired engine, and per-worker extraction row
-// buffers are prepared once and shared across queries, so a service
+// distance sources and the paired engine are prepared once, and
+// extraction's distance rows are pooled, across queries, so a service
 // answering many queries over the same epoch window pays setup cost once
 // instead of per call. Results are bit-identical to the one-shot
 // TopK path — the session caches machine state (visible in kernel metrics
@@ -31,8 +31,8 @@ import (
 // output.
 //
 // A Session is safe for concurrent TopK calls: queries share the paired
-// engine, which holds no traversal state, and draw per-worker row buffers
-// from a pool; traversal scratch comes from sssp's pools.
+// engine, which holds no traversal state, and each borrows its own rows
+// from the pool; traversal scratch comes from sssp's pools.
 type Session struct {
 	src  dist.Pair
 	pair graph.SnapshotPair // structural view; zero for metric-only sources
@@ -40,10 +40,16 @@ type Session struct {
 	// dijkstra) for the flight record's fingerprint.
 	kernel string
 	// paired is built once in newSession and called by every extraction
-	// worker of any query; the workers check their row buffers out of pool
-	// and back in.
+	// worker of any query.
 	paired *dist.PairedEngine
-	pool   sync.Pool // *workerState
+	// rows recycles extraction's distance rows (*[]int32 of NumNodes): a
+	// query's swept t1 rows and its workers' t2 rows, none of them ever
+	// cached. They are pooled one by one, not as one block: a lone pooled
+	// block sits in the private slot of the P that put it back, out of
+	// reach of the next query when that runs on another P, while rows
+	// beyond the first land in the pool's shared lists, which any P can
+	// take from (EXPERIMENTS.md, "Why extraction sweeps its t1 rows").
+	rows sync.Pool
 }
 
 // SessionConfig remains only for callers written against the deleted
@@ -51,12 +57,6 @@ type Session struct {
 //
 // Deprecated: a session has no machine-level knobs left to configure.
 type SessionConfig struct{}
-
-// workerState is one extraction worker's distance-row buffers. Traversal
-// scratch is not the worker's: sssp's kernels borrow it from their pools.
-type workerState struct {
-	d1buf, d2buf []int32
-}
 
 // NewSession prepares a reusable session over an unweighted snapshot pair
 // with BFS distance sources. The SessionConfig arguments are ignored.
@@ -102,21 +102,34 @@ func (s *Session) Sources() dist.Pair { return s.src }
 // NumNodes returns the shared node-universe size.
 func (s *Session) NumNodes() int { return s.src.NumNodes() }
 
-// checkout draws per-worker row buffers from the pool, allocating on first
-// use.
-func (s *Session) checkout(n int) *workerState {
-	if st, _ := s.pool.Get().(*workerState); st != nil {
-		return st
+// borrowRows takes count distance rows from the pool, allocating the ones
+// it lacks. Give them back with returnRows.
+func (s *Session) borrowRows(count int) []*[]int32 {
+	rows := make([]*[]int32, count)
+	for j := range rows {
+		r, _ := s.rows.Get().(*[]int32)
+		if r == nil {
+			r = new([]int32)
+			*r = make([]int32, s.src.NumNodes())
+		}
+		rows[j] = r
 	}
-	return &workerState{d1buf: make([]int32, n), d2buf: make([]int32, n)}
+	return rows
+}
+
+// returnRows puts borrowed rows back in the pool.
+func (s *Session) returnRows(rows []*[]int32) {
+	for _, r := range rows {
+		s.rows.Put(r)
+	}
 }
 
 // TopK runs one query of Algorithm 1 on the session. It is the former
 // package-level run body, with two session-era additions: prepared state is
-// reused across calls, and ctx cancels the query between phases and between
-// extraction candidates (rows in flight finish whole; pooled scratch stays
-// reusable). Every SSSP is charged to opts.Meter (or a fresh 2M meter when
-// nil) before the traversal runs.
+// reused across calls, and ctx cancels the query between phases, after
+// extraction's t1 sweep and between extraction candidates (rows in flight
+// finish whole; pooled scratch stays reusable). Every SSSP is charged to
+// opts.Meter (or a fresh 2M meter when nil) before the traversal runs.
 func (s *Session) TopK(ctx context.Context, opts Options) (result *Result, err error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -281,6 +294,12 @@ func warmCacheKey(opts Options) string {
 // exceeds the final kth Δ of a top-K query or the δ of a δ query. Budget
 // charges are identical — the charge above counts rows produced, and a
 // skipped candidate's rows were still charged.
+//
+// The G_t1 rows selection did not cache are computed before the workers
+// start, by one dist.RowsInto sweep into pooled rows, for every
+// candidate whose landmark bound reaches the threshold's floor (one below
+// it is skipped at dequeue whatever T does). The workers then derive each
+// candidate's bounded t2 row and emit its pairs.
 func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, cands []int, inM []bool, workers int, opts Options, meter *budget.Meter, phases *obs.PhaseNanos) ([]topk.Pair, PruneStats, error) {
 	if len(cands) == 0 {
 		return nil, PruneStats{}, nil
@@ -312,6 +331,29 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 
 	th := prune.NewThreshold(opts.K, opts.MinDelta)
 	ubounds := landmarkBounds(cctx, cands)
+	// d1s[i] is cands[i]'s t1 row: the selector's cached row, a row of the
+	// sweep below, or nil for a candidate the floor already skips.
+	floor := th.Load()
+	d1s := make([][]int32, len(cands))
+	var swept, sweptAt []int
+	for i, u := range cands {
+		if row, ok := cctx.D1Rows[u]; ok {
+			d1s[i] = row
+		} else if ubounds == nil || ubounds[i] >= floor {
+			swept = append(swept, u)
+			sweptAt = append(sweptAt, i)
+		}
+	}
+	// The pooled rows are the swept t1 rows, then one t2 row per worker.
+	pooled := s.borrowRows(len(swept) + workers)
+	defer s.returnRows(pooled)
+	t1 := make([][]int32, len(swept))
+	for j, i := range sweptAt {
+		t1[j] = *pooled[j]
+		d1s[i] = t1[j]
+	}
+	dist.RowsInto(s.src.S1, swept, t1, workers)
+
 	//convlint:shared lock-free skip tally; workers only Add, read after Wait
 	var skipped atomic.Int64
 	// Processing order: largest upper bound first, so the candidates most
@@ -331,18 +373,19 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 	next := make(chan int, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
+		d2buf := *pooled[len(swept)+w]
 		wg.Add(1)
 		// The pprof label splits CPU/goroutine profiles by subsystem, so an
 		// extraction-heavy run shows up as such in /debug/pprof.
 		go pprof.Do(context.Background(), pprof.Labels("subsystem", "core-extract"),
 			func(context.Context) {
 				defer wg.Done()
-				st := s.checkout(n)
-				defer s.pool.Put(st)
 				var local []topk.Pair
 				for i := range next {
+					// A query cancelled during the sweep or since then
+					// drains without traversing.
 					if ctx.Err() != nil {
-						continue // drain without traversing
+						continue
 					}
 					// Whole-candidate skip: the landmark bound caps every
 					// pair involving this candidate (including pairs it
@@ -354,20 +397,13 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 						continue
 					}
 					u := cands[i]
-					d1 := cctx.D1Rows[u]
-					d2 := cctx.D2Rows[u]
+					d1, d2 := d1s[i], cctx.D2Rows[u]
 					// Selectors cache a d2 row only beside its d1 row
-					// (Context.CacheRows), so a cached d1 row is the one
-					// partial case.
-					switch {
-					case d1 == nil:
-						s.paired.DistancesPairInto(u, st.d1buf, st.d2buf, th.Load)
-						d1, d2 = st.d1buf, st.d2buf
-					case d2 == nil:
-						// The selector already paid for the t1 row; compute
-						// just the t2 row.
-						s.paired.DeriveInto(u, d1, st.d2buf, th.Load)
-						d2 = st.d2buf
+					// (Context.CacheRows); every other candidate derives
+					// its t2 row from d1 here.
+					if d2 == nil {
+						s.paired.DeriveInto(u, d1, d2buf, th.Load)
+						d2 = d2buf
 					}
 					// Emission cut: lo = T, re-read at the row start and
 					// after every offer. A pair strictly below lo cannot be
@@ -407,7 +443,8 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 	wg.Wait()
 	pstats := PruneStats{CandidatesSkipped: int(skipped.Load())}
 	prune.SkipCandidates(pstats.CandidatesSkipped)
-	extSpan.Set(obs.Int("emitted-pairs", len(all)), obs.Int("pruned-skipped", pstats.CandidatesSkipped))
+	extSpan.Set(obs.Int("t1-swept", len(swept)), obs.Int("emitted-pairs", len(all)),
+		obs.Int("pruned-skipped", pstats.CandidatesSkipped))
 	extSpan.End()
 	//convlint:nondet phase latency is observational, not part of results
 	phases.Extraction = time.Since(extStart).Nanoseconds()

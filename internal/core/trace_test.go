@@ -12,7 +12,8 @@ import (
 // TestTraceMatchesBudgetReport is the observability layer's core contract:
 // every SSSP the meter charges is attributed to a phase span via the budget
 // observer, so the trace's per-phase totals and the run's budget report are
-// two views of the same spending.
+// two views of the same spending. The extraction span reports the t1 rows
+// its sweep produced.
 func TestTraceMatchesBudgetReport(t *testing.T) {
 	sp := growingPair(t, 150, 21)
 	tr := obs.New("core-test")
@@ -31,6 +32,12 @@ func TestTraceMatchesBudgetReport(t *testing.T) {
 	}
 	if res.Budget.Total() == 0 {
 		t.Fatal("run spent no budget; the test is vacuous")
+	}
+	// MMSD caches rows in (d1, d2) pairs, and an uncached candidate's
+	// landmark bound is at least 2, above a top-K query's floor of 1: the
+	// sweep makes every charged t1 row, half the extraction charge.
+	if got := spanArg(t, tr, "extraction", "t1-swept"); got != res.Budget.TopK/2 {
+		t.Errorf("extraction span t1-swept = %d, want half the extraction charge (%d)", got, res.Budget.TopK/2)
 	}
 
 	// The exported Chrome document must parse and contain all three phase

@@ -9,15 +9,15 @@
 // distance queries; the paper's cost model charges one budget unit per
 // DistancesInto call (callers charge their budget.Meter before invoking, a
 // discipline convlint's budgetcheck enforces mechanically). Batched helpers
-// (Sweep, PairedSweep, DistanceMatrix) route BFS sources to sssp's
-// multi-source drivers, and run everything else on a worker pool that
-// calls DistancesInto per source.
+// (Sweep, PairedSweep, RowsInto, DistanceMatrix) route BFS sources to
+// sssp's multi-source drivers, and run everything else on a worker pool
+// that calls DistancesInto per source.
 //
-// The package declares one interface, Source. The two-snapshot rows of
-// extraction come from the concrete PairedEngine. Traversal scratch belongs
-// to sssp, whose kernels borrow it from their pools, so nothing here holds
-// traversal state and callers own only their distance rows. BFS-only fast
-// paths are found by asserting *BFS.
+// The package declares one interface, Source. Extraction's t1 rows come
+// from RowsInto and its t2 rows from the concrete PairedEngine. Traversal
+// scratch belongs to sssp, whose kernels borrow it from their pools, so
+// nothing here holds traversal state and callers own only their distance
+// rows. BFS-only fast paths are found by asserting *BFS.
 package dist
 
 import (
@@ -102,11 +102,29 @@ func workerPool(count, workers int, newVisit func() func(i int)) {
 	wg.Wait()
 }
 
+// RowsInto fills rows[i] (length NumNodes) with the distances from
+// sources[i], from at most workers goroutines. BFS sources go through
+// sssp.RowsInto, which picks its kernel per worker share; others run the
+// worker pool, calling DistancesInto on each row. It allocates no row, and
+// each source's row must be a distinct slice. Costs len(sources) budget
+// units.
+func RowsInto(s Source, sources []int, rows [][]int32, workers int) {
+	if len(rows) != len(sources) {
+		panic(fmt.Sprintf("dist: %d rows for %d sources", len(rows), len(sources)))
+	}
+	if b, ok := s.(*BFS); ok {
+		sssp.RowsInto(b.g, sources, rows, workers)
+		return
+	}
+	workerPool(len(sources), workers, func() func(i int) {
+		return func(i int) { s.DistancesInto(sources[i], rows[i]) }
+	})
+}
+
 // DistanceMatrix computes the full rows-by-n distance matrix from the given
 // sources (row i = distances from sources[i]). Intended for candidate and
 // landmark sets (small m), not all-pairs sweeps. Each distinct source's row
-// is allocated once and filled in place: BFS sources through sssp.RowsInto,
-// others by a worker pool calling DistancesInto on it. A duplicate source's
+// is allocated once and filled in place by RowsInto; a duplicate source's
 // row aliases its first occurrence. Costs one budget unit per distinct
 // source.
 func DistanceMatrix(s Source, sources []int, workers int) [][]int32 {
@@ -125,13 +143,7 @@ func DistanceMatrix(s Source, sources []int, workers int) [][]int32 {
 		unique = append(unique, src)
 		into = append(into, rows[i])
 	}
-	if b, ok := s.(*BFS); ok {
-		sssp.RowsInto(b.g, unique, into, workers)
-		return rows
-	}
-	workerPool(len(unique), workers, func() func(i int) {
-		return func(i int) { s.DistancesInto(unique[i], into[i]) }
-	})
+	RowsInto(s, unique, into, workers)
 	return rows
 }
 

@@ -176,37 +176,45 @@ func evolvedPair(t testing.TB, n int, seed int64) (*graph.Graph, *graph.Graph) {
 	return g1, graph.FromEdges(n, edges)
 }
 
-// TestPairedEngineSessions is the dist-level differential pin of the paired
-// engine against each source's own rows: DistancesPairInto fills the
-// exact t1 row, and with a bound T the t2 row keeps every delta >= T exact,
-// while any other node holds its exact distance or d2 = d1 (delta 0, the
-// cut's filler); a call that reports no cut returns the exact t2 row.
-// DeriveInto computes the same t2 row from a caller-supplied t1 row. A
-// Dijkstra pair has no bounded kernel and always returns full rows.
+// TestPairedEngineSessions is the dist-level differential pin of
+// extraction's rows against each source's own rows: RowsInto fills the
+// exact t1 rows, batched (one worker, a share of 17) or per source (four
+// workers), and DeriveInto with a bound T derives from a swept row a t2 row
+// that keeps every delta >= T exact, while any other node holds its exact
+// distance or d2 = d1 (delta 0, the cut's filler); a call that reports no
+// cut returns the exact t2 row. Deriving from the source's own t1 row gives
+// the same row and the same cut flag. A Dijkstra pair has no bounded kernel
+// and always returns full rows, the BFS rows on unit weights.
 func TestPairedEngineSessions(t *testing.T) {
 	g1, g2 := evolvedPair(t, 50, 17)
 	n := g1.NumNodes()
 	want1 := make([]int32, n)
 	want2 := make([]int32, n)
-	d1 := make([]int32, n)
 	d2 := make([]int32, n)
 	derived := make([]int32, n)
 	cuts := 0
 	p := BFSPair(graph.SnapshotPair{G1: g1, G2: g2})
 	eng := NewPairedEngine(p, PairedFull)
-	for u := 0; u < n; u += 5 {
+	var sources []int
+	for u := 0; u < n; u += 3 {
+		sources = append(sources, u)
+	}
+	batched, perSource := newTestRows(len(sources), n), newTestRows(len(sources), n)
+	RowsInto(p.S1, sources, batched, 1)
+	RowsInto(p.S1, sources, perSource, 4)
+	for i, u := range sources {
 		p.S1.DistancesInto(u, want1)
 		p.S2.DistancesInto(u, want2)
+		if !reflect.DeepEqual(batched[i], want1) || !reflect.DeepEqual(perSource[i], want1) {
+			t.Fatalf("RowsInto t1 row of %d diverges from the source's row", u)
+		}
 		for _, th := range []int32{1, 2, 3} {
 			bound := func() int32 { return th }
-			cut := eng.DistancesPairInto(u, d1, d2, bound)
+			cut := eng.DeriveInto(u, batched[i], d2, bound)
 			if cut {
 				cuts++
 			} else if !reflect.DeepEqual(d2, want2) {
 				t.Fatalf("bound %d: uncut t2 row of %d diverges from the source's row", th, u)
-			}
-			if !reflect.DeepEqual(d1, want1) {
-				t.Fatalf("bound %d: t1 row of %d diverges from the source's row", th, u)
 			}
 			for v := range d2 {
 				if want1[v] <= 0 || d2[v] == want2[v] {
@@ -221,7 +229,7 @@ func TestPairedEngineSessions(t *testing.T) {
 				derived[i] = -7 // poison; DeriveInto must fully overwrite
 			}
 			if eng.DeriveInto(u, want1, derived, bound) != cut || !reflect.DeepEqual(derived, d2) {
-				t.Fatalf("bound %d: DeriveInto(%d) diverges from DistancesPairInto", th, u)
+				t.Fatalf("bound %d: DeriveInto(%d) from the source's t1 row diverges from the swept row's", th, u)
 			}
 		}
 	}
@@ -231,17 +239,32 @@ func TestPairedEngineSessions(t *testing.T) {
 	// A Dijkstra pair gives the BFS rows on unit weights.
 	dp := DijkstraPair(graph.FromUnweighted(g1), graph.FromUnweighted(g2))
 	de := NewPairedEngine(dp, PairedFull)
+	var dsources []int
 	for u := 0; u < n; u += 7 {
+		dsources = append(dsources, u)
+	}
+	drows := newTestRows(len(dsources), n)
+	RowsInto(dp.S1, dsources, drows, 2)
+	for i, u := range dsources {
 		p.S1.DistancesInto(u, want1)
 		p.S2.DistancesInto(u, want2)
 		// Dijkstra has no bounded kernel: a bound still yields full rows.
-		if de.DistancesPairInto(u, d1, d2, func() int32 { return 3 }) {
+		if de.DeriveInto(u, drows[i], d2, func() int32 { return 3 }) {
 			t.Fatal("Dijkstra pair reported a cut")
 		}
-		if !reflect.DeepEqual(d1, want1) || !reflect.DeepEqual(d2, want2) {
+		if !reflect.DeepEqual(drows[i], want1) || !reflect.DeepEqual(d2, want2) {
 			t.Fatalf("Dijkstra paired rows from %d diverge from BFS", u)
 		}
 	}
+}
+
+// newTestRows returns count distinct rows of n int32.
+func newTestRows(count, n int) [][]int32 {
+	rows := make([][]int32, count)
+	for i := range rows {
+		rows[i] = make([]int32, n)
+	}
+	return rows
 }
 
 // TestParsePairedMode covers the parser kept for old paired-mode spellings.
@@ -259,8 +282,8 @@ func TestParsePairedMode(t *testing.T) {
 
 // TestSweepEdgeCases covers the generic fallback corners only the batched
 // BFS path used to exercise: empty source sets, more workers than sources,
-// and a single-node graph — on Sweep, PairedSweep, and the paired engine,
-// for both the kernel-backed and worker-pool paths.
+// and a single-node graph — on Sweep, RowsInto, PairedSweep, and the paired
+// engine, for both the kernel-backed and worker-pool paths.
 func TestSweepEdgeCases(t *testing.T) {
 	single := graph.FromEdges(1, nil)
 	g := randomGraph(t, 12, 5)
@@ -284,6 +307,12 @@ func TestSweepEdgeCases(t *testing.T) {
 		})
 		if len(got) != 2 || got[1] != 1 || got[2] != 1 {
 			t.Fatalf("%T: over-workered sweep visits = %v", s, got)
+		}
+		RowsInto(s, nil, nil, 4)
+		rows := newTestRows(2, s.NumNodes())
+		RowsInto(s, []int{1, 2}, rows, 16)
+		if rows[0][1] != 0 || rows[1][2] != 0 {
+			t.Fatalf("%T: over-workered RowsInto rows = %v", s, rows)
 		}
 	}
 	for _, s := range srcs(single) {
@@ -322,7 +351,8 @@ func TestSweepEdgeCases(t *testing.T) {
 	}
 	sp := Pair{S1: NewBFS(single), S2: NewBFS(single)}
 	d1, d2 := []int32{-7}, []int32{-7}
-	NewPairedEngine(sp, PairedFull).DistancesPairInto(0, d1, d2, func() int32 { return 1 })
+	RowsInto(sp.S1, []int{0}, [][]int32{d1}, 3)
+	NewPairedEngine(sp, PairedFull).DeriveInto(0, d1, d2, func() int32 { return 1 })
 	if d1[0] != 0 || d2[0] != 0 {
 		t.Fatalf("single-node paired rows = %v, %v", d1, d2)
 	}

@@ -32,27 +32,27 @@ func ParsePairedMode(s string) (PairedMode, error) {
 	}
 }
 
-// PairedEngine produces both snapshot rows of one source over one snapshot
-// pair. It holds no traversal state (the sssp kernels it calls borrow
-// scratch from their package's pools), so one engine serves every
-// extraction worker at once.
+// PairedEngine produces a source's G_t2 row from its G_t1 row over one
+// snapshot pair; extraction sweeps the G_t1 rows beforehand (RowsInto). It
+// holds no traversal state (the sssp kernels it calls borrow scratch from
+// their package's pools), so one engine serves every extraction worker at
+// once.
 //
-// Both methods follow the paper's cost model: one budget unit per distance
-// row *produced*, regardless of how much traversal producing it took — so
-// DistancesPairInto costs 2 units and DeriveInto costs 1, whether or not
-// the bound cut the work short. Callers charge their meter accordingly
+// DeriveInto follows the paper's cost model: one budget unit per distance
+// row *produced*, regardless of how much traversal producing it took,
+// whether or not the bound cut the work short. Callers charge their meter
 // before invoking.
 //
 // bound is the Δ-threshold of pruned extraction: on a BFS pair the t2 row
 // comes from sssp.PrunedSecondBFS, which stops the second-snapshot
 // traversal once bound() proves the remaining nodes cannot produce a pair
 // the query returns; a second source that is not BFS-backed gives the full
-// row. Both methods return whether the t2 work was cut short. A cut d2 row
+// row. DeriveInto returns whether the t2 work was cut short. A cut d2 row
 // is only valid for delta extraction against its d1: abandoned nodes hold
 // d2 = d1 (delta 0), not their true distance, so such rows must never be
 // cached or served as distance rows.
 type PairedEngine struct {
-	p Pair
+	s2 Source
 	// g2 backs the Δ-threshold bounded traversal; nil when the second
 	// source is not BFS-backed.
 	g2 *graph.Graph
@@ -62,21 +62,14 @@ type PairedEngine struct {
 // PairedMode).
 func NewPairedEngine(p Pair, _ PairedMode) *PairedEngine {
 	g2, _ := UnweightedGraph(p.S2)
-	return &PairedEngine{p: p, g2: g2}
-}
-
-// DistancesPairInto fills d1 and d2 (each length NumNodes) with the distance
-// rows of src on G_t1 and G_t2. Costs 2 budget units.
-func (e *PairedEngine) DistancesPairInto(src int, d1, d2 []int32, bound func() int32) bool {
-	e.p.S1.DistancesInto(src, d1)
-	return e.DeriveInto(src, d1, d2, bound)
+	return &PairedEngine{s2: p.S2, g2: g2}
 }
 
 // DeriveInto fills d2 with src's G_t2 row, given its already-computed G_t1
 // row d1, which only the bounded traversal reads. Costs 1 budget unit.
 func (e *PairedEngine) DeriveInto(src int, d1, d2 []int32, bound func() int32) bool {
 	if e.g2 == nil {
-		e.p.S2.DistancesInto(src, d2)
+		e.s2.DistancesInto(src, d2)
 		return false
 	}
 	return sssp.PrunedSecondBFS(e.g2, src, d1, d2, bound, nil)

@@ -76,7 +76,9 @@ type RunRecord struct {
 	Candidates int `json:"candidates"`
 	Pairs      int `json:"pairs"`
 	// PrunedCandidates counts candidates skipped whole by the landmark
-	// upper bound (their charged rows were never traversed).
+	// upper bound. A skip always saves the charged t2 row; it saves the t1
+	// row only when the bound was below the threshold's floor or the row
+	// was cached.
 	PrunedCandidates int `json:"pruned_candidates,omitempty"`
 	// Outcome is "ok" or the error text of a failed run.
 	Outcome string `json:"outcome"`

@@ -151,7 +151,9 @@ var (
 )
 
 // SkipCandidates records n whole candidates skipped by a landmark upper
-// bound: their distance rows were charged to the budget but never traversed.
+// bound. Their distance rows were charged to the budget; a skip always
+// saves the t2 row, and saves the t1 row only when the candidate was below
+// the threshold's floor or its row was cached.
 func SkipCandidates(n int) { candidatesSkipped.Add(int64(n)) }
 
 func init() {
