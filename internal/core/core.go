@@ -88,10 +88,10 @@ type Result struct {
 	Phases obs.PhaseNanos
 	// Pruned reports what the Δ-threshold pruning did. Observational only:
 	// on a top-K query worker timing changes how early the threshold
-	// tightens, so skip counts vary run to run while Pairs/Candidates/Budget
-	// never do. It is zero on a warm hit (Options.Warm), which runs no
-	// extraction: its flight record shows the replayed budget, no kernel
-	// work and workers=0.
+	// tightens, so skip and cut counts vary run to run at more than one
+	// worker while Pairs/Candidates/Budget never do. It is zero on a warm
+	// hit (Options.Warm), which runs no extraction: its flight record shows
+	// the replayed budget, no kernel work and workers=0.
 	Pruned PruneStats
 }
 
@@ -104,6 +104,9 @@ type PruneStats struct {
 	// when the bound was below the threshold's floor or the row was cached,
 	// since extraction sweeps every other t1 row before its workers start.
 	CandidatesSkipped int
+	// Cutoffs counts the query's bounded t2 rows that the Δ-threshold cut
+	// stopped early.
+	Cutoffs int
 }
 
 // CandidateSet returns the candidate endpoints as a set, the form the

@@ -149,11 +149,11 @@ func (s *Session) TopK(ctx context.Context, opts Options) (result *Result, err e
 	//convlint:nondet phase latency is observational, not part of results
 	runStart := time.Now()
 	kernelsBefore := sssp.SnapshotMetrics()
-	prunedBefore := sssp.SnapshotPrunedWork()
 	var phases obs.PhaseNanos
+	var pstats PruneStats
 	workers := 0 // extraction workers, resolved once the candidates are known
 	defer func() {
-		recordRun(opts, s.kernel, workers, meter, kernelsBefore, prunedBefore, runStart, phases, result, err)
+		recordRun(opts, s.kernel, workers, meter, kernelsBefore, pstats, runStart, phases, result, err)
 	}()
 	tr := opts.Trace
 	key := warmCacheKey(opts)
@@ -249,7 +249,8 @@ func (s *Session) TopK(ctx context.Context, opts Options) (result *Result, err e
 	}
 	cands = uniq
 	workers = sssp.ClampWorkers(opts.Workers, len(cands))
-	pairs, pstats, err := s.extractPairs(ctx, cctx, cands, inM, workers, opts, meter, &phases)
+	var pairs []topk.Pair
+	pairs, pstats, err = s.extractPairs(ctx, cctx, cands, inM, workers, opts, meter, &phases)
 	if err != nil {
 		return nil, err
 	}
@@ -299,7 +300,8 @@ func warmCacheKey(opts Options) string {
 // start, by one dist.RowsInto sweep into pooled rows, for every
 // candidate whose landmark bound reaches the threshold's floor (one below
 // it is skipped at dequeue whatever T does). The workers then derive each
-// candidate's bounded t2 row and emit its pairs.
+// candidate's bounded t2 row and emit its pairs. A query cancelled once
+// the workers started still returns its skips and cuts.
 func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, cands []int, inM []bool, workers int, opts Options, meter *budget.Meter, phases *obs.PhaseNanos) ([]topk.Pair, PruneStats, error) {
 	if len(cands) == 0 {
 		return nil, PruneStats{}, nil
@@ -354,8 +356,8 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 	}
 	dist.RowsInto(s.src.S1, swept, t1, workers)
 
-	//convlint:shared lock-free skip tally; workers only Add, read after Wait
-	var skipped atomic.Int64
+	//convlint:shared lock-free skip and cut tallies; workers only Add, read after Wait
+	var skipped, cutoffs atomic.Int64
 	// Processing order: largest upper bound first, so the candidates most
 	// likely to hold top pairs tighten the threshold before the hopeless tail
 	// is even dequeued. The order permutation leaves cands itself untouched —
@@ -402,7 +404,9 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 					// (Context.CacheRows); every other candidate derives
 					// its t2 row from d1 here.
 					if d2 == nil {
-						s.paired.DeriveInto(u, d1, d2buf, th.Load)
+						if s.paired.DeriveInto(u, d1, d2buf, th.Load) {
+							cutoffs.Add(1)
+						}
 						d2 = d2buf
 					}
 					// Emission cut: lo = T, re-read at the row start and
@@ -415,7 +419,12 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 						if v == u || (inM[v] && v < u) {
 							continue // the pair is found from the smaller candidate
 						}
-						if d1[v] <= 0 {
+						// d2 < 0 with d1 > 0 marks a node a cut abandoned:
+						// its Δ is below the max(1, T) the cut read, and lo,
+						// read since from a threshold that only rises and is
+						// at least 1, is no smaller. An uncut row reaches
+						// every node with d1 > 0.
+						if d1[v] <= 0 || d2[v] < 0 {
 							continue
 						}
 						delta := d1[v] - d2[v]
@@ -441,7 +450,7 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 	}
 	close(next)
 	wg.Wait()
-	pstats := PruneStats{CandidatesSkipped: int(skipped.Load())}
+	pstats := PruneStats{CandidatesSkipped: int(skipped.Load()), Cutoffs: int(cutoffs.Load())}
 	prune.SkipCandidates(pstats.CandidatesSkipped)
 	extSpan.Set(obs.Int("t1-swept", len(swept)), obs.Int("emitted-pairs", len(all)),
 		obs.Int("pruned-skipped", pstats.CandidatesSkipped))

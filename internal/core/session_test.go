@@ -11,6 +11,7 @@ import (
 	"repro/internal/candidates"
 	"repro/internal/dist"
 	"repro/internal/graph"
+	"repro/internal/obs"
 )
 
 // resultsEqual compares everything a served query promises to keep
@@ -58,7 +59,11 @@ func TestSessionMatchesOneShot(t *testing.T) {
 // and budgets concurrently on one Session and checks each against its own
 // one-shot run — the serve layer's exact usage pattern. MMSD and MaxMin
 // queries sweep landmarks and pick dispersed nodes, so concurrent queries
-// share sssp's pooled scratch as well as the session's paired engine.
+// share sssp's pooled scratch as well as the session's paired engine. The
+// second half runs one extraction worker, where a query's skips and cuts
+// are deterministic: they must equal the one-shot run's, and every flight
+// record of the query must carry its own cut count, which a delta of the
+// global counters would mix with the overlapping queries' cuts.
 func TestSessionConcurrentQueries(t *testing.T) {
 	sp := growingPair(t, 100, 7)
 	sess, err := NewSession(sp)
@@ -66,13 +71,23 @@ func TestSessionConcurrentQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	selectors := []candidates.Selector{candidates.Random(), candidates.MMSD(), candidates.MaxMin()}
+	const queries = 9
+	queryOpts := func(i int) Options {
+		opts := Options{Selector: selectors[i%3], M: 12 + i%queries, L: 4, K: 4, Seed: int64(100 + i%queries)}
+		if i >= queries {
+			opts.Workers = 1
+		}
+		return opts
+	}
+	firstRecord := obs.Flight.Total()
+	results := make([]*Result, 2*queries)
 	var wg sync.WaitGroup
-	for i := 0; i < 9; i++ {
+	for i := 0; i < 2*queries; i++ {
 		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			opts := Options{Selector: selectors[i%3], M: 12 + i, L: 4, K: 4, Seed: int64(100 + i)}
+			opts := queryOpts(i)
 			want, err := TopK(sp, opts)
 			if err != nil {
 				t.Error(err)
@@ -86,9 +101,39 @@ func TestSessionConcurrentQueries(t *testing.T) {
 			if !resultsEqual(want, got) {
 				t.Errorf("query %d diverged under concurrency", i)
 			}
+			if opts.Workers == 1 && got.Pruned != want.Pruned {
+				t.Errorf("one-worker query %d: pruned %+v, one-shot %+v", i, got.Pruned, want.Pruned)
+			}
+			results[i] = got
 		}()
 	}
 	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	recs := obs.Flight.Last(int(obs.Flight.Total() - firstRecord))
+	cuts := 0
+	for i := queries; i < 2*queries; i++ {
+		fp, want := fingerprint(queryOpts(i), sess.kernel, 1), int64(results[i].Pruned.Cutoffs)
+		cuts += results[i].Pruned.Cutoffs
+		seen := 0
+		for _, rec := range recs {
+			if rec.Fingerprint != fp {
+				continue
+			}
+			seen++
+			if rec.Kernels.PrunedCutoffs != want {
+				t.Errorf("query %d: flight record pruned_cutoffs = %d, Result.Pruned.Cutoffs = %d",
+					i, rec.Kernels.PrunedCutoffs, want)
+			}
+		}
+		if seen < 2 {
+			t.Errorf("query %d: %d flight records with fingerprint %q, want its one-shot and session runs", i, seen, fp)
+		}
+	}
+	if cuts == 0 {
+		t.Error("no one-worker query cut a bounded row: the per-query cut count went untested")
+	}
 }
 
 // TestSessionCancellation pins ctx semantics: a pre-canceled context fails

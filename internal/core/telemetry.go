@@ -50,16 +50,17 @@ func fingerprint(opts Options, kernel string, workers int) string {
 // recordRun closes out one run's telemetry: the total-phase histogram sample,
 // res.Phases.Total when the run succeeded, and a flight-recorder entry
 // carrying the options fingerprint, per-phase wall times, the meter's final
-// report, and the kernel-counter delta. The
-// kernel counters are process-global, so under concurrent runs the delta
-// attributes overlapping traversal work to whichever run reads it — an
-// accepted imprecision, same as SnapshotMetrics region attribution.
-func recordRun(opts Options, kernel string, workers int, meter *budget.Meter, before sssp.MetricsSnapshot, prunedBefore sssp.PrunedWork, start time.Time, phases obs.PhaseNanos, res *Result, err error) {
+// report, the kernel-counter delta and the query's own pruning counts
+// (pstats, also those of a failed or cancelled query). The kernel counters
+// are process-global, so under concurrent runs the delta attributes
+// overlapping traversal work to whichever run reads it — an accepted
+// imprecision, same as SnapshotMetrics region attribution. The pruning
+// counts are exact for the query.
+func recordRun(opts Options, kernel string, workers int, meter *budget.Meter, before sssp.MetricsSnapshot, pstats PruneStats, start time.Time, phases obs.PhaseNanos, res *Result, err error) {
 	//convlint:nondet phase latency is observational, not part of results
 	phases.Total = time.Since(start).Nanoseconds()
 	totalNS.Observe(phases.Total)
 	d := sssp.SnapshotMetrics().Sub(before)
-	pd := sssp.SnapshotPrunedWork().Sub(prunedBefore)
 	t := d.Total()
 	rep := meter.Report()
 	rec := obs.RunRecord{
@@ -74,22 +75,20 @@ func recordRun(opts Options, kernel string, workers int, meter *budget.Meter, be
 			Sources: t.Sources - d.Repair.Sources - d.PrunedBFS.Sources,
 			Nodes:   t.Nodes - d.Repair.Nodes - d.PrunedBFS.Nodes,
 			Edges:   t.Edges - d.Repair.Edges - d.PrunedBFS.Edges,
-			// The pruned-extraction split: bounded t2 traversals, plus the
-			// work the Δ-threshold cuts avoided.
+			// The pruned-extraction split: bounded t2 traversals, and how
+			// many of the query's the Δ-threshold cut stopped.
 			PrunedBFSCalls:         d.PrunedBFS.Calls,
 			PrunedBFSEdges:         d.PrunedBFS.Edges,
 			PrunedBFSBottomUpSteps: d.PrunedBFS.BottomUpSteps,
-			PrunedCutoffs:          pd.Cutoffs,
-			PrunedSkippedNodes:     pd.Nodes,
-			PrunedSkippedEdges:     pd.Edges,
+			PrunedCutoffs:          int64(pstats.Cutoffs),
 		},
-		Outcome: "ok",
+		PrunedCandidates: pstats.CandidatesSkipped,
+		Outcome:          "ok",
 	}
 	if res != nil {
 		res.Phases.Total = phases.Total
 		rec.Candidates = len(res.Candidates)
 		rec.Pairs = len(res.Pairs)
-		rec.PrunedCandidates = res.Pruned.CandidatesSkipped
 	}
 	if err != nil {
 		rec.Outcome = err.Error()

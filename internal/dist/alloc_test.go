@@ -60,8 +60,12 @@ func allocFixture(t *testing.T, count int) (Source, []int) {
 }
 
 // leastAlloc returns the bytes the cheaper of two calls of f allocated: a
-// collection between two calls can empty the scratch pool.
+// collection between two calls can empty the scratch pool. It runs f on
+// one P, as testing.AllocsPerRun does: a lone pooled Scratch sits in the
+// private slot of the P that returned it, so a call resumed on another P
+// would miss it.
 func leastAlloc(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	once := func() uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -48,9 +48,11 @@ func ParsePairedMode(s string) (PairedMode, error) {
 // traversal once bound() proves the remaining nodes cannot produce a pair
 // the query returns; a second source that is not BFS-backed gives the full
 // row. DeriveInto returns whether the t2 work was cut short. A cut d2 row
-// is only valid for delta extraction against its d1: abandoned nodes hold
-// d2 = d1 (delta 0), not their true distance, so such rows must never be
-// cached or served as distance rows.
+// is only valid for delta extraction against its d1: every node the call
+// did not discover stays Unreachable, and each such node with d1 > 0 has Δ
+// below max(1, T) for the T the cut read. Readers skip d2 < 0 under a
+// floor of at least that T, and such rows must never be cached or served
+// as distance rows. An uncut row is the true row.
 type PairedEngine struct {
 	s2 Source
 	// g2 backs the Δ-threshold bounded traversal; nil when the second

@@ -43,14 +43,12 @@ type KernelDelta struct {
 	Edges   int64 `json:"edges"`
 	// The pruned-extraction split: how many bounded second-snapshot
 	// traversals ran (the edges they still scanned, and how many of their
-	// levels ran bottom-up), how many were cut short by the Δ-threshold,
-	// and the node visits / edge scans the cuts provably avoided.
+	// levels ran bottom-up), and how many of the run's own the Δ-threshold
+	// cut short.
 	PrunedBFSCalls         int64 `json:"prunedbfs_calls,omitempty"`
 	PrunedBFSEdges         int64 `json:"prunedbfs_edges,omitempty"`
 	PrunedBFSBottomUpSteps int64 `json:"prunedbfs_bottomup_steps,omitempty"`
 	PrunedCutoffs          int64 `json:"pruned_cutoffs,omitempty"`
-	PrunedSkippedNodes     int64 `json:"pruned_skipped_nodes,omitempty"`
-	PrunedSkippedEdges     int64 `json:"pruned_skipped_edges,omitempty"`
 }
 
 // RunRecord is one flight-recorder entry.

@@ -56,7 +56,11 @@ func TestSweepRowBlockSizedToSources(t *testing.T) {
 	for i := range sources {
 		sources[i] = i
 	}
+	// One P, as testing.AllocsPerRun does: a lone pooled Scratch sits in
+	// the private slot of the P that returned it, so a sweep resumed on
+	// another P would miss it.
 	sweepBytes := func() uint64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		AllSourcesFunc(g, sources, 1, func(int, []int32) {})

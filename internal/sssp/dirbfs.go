@@ -39,7 +39,9 @@ const (
 )
 
 // levelCut is the Δ-threshold depth limit of a bounded second-snapshot row
-// (PrunedSecondBFS, whose comment shows why it is sound).
+// (PrunedSecondBFS, whose comment shows why it is sound). When it fires the
+// loop stops before the level and leaves every undiscovered node
+// Unreachable.
 type levelCut struct {
 	maxD1 int32        // the largest first-snapshot distance of the row
 	bound func() int32 // the Δ threshold, sampled once per level

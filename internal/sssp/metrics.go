@@ -163,7 +163,7 @@ type MetricsSnapshot struct {
 	Repair KernelCounters
 	// PrunedBFS counts the Δ-threshold bounded second-snapshot traversals of
 	// pruned extraction: Nodes/Edges are work actually done before the cut.
-	// The companion PrunedWork counters say what the cut avoided.
+	// The companion PrunedWork counter says how many calls the cut stopped.
 	PrunedBFS KernelCounters
 	// Nearest counts the MaxMin chain's LowerNearest calls: each lowers the
 	// nearest-pick distances inside one pick's Voronoi cell and produces no
@@ -172,37 +172,22 @@ type MetricsSnapshot struct {
 	Nearest KernelCounters
 }
 
-// PrunedWork aggregates what the Δ-threshold cutoffs skipped, alongside the
-// PrunedBFS kernel counters that say what still ran. All three are exact:
-// abandoned nodes and their adjacency are counted when the traversal stops.
+// PrunedWork counts the PrunedSecondBFS calls the Δ-threshold cut stopped,
+// alongside the PrunedBFS kernel counters that say what still ran.
 type PrunedWork struct {
 	Cutoffs int64
-	Nodes   int64
-	Edges   int64
 }
 
 // Sub diffs two PrunedWork readings.
 func (p PrunedWork) Sub(prev PrunedWork) PrunedWork {
-	return PrunedWork{
-		Cutoffs: p.Cutoffs - prev.Cutoffs,
-		Nodes:   p.Nodes - prev.Nodes,
-		Edges:   p.Edges - prev.Edges,
-	}
+	return PrunedWork{Cutoffs: p.Cutoffs - prev.Cutoffs}
 }
 
-var prunedWork struct {
-	cutoffs atomic.Int64
-	nodes   atomic.Int64
-	edges   atomic.Int64
-}
+var prunedCutoffs atomic.Int64
 
-// SnapshotPrunedWork reads the cumulative skipped-work counters.
+// SnapshotPrunedWork reads the cumulative cut count.
 func SnapshotPrunedWork() PrunedWork {
-	return PrunedWork{
-		Cutoffs: prunedWork.cutoffs.Load(),
-		Nodes:   prunedWork.nodes.Load(),
-		Edges:   prunedWork.edges.Load(),
-	}
+	return PrunedWork{Cutoffs: prunedCutoffs.Load()}
 }
 
 // SnapshotMetrics reads the live kernel counters.
@@ -282,15 +267,6 @@ func (w *bfsWork) flush(i kernelIndex, start time.Time) {
 	observeSweep(i, start, 1, w.nodes, w.edges)
 }
 
-// recordCut adds what one fired Δ-threshold cut avoided: skippedNodes and
-// skippedEdges count the abandoned undiscovered nodes and their adjacency
-// exactly.
-func recordCut(skippedNodes, skippedEdges int64) {
-	prunedWork.cutoffs.Add(1)
-	prunedWork.nodes.Add(skippedNodes)
-	prunedWork.edges.Add(skippedEdges)
-}
-
 // init publishes the kernel counters to the obs metrics registry so
 // `convpairs -metricsaddr` (and anything else serving obs.WriteMetrics)
 // exposes them without further wiring.
@@ -336,7 +312,5 @@ func init() {
 	obs.RegisterMetric("sssp.prunedbfs_topdown_steps", pb.tdSteps.Load)
 	obs.RegisterMetric("sssp.prunedbfs_bottomup_steps", pb.buSteps.Load)
 	obs.RegisterMetric("sssp.prunedbfs_switches", pb.switches.Load)
-	obs.RegisterMetric("sssp.pruned_cutoffs", prunedWork.cutoffs.Load)
-	obs.RegisterMetric("sssp.pruned_nodes", prunedWork.nodes.Load)
-	obs.RegisterMetric("sssp.pruned_edges", prunedWork.edges.Load)
+	obs.RegisterMetric("sssp.pruned_cutoffs", prunedCutoffs.Load)
 }

@@ -16,11 +16,11 @@ import (
 // maxD1 − (L+1), where maxD1 is the largest d1 of the row. Once that
 // ceiling drops strictly below the current Δ threshold, no undiscovered
 // node can enter the answer and the traversal stops: the cut is a depth
-// limit of maxD1 − max(1, T) levels. Abandoned nodes get d2 = d1 (delta 0,
-// discarded by the extraction floor), which keeps the emitted pair set
-// bit-identical to a full traversal. The argument needs only that levels
-// complete one at a time, so the traversal is dirOptBFS's level loop, and
-// levels may run bottom-up.
+// limit of maxD1 − max(1, T) levels. Abandoned nodes stay Unreachable; a
+// reader that skips d2 < 0 beside d1 <= 0 under a floor of at least the
+// cut's max(1, T) emits exactly the pairs a full traversal would. The
+// argument needs only that levels complete one at a time, so the traversal
+// is dirOptBFS's level loop, and levels may run bottom-up.
 //
 // The d2 row a cut run produces is only valid for delta extraction against
 // this d1 — it must never be cached or served as a real distance row
@@ -37,9 +37,10 @@ import (
 // a pooled Scratch, as BFSWith does. Returns true if the traversal was cut
 // short.
 //
-// On a cut, nodes with d1 > 0 that were not yet discovered get d2 = d1;
-// everything else undiscovered stays Unreachable. The row is then NOT a
-// true distance row — see the package comment above.
+// On a cut, every node the call did not discover stays Unreachable, and
+// each such node with d1 > 0 has Δ below max(1, T) for the T the cut read.
+// The row is then NOT a true distance row — see the package comment above.
+// An uncut row is the true row.
 //
 //convlint:hotpath
 func PrunedSecondBFS(g2 *graph.Graph, src int, d1, d2 []int32, bound func() int32, s *Scratch) bool {
@@ -64,21 +65,8 @@ func PrunedSecondBFS(g2 *graph.Graph, src int, d1, d2 []int32, bound func() int3
 	cut.maxD1, cut.bound = maxD1, bound
 
 	_, work := dirOptBFS(g2, src, d2, s, &cut)
-
-	// On a cut, settle the abandoned nodes and count exactly what the full
-	// traversal would still have done for them. d1 > 0 implies reachable in
-	// the supergraph g2, so their node visits and adjacency scans are an
-	// exact lower bound on the avoided work.
 	if cut.fired {
-		var skippedNodes, skippedEdges int64
-		for v := 0; v < n; v++ {
-			if d2[v] == Unreachable && d1[v] > 0 {
-				d2[v] = d1[v]
-				skippedNodes++
-				skippedEdges += int64(g2.Degree(v))
-			}
-		}
-		recordCut(skippedNodes, skippedEdges)
+		prunedCutoffs.Add(1)
 	}
 	work.flush(kPrunedBFS, start)
 	return cut.fired

@@ -11,9 +11,9 @@ import (
 // referencePrunedBFS is the bounded second-snapshot traversal as a plain
 // top-down level loop under the depth-limit rule: before expanding level L
 // it stops once maxD1 − (L+1), the largest d1 of the row less the next
-// level, is below max(1, bound), then runs the same settle pass. It fills
-// d2 and returns whether the cut fired and how many edges the traversal
-// examined.
+// level, is below max(1, bound), leaving every undiscovered node
+// Unreachable. It fills d2 and returns whether the cut fired and how many
+// edges the traversal examined.
 func referencePrunedBFS(g2 *graph.Graph, src int, d1, d2 []int32, bound int32) (cut bool, edges int64) {
 	maxD1 := int32(0)
 	for v := range d2 {
@@ -38,13 +38,6 @@ func referencePrunedBFS(g2 *graph.Graph, src int, d1, d2 []int32, bound int32) (
 			}
 		}
 		frontier = next
-	}
-	if cut {
-		for v := range d2 {
-			if d2[v] == Unreachable && d1[v] > 0 {
-				d2[v] = d1[v]
-			}
-		}
 	}
 	return cut, edges
 }
@@ -100,11 +93,11 @@ var prunedCorpus = []prunedCase{
 
 // checkPrunedSecondBFS runs one case: PrunedSecondBFS must return exactly
 // referencePrunedBFS's row and cut under the same constant threshold T, and
-// against the oracle d2[src] is 0; every node with d1 > 0 whose true Δ
-// reaches max(1, T) holds its true t2 distance; every other node with
-// d1 > 0 holds its true distance or the cut's filler d1; and a run that
-// reports no cut returns the true row exactly. One scratch serves two
-// sources, so state left over from a run cannot go unnoticed.
+// against the oracle d2[src] is 0; every node the call discovered holds its
+// true t2 distance; on a cut, every node with d1 > 0 left Unreachable has
+// true Δ below max(1, T); and a run that reports no cut returns the true
+// row exactly. One scratch serves two sources, so state left over from a
+// run cannot go unnoticed.
 func checkPrunedSecondBFS(t *testing.T, c prunedCase) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(c.seed))
@@ -131,11 +124,12 @@ func checkPrunedSecondBFS(t *testing.T, c prunedCase) {
 			if !cut && d2[v] != want[v] {
 				t.Fatalf("src %d T %d: uncut run has d2[%d] = %d, want %d", src, th, v, d2[v], want[v])
 			}
-			if d1[v] <= 0 || d2[v] == want[v] {
-				continue
+			if d2[v] != Unreachable && d2[v] != want[v] {
+				t.Fatalf("src %d T %d: discovered d2[%d] = %d, want %d", src, th, v, d2[v], want[v])
 			}
-			if d1[v]-want[v] >= floor || d2[v] != d1[v] {
-				t.Fatalf("src %d T %d: d2[%d] = %d, want %d (d1 %d)", src, th, v, d2[v], want[v], d1[v])
+			if d2[v] == Unreachable && d1[v] > 0 && d1[v]-want[v] >= floor {
+				t.Fatalf("src %d T %d: cut left d2[%d] Unreachable with Δ %d >= %d (d1 %d, d2 %d)",
+					src, th, v, d1[v]-want[v], floor, d1[v], want[v])
 			}
 		}
 	}
