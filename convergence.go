@@ -81,8 +81,8 @@ type (
 	// (Result.Pruned).
 	PruneStats = core.PruneStats
 	// WarmCache memoizes finished queries over one snapshot pair
-	// (Options.Warm): an exact repeat replays the first run's budget
-	// charges and returns its answer without traversing. Create with
+	// (Options.Warm): an exact repeat charges the first run's spending per
+	// phase and returns its answer without traversing. Create with
 	// NewWarmCache.
 	WarmCache = candidates.Warm
 

@@ -39,10 +39,11 @@ type (
 
 	// BudgetMeter charges and enforces an SSSP allowance (Options.Meter).
 	BudgetMeter = budget.Meter
-	// BudgetRegistry tracks per-tenant SSSP admission meters.
+	// BudgetRegistry tracks per-tenant SSSP allowances.
 	BudgetRegistry = budget.Registry
-	// BudgetTenant is one tenant's admission meter; QueryMeter derives the
-	// per-query 2m allowance chained to it.
+	// BudgetTenant is one tenant's SSSP allowance: Admit reserves a query's
+	// whole 2m and returns its meter, and Settle charges the tenant what
+	// that meter spent and releases the rest.
 	BudgetTenant = budget.Tenant
 )
 
@@ -71,8 +72,8 @@ func NewBudgetRegistry() *BudgetRegistry { return budget.NewRegistry() }
 // Session show where the query's budget comes from.
 func NewBudgetMeter(m int) *BudgetMeter { return budget.NewMeter(m) }
 
-// ErrBudgetExhausted is returned (wrapped) when a query's tenant or meter
-// has no SSSP allowance left.
+// ErrBudgetExhausted is returned (wrapped) when a tenant's free allowance
+// cannot cover a query's 2m, or a charge would pass its meter's limit.
 var ErrBudgetExhausted = budget.ErrExhausted
 
 // --- Streaming / monitoring (sliding-window deployment) ---

@@ -178,7 +178,7 @@ func runBudgetCheck(pass *Pass) error {
 				pass.Reportf(call.Pos(),
 					"call to %s.%s without meter evidence on the path; "+
 						"acquire the query's meter (budget.NewMeter or a "+
-						"tenant's QueryMeter) before the call or annotate the "+
+						"tenant's Admit) before the call or annotate the "+
 						"enclosing function with //convlint:unbudgeted <reason>",
 					pkgName, fn.Name())
 				return true
@@ -198,8 +198,8 @@ func runBudgetCheck(pass *Pass) error {
 const facadePkgPath = "repro"
 
 // acquiresMeterBefore reports whether decl's body acquires a *budget.Meter
-// before pos: budget.NewMeter / budget.NewMeterSSSP, a tenant's QueryMeter,
-// or the facade's NewBudgetMeter. This is the session rule's evidence — a
+// before pos: budget.NewMeter / budget.NewMeterSSSP, a tenant's Admit, or
+// the facade's NewBudgetMeter. This is the session rule's evidence — a
 // Session.TopK call charges the meter it carries internally, so what the
 // caller must show is where that meter came from, not a Charge of its own.
 func acquiresMeterBefore(info *types.Info, decl *ast.FuncDecl, pos token.Pos) bool {
@@ -219,7 +219,7 @@ func acquiresMeterBefore(info *types.Info, decl *ast.FuncDecl, pos token.Pos) bo
 		switch {
 		case fn.Pkg().Path() == budgetPkgPath:
 			switch fn.Name() {
-			case "NewMeter", "NewMeterSSSP", "QueryMeter":
+			case "NewMeter", "NewMeterSSSP", "Admit":
 				found = true
 				return false
 			}

@@ -191,16 +191,28 @@ func meteredThresholdLoop(p dist.Pair, m *budget.Meter, th *prune.Threshold, d1,
 
 // A held core.Session is the serving idiom: its TopK charges the meter it
 // carries, so the caller must show where that meter comes from — a tenant's
-// QueryMeter or an explicit NewMeter — before the call.
+// Admit or an explicit NewMeter — before the call.
 
 func unmeteredSessionQuery(ctx context.Context, sess *core.Session) {
 	_, _ = sess.TopK(ctx, core.Options{M: 1}) // want `call to core.Session.TopK without meter evidence`
 }
 
 func tenantMeteredQuery(ctx context.Context, sess *core.Session, reg *budget.Registry) error {
-	meter := reg.Tenant("alice", 0).QueryMeter(5)
-	_, err := sess.TopK(ctx, core.Options{M: 5, Meter: meter})
+	tenant := reg.Tenant("alice", 0)
+	meter, err := tenant.Admit(5)
+	if err != nil {
+		return err
+	}
+	defer tenant.Settle(meter)
+	_, err = sess.TopK(ctx, core.Options{M: 5, Meter: meter})
 	return err
+}
+
+// Resolving a tenant is not admission: without Admit the query runs on
+// no meter the caller can show.
+func unadmittedTenantQuery(ctx context.Context, sess *core.Session, reg *budget.Registry) {
+	_ = reg.Tenant("bob", 0)
+	_, _ = sess.TopK(ctx, core.Options{M: 5}) // want `call to core.Session.TopK without meter evidence`
 }
 
 func oneShotMeteredQuery(ctx context.Context, sess *core.Session) error {

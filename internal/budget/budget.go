@@ -15,6 +15,11 @@
 // execution strategy; the machine-level savings show up in the sssp kernel
 // metrics (prunedbfs_edges, pruned_cutoffs vs nodes_visited), never in the
 // budget.
+//
+// A Meter knows nothing of tenants. A served query gets its 2m meter from
+// Tenant.Admit, which reserves the whole 2m against the tenant's allowance
+// before the query runs, and Tenant.Settle charges the tenant what the
+// meter spent once the query ends (registry.go).
 package budget
 
 import (
@@ -28,9 +33,8 @@ import (
 
 // chargeHist records the size distribution of successful charges per phase:
 // how many SSSPs each Charge call bought. Totals answer "how much was
-// spent"; this answers "in what increments" — single-row extraction charges
-// versus bulk landmark batches — which is the shape a multi-tenant admission
-// controller needs to size its windows.
+// spent"; this answers "in what increments": one extraction charge per
+// query versus one charge per dispersion pick or landmark batch.
 var chargeHist = [numPhases]*obs.Histogram{
 	PhaseCandidateGen: obs.NewHistogram("budget.charge_sssp", obs.L("phase", "candidate-generation")),
 	PhaseTopK:         obs.NewHistogram("budget.charge_sssp", obs.L("phase", "top-k-extraction")),
@@ -69,13 +73,6 @@ var ErrExhausted = errors.New("budget: SSSP budget exhausted")
 // budget constraint".
 const Unlimited = int(^uint(0) >> 1)
 
-// Observer receives every successful charge of a Meter, with the phase and
-// size of the charge. Observability layers use it to attribute SSSPs to the
-// span executing at the moment the budget is spent. The callback may fire
-// concurrently (selectors charge from worker goroutines) and must not call
-// back into the Meter.
-type Observer func(p Phase, n int)
-
 // Meter tracks SSSP charges against a fixed limit. Meter is safe for
 // concurrent use (parallel SSSP drivers charge up front, but selectors may
 // charge from worker goroutines).
@@ -83,25 +80,12 @@ type Observer func(p Phase, n int)
 // A nil *Meter is valid and means "unlimited, untracked" — convenient for
 // ground-truth computations. These are the complete nil semantics, asserted
 // by TestNilMeterSemantics: Charge always succeeds and records nothing,
-// Limit and Remaining report Unlimited, Report is the zero Report (zero
-// limit, zero spending — a nil meter measured nothing), and SetObserver is
-// a no-op (no charges are recorded, so none can be observed).
+// Limit and Remaining report Unlimited, and Report is the zero Report (zero
+// limit, zero spending — a nil meter measured nothing).
 type Meter struct {
-	mu       sync.Mutex
-	limit    int
-	spent    [numPhases]int
-	observer Observer
-	// parent, when set, is charged in lockstep: a charge only commits when
-	// both this meter and the parent admit it. Tenant admission control
-	// chains a per-query meter (limit 2m) to a per-tenant meter this way;
-	// nesting is single-level (a parent never has a parent of its own), so
-	// the child→parent lock order cannot cycle.
-	parent *Meter
-	// hist, when set, replaces the global charge-size histograms for this
-	// meter's successful charges (tenant meters use tenant-labeled series so
-	// the global series counts every SSSP exactly once, via the per-query
-	// child).
-	hist *[numPhases]*obs.Histogram
+	mu    sync.Mutex
+	limit int
+	spent [numPhases]int
 }
 
 // NewMeter creates a Meter for the paper's standard budget: m candidate
@@ -130,44 +114,13 @@ func (mt *Meter) Charge(p Phase, n int) error {
 		mt.mu.Unlock()
 		return fmt.Errorf("%w: %d spent + %d requested > limit %d", ErrExhausted, total, n, mt.limit)
 	}
-	if mt.parent != nil {
-		// Admission at this level is fine; commit nothing unless the parent
-		// admits too, so a rejected charge spends nothing anywhere.
-		if err := mt.parent.Charge(p, n); err != nil {
-			mt.mu.Unlock()
-			return err
-		}
-	}
 	mt.spent[p] += n
 	if invariant.Enabled {
 		mt.check()
 	}
-	fn := mt.observer
-	hist := mt.hist
 	mt.mu.Unlock()
-	// Instrumentation runs outside the lock so the observer may inspect
-	// other meters or take its own locks; only successful charges are
-	// observed, matching the histogram (failed charges spent nothing).
-	if hist == nil {
-		hist = &chargeHist
-	}
-	hist[p].Observe(int64(n))
-	if fn != nil {
-		fn(p, n)
-	}
+	chargeHist[p].Observe(int64(n))
 	return nil
-}
-
-// SetObserver installs (or, with nil, removes) the callback notified of
-// every subsequent successful Charge. At most one observer is active; a nil
-// Meter ignores the call.
-func (mt *Meter) SetObserver(fn Observer) {
-	if mt == nil {
-		return
-	}
-	mt.mu.Lock()
-	defer mt.mu.Unlock()
-	mt.observer = fn
 }
 
 // check asserts the Meter's accounting invariants with mu held: phase

@@ -61,7 +61,7 @@ func TestMeterInvalidCharges(t *testing.T) {
 // TestNilMeterSemantics pins the documented nil-Meter contract in one place:
 // unlimited and untracked. Limit and Remaining agree on Unlimited (they used
 // to disagree — MaxInt vs 0 — which broke attribution code that compared
-// them), Report is zero, and SetObserver is a safe no-op.
+// them), and Report is zero.
 func TestNilMeterSemantics(t *testing.T) {
 	var mt *Meter
 	if err := mt.Charge(PhaseTopK, 1_000_000); err != nil {
@@ -78,38 +78,6 @@ func TestNilMeterSemantics(t *testing.T) {
 	}
 	if rep := mt.Report(); rep.Total() != 0 || rep.Limit != 0 {
 		t.Fatalf("nil meter report = %+v, want zero (nothing was measured)", rep)
-	}
-	mt.SetObserver(func(Phase, int) { t.Error("nil meter must never observe") })
-	_ = mt.Charge(PhaseCandidateGen, 1)
-}
-
-func TestObserverSeesSuccessfulChargesOnly(t *testing.T) {
-	mt := NewMeterSSSP(10)
-	type charge struct {
-		p Phase
-		n int
-	}
-	var got []charge
-	mt.SetObserver(func(p Phase, n int) { got = append(got, charge{p, n}) })
-	if err := mt.Charge(PhaseCandidateGen, 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := mt.Charge(PhaseTopK, 6); err != nil {
-		t.Fatal(err)
-	}
-	if err := mt.Charge(PhaseTopK, 1); err == nil {
-		t.Fatal("over-limit charge should fail")
-	}
-	want := []charge{{PhaseCandidateGen, 4}, {PhaseTopK, 6}}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("observed charges = %v, want %v", got, want)
-	}
-	// Removing the observer stops notifications; spending must continue to
-	// match the report exactly.
-	mt.SetObserver(nil)
-	rep := mt.Report()
-	if rep.CandidateGen != 4 || rep.TopK != 6 {
-		t.Fatalf("report = %+v", rep)
 	}
 }
 

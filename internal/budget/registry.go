@@ -8,39 +8,80 @@ import (
 	"repro/internal/obs"
 )
 
-// Multi-tenant admission control. A Registry holds one admission Meter per
-// tenant; every served query charges a per-query child meter (the paper's 2m
-// budget, so its Report matches a one-shot run bit for bit) chained to the
-// tenant's meter (the operator-set allowance across queries). Tenants are
-// charged independently: a charge unit is a distance row *produced for a
-// caller*, and each caller charges its own chain, so concurrent queries on
-// one cached session never share cost.
+// Multi-tenant admission control. A Registry holds one Tenant per name.
+// A query runs only once its tenant has reserved its whole 2m budget
+// (Admit), so a refused query spends nothing and no admitted query can
+// fail part-way because of its tenant; it charges a plain NewMeter(m), so
+// its Report matches a one-shot run bit for bit, and Settle charges the
+// tenant what that meter spent. Each query charges its own meter, so
+// concurrent queries on one cached session never share cost.
 
-// Tenant is one admission-controlled principal: a named meter with an
-// operator-set SSSP allowance, plus tenant-labeled charge-size histograms.
+// Tenant is one admission-controlled principal: an operator-set SSSP
+// allowance, the SSSPs its running queries reserved, its spending per phase
+// across settled queries, and tenant-labeled charge-size histograms. Tenant
+// is safe for concurrent use.
 type Tenant struct {
 	name  string
-	meter *Meter
+	limit int
+	hist  [numPhases]*obs.Histogram
+
+	mu       sync.Mutex
+	reserved int
+	spent    [numPhases]int
 }
 
 // Name returns the tenant identifier.
 func (t *Tenant) Name() string { return t.name }
 
-// Meter returns the tenant's admission meter. Charging it directly is
-// unusual; queries should charge a QueryMeter child so per-query reports
-// stay comparable to one-shot runs.
-func (t *Tenant) Meter() *Meter { return t.meter }
+// Limit returns the tenant's SSSP allowance (Unlimited when none was set).
+func (t *Tenant) Limit() int { return t.limit }
 
-// Report returns the tenant's cumulative spending across all its queries.
-func (t *Tenant) Report() Report { return t.meter.Report() }
+// Report returns the tenant's cumulative spending across its settled
+// queries. Reserved SSSPs are not spending.
+func (t *Tenant) Report() Report {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return Report{Limit: t.limit, CandidateGen: t.spent[PhaseCandidateGen], TopK: t.spent[PhaseTopK]}
+}
 
-// QueryMeter returns a fresh per-query meter for the paper's standard budget
-// (m candidates = 2m SSSPs), chained to the tenant's admission meter: every
-// charge must clear both limits or it spends nothing anywhere. The child's
-// Report is bit-identical to a standalone NewMeter(m) run — tenancy adds
-// admission, never cost.
-func (t *Tenant) QueryMeter(m int) *Meter {
-	return &Meter{limit: 2 * m, parent: t.meter}
+// Admit reserves a query's whole budget of m candidates (2m SSSPs) against
+// the tenant's free allowance, limit − reserved − spent, and returns the
+// query's NewMeter(m). If 2m exceeds the free allowance it returns
+// ErrExhausted, reserving and spending nothing. Every admitted meter must be
+// passed to Settle exactly once when its query ends.
+func (t *Tenant) Admit(m int) (*Meter, error) {
+	if m < 0 {
+		return nil, fmt.Errorf("budget: negative endpoint budget m=%d", m)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	// Subtracting keeps an Unlimited tenant from overflowing; m > free/2 is
+	// 2m > free without computing 2m.
+	free := t.limit - t.reserved - t.spent[PhaseCandidateGen] - t.spent[PhaseTopK]
+	if m > free/2 {
+		return nil, fmt.Errorf("%w: tenant %s has %d of %d SSSPs free, fewer than 2m for m=%d",
+			ErrExhausted, t.name, free, t.limit, m)
+	}
+	q := NewMeter(m)
+	t.reserved += q.limit
+	return q, nil
+}
+
+// Settle ends an admitted query: the tenant is charged what q spent in
+// each phase, and the rest of q's reservation is released. Each nonzero
+// phase is one sample of the tenant's budget.charge_sssp series.
+func (t *Tenant) Settle(q *Meter) {
+	rep := q.Report()
+	t.mu.Lock()
+	t.reserved -= rep.Limit
+	t.spent[PhaseCandidateGen] += rep.CandidateGen
+	t.spent[PhaseTopK] += rep.TopK
+	t.mu.Unlock()
+	for p, n := range [numPhases]int{rep.CandidateGen, rep.TopK} {
+		if n > 0 {
+			t.hist[p].Observe(int64(n))
+		}
+	}
 }
 
 // Registry is the set of known tenants. Safe for concurrent use.
@@ -66,12 +107,13 @@ func (r *Registry) Tenant(name string, limit int) *Tenant {
 	if limit <= 0 {
 		limit = Unlimited
 	}
-	t := &Tenant{
-		name: name,
-		meter: &Meter{
-			limit: limit,
-			hist:  tenantChargeHist(name),
-		},
+	t := &Tenant{name: name, limit: limit}
+	for p := Phase(0); p < numPhases; p++ {
+		// The obs registry is last-wins, so re-registering a returning
+		// tenant's series (a registry restarted, a name reused) is safe: the
+		// new instruments take over the exposition slot.
+		t.hist[p] = obs.NewHistogram("budget.charge_sssp",
+			obs.L("phase", p.String()), obs.L("tenant", name))
 	}
 	r.tenants[name] = t
 	return t
@@ -112,20 +154,3 @@ func (r *Registry) Reports() map[string]Report {
 	}
 	return out
 }
-
-// tenantChargeHist builds the tenant-labeled charge-size series. The obs
-// registry is last-wins, so re-registering a returning tenant's series (a
-// registry restarted, a name reused) is safe: the new instruments take over
-// the exposition slot.
-func tenantChargeHist(name string) *[numPhases]*obs.Histogram {
-	var h [numPhases]*obs.Histogram
-	for p := Phase(0); p < numPhases; p++ {
-		h[p] = obs.NewHistogram("budget.charge_sssp",
-			obs.L("phase", p.String()), obs.L("tenant", name))
-	}
-	return &h
-}
-
-// ErrUnknownTenant reports a query naming a tenant the registry has not
-// seen. Serve layers map it to a client error.
-var ErrUnknownTenant = fmt.Errorf("budget: unknown tenant")

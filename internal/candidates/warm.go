@@ -9,14 +9,13 @@ import (
 )
 
 // Warm is a per-window memo of finished queries over one snapshot pair:
-// each entry holds one query's pairs, its candidates and every meter charge
-// its cold run made, in order, keyed by the query's result-determining
-// shape (selector, m, l, seed, k and δ). Algorithm 1's answer and charge
-// sequence are fixed by that shape and the snapshot pair, so a hit replays
-// the recorded charges and returns the stored answer without selecting or
-// traversing anything. The serve layer keeps one Warm per epoch window, so
-// entries can never leak across snapshots; that scoping is what makes reuse
-// sound.
+// each entry holds one query's pairs, its candidates and its cold run's
+// spending per phase, keyed by the query's result-determining shape
+// (selector, m, l, seed, k and δ). Algorithm 1's answer and spending are
+// fixed by that shape and the snapshot pair, so a hit charges the stored
+// spending and returns the stored answer without selecting or traversing
+// anything. The serve layer keeps one Warm per epoch window, so entries can
+// never leak across snapshots; that scoping is what makes reuse sound.
 //
 // The memo holds at most warmKeys entries; storing a new key beyond that
 // evicts the oldest one. Eviction only turns a later hit into a cold run
@@ -42,17 +41,9 @@ const warmMaxPairs = 1 << 16
 
 // warmEntry is one finished query.
 type warmEntry struct {
-	pairs   []topk.Pair
-	cands   []int
-	charges []WarmCharge
-}
-
-// WarmCharge is one successful meter charge recorded during a cold run,
-// replayed verbatim on warm hits so the budget report (and any
-// budget-exhaustion failure point) matches the cold run exactly.
-type WarmCharge struct {
-	Phase budget.Phase
-	N     int
+	pairs []topk.Pair
+	cands []int
+	spent budget.Report // the cold run's SSSPs per phase; Limit is not read
 }
 
 // NewWarm returns an empty warm cache.
@@ -60,27 +51,27 @@ func NewWarm() *Warm {
 	return &Warm{entries: make(map[string]warmEntry)}
 }
 
-// Lookup returns the finished query stored under key: its pairs, its
-// candidates and the charges to replay, all private copies.
-func (w *Warm) Lookup(key string) ([]topk.Pair, []int, []WarmCharge, bool) {
+// Lookup returns the finished query stored under key: private copies of
+// its pairs and candidates, and its cold run's spending per phase.
+func (w *Warm) Lookup(key string) ([]topk.Pair, []int, budget.Report, bool) {
 	w.mu.Lock()
 	e, ok := w.entries[key]
 	w.mu.Unlock()
 	if !ok {
-		return nil, nil, nil, false
+		return nil, nil, budget.Report{}, false
 	}
-	return slices.Clone(e.pairs), slices.Clone(e.cands), slices.Clone(e.charges), true
+	return slices.Clone(e.pairs), slices.Clone(e.cands), e.spent, true
 }
 
-// Store memoizes a finished query: its pairs, its candidates and every
-// charge its run made, in order, all copied in. Call it only for a run that
-// succeeded. A result of more than warmMaxPairs pairs is not stored; a new
-// key evicts the oldest one when the memo is full.
-func (w *Warm) Store(key string, pairs []topk.Pair, cands []int, charges []WarmCharge) {
+// Store memoizes a finished query: its pairs and candidates, copied in, and
+// the SSSPs its run spent per phase (spent.Limit is not read). Call it only
+// for a run that succeeded. A result of more than warmMaxPairs pairs is not
+// stored; a new key evicts the oldest one when the memo is full.
+func (w *Warm) Store(key string, pairs []topk.Pair, cands []int, spent budget.Report) {
 	if len(pairs) > warmMaxPairs {
 		return
 	}
-	e := warmEntry{pairs: slices.Clone(pairs), cands: slices.Clone(cands), charges: slices.Clone(charges)}
+	e := warmEntry{pairs: slices.Clone(pairs), cands: slices.Clone(cands), spent: spent}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if _, ok := w.entries[key]; !ok {

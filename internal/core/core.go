@@ -54,19 +54,23 @@ type Options struct {
 	PairedMode dist.PairedMode
 	// Warm, when non-nil, is a per-snapshot-pair memo of finished queries:
 	// an exact repeat of a stored query (same selector, M, L, Seed, K and
-	// MinDelta) replays the cold run's budget charges and returns its pairs
-	// and candidates without selecting or traversing anything. The caller
-	// must scope one Warm to one snapshot pair — the serve layer keeps one
-	// per epoch window. Ignored when RNG is set (an externally-advanced RNG
-	// makes the query shape unkeyable).
+	// MinDelta) charges the cold run's spending, one charge per nonzero
+	// phase (always fitting a 2M meter; on a smaller one, a phase that does
+	// not fit fails with ErrExhausted and spends nothing), and returns its
+	// pairs and candidates without selecting or traversing anything. The
+	// caller must scope one Warm to one snapshot pair — the serve layer
+	// keeps one per epoch window. Ignored when RNG is set (an
+	// externally-advanced RNG makes the query shape unkeyable).
 	Warm *candidates.Warm
-	// Meter overrides the default budget meter of 2M SSSPs. Useful for
-	// tests; normal callers leave it nil.
+	// Meter overrides the default budget meter of 2M SSSPs. Every
+	// production caller passes a 2M meter (the serve layer's comes from
+	// budget.Tenant.Admit); a smaller one is for tests.
 	Meter *budget.Meter
 	// Trace, when non-nil, records Algorithm 1's phases (selection,
-	// extraction, sort/cut) as spans and attributes every budget charge to
-	// the phase executing when it was spent. Export with Trace.WriteChrome
-	// or Trace.WriteTree; tracing off (nil) costs nothing.
+	// extraction, sort/cut) as spans and attributes the query's SSSPs to
+	// the phase span that spent them, so its per-phase totals equal the
+	// budget report. Export with Trace.WriteChrome or Trace.WriteTree;
+	// tracing off (nil) costs nothing.
 	Trace *obs.Trace
 }
 
@@ -91,7 +95,7 @@ type Result struct {
 	// tightens, so skip and cut counts vary run to run at more than one
 	// worker while Pairs/Candidates/Budget never do. It is zero on a warm
 	// hit (Options.Warm), which runs no extraction: its flight record shows
-	// the replayed budget, no kernel work and workers=0.
+	// the stored spending charged again, no kernel work and workers=0.
 	Pruned PruneStats
 }
 

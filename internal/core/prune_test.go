@@ -361,11 +361,14 @@ func TestWarmCacheIdentical(t *testing.T) {
 	}
 }
 
-// TestWarmHitFailsWhereColdFails: a warm hit replays the cold run's charges
-// in order, so a budget the cold run would exhaust stops the replay at the
-// same charge. With a limit one short of the selection's spending, and one
-// short of the whole query's, the cold run and the hit both fail with
-// ErrExhausted, in the same phase, and leave equal meter reports.
+// TestWarmHitFailsWhereColdFails: a warm hit charges the cold run's
+// spending one phase at a time, so a budget the cold run would exhaust
+// fails the hit in the same phase. With a limit one short of the
+// selection's spending, and one short of the whole query's, the cold run
+// and the hit both fail with ErrExhausted under the same phase prefix. One
+// short of the whole query, both leave equal meter reports. One short of
+// the selection, the hit's one selection charge does not fit, so it spends
+// nothing at all, where the cold run spent the picks that fit.
 func TestWarmHitFailsWhereColdFails(t *testing.T) {
 	sp := growingPair(t, 200, 17)
 	sess, err := NewSession(sp)
@@ -383,9 +386,13 @@ func TestWarmHitFailsWhereColdFails(t *testing.T) {
 	for _, c := range []struct {
 		limit  int
 		prefix string
+		hit    budget.Report // the hit's meter report after it fails
+		cold   bool          // the cold run leaves the same report
 	}{
-		{full.Budget.CandidateGen - 1, "core: candidate generation (MMSD)"},
-		{full.Budget.Total() - 1, "core: extraction phase"},
+		{full.Budget.CandidateGen - 1, "core: candidate generation (MMSD)",
+			budget.Report{Limit: full.Budget.CandidateGen - 1}, false},
+		{full.Budget.Total() - 1, "core: extraction phase",
+			budget.Report{Limit: full.Budget.Total() - 1, CandidateGen: full.Budget.CandidateGen}, true},
 	} {
 		cold := opts
 		cold.Meter = budget.NewMeterSSSP(c.limit)
@@ -398,12 +405,15 @@ func TestWarmHitFailsWhereColdFails(t *testing.T) {
 				t.Errorf("limit %d: %s run returned %v, want %q wrapping ErrExhausted", c.limit, []string{"cold", "hit"}[i], err, c.prefix)
 			}
 		}
-		if cr, hr := cold.Meter.Report(), hit.Meter.Report(); cr != hr {
-			t.Errorf("limit %d: cold run left %+v, hit left %+v", c.limit, cr, hr)
+		if hr := hit.Meter.Report(); hr != c.hit {
+			t.Errorf("limit %d: hit left %+v, want %+v", c.limit, hr, c.hit)
+		}
+		if cr := cold.Meter.Report(); c.cold && cr != c.hit {
+			t.Errorf("limit %d: cold run left %+v, hit left %+v", c.limit, cr, c.hit)
 		}
 	}
 	if _, _, _, ok := warm.Lookup(warmCacheKey(stored)); !ok {
-		t.Error("a failed replay dropped the stored query")
+		t.Error("a failed hit dropped the stored query")
 	}
 }
 

@@ -157,41 +157,24 @@ func (s *Session) TopK(ctx context.Context, opts Options) (result *Result, err e
 	}()
 	tr := opts.Trace
 	key := warmCacheKey(opts)
-	var charges []candidates.WarmCharge
-	if tr != nil || key != "" {
-		// Every successful charge lands on the span open at that moment, so
-		// the trace's per-phase totals reproduce the meter's Report exactly.
-		// The same hook records a run's charges for the memo. Every charge
-		// is made on this goroutine (selectors charge before their sweeps,
-		// and extraction makes its one charge before its workers start), so
-		// the append needs no lock.
-		meter.SetObserver(func(p budget.Phase, n int) {
-			if tr != nil {
-				tr.AddSSSP(p.String(), n)
-			}
-			if key != "" {
-				charges = append(charges, candidates.WarmCharge{Phase: p, N: n})
-			}
-		})
-		defer meter.SetObserver(nil)
-	}
+	// A caller's meter may arrive partly spent: the trace and the memo read
+	// this query's spending against start.
+	start := meter.Report()
 	run := tr.StartSpan("algorithm1",
 		obs.Str("selector", opts.Selector.Name()),
 		obs.Int("m", opts.M), obs.Int("k", opts.K),
 		obs.Int("nodes", s.src.NumNodes()))
 	defer run.End()
 	if key != "" {
-		if pairs, cands, recorded, ok := opts.Warm.Lookup(key); ok {
-			// Replay the cold run's charges so the meter (and the trace's
-			// per-phase attribution) report the identical spending, and a
-			// budget the cold run would exhaust fails at the same charge.
-			for _, c := range recorded {
-				if err := meter.Charge(c.Phase, c.N); err != nil {
-					if c.Phase == budget.PhaseTopK {
-						return nil, fmt.Errorf("core: extraction phase: %w", err)
-					}
-					return nil, fmt.Errorf("core: candidate generation (%s): %w", opts.Selector.Name(), err)
-				}
+		if pairs, cands, spent, ok := opts.Warm.Lookup(key); ok {
+			// Charge the cold run's spending, one charge per phase, so the
+			// meter (and the trace's per-phase attribution) report the
+			// identical spending.
+			if err := chargeWarm(meter, tr, budget.PhaseCandidateGen, spent.CandidateGen); err != nil {
+				return nil, fmt.Errorf("core: candidate generation (%s): %w", opts.Selector.Name(), err)
+			}
+			if err := chargeWarm(meter, tr, budget.PhaseTopK, spent.TopK); err != nil {
+				return nil, fmt.Errorf("core: extraction phase: %w", err)
 			}
 			run.Set(obs.Int("warm-hit", 1))
 			return &Result{Pairs: pairs, Candidates: cands, Budget: meter.Report(), SelectorName: opts.Selector.Name()}, nil
@@ -216,6 +199,9 @@ func (s *Session) TopK(ctx context.Context, opts Options) (result *Result, err e
 	selStart := time.Now()
 	selSpan := tr.StartSpan("selection", obs.Str("selector", opts.Selector.Name()))
 	cands, selErr := opts.Selector.Select(cctx)
+	if n := meter.Report().CandidateGen - start.CandidateGen; n > 0 {
+		tr.AddSSSP(budget.PhaseCandidateGen.String(), n)
+	}
 	selSpan.Set(obs.Int("candidates", len(cands)),
 		obs.Int("d1-rows-cached", len(cctx.D1Rows)), obs.Int("d2-rows-cached", len(cctx.D2Rows)))
 	selSpan.End()
@@ -254,17 +240,34 @@ func (s *Session) TopK(ctx context.Context, opts Options) (result *Result, err e
 	if err != nil {
 		return nil, err
 	}
+	rep := meter.Report()
 	if key != "" {
-		opts.Warm.Store(key, pairs, cands, charges)
+		opts.Warm.Store(key, pairs, cands, budget.Report{
+			CandidateGen: rep.CandidateGen - start.CandidateGen,
+			TopK:         rep.TopK - start.TopK,
+		})
 	}
 	return &Result{
 		Pairs:        pairs,
 		Candidates:   cands,
-		Budget:       meter.Report(),
+		Budget:       rep,
 		SelectorName: opts.Selector.Name(),
 		Phases:       phases,
 		Pruned:       pstats,
 	}, nil
+}
+
+// chargeWarm charges n SSSPs of a warm hit's stored spending in phase p and
+// attributes them to the trace. A phase that spent nothing makes no charge.
+func chargeWarm(meter *budget.Meter, tr *obs.Trace, p budget.Phase, n int) error {
+	if n == 0 {
+		return nil
+	}
+	if err := meter.Charge(p, n); err != nil {
+		return err
+	}
+	tr.AddSSSP(p.String(), n)
+	return nil
 }
 
 // warmCacheKey is the query's result-determining shape, the key of its
@@ -330,6 +333,7 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 		extractionNS.Observe(phases.Extraction)
 		return nil, PruneStats{}, fmt.Errorf("core: extraction phase: %w", err)
 	}
+	tr.AddSSSP(budget.PhaseTopK.String(), toCharge)
 
 	th := prune.NewThreshold(opts.K, opts.MinDelta)
 	ubounds := landmarkBounds(cctx, cands)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -10,8 +11,8 @@ import (
 )
 
 // TestTraceMatchesBudgetReport is the observability layer's core contract:
-// every SSSP the meter charges is attributed to a phase span via the budget
-// observer, so the trace's per-phase totals and the run's budget report are
+// every SSSP the meter charges is attributed to the span of the phase that
+// spent it, so the trace's per-phase totals and the run's budget report are
 // two views of the same spending. The extraction span reports the t1 rows
 // its sweep produced.
 func TestTraceMatchesBudgetReport(t *testing.T) {
@@ -72,6 +73,38 @@ func TestTraceMatchesBudgetReport(t *testing.T) {
 	if doc.Metadata.SSSPByPhase["candidate-generation"] != res.Budget.CandidateGen {
 		t.Errorf("metadata sssp-by-phase = %v, want candidate-generation=%d",
 			doc.Metadata.SSSPByPhase, res.Budget.CandidateGen)
+	}
+}
+
+// TestTraceWarmHitMatchesBudget: a warm hit charges the stored spending
+// one phase at a time and attributes each charge to the trace, so a traced
+// hit's per-phase totals equal its budget report, which equals the cold
+// run's.
+func TestTraceWarmHitMatchesBudget(t *testing.T) {
+	sess, err := NewSession(growingPair(t, 150, 21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Selector: candidates.MMSD(), M: 20, L: 5, K: 10, Workers: 2, Warm: candidates.NewWarm()}
+	cold, err := sess.TopK(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.New("warm-hit")
+	opts.Trace = tr
+	hit, err := sess.TopK(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := spanArg(t, tr, "algorithm1", "warm-hit"); got != 1 {
+		t.Fatalf("traced repeat was not a warm hit (warm-hit = %d)", got)
+	}
+	if hit.Budget != cold.Budget || hit.Budget.CandidateGen == 0 || hit.Budget.TopK == 0 {
+		t.Fatalf("hit budget %+v, cold budget %+v: want equal, both phases nonzero", hit.Budget, cold.Budget)
+	}
+	byPhase := tr.SSSPByPhase()
+	if byPhase["candidate-generation"] != hit.Budget.CandidateGen || byPhase["top-k-extraction"] != hit.Budget.TopK {
+		t.Errorf("traced warm hit SSSPs by phase = %v, budget report = %+v", byPhase, hit.Budget)
 	}
 }
 

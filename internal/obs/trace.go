@@ -157,9 +157,9 @@ func (s *Span) Set(kvs ...KV) {
 }
 
 // AddSSSP attributes n SSSP computations in the named budget phase to the
-// innermost open span and to the trace totals. The core algorithm wires this
-// to budget.Meter's observer, so every charge lands on the span that was
-// executing when the budget was spent.
+// innermost open span and to the trace totals. The core algorithm calls it
+// at its phase boundaries with what each phase charged its meter, so every
+// charge lands on the span of the phase that spent it.
 func (t *Trace) AddSSSP(phase string, n int) {
 	if t == nil {
 		return

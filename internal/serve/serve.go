@@ -3,11 +3,12 @@
 // Edges arrive on /ingest and are sealed into immutable epochs (/seal); top-k
 // converging-pairs queries run over arbitrary (t1, t2) epoch windows through
 // cached core.Sessions, one per window, shared by concurrent queries. No
-// traversal is shared between queries. Every query charges a per-query meter
-// chained to its tenant's admission meter (budget.Registry), so operators get
-// per-tenant limits and per-tenant charge/latency series while each query's
-// budget report stays bit-identical to a one-shot convpairs run — the
-// package invariant, pinned by TestQueryMatchesOneShot.
+// traversal is shared between queries. A query runs only once its tenant
+// (budget.Registry) has reserved its whole 2m budget, and it charges the
+// plain 2m meter that admission hands out, so operators get per-tenant
+// limits and per-tenant charge/latency series while each query's budget
+// report stays bit-identical to a one-shot convpairs run — the package
+// invariant, pinned by TestQueryMatchesOneShot.
 package serve
 
 import (
@@ -77,9 +78,9 @@ type winSession struct {
 	win  *graph.Window
 	sess *core.Session
 	// warm is the window's memo of finished queries, scoped to this
-	// (t1, t2) pair: an exact repeat replays its charges and answer without
-	// traversing. Evicting the session drops the memo with it, so warm
-	// state can never leak across windows.
+	// (t1, t2) pair: an exact repeat charges the stored spending and
+	// returns the stored answer without traversing. Evicting the session
+	// drops the memo with it, so warm state can never leak across windows.
 	warm *candidates.Warm
 }
 
@@ -370,9 +371,9 @@ type QueryResponse struct {
 	TenantSpent int `json:"tenant_spent"`
 }
 
-// handleQuery runs one budgeted query. The SSSPs are charged to a fresh
-// per-query meter (the paper's 2m allowance) chained to the tenant's
-// admission meter; an exhausted tenant gets 429 and spends nothing.
+// handleQuery runs one budgeted query. Its tenant reserves the paper's 2m
+// SSSPs before it runs; a tenant whose free allowance is below 2m gets 429
+// and spends nothing.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, errors.New("serve: POST a query"))
@@ -438,22 +439,28 @@ func (s *Server) Query(r *http.Request, req *QueryRequest) (*QueryResponse, int,
 		return nil, http.StatusBadRequest, err
 	}
 	tenant := s.reg.Tenant(req.Tenant, s.cfg.TenantLimit)
+	meter, err := tenant.Admit(req.M)
+	if err != nil {
+		return nil, http.StatusTooManyRequests, err
+	}
 	opts.Warm = ws.warm
-	opts.Meter = tenant.QueryMeter(req.M)
+	opts.Meter = meter
 	ctx := context.Background()
 	if r != nil {
 		ctx = r.Context()
 	}
-	res, err := ws.sess.TopK(ctx, opts)
+	res, err := func() (*core.Result, error) {
+		// Settle on every way out of TopK, a panic included: the tenant is
+		// charged what the query spent (a cancelled query keeps its spend)
+		// and the rest of the reservation goes back.
+		defer tenant.Settle(meter)
+		return ws.sess.TopK(ctx, opts)
+	}()
 	if err != nil {
-		switch {
-		case errors.Is(err, budget.ErrExhausted):
-			return nil, http.StatusTooManyRequests, err
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return nil, statusClientClosedRequest, err
-		default:
-			return nil, http.StatusBadRequest, err
 		}
+		return nil, http.StatusBadRequest, err
 	}
 	h := s.tenantPhaseNS(tenant.Name())
 	h[0].Observe(res.Phases.Selection)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -284,9 +285,10 @@ func TestConcurrentTenantsShareSweeps(t *testing.T) {
 	}
 }
 
-// TestTenantAdmission pins the chained-meter semantics over HTTP: a tenant
-// whose allowance cannot cover the next query is rejected with 429 and spends
-// nothing on the rejected attempt.
+// TestTenantAdmission pins admission over HTTP: a tenant whose free
+// allowance cannot cover the next query's 2m is refused with 429 before the
+// query selects anything, so the refused query spends nothing, whatever
+// its selector charges before extraction.
 func TestTenantAdmission(t *testing.T) {
 	stream := genStream(80, 160, 13)
 	srv := New(Config{})
@@ -296,27 +298,120 @@ func TestTenantAdmission(t *testing.T) {
 	loadServer(t, ts.URL, stream)
 
 	const m = 10
-	// Allowance covers one query (2m) but not two.
-	if code := postJSON(t, ts.URL+"/tenants", TenantRequest{Name: "capped", Limit: 3 * m}, nil); code != http.StatusOK {
+	for _, sel := range []string{"Degree", "DegDiff", "MaxMin", "MaxAvg", "MMSD", "SumDiff"} {
+		name := "capped-" + sel
+		// Allowance covers one query (2m) but not two.
+		if code := postJSON(t, ts.URL+"/tenants", TenantRequest{Name: name, Limit: 3 * m}, nil); code != http.StatusOK {
+			t.Fatalf("%s: declare: status %d", sel, code)
+		}
+		req := QueryRequest{Tenant: name, Selector: sel, M: m, L: 3, K: 5}
+		var first QueryResponse
+		if code := postJSON(t, ts.URL+"/query", req, &first); code != http.StatusOK {
+			t.Fatalf("%s: first query: status %d", sel, code)
+		}
+		if first.TenantSpent != 2*m {
+			t.Fatalf("%s: first query spent %d, want %d", sel, first.TenantSpent, 2*m)
+		}
+		if code := postJSON(t, ts.URL+"/query", req, nil); code != http.StatusTooManyRequests {
+			t.Fatalf("%s: second query: status %d, want 429", sel, code)
+		}
+		tenant, ok := srv.Registry().Get(name)
+		if !ok {
+			t.Fatalf("%s: tenant vanished", sel)
+		}
+		if got := tenant.Report().Total(); got != 2*m {
+			t.Errorf("%s: rejected query changed tenant spend: %d, want %d", sel, got, 2*m)
+		}
+	}
+}
+
+// TestConcurrentAdmission: eight concurrent MaxMin queries (m = 10) from a
+// tenant allowed 60 SSSPs, enough for three whole queries. Admission
+// reserves each query's 2m before it runs, so exactly three are answered,
+// the other five get 429, and the tenant is charged exactly what the three
+// answered queries spent.
+func TestConcurrentAdmission(t *testing.T) {
+	stream := genStream(80, 160, 13)
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+	loadServer(t, ts.URL, stream)
+
+	const m, queries = 10, 8
+	if code := postJSON(t, ts.URL+"/tenants", TenantRequest{Name: "burst", Limit: 6 * m}, nil); code != http.StatusOK {
 		t.Fatalf("declare: status %d", code)
 	}
-	req := QueryRequest{Tenant: "capped", Selector: "Degree", M: m, K: 5}
-	var first QueryResponse
-	if code := postJSON(t, ts.URL+"/query", req, &first); code != http.StatusOK {
-		t.Fatalf("first query: status %d", code)
+	codes := make([]int, queries)
+	spent := make([]int, queries)
+	var wg sync.WaitGroup
+	for q := 0; q < queries; q++ {
+		wg.Add(1)
+		go func(q int) {
+			defer wg.Done()
+			var got QueryResponse
+			codes[q] = postJSON(t, ts.URL+"/query", QueryRequest{
+				Tenant: "burst", Selector: "MaxMin", M: m, K: 5, Seed: int64(q),
+			}, &got)
+			spent[q] = got.Report.SSSPSpent
+		}(q)
 	}
-	if first.TenantSpent != 2*m {
-		t.Fatalf("first query spent %d, want %d", first.TenantSpent, 2*m)
+	wg.Wait()
+	answered, total := 0, 0
+	for q, code := range codes {
+		switch code {
+		case http.StatusOK:
+			answered++
+			total += spent[q]
+		case http.StatusTooManyRequests:
+		default:
+			t.Errorf("query %d: status %d, want 200 or 429", q, code)
+		}
 	}
-	if code := postJSON(t, ts.URL+"/query", req, nil); code != http.StatusTooManyRequests {
-		t.Fatalf("second query: status %d, want 429", code)
+	if answered != 3 {
+		t.Errorf("%d of %d queries answered, want 3", answered, queries)
 	}
-	tenant, ok := srv.Registry().Get("capped")
-	if !ok {
-		t.Fatal("tenant vanished")
+	tenant, _ := srv.Registry().Get("burst")
+	if got := tenant.Report().Total(); got != total {
+		t.Errorf("tenant charged %d SSSPs, its answered queries spent %d", got, total)
 	}
-	if got := tenant.Report().Total(); got != 2*m {
-		t.Fatalf("rejected query changed tenant spend: %d, want %d", got, 2*m)
+}
+
+// TestFailedQueryReleasesReservation: a query cancelled before it starts
+// (499) and one that fails after admission (400: SumDiff needs m > l) each
+// release their reservation, so a query of the tenant's whole allowance is
+// admitted after each; neither spent anything.
+func TestFailedQueryReleasesReservation(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+	loadServer(t, ts.URL, genStream(60, 120, 3))
+
+	const m = 10
+	tenant := srv.Registry().Tenant("once", 2*m)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cancelled := httptest.NewRequest(http.MethodPost, "/query", nil).WithContext(ctx)
+	for _, c := range []struct {
+		r    *http.Request
+		req  QueryRequest
+		code int
+	}{
+		{cancelled, QueryRequest{Tenant: "once", Selector: "MMSD", M: m, L: 3, K: 5}, statusClientClosedRequest},
+		{nil, QueryRequest{Tenant: "once", Selector: "SumDiff", M: m, L: m, K: 5}, http.StatusBadRequest},
+	} {
+		if _, code, err := srv.Query(c.r, &c.req); code != c.code {
+			t.Fatalf("%s: status %d (%v), want %d", c.req.Selector, code, err, c.code)
+		}
+		meter, err := tenant.Admit(m)
+		if err != nil {
+			t.Fatalf("after the %d: the whole allowance was not free: %v", c.code, err)
+		}
+		tenant.Settle(meter)
+		if got := tenant.Report().Total(); got != 0 {
+			t.Fatalf("after the %d: tenant spent %d, want 0", c.code, got)
+		}
 	}
 }
 
