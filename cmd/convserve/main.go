@@ -66,7 +66,7 @@ func main() {
 	universe := flag.Int("universe", 0, "minimum node-universe size for every epoch (0 grows with the edges)")
 	retain := flag.Int("retain", 0, "epochs to retain (0 = unlimited; old unpinned epochs are pruned)")
 	maxSessions := flag.Int("maxsessions", 0, "cached per-window query sessions (0 = default)")
-	tenantLimit := flag.Int("tenantlimit", 0, "SSSP allowance for tenants auto-created by their first query (0 = unlimited)")
+	tenantLimit := flag.Int("tenantlimit", 0, "SSSP allowance for tenants auto-created by their first admitted query (0 = unlimited)")
 	var tenants tenantFlags
 	flag.Var(&tenants, "tenant", "declare a tenant as name=limit (repeatable; limit <= 0 = unlimited)")
 	ocli := obs.BindCLIFlags(flag.CommandLine)

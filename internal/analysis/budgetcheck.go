@@ -198,10 +198,11 @@ func runBudgetCheck(pass *Pass) error {
 const facadePkgPath = "repro"
 
 // acquiresMeterBefore reports whether decl's body acquires a *budget.Meter
-// before pos: budget.NewMeter / budget.NewMeterSSSP, a tenant's Admit, or
-// the facade's NewBudgetMeter. This is the session rule's evidence — a
-// Session.TopK call charges the meter it carries internally, so what the
-// caller must show is where that meter came from, not a Charge of its own.
+// before pos: budget.NewMeter / budget.NewMeterSSSP, the Admit of a tenant
+// or of the registry, or the facade's NewBudgetMeter. This is the session
+// rule's evidence — a Session.TopK call charges the meter it carries
+// internally, so what the caller must show is where that meter came from,
+// not a Charge of its own.
 func acquiresMeterBefore(info *types.Info, decl *ast.FuncDecl, pos token.Pos) bool {
 	found := false
 	ast.Inspect(decl.Body, func(n ast.Node) bool {

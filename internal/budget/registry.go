@@ -104,18 +104,50 @@ func (r *Registry) Tenant(name string, limit int) *Tenant {
 	if t, ok := r.tenants[name]; ok {
 		return t
 	}
+	return r.add(newTenant(name, limit))
+}
+
+// Admit admits a query of m candidates for the named tenant (Tenant.Admit)
+// and returns the tenant with the query's meter. An unknown name gets a
+// tenant with the given allowance (limit <= 0 means Unlimited), registered
+// only if this first admission succeeds: a refused query from an unknown
+// tenant leaves neither a tenant nor its charge series behind.
+func (r *Registry) Admit(name string, limit, m int) (*Tenant, *Meter, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	t, known := r.tenants[name]
+	if !known {
+		t = newTenant(name, limit)
+	}
+	q, err := t.Admit(m)
+	if err != nil {
+		return nil, nil, err
+	}
+	if !known {
+		r.add(t)
+	}
+	return t, q, nil
+}
+
+// newTenant returns an unregistered tenant (limit <= 0 means Unlimited).
+func newTenant(name string, limit int) *Tenant {
 	if limit <= 0 {
 		limit = Unlimited
 	}
-	t := &Tenant{name: name, limit: limit}
+	return &Tenant{name: name, limit: limit}
+}
+
+// add registers t and its tenant-labeled charge histograms. Called with
+// r.mu held.
+func (r *Registry) add(t *Tenant) *Tenant {
 	for p := Phase(0); p < numPhases; p++ {
 		// The obs registry is last-wins, so re-registering a returning
 		// tenant's series (a registry restarted, a name reused) is safe: the
 		// new instruments take over the exposition slot.
 		t.hist[p] = obs.NewHistogram("budget.charge_sssp",
-			obs.L("phase", p.String()), obs.L("tenant", name))
+			obs.L("phase", p.String()), obs.L("tenant", t.name))
 	}
-	r.tenants[name] = t
+	r.tenants[t.name] = t
 	return t
 }
 

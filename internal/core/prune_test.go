@@ -629,3 +629,32 @@ func TestEmissionCut(t *testing.T) {
 		}
 	}
 }
+
+// TestLandmarkBoundsSound holds landmarkBounds to the exact Δ on growing
+// pairs whose G_t1 components only G_t2's new edges join, with landmarks
+// anywhere (small components and isolated nodes included): every
+// candidate's bound is at least the Δ of each of its pairs, read from
+// sssp.Distances rows on both snapshots.
+func TestLandmarkBoundsSound(t *testing.T) {
+	for seed := int64(0); seed < 30; seed++ {
+		sp := fuzzGrowingPair(t, seed, 30+int(seed)*2, 1+int(seed)%3, int(seed)%12, 0.5+float64(seed%5)/10)
+		n := sp.G2.NumNodes()
+		rng := rand.New(rand.NewSource(seed))
+		cctx := &candidates.Context{D1Rows: map[int][]int32{}, D2Rows: map[int][]int32{}}
+		for _, w := range rng.Perm(n)[:4] {
+			cctx.LandmarkNodes = append(cctx.LandmarkNodes, w)
+			cctx.D1Rows[w], cctx.D2Rows[w] = sssp.Distances(sp.G1, w), sssp.Distances(sp.G2, w)
+		}
+		cands := rng.Perm(n)[:n/2]
+		bounds := landmarkBounds(cctx, cands)
+		for i, u := range cands {
+			d1, d2 := sssp.Distances(sp.G1, u), sssp.Distances(sp.G2, u)
+			for v := range d1 {
+				if d1[v] > 0 && d1[v]-d2[v] > bounds[i] {
+					t.Fatalf("seed %d: pair (%d, %d) has Δ %d = %d − %d above candidate %d's bound %d",
+						seed, u, v, d1[v]-d2[v], d1[v], d2[v], u, bounds[i])
+				}
+			}
+		}
+	}
+}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/candidates"
 	"repro/internal/dist"
 	"repro/internal/graph"
+	"repro/internal/invariant"
 	"repro/internal/obs"
 	"repro/internal/prune"
 	"repro/internal/sssp"
@@ -387,6 +388,7 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 			func(context.Context) {
 				defer wg.Done()
 				var local []topk.Pair
+				load := workerLoad(th)
 				for i := range next {
 					// A query cancelled during the sweep or since then
 					// drains without traversing.
@@ -398,7 +400,7 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 					// would have found for larger candidates), so a bound
 					// strictly below T proves none can be returned. Ties at
 					// T are kept.
-					if ubounds != nil && ubounds[i] < th.Load() {
+					if ubounds != nil && ubounds[i] < load() {
 						skipped.Add(1)
 						continue
 					}
@@ -408,7 +410,7 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 					// (Context.CacheRows); every other candidate derives
 					// its t2 row from d1 here.
 					if d2 == nil {
-						if s.paired.DeriveInto(u, d1, d2buf, th.Load) {
+						if s.paired.DeriveInto(u, d1, d2buf, load) {
 							cutoffs.Add(1)
 						}
 						d2 = d2buf
@@ -418,25 +420,29 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 					// returned, and Offer would ignore it (it drops any
 					// delta <= T), so skipping it leaves the threshold's
 					// evolution unchanged. Ties at lo are kept.
-					lo := th.Load()
-					for v := 0; v < n; v++ {
-						if v == u || (inM[v] && v < u) {
-							continue // the pair is found from the smaller candidate
-						}
-						// d2 < 0 with d1 > 0 marks a node a cut abandoned:
-						// its Δ is below the max(1, T) the cut read, and lo,
-						// read since from a threshold that only rises and is
-						// at least 1, is no smaller. An uncut row reaches
-						// every node with d1 > 0.
-						if d1[v] <= 0 || d2[v] < 0 {
-							continue
-						}
-						delta := d1[v] - d2[v]
+					//
+					// The filter runs before any other test and without a
+					// sign branch. The mask gives 0 to a node a cut
+					// abandoned (d2 < 0): its Δ is below the max(1, T) the
+					// cut read, and lo, read since from a threshold that
+					// only rises, is no smaller. A node with d1 <= 0 (u
+					// itself, or unreachable in G_t1) gets at most 0. Both
+					// fall below lo, which is at least 1.
+					lo := load()
+					d1, d2 = d1[:n], d2[:n]
+					for v := range d1 {
+						delta := (d1[v] - d2[v]) &^ (d2[v] >> 31)
 						if delta < lo {
 							continue
 						}
+						if inM[v] && v < u {
+							continue // the pair is found from the smaller candidate
+						}
+						if invariant.Enabled && ubounds != nil && delta > ubounds[i] {
+							invariant.Checkf(false, "candidate %d: pair (%d, %d) has Δ %d above its landmark bound %d", i, u, v, delta, ubounds[i])
+						}
 						th.Offer(delta)
-						lo = th.Load()
+						lo = load()
 						p := topk.Pair{U: int32(u), V: int32(v), D1: d1[v], D2: d2[v], Delta: delta}
 						if p.U > p.V {
 							p.U, p.V = p.V, p.U
@@ -478,6 +484,25 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 	return all, pstats, nil
 }
 
+// workerLoad returns the threshold reader of one extraction worker. Under
+// the invariants tag it also asserts that the worker never loads a value
+// below one it loaded before: every skip, cut and emission test relies on
+// the threshold only rising.
+func workerLoad(th *prune.Threshold) func() int32 {
+	if !invariant.Enabled {
+		return th.Load
+	}
+	var seen int32
+	return func() int32 {
+		t := th.Load()
+		if t < seen {
+			invariant.Checkf(false, "extraction worker loaded threshold %d after %d", t, seen)
+		}
+		seen = t
+		return t
+	}
+}
+
 // landmarkBounds computes, per candidate, a cheap upper bound on the Δ of
 // any pair involving it, from the landmark rows a landmark-using selector
 // left in the context. For a landmark w and nodes u, v all reachable from w
@@ -508,13 +533,16 @@ func landmarkBounds(cctx *candidates.Context, cands []int) []int32 {
 		if ld1 == nil || ld2 == nil {
 			continue
 		}
-		var maxL int32 // >= 0: v == w contributes 0 - 0
+		ld2 = ld2[:len(ld1)]
+		if invariant.Enabled {
+			dist.CheckGrowing(w, ld1, ld2)
+		}
+		// Branch-free: v == w contributes 0 − 0, and a node w cannot reach
+		// in G_t1 contributes −1 − ld2[v] < 0, so neither raises maxL
+		// above what the reachable nodes give.
+		var maxL int32
 		for v := range ld1 {
-			if ld1[v] >= 0 && ld2[v] >= 0 {
-				if d := ld1[v] - ld2[v]; d > maxL {
-					maxL = d
-				}
-			}
+			maxL = max(maxL, ld1[v]-ld2[v])
 		}
 		lms = append(lms, lmBound{d1: ld1, d2: ld2, maxL: maxL})
 	}

@@ -1,10 +1,6 @@
 package datagen
 
-import (
-	"testing"
-
-	"repro/internal/graph"
-)
+import "testing"
 
 func TestGeneratorsDeterministic(t *testing.T) {
 	for _, name := range Names {
@@ -89,7 +85,7 @@ func TestGeneratorsStructure(t *testing.T) {
 			}
 			// The largest component holds a majority of present nodes
 			// everywhere except DBLP, which intentionally leaves a fringe.
-			comp, _ := graph.LargestComponent(g)
+			comp, _ := g.LargestComponent()
 			frac := float64(len(comp)) / float64(g.NumNodes())
 			if r.name == "DBLP" {
 				if frac > 0.95 {

@@ -123,7 +123,7 @@ func (d *Dataset) Characteristics(pair graph.SnapshotPair, gt *topk.GroundTruth)
 			c.Nodes2++
 		}
 	}
-	comp, _ := graph.LargestComponent(pair.G1)
+	comp, _ := pair.G1.LargestComponent()
 	c.NotConnected = c.Nodes1 - len(comp)
 	return c
 }

@@ -28,6 +28,7 @@ import (
 	"sync"
 
 	"repro/internal/graph"
+	"repro/internal/invariant"
 	"repro/internal/sssp"
 )
 
@@ -170,6 +171,17 @@ func (p Pair) Validate() error {
 // NumNodes returns the shared node-universe size.
 func (p Pair) NumNodes() int { return p.S1.NumNodes() }
 
+// CheckGrowing asserts the growing-snapshot contract on src's rows r1 (G_t1)
+// and r2 (G_t2): a node src reaches in G_t1 it still reaches in G_t2. Call it
+// only under invariant.Enabled.
+func CheckGrowing(src int, r1, r2 []int32) {
+	for v := range r1 {
+		if r1[v] >= 0 && r2[v] < 0 {
+			invariant.Checkf(false, "source %d: node %d at %d in G_t1 is unreachable in G_t2", src, v, r1[v])
+		}
+	}
+}
+
 // PairedSweep computes, for every source, its distance rows on both
 // snapshots and invokes fn(src, d1, d2); the buffers are only valid during
 // the call. BFS pairs route to sssp's paired multi-source driver; anything
@@ -194,9 +206,16 @@ func PairedSweep(p Pair, sources []int, workers int, fn func(src int, d1, d2 []i
 
 // LargestComponent returns the nodes of s's largest connected component,
 // sorted ascending, with the total component count. Component analysis is
-// structural (free in the paper's cost model), shared across metrics via
-// graph.LargestComponentOf.
+// structural (free in the paper's cost model). BFS and Dijkstra sources
+// read the memo their graph keeps, so a snapshot is labelled once; any
+// other source is labelled by graph.LargestComponentOf on every call.
 func LargestComponent(s Source) (nodes []int, components int) {
+	switch s := s.(type) {
+	case *BFS:
+		return s.g.LargestComponent()
+	case *Dijkstra:
+		return s.g.LargestComponent()
+	}
 	return graph.LargestComponentOf(s)
 }
 

@@ -1,5 +1,10 @@
 package graph
 
+import (
+	"math/bits"
+	"sync"
+)
+
 // AdjacencyLister is the structural view shared by Graph and Weighted: the
 // node universe plus weight-less adjacency. Component analysis only needs
 // connectivity, so it runs identically on both representations (and on any
@@ -73,11 +78,47 @@ func LargestComponentOf(g AdjacencyLister) (nodes []int, components int) {
 	return nodes, count
 }
 
-// LargestComponent returns the nodes of the largest connected component,
-// sorted ascending, together with the component count of the whole graph.
-func LargestComponent(g *Graph) (nodes []int, components int) {
-	return LargestComponentOf(g)
+// largestMemo keeps a graph's largest connected component from its first
+// use on: a bitmap over the node universe (⌈n/64⌉ words, about n/8 bytes)
+// and the graph's component count. Graphs are immutable, so it never goes
+// stale, and a PadUniverse view is a new graph with a memo of its own.
+type largestMemo struct {
+	once  sync.Once
+	bits  []uint64
+	size  int
+	count int
 }
+
+// get returns LargestComponentOf(g), labelling g on the first call only;
+// concurrent first calls label it once.
+func (m *largestMemo) get(g AdjacencyLister) (nodes []int, components int) {
+	m.once.Do(func() {
+		comp, count := LargestComponentOf(g)
+		m.bits = make([]uint64, (g.NumNodes()+63)/64)
+		for _, u := range comp {
+			m.bits[u/64] |= 1 << (u % 64)
+		}
+		m.size, m.count = len(comp), count
+	})
+	if m.size == 0 {
+		return nil, m.count
+	}
+	nodes = make([]int, 0, m.size)
+	for i, w := range m.bits {
+		for ; w != 0; w &= w - 1 {
+			nodes = append(nodes, i*64+bits.TrailingZeros64(w))
+		}
+	}
+	return nodes, m.count
+}
+
+// LargestComponent returns the nodes of g's largest connected component,
+// sorted ascending, together with the component count of the whole graph.
+// The first call labels g; every later one expands the memo kept beside g.
+func (g *Graph) LargestComponent() (nodes []int, components int) { return g.largest.get(g) }
+
+// LargestComponent is Graph.LargestComponent for a weighted graph.
+func (g *Weighted) LargestComponent() (nodes []int, components int) { return g.largest.get(g) }
 
 // SameComponent returns a predicate telling whether two nodes are connected
 // in g, backed by one Components pass.

@@ -40,6 +40,7 @@ type Graph struct {
 	offsets   []int32 // len NumNodes+1
 	neighbors []int32 // len 2*NumEdges
 	numEdges  int
+	largest   largestMemo
 }
 
 // ErrNodeRange reports a node identifier outside [0, NumNodes), or, where

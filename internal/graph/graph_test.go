@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -211,7 +213,7 @@ func TestComponents(t *testing.T) {
 
 func TestLargestComponent(t *testing.T) {
 	g := FromEdges(8, []Edge{{0, 1}, {1, 2}, {2, 3}, {4, 5}, {6, 7}})
-	nodes, count := LargestComponent(g)
+	nodes, count := g.LargestComponent()
 	if count != 3 {
 		t.Fatalf("count = %d, want 3", count)
 	}
@@ -225,7 +227,88 @@ func TestLargestComponent(t *testing.T) {
 
 func emptyLargest() ([]int, int) {
 	var g Graph
-	return LargestComponent(&g)
+	return g.LargestComponent()
+}
+
+// TestLargestComponentMemo holds the memo of Graph and Weighted to
+// LargestComponentOf, on a first and on a repeated call: on random forests
+// with isolated nodes, on their PadUniverse views, and on graphs whose
+// largest components tie in size (the lowest-labelled one wins).
+func TestLargestComponentMemo(t *testing.T) {
+	check := func(label string, g AdjacencyLister, memo func() ([]int, int)) {
+		t.Helper()
+		wantNodes, wantCount := LargestComponentOf(g)
+		for call := 0; call < 2; call++ {
+			nodes, count := memo()
+			if !reflect.DeepEqual(nodes, wantNodes) || count != wantCount {
+				t.Fatalf("%s call %d: memo %v (%d components), LargestComponentOf %v (%d)",
+					label, call, nodes, count, wantNodes, wantCount)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 30; trial++ {
+		n := 1 + rng.Intn(150)
+		var edges []Edge
+		for v := 1; v < n; v++ {
+			if rng.Intn(4) > 0 {
+				edges = append(edges, Edge{v, rng.Intn(v)})
+			}
+		}
+		g := FromEdges(n, edges)
+		check("fresh", g, g.LargestComponent)
+		p := PadUniverse(g, n+1+rng.Intn(100))
+		check("padded", p, p.LargestComponent)
+		w := FromUnweighted(g)
+		check("weighted", w, w.LargestComponent)
+	}
+	// Three triangles and a pair over shuffled IDs: the triangles tie, and
+	// the one holding the smallest ID is the largest component.
+	for trial := 0; trial < 10; trial++ {
+		id := rng.Perm(11)
+		g := FromEdges(11, []Edge{
+			{id[0], id[1]}, {id[1], id[2]}, {id[2], id[0]},
+			{id[3], id[4]}, {id[4], id[5]}, {id[5], id[3]},
+			{id[6], id[7]}, {id[7], id[8]}, {id[8], id[6]},
+			{id[9], id[10]},
+		})
+		check("tied", g, g.LargestComponent)
+	}
+}
+
+// countingLister counts the NeighborIDs calls a labelling makes: one per
+// node per pass.
+type countingLister struct {
+	*Graph
+	calls atomic.Int64
+}
+
+func (c *countingLister) NeighborIDs(u int) []int32 {
+	c.calls.Add(1)
+	return c.Graph.NeighborIDs(u)
+}
+
+// TestLargestComponentMemoOnce: sixteen concurrent first uses of one memo
+// label the graph once and all get the same component. Run it under -race.
+func TestLargestComponentMemoOnce(t *testing.T) {
+	g := FromEdges(500, []Edge{{0, 1}, {1, 2}, {2, 3}, {10, 11}})
+	want, _ := LargestComponentOf(g)
+	c := &countingLister{Graph: g}
+	var m largestMemo
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if nodes, _ := m.get(c); !reflect.DeepEqual(nodes, want) {
+				t.Errorf("concurrent memo %v, want %v", nodes, want)
+			}
+		}()
+	}
+	wg.Wait()
+	if calls := c.calls.Load(); calls != int64(g.NumNodes()) {
+		t.Fatalf("%d NeighborIDs calls, want one labelling pass (%d)", calls, g.NumNodes())
+	}
 }
 
 func TestSameComponent(t *testing.T) {

@@ -22,6 +22,7 @@ type Weighted struct {
 	neighbors []int32
 	weights   []int32
 	numEdges  int
+	largest   largestMemo
 }
 
 // ErrNegativeWeight reports an edge with a negative weight; shortest-path

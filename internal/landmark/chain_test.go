@@ -104,8 +104,9 @@ func servedG1(tb testing.TB, dataset string, nodes int) *graph.Graph {
 
 // TestMaxMinChainMatchesFullRows holds the chain to the full-row loop on
 // random graphs with several components, isolated nodes and tied
-// distances, at l ∈ {1, 2, |comp|, |comp|+3} and one to four workers, and on
-// small served datagen shapes.
+// distances, at l ∈ {1, 2, |comp|, |comp|+3} and one to four workers, on
+// small served datagen shapes, and on a ring and a grid, where many nodes
+// share the maximum.
 func TestMaxMinChainMatchesFullRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 40; trial++ {
@@ -122,6 +123,26 @@ func TestMaxMinChainMatchesFullRows(t *testing.T) {
 		g := servedG1(t, c.dataset, c.nodes)
 		for _, l := range []int{10, 50} {
 			requireChainMatchesRows(t, c.dataset, g, l, 2)
+		}
+	}
+	// A ring and a grid leave several nodes at the maximum after most
+	// picks, so picks come from the resumed scan as well as from full scans.
+	ring := graph.NewBuilder(24)
+	for v := 0; v < 24; v++ {
+		_ = ring.AddEdge(v, (v+1)%24)
+	}
+	grid := graph.NewBuilder(36)
+	for v := 0; v < 36; v++ {
+		if v%6 < 5 {
+			_ = grid.AddEdge(v, v+1)
+		}
+		if v < 30 {
+			_ = grid.AddEdge(v, v+6)
+		}
+	}
+	for _, g := range []*graph.Graph{ring.Build(), grid.Build()} {
+		for _, l := range []int{4, 9, g.NumNodes()} {
+			requireChainMatchesRows(t, fmt.Sprintf("%d-node ring or grid", g.NumNodes()), g, l, 1)
 		}
 	}
 }

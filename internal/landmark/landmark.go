@@ -27,6 +27,7 @@ import (
 	"repro/internal/budget"
 	"repro/internal/dist"
 	"repro/internal/graph"
+	"repro/internal/invariant"
 	"repro/internal/sssp"
 	"repro/internal/topk"
 )
@@ -223,13 +224,26 @@ func maxMinChain(g *graph.Graph, s1 dist.Source, comp []int, first, l int, meter
 	s1.DistancesInto(first, row)
 	near := slices.Clone(row)
 	nodes := append(make([]int, 0, l), first)
+	// Picks have near 0 and the component's other nodes at least 1; the
+	// first of the farthest in component order wins. near only falls, and
+	// every component position before the last pick's (at) held less than
+	// its value top, so the next pick is the first node after it still at
+	// top; only when none is left does a full scan find the new top.
+	at, top := len(comp), int32(0)
 	for len(nodes) < l {
-		// Picks have near 0 and the component's other nodes at least 1;
-		// the first of the farthest in component order wins.
-		best, bestNear := -1, int32(0)
-		for _, v := range comp {
-			if near[v] > bestNear {
-				best, bestNear = v, near[v]
+		best := -1
+		for at++; at < len(comp); at++ {
+			if near[comp[at]] == top {
+				best = comp[at]
+				break
+			}
+		}
+		if best < 0 {
+			top = 0
+			for i, v := range comp {
+				if near[v] > top {
+					best, top, at = v, near[v], i
+				}
 			}
 		}
 		if best < 0 {
@@ -293,20 +307,19 @@ func ComputeNormsSource(set Set, p dist.Pair, meter *budget.Meter, workers int) 
 
 	n := p.NumNodes()
 	norms := Norms{L1: make([]int64, n), LInf: make([]int32, n)}
+	L1, LInf := norms.L1, norms.LInf[:n]
 	for i := 0; i < l; i++ {
-		r1, r2 := d1[i], d2[i]
-		for v := 0; v < n; v++ {
-			if r1[v] <= 0 { // unreachable in G_t1, or the landmark itself
-				continue
-			}
-			delta := r1[v] - r2[v]
-			if delta <= 0 {
-				continue
-			}
-			norms.L1[v] += int64(delta)
-			if delta > norms.LInf[v] {
-				norms.LInf[v] = delta
-			}
+		r1, r2 := d1[i][:n], d2[i][:n]
+		if invariant.Enabled {
+			dist.CheckGrowing(set.Nodes[i], r1, r2)
+		}
+		// Branch-free: the landmark itself gives 0 − 0 and a node it cannot
+		// reach in G_t1 gives −1 − r2 <= 0, so max(0, ·) folds both to the
+		// zero they contribute.
+		for v := range L1 {
+			delta := max(0, r1[v]-r2[v])
+			L1[v] += int64(delta)
+			LInf[v] = max(LInf[v], delta)
 		}
 	}
 	return norms, d1, d2, nil

@@ -228,11 +228,18 @@ func TestNormsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 6 + rng.Intn(30)
+		// G_t1 is a forest of two or three trees (node i in tree i mod
+		// comps), so nodes outside a landmark's tree are unreachable from it
+		// in G_t1; G_t2 joins the trees' roots and adds random edges.
+		comps := 2 + rng.Intn(2)
 		b := graph.NewBuilder(n)
-		for i := 1; i < n; i++ {
-			_ = b.AddEdge(i, rng.Intn(i))
+		for i := comps; i < n; i++ {
+			_ = b.AddEdge(i, i%comps+comps*rng.Intn(i/comps))
 		}
 		g1 := b.Build()
+		for c := 1; c < comps; c++ {
+			_ = b.AddEdge(c-1, c)
+		}
 		for i := 0; i < 3; i++ {
 			_ = b.AddEdge(rng.Intn(n), rng.Intn(n))
 		}

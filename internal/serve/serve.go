@@ -47,8 +47,9 @@ type Config struct {
 	// Retain bounds epoch retention (<= 0 for unlimited).
 	Retain int
 	// TenantLimit is the SSSP allowance given to tenants created implicitly
-	// by their first query (<= 0 means unlimited). Tenants declared via
-	// POST /tenants carry their declared limit instead.
+	// by their first admitted query (<= 0 means unlimited); a refused query
+	// creates none. Tenants declared via POST /tenants carry their declared
+	// limit instead.
 	TenantLimit int
 	// MaxSessions bounds the cached window sessions (default 8). Evicted
 	// sessions release their epoch pins.
@@ -438,8 +439,8 @@ func (s *Server) Query(r *http.Request, req *QueryRequest) (*QueryResponse, int,
 		}
 		return nil, http.StatusBadRequest, err
 	}
-	tenant := s.reg.Tenant(req.Tenant, s.cfg.TenantLimit)
-	meter, err := tenant.Admit(req.M)
+	// An unknown tenant is registered only once a query of it is admitted.
+	tenant, meter, err := s.reg.Admit(req.Tenant, s.cfg.TenantLimit, req.M)
 	if err != nil {
 		return nil, http.StatusTooManyRequests, err
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -439,7 +440,18 @@ func TestRejectedQueryRegistersNoTenant(t *testing.T) {
 			t.Fatalf("tenant %s: status %d, want 400", req.Tenant, code)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/tenants")
+	tenants := getTenants(t, ts.URL)
+	for _, req := range bad {
+		if _, ok := tenants[req.Tenant]; ok {
+			t.Errorf("rejected query registered tenant %s: %+v", req.Tenant, tenants)
+		}
+	}
+}
+
+// getTenants decodes GET /tenants.
+func getTenants(t *testing.T, url string) map[string]TenantReport {
+	t.Helper()
+	resp, err := http.Get(url + "/tenants")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,10 +460,59 @@ func TestRejectedQueryRegistersNoTenant(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&tenants); err != nil {
 		t.Fatal(err)
 	}
-	for _, req := range bad {
-		if _, ok := tenants[req.Tenant]; ok {
-			t.Errorf("rejected query registered tenant %s: %+v", req.Tenant, tenants)
+	return tenants
+}
+
+// TestRefusedUnknownTenantLeavesNothing: under a TenantLimit of 1, 1,000
+// queries naming 1,000 unknown tenants all get 429, and none of the names
+// is registered or labels a series on /metrics. Under a TenantLimit of 3m an unknown tenant's first query
+// is admitted and registers it, and its second is refused with its spend
+// unchanged.
+func TestRefusedUnknownTenantLeavesNothing(t *testing.T) {
+	stream := genStream(40, 60, 5)
+	const m = 5
+	for _, limit := range []int{1, 3 * m} {
+		srv := New(Config{TenantLimit: limit})
+		ts := httptest.NewServer(srv.Handler())
+		loadServer(t, ts.URL, stream)
+		if limit == 1 {
+			for q := 0; q < 1000; q++ {
+				req := QueryRequest{Tenant: fmt.Sprintf("stranger-%d", q), Selector: "Degree", M: m, K: 5}
+				if code := postJSON(t, ts.URL+"/query", req, nil); code != http.StatusTooManyRequests {
+					t.Fatalf("query %d: status %d, want 429", q, code)
+				}
+			}
+			if tenants := getTenants(t, ts.URL); len(tenants) != 0 {
+				t.Errorf("refused queries registered %d tenants", len(tenants))
+			}
+			resp, err := http.Get(ts.URL + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			metrics, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Contains(metrics, []byte(`tenant="stranger-`)) {
+				t.Error("refused queries left tenant-labeled series on /metrics")
+			}
+		} else {
+			req := QueryRequest{Tenant: "newcomer", Selector: "MMSD", M: m, L: 2, K: 5}
+			var first QueryResponse
+			if code := postJSON(t, ts.URL+"/query", req, &first); code != http.StatusOK || first.TenantSpent != 2*m {
+				t.Fatalf("first query: status %d, tenant spent %d, want 200 and %d", code, first.TenantSpent, 2*m)
+			}
+			if code := postJSON(t, ts.URL+"/query", req, nil); code != http.StatusTooManyRequests {
+				t.Fatalf("second query: status %d, want 429", code)
+			}
+			tenants := getTenants(t, ts.URL)
+			if got := tenants["newcomer"]; len(tenants) != 1 || got.Total != 2*m || got.Limit != limit {
+				t.Errorf("tenants %+v, want only newcomer with limit %d and %d spent", tenants, limit, 2*m)
+			}
 		}
+		ts.Close()
+		srv.Close()
 	}
 }
 
