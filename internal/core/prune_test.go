@@ -658,3 +658,25 @@ func TestLandmarkBoundsSound(t *testing.T) {
 		}
 	}
 }
+
+// TestMaxGain holds maxGain's four partial maxima to the single
+// loop-carried max it replaced, max(0, max over v of ld1[v] − ld2[v]), on
+// random rows of every length from 0 to 13 (each remainder of the
+// four-node stride), with unreachable (−1) entries mixed in.
+func TestMaxGain(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 500; trial++ {
+		n := trial % 14
+		ld1, ld2 := make([]int32, n), make([]int32, n+trial%3)
+		for v := range ld1 {
+			ld1[v], ld2[v] = int32(rng.Intn(12))-1, int32(rng.Intn(12))-1
+		}
+		var want int32
+		for v := range ld1 {
+			want = max(want, ld1[v]-ld2[v])
+		}
+		if got := maxGain(ld1, ld2); got != want {
+			t.Fatalf("trial %d: maxGain(%v, %v) = %d, want %d", trial, ld1, ld2, got, want)
+		}
+	}
+}

@@ -503,6 +503,29 @@ func workerLoad(th *prune.Threshold) func() int32 {
 	}
 }
 
+// maxGain returns maxΛ(w) over one landmark's rows, the largest
+// ld1[v] − ld2[v] and at least 0. It is branch-free: v == w contributes
+// 0 − 0, and a node w cannot reach in G_t1 contributes −1 − ld2[v] < 0, so
+// neither raises it above what the reachable nodes give. Four partial
+// maxima over interleaved nodes, merged at the end, keep four independent
+// max chains in flight instead of one carried through every node.
+func maxGain(ld1, ld2 []int32) int32 {
+	ld2 = ld2[:len(ld1)]
+	var m0, m1, m2, m3 int32
+	v := 0
+	for ; v+4 <= len(ld1); v += 4 {
+		a, b := ld1[v:v+4:v+4], ld2[v:v+4:v+4]
+		m0 = max(m0, a[0]-b[0])
+		m1 = max(m1, a[1]-b[1])
+		m2 = max(m2, a[2]-b[2])
+		m3 = max(m3, a[3]-b[3])
+	}
+	for ; v < len(ld1); v++ {
+		m0 = max(m0, ld1[v]-ld2[v])
+	}
+	return max(m0, m1, m2, m3)
+}
+
 // landmarkBounds computes, per candidate, a cheap upper bound on the Δ of
 // any pair involving it, from the landmark rows a landmark-using selector
 // left in the context. For a landmark w and nodes u, v all reachable from w
@@ -537,14 +560,7 @@ func landmarkBounds(cctx *candidates.Context, cands []int) []int32 {
 		if invariant.Enabled {
 			dist.CheckGrowing(w, ld1, ld2)
 		}
-		// Branch-free: v == w contributes 0 − 0, and a node w cannot reach
-		// in G_t1 contributes −1 − ld2[v] < 0, so neither raises maxL
-		// above what the reachable nodes give.
-		var maxL int32
-		for v := range ld1 {
-			maxL = max(maxL, ld1[v]-ld2[v])
-		}
-		lms = append(lms, lmBound{d1: ld1, d2: ld2, maxL: maxL})
+		lms = append(lms, lmBound{d1: ld1, d2: ld2, maxL: maxGain(ld1, ld2)})
 	}
 	if len(lms) == 0 {
 		return nil

@@ -81,6 +81,8 @@ func recordRun(opts Options, kernel string, workers int, meter *budget.Meter, be
 			PrunedBFSEdges:         d.PrunedBFS.Edges,
 			PrunedBFSBottomUpSteps: d.PrunedBFS.BottomUpSteps,
 			PrunedCutoffs:          int64(pstats.Cutoffs),
+			// The levels the run's sweep batches pulled bottom-up.
+			BitParallel64BottomUpSteps: d.BitParallel64.BottomUpSteps,
 		},
 		PrunedCandidates: pstats.CandidatesSkipped,
 		Outcome:          "ok",

@@ -209,8 +209,9 @@ func TestFlightRecordNamesSessionKernel(t *testing.T) {
 
 // TestFlightRecordShowsBoundedDirection: on a Facebook-shaped graph (one
 // small-diameter component, datagen at n=500) a top-K query's bounded t2
-// legs run some levels bottom-up, its flight record says how many, and
-// /metrics exposes the bounded leg's direction counters.
+// legs run some levels bottom-up, and so does the one 19-lane batch that
+// sweeps its MaxMin picks' rows at one worker; its flight record says how
+// many, and /metrics exposes both kernels' direction counters.
 func TestFlightRecordShowsBoundedDirection(t *testing.T) {
 	ev, err := datagen.ByName("Facebook", datagen.Config{Seed: 1, Scale: 500.0 / 4700})
 	if err != nil {
@@ -228,12 +229,16 @@ func TestFlightRecordShowsBoundedDirection(t *testing.T) {
 		t.Errorf("flight record prunedbfs_calls = %d, prunedbfs_bottomup_steps = %d, want both > 0",
 			k.PrunedBFSCalls, k.PrunedBFSBottomUpSteps)
 	}
+	if k.BitParallel64BottomUpSteps == 0 {
+		t.Errorf("flight record bitparallel64_bottomup_steps = 0, want > 0")
+	}
 	var buf bytes.Buffer
 	if err := obs.WriteMetrics(&buf); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{
 		"sssp.prunedbfs_topdown_steps", "sssp.prunedbfs_bottomup_steps", "sssp.prunedbfs_switches",
+		"sssp.bitparallel64.topdown_steps", "sssp.bitparallel64.bottomup_steps", "sssp.bitparallel64.switches",
 	} {
 		if !strings.Contains(buf.String(), name) {
 			t.Errorf("/metrics is missing %s", name)

@@ -49,6 +49,9 @@ type KernelDelta struct {
 	PrunedBFSEdges         int64 `json:"prunedbfs_edges,omitempty"`
 	PrunedBFSBottomUpSteps int64 `json:"prunedbfs_bottomup_steps,omitempty"`
 	PrunedCutoffs          int64 `json:"pruned_cutoffs,omitempty"`
+	// BitParallel64BottomUpSteps counts the levels the run's bit-parallel
+	// sweep batches pulled bottom-up.
+	BitParallel64BottomUpSteps int64 `json:"bitparallel64_bottomup_steps,omitempty"`
 }
 
 // RunRecord is one flight-recorder entry.

@@ -75,7 +75,13 @@ func BenchmarkAllSourcesParallel(b *testing.B) {
 // threshold's evidence: on the four served snapshots (DBLP n=10k and
 // Facebook n=4,700, each at 80% and 100%), one op runs 8, 16, 32 or 64
 // sources either through dirOptBFS one at a time or as one msBFSBatch, and
-// reports ns/source. The DBLP and Facebook rows run dirOptBFS on
+// reports ns/source. The sweep rows measure the batch kernel alone on the
+// served snapshots (DBLP n=10k and Facebook n=4,700 at 80% and 100%,
+// Facebook n=10k at 80%): one op is one msBFSBatch of 1 to 64 lanes (1 to
+// 8 being the size of a sweep's tail chunk), either spread evenly over the
+// nodes with an edge or MaxMin-dispersed (maxMinPicks, after its first
+// pick, as a MaxMin selection sweeps them), and each reports ns/source and
+// the batch's exact edges/op. The DBLP and Facebook rows run dirOptBFS on
 // the served workloads' graph shapes (servedSnapshot), cycling over 200
 // sources with an edge: benchGraph is one connected random component with
 // neither DBLP's diameter nor its unreachable components, so those rows
@@ -195,6 +201,47 @@ func BenchmarkBFSEngines(b *testing.B) {
 			}
 		}
 	}
+	picks := map[*graph.Graph][]int{}
+	for _, shape := range []struct {
+		dataset string
+		nodes   int
+		frac    float64
+	}{{"DBLP", 10000, 0.8}, {"DBLP", 10000, 1}, {"Facebook", 4700, 0.8}, {"Facebook", 4700, 1}, {"Facebook", 10000, 0.8}} {
+		for _, spread := range []bool{true, false} {
+			kind := "maxmin"
+			if spread {
+				kind = "spread"
+			}
+			for _, lanes := range []int{1, 2, 4, 8, 16, 20, 25, 32, 49, 64} {
+				b.Run(fmt.Sprintf("sweep/%s/%s/n=%d/cut=%.1f/lanes=%d", kind, shape.dataset, shape.nodes, shape.frac, lanes), func(b *testing.B) {
+					g := snapshot(b, shape.dataset, shape.nodes, shape.frac)
+					n := g.NumNodes()
+					var batch []int
+					if spread {
+						batch = liveSources(g, lanes)
+					} else {
+						if picks[g] == nil {
+							picks[g] = maxMinPicks(g, msBatchBits+1)
+						}
+						batch = picks[g][1 : 1+lanes]
+					}
+					rows := newRows(lanes, n)
+					s := NewScratch(n)
+					msBFSBatch(g, batch, rows, s)
+					b.ReportAllocs()
+					before := SnapshotMetrics()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						msBFSBatch(g, batch, rows, s)
+					}
+					b.StopTimer()
+					edges := SnapshotMetrics().Sub(before).BitParallel64.Edges
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lanes), "ns/source")
+					b.ReportMetric(float64(edges)/float64(b.N), "edges/op")
+				})
+			}
+		}
+	}
 	for _, n := range []int{10000, 50000} {
 		sources := make([]int, 64)
 		for i := range sources {
@@ -231,6 +278,36 @@ func BenchmarkBFSEngines(b *testing.B) {
 			}
 		})
 	}
+}
+
+// maxMinPicks returns k nodes of g's largest component picked
+// farthest-first, the dispersed shape of a MaxMin selection: the
+// component's first node, then each time the node farthest from every pick
+// so far (the lowest-numbered on ties).
+func maxMinPicks(g *graph.Graph, k int) []int {
+	comp, _ := g.LargestComponent()
+	near, row := make([]int32, g.NumNodes()), make([]int32, g.NumNodes())
+	picks := []int{comp[0]}
+	BFS(g, comp[0], near)
+	for len(picks) < k {
+		best := -1
+		for v, d := range near {
+			if d > 0 && (best < 0 || d > near[best]) {
+				best = v
+			}
+		}
+		if best < 0 {
+			break
+		}
+		BFS(g, best, row)
+		for v, d := range row {
+			if d >= 0 && d < near[v] {
+				near[v] = d
+			}
+		}
+		picks = append(picks, best)
+	}
+	return picks
 }
 
 // BenchmarkAllPairs measures the exact ground-truth sweep's hot path — the

@@ -11,8 +11,9 @@
 // alone: single-source calls and sweeps whose worker shares are small run a
 // Beamer-style direction-optimizing BFS, and a share of msShareThreshold or
 // more sources runs a bit-parallel multi-source batch kernel of up to 64
-// lanes. Both produce bit-identical distances. LowerNearest, the MaxMin
-// chain's step, is a third traversal that produces no row.
+// lanes, whose level loop is direction-optimizing too. Both produce
+// bit-identical distances. LowerNearest, the MaxMin chain's step, is a
+// third traversal that produces no row.
 package sssp
 
 import (

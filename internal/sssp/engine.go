@@ -23,8 +23,9 @@ const msBatchBits = 64
 // msShareThreshold fixes the kernel policy of the multi-source drivers:
 // a worker share of at least this many sources runs through the bit-parallel
 // batch kernel, and a smaller one runs dirOptBFS per source. On the served
-// snapshots a batch's per-source cost against dirOptBFS read 0.95–1.16× at
-// 8 lanes and 0.76–0.82× at 16 (BenchmarkBFSEngines's lanes rows,
+// snapshots a batch's per-source cost against dirOptBFS read 0.38–0.71× at
+// 16 lanes; at 8 it read 0.59–0.63× on Facebook but 0.85–0.95× on DBLP,
+// inside dirOptBFS's spread (BenchmarkBFSEngines's lanes rows,
 // BENCH_sssp.json "share_threshold"). Single-source entry points always run
 // dirOptBFS.
 const msShareThreshold = 16

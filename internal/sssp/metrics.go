@@ -95,9 +95,10 @@ type KernelCounters struct {
 	// Nodes and Edges count node visits and edge examinations.
 	Nodes int64
 	Edges int64
-	// TopDownSteps and BottomUpSteps count the direction-optimizing levels
-	// (DirectionOpt and PrunedBFS) executed in each mode; Switches counts
-	// direction changes.
+	// TopDownSteps and BottomUpSteps count the levels each direction-
+	// optimizing kernel (DirectionOpt, PrunedBFS and BitParallel64, whose
+	// batches count one step per level) ran in each direction; Switches
+	// counts direction changes.
 	TopDownSteps  int64
 	BottomUpSteps int64
 	Switches      int64
@@ -296,10 +297,13 @@ func init() {
 		obs.RegisterMetric(prefix+"edges_scanned", c.edges.Load)
 		obs.RegisterMetric(prefix+"frontier_peak", c.frontierPeak.Load)
 	}
-	dir := &kernelMetrics[kDirOpt]
-	obs.RegisterMetric("sssp.diropt.topdown_steps", dir.tdSteps.Load)
-	obs.RegisterMetric("sssp.diropt.bottomup_steps", dir.buSteps.Load)
-	obs.RegisterMetric("sssp.diropt.switches", dir.switches.Load)
+	for _, i := range []kernelIndex{kDirOpt, kBitParallel} {
+		c := &kernelMetrics[i]
+		prefix := "sssp." + names[i] + "."
+		obs.RegisterMetric(prefix+"topdown_steps", c.tdSteps.Load)
+		obs.RegisterMetric(prefix+"bottomup_steps", c.buSteps.Load)
+		obs.RegisterMetric(prefix+"switches", c.switches.Load)
+	}
 	rep := &kernelMetrics[kRepair]
 	obs.RegisterMetric("sssp.repair_calls", rep.calls.Load)
 	obs.RegisterMetric("sssp.repair_nodes", rep.nodes.Load)
