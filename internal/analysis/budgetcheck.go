@@ -58,8 +58,9 @@ func budgetEntryPoint(name string) bool {
 	switch name {
 	case "Distances", "WeightedDistances",
 		// The Δ-threshold bounded second traversal: cut short for machine
-		// work, but it still produces the charged row.
-		"PrunedSecondBFS",
+		// work, but it still produces the charged row; and its sweep form,
+		// one row per source.
+		"PrunedSecondBFS", "PrunedRowsInto",
 		// The MaxMin chain step: a pick's pruned traversal, run under the
 		// pick's charge in place of its full row.
 		"LowerNearest":
@@ -70,13 +71,13 @@ func budgetEntryPoint(name string) bool {
 
 // distEntryPoint reports whether a dist-package function or method named
 // name costs budget: one unit per Source.DistancesInto call, one per t2
-// row for PairedEngine.DeriveInto (bounded or not: the Δ-threshold cuts
-// traversal, not charges), one per source for the batched sweeps,
-// RowsInto and DistanceMatrix.
+// row for PairedEngine.DeriveInto and DeriveRowsInto (bounded or not: the
+// Δ-threshold cuts traversal, not charges), one per source for the batched
+// sweeps, RowsInto and DistanceMatrix.
 func distEntryPoint(name string) bool {
 	switch name {
 	case "DistancesInto", "DistanceMatrix", "RowsInto", "Sweep", "PairedSweep",
-		"DeriveInto":
+		"DeriveInto", "DeriveRowsInto":
 		return true
 	}
 	return false

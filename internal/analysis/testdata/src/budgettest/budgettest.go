@@ -169,6 +169,23 @@ func unmeteredPrunedBFS(g2 *graph.Graph, d1, d2 []int32, ps *sssp.Scratch) {
 	sssp.PrunedSecondBFS(g2, 0, d1, d2, func() int32 { return 1 }, ps) // want `call to sssp.PrunedSecondBFS without`
 }
 
+// A batched round's bounded sweep costs one unit per row, like the
+// per-candidate rows it stands in for.
+
+func unmeteredBoundedSweep(g2 *graph.Graph, ps *dist.PairedEngine, d1s, d2s [][]int32) {
+	sssp.PrunedRowsInto(g2, []int{0}, d1s, d2s, 1, 1) // want `call to sssp.PrunedRowsInto without`
+	ps.DeriveRowsInto([]int{0}, d1s, d2s, 1, 1)       // want `call to dist.DeriveRowsInto without`
+}
+
+func meteredBoundedSweep(p dist.Pair, m *budget.Meter, d1s, d2s [][]int32) error {
+	if err := m.Charge(budget.PhaseTopK, 1); err != nil {
+		return err
+	}
+	ps := dist.NewPairedEngine(p, dist.PairedFull)
+	ps.DeriveRowsInto([]int{0}, d1s, d2s, 1, 1)
+	return nil
+}
+
 // meteredThresholdLoop is the pruned-extraction idiom: charge every row up
 // front, sweep the t1 rows, derive bounded t2 rows through the paired
 // engine with the shared threshold as the bound, and offer each emitted

@@ -72,6 +72,10 @@ type Options struct {
 	// budget report. Export with Trace.WriteChrome or Trace.WriteTree;
 	// tracing off (nil) costs nothing.
 	Trace *obs.Trace
+
+	// schedule forces extraction's schedule after its seed round; only
+	// this package's tests set it.
+	schedule schedule
 }
 
 // Result is the outcome of a budgeted top-k run.
@@ -91,11 +95,15 @@ type Result struct {
 	// measurement the flight record and core.phase_ns{phase="total"} carry.
 	Phases obs.PhaseNanos
 	// Pruned reports what the Δ-threshold pruning did. Observational only:
-	// on a top-K query worker timing changes how early the threshold
-	// tightens, so skip and cut counts vary run to run at more than one
-	// worker while Pairs/Candidates/Budget never do. It is zero on a warm
-	// hit (Options.Warm), which runs no extraction: its flight record shows
-	// the stored spending charged again, no kernel work and workers=0.
+	// Pairs/Candidates/Budget never depend on it. A batched round's skips
+	// and cuts read T1, the threshold after the seed round, which repeats
+	// exactly at a fixed worker count: it is the kth best Δ among the seed
+	// rows' pairs, whatever order they were offered in. The seed round's
+	// and a per-candidate rest's read the live threshold, so at more than
+	// one worker, where timing changes how early it tightens, they vary
+	// run to run. It is zero on a warm hit (Options.Warm), which runs no
+	// extraction: its flight record shows the stored spending charged
+	// again, no kernel work and workers=0.
 	Pruned PruneStats
 }
 
@@ -109,8 +117,11 @@ type PruneStats struct {
 	// since extraction sweeps every other t1 row before its workers start.
 	CandidatesSkipped int
 	// Cutoffs counts the query's bounded t2 rows that the Δ-threshold cut
-	// stopped early.
+	// stopped early, batched ones included.
 	Cutoffs int
+	// T2Batched counts the t2 rows the batched round derived in one
+	// bounded sweep at T1 (0 when the rest ran per candidate).
+	T2Batched int
 }
 
 // CandidateSet returns the candidate endpoints as a set, the form the

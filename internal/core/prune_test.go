@@ -176,7 +176,8 @@ func TestPruneAutoSkipsMinDelta(t *testing.T) {
 // TestExtractionSweepsT1Rows pins extraction's t1 sweep by its exact work.
 // Degree selection runs no traversal and caches no row, so a Degree query's
 // kernel work is extraction's alone: one swept t1 row and one bounded t2
-// row per candidate. At one worker the t1 rows run as one bitparallel64
+// row per candidate (a PrunedBFS source, whether the row ran on its own or
+// as a lane of the batched round). At one worker the t1 rows run as one bitparallel64
 // batch with no diropt call; at four workers with m = 30 each share holds
 // 8 sources, under the batch threshold, so they run per source. A δ query
 // on TestPruneAutoSkipsMinDelta's fixture, with δ just above the smallest
@@ -211,8 +212,11 @@ func TestExtractionSweepsT1Rows(t *testing.T) {
 			t.Errorf("%s: t1 rows ran %d diropt calls and %d bitparallel64 batches, want %d and 0",
 				label, work.DirectionOpt.Calls, work.BitParallel64.Calls, swept)
 		}
-		if work.PrunedBFS.Calls != int64(swept) {
-			t.Errorf("%s: %d bounded t2 rows, want one per candidate (%d)", label, work.PrunedBFS.Calls, swept)
+		// Per-source bounded rows and the lanes of a batched round both
+		// count as sources.
+		if work.PrunedBFS.Sources != int64(swept) {
+			t.Errorf("%s: %d bounded t2 rows (%d batched), want one per candidate (%d)",
+				label, work.PrunedBFS.Sources, res.Pruned.T2Batched, swept)
 		}
 	}
 
@@ -257,9 +261,9 @@ func TestExtractionSweepsT1Rows(t *testing.T) {
 		t.Errorf("δ query swept %d t1 rows, want the %d uncached candidates whose bound reaches δ (%d are below it)", got, want, below)
 	}
 	// The threshold of a δ query never rises, so every swept candidate
-	// derives its t2 row.
-	if calls := sssp.SnapshotMetrics().Sub(before).PrunedBFS.Calls; calls != int64(want) {
-		t.Errorf("δ query derived %d bounded t2 rows, want %d", calls, want)
+	// derives its t2 row, one by one or as a batched lane.
+	if rows := sssp.SnapshotMetrics().Sub(before).PrunedBFS.Sources; rows != int64(want) {
+		t.Errorf("δ query derived %d bounded t2 rows, want %d", rows, want)
 	}
 }
 

@@ -303,14 +303,17 @@ func warmCacheKey(opts Options) string {
 // The G_t1 rows selection did not cache are computed before the workers
 // start, by one dist.RowsInto sweep into pooled rows, for every
 // candidate whose landmark bound reaches the threshold's floor (one below
-// it is skipped at dequeue whatever T does). The workers then derive each
-// candidate's bounded t2 row and emit its pairs. A query cancelled once
-// the workers started still returns its skips and cuts.
+// it is skipped at dequeue whatever T does). The workers then take the
+// candidates in bound order in up to two rounds: a seed round of the
+// first max(2, workers) derives each bounded t2 row at the live threshold
+// and emits its pairs, and the rest either goes on the same way or, when
+// batchRest's rule picks it, emits from one bounded sweep at T1, the
+// threshold the seed round left. A query cancelled once the workers
+// started still returns its skips and cuts.
 func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, cands []int, inM []bool, workers int, opts Options, meter *budget.Meter, phases *obs.PhaseNanos) ([]topk.Pair, PruneStats, error) {
 	if len(cands) == 0 {
 		return nil, PruneStats{}, nil
 	}
-	n := s.src.NumNodes()
 	tr := opts.Trace
 
 	// Charge exactly the SSSP computations the caches cannot cover.
@@ -361,8 +364,6 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 	}
 	dist.RowsInto(s.src.S1, swept, t1, workers)
 
-	//convlint:shared lock-free skip and cut tallies; workers only Add, read after Wait
-	var skipped, cutoffs atomic.Int64
 	// Processing order: largest upper bound first, so the candidates most
 	// likely to hold top pairs tighten the threshold before the hopeless tail
 	// is even dequeued. The order permutation leaves cands itself untouched —
@@ -375,10 +376,23 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 		sort.SliceStable(order, func(a, b int) bool { return ubounds[order[a]] > ubounds[order[b]] })
 	}
 
+	// Two rounds on one set of workers. The seed round runs the first
+	// max(2, workers) candidates in bound order one by one at the live
+	// threshold; then the rest may run as one batched round (batchRest).
+	// When the rest cannot batch at all (the second source is not
+	// BFS-backed, or its uncached t2 rows make no batched worker share),
+	// every candidate goes to the seed round and there is no barrier.
+	x := &extraction{cands: cands, inM: inM, d1s: d1s, cached: cctx.D2Rows, ubounds: ubounds, th: th}
+	seedN := min(len(order), max(2, workers))
+	seed, rest := order[:seedN], order[seedN:]
+	if s.pair.G2 == nil || !x.mayBatch(rest, workers, opts.schedule) {
+		seed, rest = order, nil
+	}
 	var mu sync.Mutex
 	var all []topk.Pair
-	next := make(chan int, workers)
-	var wg sync.WaitGroup
+	jobs := make(chan extractJob, workers)
+	var wg, seedDone sync.WaitGroup
+	seedDone.Add(len(seed))
 	for w := 0; w < workers; w++ {
 		d2buf := *pooled[len(swept)+w]
 		wg.Add(1)
@@ -388,66 +402,37 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 			func(context.Context) {
 				defer wg.Done()
 				var local []topk.Pair
+				// One reader for both rounds: under the invariants tag it
+				// checks the threshold never falls across the barrier too.
 				load := workerLoad(th)
-				for i := range next {
-					// A query cancelled during the sweep or since then
-					// drains without traversing.
-					if ctx.Err() != nil {
-						continue
-					}
-					// Whole-candidate skip: the landmark bound caps every
-					// pair involving this candidate (including pairs it
-					// would have found for larger candidates), so a bound
-					// strictly below T proves none can be returned. Ties at
-					// T are kept.
-					if ubounds != nil && ubounds[i] < load() {
-						skipped.Add(1)
-						continue
-					}
+				for j := range jobs {
+					i, d2 := j.i, j.d2
 					u := cands[i]
-					d1, d2 := d1s[i], cctx.D2Rows[u]
-					// Selectors cache a d2 row only beside its d1 row
-					// (Context.CacheRows); every other candidate derives
-					// its t2 row from d1 here.
-					if d2 == nil {
-						if s.paired.DeriveInto(u, d1, d2buf, load) {
-							cutoffs.Add(1)
+					switch {
+					case ctx.Err() != nil:
+						// A query cancelled during a sweep or since then
+						// drains without traversing.
+						d2 = nil
+					case d2 != nil:
+						// A batched job brings its row; its skip was
+						// decided at T1.
+					case x.skip(i, load):
+					default:
+						// Selectors cache a d2 row only beside its d1 row
+						// (Context.CacheRows); every other candidate
+						// derives its t2 row from d1 here.
+						if d2 = cctx.D2Rows[u]; d2 == nil {
+							if s.paired.DeriveInto(u, d1s[i], d2buf, load) {
+								x.cutoffs.Add(1)
+							}
+							d2 = d2buf
 						}
-						d2 = d2buf
 					}
-					// Emission cut: lo = T, re-read at the row start and
-					// after every offer. A pair strictly below lo cannot be
-					// returned, and Offer would ignore it (it drops any
-					// delta <= T), so skipping it leaves the threshold's
-					// evolution unchanged. Ties at lo are kept.
-					//
-					// The filter runs before any other test and without a
-					// sign branch. The mask gives 0 to a node a cut
-					// abandoned (d2 < 0): its Δ is below the max(1, T) the
-					// cut read, and lo, read since from a threshold that
-					// only rises, is no smaller. A node with d1 <= 0 (u
-					// itself, or unreachable in G_t1) gets at most 0. Both
-					// fall below lo, which is at least 1.
-					lo := load()
-					d1, d2 = d1[:n], d2[:n]
-					for v := range d1 {
-						delta := (d1[v] - d2[v]) &^ (d2[v] >> 31)
-						if delta < lo {
-							continue
-						}
-						if inM[v] && v < u {
-							continue // the pair is found from the smaller candidate
-						}
-						if invariant.Enabled && ubounds != nil && delta > ubounds[i] {
-							invariant.Checkf(false, "candidate %d: pair (%d, %d) has Δ %d above its landmark bound %d", i, u, v, delta, ubounds[i])
-						}
-						th.Offer(delta)
-						lo = load()
-						p := topk.Pair{U: int32(u), V: int32(v), D1: d1[v], D2: d2[v], Delta: delta}
-						if p.U > p.V {
-							p.U, p.V = p.V, p.U
-						}
-						local = append(local, p)
+					if d2 != nil {
+						local = x.emit(i, d2, load, local)
+					}
+					if j.seed {
+						seedDone.Done()
 					}
 				}
 				mu.Lock()
@@ -455,15 +440,49 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 				mu.Unlock()
 			})
 	}
-	for _, i := range order {
-		next <- i
+	for _, i := range seed {
+		jobs <- extractJob{i: i, seed: true}
 	}
-	close(next)
+	var frozen int32 // T1, the threshold once the seed round is done
+	t2Batched := 0
+	if len(rest) > 0 {
+		seedDone.Wait()
+		frozen = th.Load()
+		sweep, sweepAt := x.batchRest(seed, rest, frozen, workers, opts.schedule)
+		if len(sweep) > 0 && ctx.Err() == nil {
+			rows := s.borrowRows(len(sweep))
+			defer s.returnRows(rows)
+			d1r, d2r := make([][]int32, len(sweep)), make([][]int32, len(sweep))
+			d2s := make([][]int32, len(cands))
+			for j, i := range sweepAt {
+				d1r[j], d2r[j] = d1s[i], *rows[j]
+				d2s[i] = d2r[j]
+			}
+			x.cutoffs.Add(int64(s.paired.DeriveRowsInto(sweep, d1r, d2r, frozen, workers)))
+			t2Batched = len(sweep)
+			for _, i := range rest {
+				if ubounds != nil && ubounds[i] < frozen {
+					x.skipped.Add(1)
+					continue
+				}
+				if d2s[i] == nil {
+					d2s[i] = cctx.D2Rows[cands[i]]
+				}
+				jobs <- extractJob{i: i, d2: d2s[i]}
+			}
+			rest = nil
+		}
+	}
+	for _, i := range rest {
+		jobs <- extractJob{i: i}
+	}
+	close(jobs)
 	wg.Wait()
-	pstats := PruneStats{CandidatesSkipped: int(skipped.Load()), Cutoffs: int(cutoffs.Load())}
+	pstats := PruneStats{CandidatesSkipped: int(x.skipped.Load()), Cutoffs: int(x.cutoffs.Load()), T2Batched: t2Batched}
 	prune.SkipCandidates(pstats.CandidatesSkipped)
 	extSpan.Set(obs.Int("t1-swept", len(swept)), obs.Int("emitted-pairs", len(all)),
-		obs.Int("pruned-skipped", pstats.CandidatesSkipped))
+		obs.Int("pruned-skipped", pstats.CandidatesSkipped),
+		obs.Int("t2-batched", t2Batched), obs.Int("t2-bound", int(frozen)))
 	extSpan.End()
 	//convlint:nondet phase latency is observational, not part of results
 	phases.Extraction = time.Since(extStart).Nanoseconds()
@@ -482,6 +501,185 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 	phases.SortCut = time.Since(cutStart).Nanoseconds()
 	sortCutNS.Observe(phases.SortCut)
 	return all, pstats, nil
+}
+
+// extractJob is one candidate's turn on an extraction worker: the index of
+// cands[i], whether it belongs to the seed round, and, for a candidate of
+// the batched round, the t2 row it emits from (nil: the worker derives
+// the row itself).
+type extractJob struct {
+	i    int
+	seed bool
+	d2   []int32
+}
+
+// extraction is the per-query state the extraction workers share: read
+// only, but for the threshold and the atomic skip and cut tallies.
+type extraction struct {
+	cands   []int
+	inM     []bool
+	d1s     [][]int32       // t1 rows by candidate index (nil: skipped at the floor)
+	cached  map[int][]int32 // selection's cached t2 rows, by node
+	ubounds []int32         // landmark bounds by candidate index, or nil
+	th      *prune.Threshold
+	skipped atomic.Int64
+	cutoffs atomic.Int64
+}
+
+// skip reports, and counts, a whole-candidate skip at the live threshold:
+// the landmark bound caps every pair involving cands[i] (including pairs
+// it would have found for larger candidates), so a bound strictly below T
+// proves none can be returned. Ties at T are kept.
+func (x *extraction) skip(i int, load func() int32) bool {
+	if x.ubounds != nil && x.ubounds[i] < load() {
+		x.skipped.Add(1)
+		return true
+	}
+	return false
+}
+
+// emit offers the pairs of cands[i], from its t1 row and the t2 row d2, to
+// the threshold and returns local with those at or above it appended.
+func (x *extraction) emit(i int, d2 []int32, load func() int32, local []topk.Pair) []topk.Pair {
+	// Emission cut: lo = T, re-read at the row start and after every
+	// offer. A pair strictly below lo cannot be returned, and Offer would
+	// ignore it (it drops any delta <= T), so skipping it leaves the
+	// threshold's evolution unchanged. Ties at lo are kept.
+	//
+	// The filter runs before any other test and without a sign branch.
+	// The mask gives 0 to a node a cut abandoned (d2 < 0): its Δ is below
+	// the max(1, T) the cut read (T1 for a batched row), and lo, read
+	// since from a threshold that only rises, is no smaller. A node with
+	// d1 <= 0 (u itself, or unreachable in G_t1) gets at most 0. Both fall
+	// below lo, which is at least 1.
+	u := x.cands[i]
+	lo := load()
+	n := len(x.inM)
+	d1, d2 := x.d1s[i][:n], d2[:n]
+	for v := range d1 {
+		delta := (d1[v] - d2[v]) &^ (d2[v] >> 31)
+		if delta < lo {
+			continue
+		}
+		if x.inM[v] && v < u {
+			continue // the pair is found from the smaller candidate
+		}
+		if invariant.Enabled && x.ubounds != nil && delta > x.ubounds[i] {
+			invariant.Checkf(false, "candidate %d: pair (%d, %d) has Δ %d above its landmark bound %d", i, u, v, delta, x.ubounds[i])
+		}
+		x.th.Offer(delta)
+		lo = load()
+		p := topk.Pair{U: int32(u), V: int32(v), D1: d1[v], D2: d2[v], Delta: delta}
+		if p.U > p.V {
+			p.U, p.V = p.V, p.U
+		}
+		local = append(local, p)
+	}
+	return local
+}
+
+// schedule picks how extraction runs the candidates after its seed round.
+// The zero value lets batchRest's rule choose; the other two force a
+// schedule, so tests can run one query both ways. Nothing outside this
+// package can set it (Options.schedule).
+type schedule int
+
+const (
+	scheduleByRule schedule = iota
+	schedulePerCandidate
+	scheduleBatched
+)
+
+// mayBatch reports whether the rest of a query's candidates on a BFS pair
+// could run as a batched round at all, before the seed round runs: its
+// uncached t2 rows, before any is skipped at T1, make a batched worker
+// share. Without it there is no barrier.
+func (x *extraction) mayBatch(rest []int, workers int, sched schedule) bool {
+	if sched == schedulePerCandidate {
+		return false
+	}
+	uncached := 0
+	for _, i := range rest {
+		if x.d1s[i] != nil && x.cached[x.cands[i]] == nil {
+			uncached++
+		}
+	}
+	return uncached > 0 && (sched == scheduleBatched || sssp.SweepBatches(uncached, workers))
+}
+
+// batchRest decides, once the seed round is done and the threshold reads
+// T1, whether the rest of the candidates runs as a batched round, and if
+// so returns the candidates whose t2 rows its one bounded sweep derives
+// (and their indices into cands); nil keeps the rest per candidate. The
+// rule batches when the rest's uncached t2 rows not skipped at T1 make a
+// batched worker share (sssp.SweepBatches) and the seed candidates' t1
+// rows lie mostly within their depth limits: at least half of the nodes
+// they reach (d1 >= 0) have d1 <= maxD1 − max(1, T1), which the bounded
+// rows then reach too. On the served Facebook graphs, whose threshold sits
+// at 1–2 from the first candidates on, the seed rows' share is 0.38–1.00
+// (0.54 or more but for SumDiff) and a batched row costs 0.37–0.59 of a
+// per-source one at the final threshold. On the served DBLP graphs T1 is
+// 8–15 and still rising, and a row frozen at T1 costs as much as, or more
+// than, per-candidate rows that read the rising threshold; the share is
+// 0.01–0.45 on nine graphs of ten, and 0.76 on the tenth, whose queries
+// batch (EXPERIMENTS.md, "Why bounded t2 rows batch only when they cover
+// their component").
+//
+// A batched rest is skipped by landmark bound at T1; the uncached rows of
+// the others come from one PairedEngine.DeriveRowsInto sweep at T1, and
+// the workers emit from those rows (or the cached ones) at the live
+// threshold. That emits what the per-candidate loop would: each such row
+// is exact for emission at any floor of at least max(1, T1), and the
+// emission floor only rises from T1.
+func (x *extraction) batchRest(seed, rest []int, t1 int32, workers int, sched schedule) (sweep, sweepAt []int) {
+	for _, i := range rest {
+		if (x.ubounds == nil || x.ubounds[i] >= t1) && x.cached[x.cands[i]] == nil {
+			sweep = append(sweep, x.cands[i])
+			sweepAt = append(sweepAt, i)
+		}
+	}
+	if len(sweep) == 0 || sched == scheduleBatched {
+		return sweep, sweepAt
+	}
+	if !sssp.SweepBatches(len(sweep), workers) {
+		return nil, nil
+	}
+	within, reached := 0, 0
+	for _, i := range seed {
+		if x.d1s[i] != nil {
+			w, r := depthCoverage(x.d1s[i], t1)
+			within, reached = within+w, reached+r
+		}
+	}
+	if 2*within < reached {
+		return nil, nil
+	}
+	return sweep, sweepAt
+}
+
+// depthCoverage counts, on a G_t1 row, the nodes its bounded t2 row at
+// threshold t reaches whatever the cut (0 <= d1 <= maxD1 − max(1, t),
+// since d2 <= d1) and the nodes the row reaches (d1 >= 0), in one pass
+// that counts the nodes at each distance.
+func depthCoverage(d1 []int32, t int32) (within, reached int) {
+	var atDist []int
+	for _, d := range d1 {
+		if d < 0 {
+			continue
+		}
+		for int(d) >= len(atDist) {
+			atDist = append(atDist, 0)
+		}
+		atDist[d]++
+	}
+	limit := len(atDist) - 1 - int(max(1, t))
+	for d, c := range atDist {
+		reached += c
+		if d <= limit {
+			within += c
+		}
+	}
+	return within, reached
 }
 
 // workerLoad returns the threshold reader of one extraction worker. Under

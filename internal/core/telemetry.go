@@ -75,8 +75,10 @@ func recordRun(opts Options, kernel string, workers int, meter *budget.Meter, be
 			Sources: t.Sources - d.Repair.Sources - d.PrunedBFS.Sources,
 			Nodes:   t.Nodes - d.Repair.Nodes - d.PrunedBFS.Nodes,
 			Edges:   t.Edges - d.Repair.Edges - d.PrunedBFS.Edges,
-			// The pruned-extraction split: bounded t2 traversals, and how
-			// many of the query's the Δ-threshold cut stopped.
+			// The pruned-extraction split: bounded t2 traversals (a
+			// batched round's sweep counts one call per batch, its lanes
+			// as sources), and how many of the query's rows the
+			// Δ-threshold cut stopped.
 			PrunedBFSCalls:         d.PrunedBFS.Calls,
 			PrunedBFSEdges:         d.PrunedBFS.Edges,
 			PrunedBFSBottomUpSteps: d.PrunedBFS.BottomUpSteps,
@@ -85,6 +87,7 @@ func recordRun(opts Options, kernel string, workers int, meter *budget.Meter, be
 			BitParallel64BottomUpSteps: d.BitParallel64.BottomUpSteps,
 		},
 		PrunedCandidates: pstats.CandidatesSkipped,
+		PrunedT2Batched:  pstats.T2Batched,
 		Outcome:          "ok",
 	}
 	if res != nil {

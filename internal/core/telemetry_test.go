@@ -211,7 +211,9 @@ func TestFlightRecordNamesSessionKernel(t *testing.T) {
 // small-diameter component, datagen at n=500) a top-K query's bounded t2
 // legs run some levels bottom-up, and so does the one 19-lane batch that
 // sweeps its MaxMin picks' rows at one worker; its flight record says how
-// many, and /metrics exposes both kernels' direction counters.
+// many, and /metrics exposes both kernels' direction counters. After its
+// two seed rows, the query's last 18 t2 rows run as one batched round,
+// which the record's pruned_t2_batched shows.
 func TestFlightRecordShowsBoundedDirection(t *testing.T) {
 	ev, err := datagen.ByName("Facebook", datagen.Config{Seed: 1, Scale: 500.0 / 4700})
 	if err != nil {
@@ -224,7 +226,11 @@ func TestFlightRecordShowsBoundedDirection(t *testing.T) {
 	if _, err := TopK(sp, Options{Selector: candidates.MaxMin(), M: 20, K: 10, Seed: 1, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
-	k := obs.Flight.Last(1)[0].Kernels
+	rec := obs.Flight.Last(1)[0]
+	if rec.PrunedT2Batched != 18 {
+		t.Errorf("flight record pruned_t2_batched = %d, want the 18 rows after the two seed rows", rec.PrunedT2Batched)
+	}
+	k := rec.Kernels
 	if k.PrunedBFSCalls == 0 || k.PrunedBFSBottomUpSteps == 0 {
 		t.Errorf("flight record prunedbfs_calls = %d, prunedbfs_bottomup_steps = %d, want both > 0",
 			k.PrunedBFSCalls, k.PrunedBFSBottomUpSteps)

@@ -204,19 +204,21 @@ func PairedSweep(p Pair, sources []int, workers int, fn func(src int, d1, d2 []i
 	})
 }
 
-// LargestComponent returns the nodes of s's largest connected component,
-// sorted ascending, with the total component count. Component analysis is
-// structural (free in the paper's cost model). BFS and Dijkstra sources
-// read the memo their graph keeps, so a snapshot is labelled once; any
-// other source is labelled by graph.LargestComponentOf on every call.
-func LargestComponent(s Source) (nodes []int, components int) {
+// LargestComponent returns s's largest connected component as a bitmap
+// over its node universe (read-only), with the component's size and the
+// total component count. Component analysis is structural (free in the
+// paper's cost model). BFS and Dijkstra sources return the memo their
+// graph keeps, so a snapshot is labelled once and nothing is expanded;
+// any other source is labelled by graph.LargestComponentOf on every call.
+func LargestComponent(s Source) (set graph.NodeBits, size, components int) {
 	switch s := s.(type) {
 	case *BFS:
-		return s.g.LargestComponent()
+		return s.g.LargestComponentBits()
 	case *Dijkstra:
-		return s.g.LargestComponent()
+		return s.g.LargestComponentBits()
 	}
-	return graph.LargestComponentOf(s)
+	nodes, count := graph.LargestComponentOf(s)
+	return graph.NodeBitsOf(s.NumNodes(), nodes), len(nodes), count
 }
 
 // Density returns the edge density 2E / (N (N-1)) of a source's snapshot.

@@ -3,7 +3,6 @@ package dist
 import (
 	"math/rand"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 
@@ -364,10 +363,9 @@ func TestStructuralHelpers(t *testing.T) {
 	// node 5 (a singleton component).
 	g := graph.FromEdges(6, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 3, V: 4}})
 	for _, src := range []Source{NewBFS(g), NewDijkstra(graph.FromUnweighted(g))} {
-		comp, count := LargestComponent(src)
-		sort.Ints(comp)
-		if count != 3 || !reflect.DeepEqual(comp, []int{0, 1, 2}) {
-			t.Fatalf("%T: largest component = %v (count %d)", src, comp, count)
+		set, size, count := LargestComponent(src)
+		if comp := set.Nodes(); count != 3 || size != 3 || !reflect.DeepEqual(comp, []int{0, 1, 2}) {
+			t.Fatalf("%T: largest component = %v (size %d, count %d)", src, comp, size, count)
 		}
 		if MaxDegree(src) != 2 {
 			t.Fatalf("%T: max degree = %d", src, MaxDegree(src))

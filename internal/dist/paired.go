@@ -76,3 +76,18 @@ func (e *PairedEngine) DeriveInto(src int, d1, d2 []int32, bound func() int32) b
 	}
 	return sssp.PrunedSecondBFS(e.g2, src, d1, d2, bound, nil)
 }
+
+// DeriveRowsInto is DeriveInto for many sources at once under the constant
+// threshold t, from at most workers goroutines: d2s[i] gets sources[i]'s
+// G_t2 row given d1s[i]. On a BFS pair the rows come from one
+// sssp.PrunedRowsInto sweep, each the row DeriveInto gives with bound t,
+// and it returns how many the cut stopped; any other second source gives
+// full rows through RowsInto and returns 0. Costs len(sources) budget
+// units.
+func (e *PairedEngine) DeriveRowsInto(sources []int, d1s, d2s [][]int32, t int32, workers int) (cutoffs int) {
+	if e.g2 == nil {
+		RowsInto(e.s2, sources, d2s, workers)
+		return 0
+	}
+	return sssp.PrunedRowsInto(e.g2, sources, d1s, d2s, t, workers)
+}

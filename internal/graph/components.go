@@ -84,41 +84,96 @@ func LargestComponentOf(g AdjacencyLister) (nodes []int, components int) {
 // stale, and a PadUniverse view is a new graph with a memo of its own.
 type largestMemo struct {
 	once  sync.Once
-	bits  []uint64
+	bits  NodeBits
 	size  int
 	count int
 }
 
-// get returns LargestComponentOf(g), labelling g on the first call only;
-// concurrent first calls label it once.
-func (m *largestMemo) get(g AdjacencyLister) (nodes []int, components int) {
+// NodeBits is a set of nodes kept as a bitmap over a node universe: node u
+// is in it when bit u%64 of word u/64 is set.
+type NodeBits []uint64
+
+// NodeBitsOf returns the set of nodes over a universe of n nodes.
+func NodeBitsOf(n int, nodes []int) NodeBits {
+	b := make(NodeBits, (n+63)/64)
+	for _, u := range nodes {
+		b[u/64] |= 1 << (u % 64)
+	}
+	return b
+}
+
+// Has reports whether u is in the set.
+func (b NodeBits) Has(u int) bool { return b[uint(u)/64]&(1<<(uint(u)%64)) != 0 }
+
+// Nodes expands the set, ascending.
+func (b NodeBits) Nodes() []int {
+	var nodes []int
+	for w, word := range b {
+		for ; word != 0; word &= word - 1 {
+			nodes = append(nodes, w*64+bits.TrailingZeros64(word))
+		}
+	}
+	return nodes
+}
+
+// AtRanks returns the nodes of the given ranks in the set (rank 0 is its
+// smallest node); ranks must be ascending and below the set's size. It
+// skips whole words by their popcount, so it reads each word once.
+func (b NodeBits) AtRanks(ranks []int) []int {
+	nodes := make([]int, 0, len(ranks))
+	base := 0 // the rank of word w's lowest node
+	for w, word := range b {
+		if len(nodes) == len(ranks) {
+			break
+		}
+		c := bits.OnesCount64(word)
+		for len(nodes) < len(ranks) && ranks[len(nodes)] < base+c {
+			x := word
+			for r := ranks[len(nodes)] - base; r > 0; r-- {
+				x &= x - 1
+			}
+			nodes = append(nodes, w*64+bits.TrailingZeros64(x))
+		}
+		base += c
+	}
+	return nodes
+}
+
+// get returns g's largest component as the memo's bitmap, its size and the
+// component count, labelling g on the first call only; concurrent first
+// calls label it once.
+func (m *largestMemo) get(g AdjacencyLister) (set NodeBits, size, components int) {
 	m.once.Do(func() {
 		comp, count := LargestComponentOf(g)
-		m.bits = make([]uint64, (g.NumNodes()+63)/64)
-		for _, u := range comp {
-			m.bits[u/64] |= 1 << (u % 64)
-		}
+		m.bits = NodeBitsOf(g.NumNodes(), comp)
 		m.size, m.count = len(comp), count
 	})
-	if m.size == 0 {
-		return nil, m.count
-	}
-	nodes = make([]int, 0, m.size)
-	for i, w := range m.bits {
-		for ; w != 0; w &= w - 1 {
-			nodes = append(nodes, i*64+bits.TrailingZeros64(w))
-		}
-	}
-	return nodes, m.count
+	return m.bits, m.size, m.count
 }
 
 // LargestComponent returns the nodes of g's largest connected component,
 // sorted ascending, together with the component count of the whole graph.
 // The first call labels g; every later one expands the memo kept beside g.
-func (g *Graph) LargestComponent() (nodes []int, components int) { return g.largest.get(g) }
+func (g *Graph) LargestComponent() (nodes []int, components int) {
+	set, _, count := g.largest.get(g)
+	return set.Nodes(), count
+}
+
+// LargestComponentBits is LargestComponent without the expansion: the
+// memo's bitmap itself (read-only, shared by every caller), the
+// component's size and the component count.
+func (g *Graph) LargestComponentBits() (set NodeBits, size, components int) { return g.largest.get(g) }
 
 // LargestComponent is Graph.LargestComponent for a weighted graph.
-func (g *Weighted) LargestComponent() (nodes []int, components int) { return g.largest.get(g) }
+func (g *Weighted) LargestComponent() (nodes []int, components int) {
+	set, _, count := g.largest.get(g)
+	return set.Nodes(), count
+}
+
+// LargestComponentBits is Graph.LargestComponentBits for a weighted graph.
+func (g *Weighted) LargestComponentBits() (set NodeBits, size, components int) {
+	return g.largest.get(g)
+}
 
 // SameComponent returns a predicate telling whether two nodes are connected
 // in g, backed by one Components pass.

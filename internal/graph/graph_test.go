@@ -230,10 +230,11 @@ func emptyLargest() ([]int, int) {
 	return g.LargestComponent()
 }
 
-// TestLargestComponentMemo holds the memo of Graph and Weighted to
-// LargestComponentOf, on a first and on a repeated call: on random forests
+// TestLargestComponentMemo holds the memo of Graph and Weighted, and its
+// bitmap, to LargestComponentOf, on a first and on a repeated call: on random forests
 // with isolated nodes, on their PadUniverse views, and on graphs whose
-// largest components tie in size (the lowest-labelled one wins).
+// largest components tie in size (the lowest-labelled one wins). The
+// bitmap's Has and AtRanks must agree with its expansion.
 func TestLargestComponentMemo(t *testing.T) {
 	check := func(label string, g AdjacencyLister, memo func() ([]int, int)) {
 		t.Helper()
@@ -257,6 +258,32 @@ func TestLargestComponentMemo(t *testing.T) {
 		}
 		g := FromEdges(n, edges)
 		check("fresh", g, g.LargestComponent)
+		check("bits", g, func() ([]int, int) {
+			set, size, count := g.LargestComponentBits()
+			nodes := set.Nodes()
+			if len(nodes) != size {
+				t.Fatalf("bitmap holds %d nodes, size %d", len(nodes), size)
+			}
+			for i, u := 0, 0; u < n; u++ {
+				if in := i < len(nodes) && nodes[i] == u; in != set.Has(u) {
+					t.Fatalf("Has(%d) = %v, expansion %v", u, set.Has(u), nodes)
+				} else if in {
+					i++
+				}
+			}
+			ranks := rng.Perm(size)[:rng.Intn(size+1)]
+			sort.Ints(ranks)
+			at := set.AtRanks(ranks)
+			if len(at) != len(ranks) {
+				t.Fatalf("AtRanks(%v) = %v", ranks, at)
+			}
+			for i, u := range at {
+				if u != nodes[ranks[i]] {
+					t.Fatalf("AtRanks(%v)[%d] = %d, want node %d of %v", ranks, i, u, nodes[ranks[i]], nodes)
+				}
+			}
+			return nodes, count
+		})
 		p := PadUniverse(g, n+1+rng.Intn(100))
 		check("padded", p, p.LargestComponent)
 		w := FromUnweighted(g)
@@ -300,8 +327,8 @@ func TestLargestComponentMemoOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if nodes, _ := m.get(c); !reflect.DeepEqual(nodes, want) {
-				t.Errorf("concurrent memo %v, want %v", nodes, want)
+			if set, _, _ := m.get(c); !reflect.DeepEqual(set.Nodes(), want) {
+				t.Errorf("concurrent memo %v, want %v", set.Nodes(), want)
 			}
 		}()
 	}

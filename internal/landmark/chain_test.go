@@ -111,8 +111,8 @@ func TestMaxMinChainMatchesFullRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 40; trial++ {
 		g := componentsGraph(rng, 1+rng.Intn(4), 1+rng.Intn(60), rng.Intn(5)).Build()
-		comp, _ := dist.LargestComponent(dist.NewBFS(g))
-		for _, l := range []int{1, 2, len(comp), len(comp) + 3} {
+		_, size, _ := dist.LargestComponent(dist.NewBFS(g))
+		for _, l := range []int{1, 2, size, size + 3} {
 			requireChainMatchesRows(t, fmt.Sprintf("trial %d", trial), g, l, 1+trial%4)
 		}
 	}

@@ -20,6 +20,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -95,35 +96,33 @@ func SelectSource(strategy Strategy, s1 dist.Source, l int, rng *rand.Rand, mete
 	if l <= 0 {
 		return Set{}, fmt.Errorf("landmark: non-positive landmark count %d", l)
 	}
-	comp, _ := dist.LargestComponent(s1)
-	if len(comp) == 0 {
+	comp, size, _ := dist.LargestComponent(s1)
+	if size == 0 {
 		return Set{}, fmt.Errorf("%w: empty graph", ErrNoLandmarks)
 	}
-	if l > len(comp) {
-		l = len(comp)
+	if l > size {
+		l = size
 	}
 	switch strategy {
 	case Random:
 		if rng == nil {
 			return Set{}, errors.New("landmark: Random strategy requires an rng")
 		}
-		idx := rng.Perm(len(comp))[:l]
-		nodes := make([]int, l)
-		for i, j := range idx {
-			nodes[i] = comp[j]
-		}
-		sort.Ints(nodes)
-		return Set{Strategy: Random, Nodes: nodes}, nil
+		// Landmark i is the component node of rank idx[i]; sorted, the
+		// ranks select the sorted set in one pass over the bitmap.
+		idx := rng.Perm(size)[:l]
+		sort.Ints(idx)
+		return Set{Strategy: Random, Nodes: comp.AtRanks(idx)}, nil
 	case HighDegree:
-		sorted := append([]int(nil), comp...)
-		sort.Slice(sorted, func(i, j int) bool {
-			di, dj := s1.Degree(sorted[i]), s1.Degree(sorted[j])
-			if di != dj {
-				return di > dj
+		// Nodes outside the component score −1, below any degree.
+		score := make([]int32, s1.NumNodes())
+		for v := range score {
+			score[v] = -1
+			if comp.Has(v) {
+				score[v] = int32(s1.Degree(v))
 			}
-			return sorted[i] < sorted[j]
-		})
-		return Set{Strategy: HighDegree, Nodes: sorted[:l]}, nil
+		}
+		return Set{Strategy: HighDegree, Nodes: TopByScore(score, l, nil)}, nil
 	case MaxMin, MaxAvg:
 		return selectDispersed(strategy, s1, comp, l, meter, workers)
 	default:
@@ -137,27 +136,23 @@ func SelectSource(strategy Strategy, s1 dist.Source, l int, rng *rand.Rand, mete
 // min (MaxMin) or sum (MaxAvg) of distances to the already-selected set.
 // MaxMin over a BFS source runs maxMinChain; MaxAvg, whose sums move at
 // every node, and Dijkstra sources compute one full row per pick.
-func selectDispersed(strategy Strategy, s1 dist.Source, comp []int, l int, meter *budget.Meter, workers int) (Set, error) {
-	first := comp[0]
-	for _, u := range comp {
-		if s1.Degree(u) > s1.Degree(first) {
+func selectDispersed(strategy Strategy, s1 dist.Source, comp graph.NodeBits, l int, meter *budget.Meter, workers int) (Set, error) {
+	first := -1
+	for u := range s1.NumNodes() {
+		if comp.Has(u) && (first < 0 || s1.Degree(u) > s1.Degree(first)) {
 			first = u
 		}
 	}
 	if g, ok := dist.UnweightedGraph(s1); ok && strategy == MaxMin {
-		return maxMinChain(g, s1, comp, first, l, meter, workers)
+		return maxMinChain(g, s1, first, l, meter, workers)
 	}
 	return dispersedRows(strategy, s1, comp, first, l, meter)
 }
 
 // dispersedRows is the full-row greedy loop: each pick charges one SSSP
 // and computes its row, which updates every component node's score.
-func dispersedRows(strategy Strategy, s1 dist.Source, comp []int, first, l int, meter *budget.Meter) (Set, error) {
+func dispersedRows(strategy Strategy, s1 dist.Source, comp graph.NodeBits, first, l int, meter *budget.Meter) (Set, error) {
 	n := s1.NumNodes()
-	inComp := make([]bool, n)
-	for _, u := range comp {
-		inComp[u] = true
-	}
 	selected := make([]int, 0, l)
 	isSelected := make([]bool, n)
 	score := make([]int64, n) // min- or sum-distance to selected
@@ -172,15 +167,15 @@ func dispersedRows(strategy Strategy, s1 dist.Source, comp []int, first, l int, 
 		rows = append(rows, row)
 		selected = append(selected, u)
 		isSelected[u] = true
-		for v := 0; v < n; v++ {
-			if !inComp[v] {
-				continue
-			}
-			d := int64(row[v]) // finite within the component
-			if strategy == MaxAvg {
-				score[v] += d
-			} else if len(selected) == 1 || d < score[v] {
-				score[v] = d
+		for w, word := range comp {
+			for ; word != 0; word &= word - 1 {
+				v := w*64 + bits.TrailingZeros64(word)
+				d := int64(row[v]) // finite within the component
+				if strategy == MaxAvg {
+					score[v] += d
+				} else if len(selected) == 1 || d < score[v] {
+					score[v] = d
+				}
 			}
 		}
 		return nil
@@ -191,12 +186,12 @@ func dispersedRows(strategy Strategy, s1 dist.Source, comp []int, first, l int, 
 	}
 	for len(selected) < l {
 		best, bestScore := -1, int64(-1)
-		for _, v := range comp {
-			if isSelected[v] {
-				continue
-			}
-			if score[v] > bestScore {
-				best, bestScore = v, score[v]
+		for w, word := range comp {
+			for ; word != 0; word &= word - 1 {
+				v := w*64 + bits.TrailingZeros64(word)
+				if !isSelected[v] && score[v] > bestScore {
+					best, bestScore = v, score[v]
+				}
 			}
 		}
 		if best < 0 {
@@ -216,7 +211,7 @@ func dispersedRows(strategy Strategy, s1 dist.Source, comp []int, first, l int, 
 // sssp.LowerNearest traverses alone. Each pick still charges its one SSSP
 // before its traversal, and after the last pick one sweep at workers
 // produces the full rows those charges paid for.
-func maxMinChain(g *graph.Graph, s1 dist.Source, comp []int, first, l int, meter *budget.Meter, workers int) (Set, error) {
+func maxMinChain(g *graph.Graph, s1 dist.Source, first, l int, meter *budget.Meter, workers int) (Set, error) {
 	if err := meter.Charge(budget.PhaseCandidateGen, 1); err != nil {
 		return Set{}, fmt.Errorf("landmark: %v selection: %w", MaxMin, err)
 	}
@@ -224,25 +219,28 @@ func maxMinChain(g *graph.Graph, s1 dist.Source, comp []int, first, l int, meter
 	s1.DistancesInto(first, row)
 	near := slices.Clone(row)
 	nodes := append(make([]int, 0, l), first)
-	// Picks have near 0 and the component's other nodes at least 1; the
-	// first of the farthest in component order wins. near only falls, and
-	// every component position before the last pick's (at) held less than
-	// its value top, so the next pick is the first node after it still at
-	// top; only when none is left does a full scan find the new top.
-	at, top := len(comp), int32(0)
+	// Picks have near 0, the component's other nodes at least 1, and the
+	// nodes outside it, which no pick reaches, stay Unreachable: a scan of
+	// near sees the component alone. The first of the farthest in node
+	// order wins. near only falls, and every node before the last pick (at)
+	// held less than its value top, so the next pick is the first node
+	// after it still at top; only when none is left does a full scan find
+	// the new top.
+	n := g.NumNodes()
+	at, top := n, int32(0)
 	for len(nodes) < l {
 		best := -1
-		for at++; at < len(comp); at++ {
-			if near[comp[at]] == top {
-				best = comp[at]
+		for at++; at < n; at++ {
+			if near[at] == top {
+				best = at
 				break
 			}
 		}
 		if best < 0 {
 			top = 0
-			for i, v := range comp {
-				if near[v] > top {
-					best, top, at = v, near[v], i
+			for v, d := range near {
+				if d > top {
+					best, top, at = v, d, v
 				}
 			}
 		}

@@ -81,6 +81,9 @@ type RunRecord struct {
 	// row only when the bound was below the threshold's floor or the row
 	// was cached.
 	PrunedCandidates int `json:"pruned_candidates,omitempty"`
+	// PrunedT2Batched counts the t2 rows that one bounded sweep derived
+	// for the batched round (0: every t2 row ran one by one).
+	PrunedT2Batched int `json:"pruned_t2_batched,omitempty"`
 	// Outcome is "ok" or the error text of a failed run.
 	Outcome string `json:"outcome"`
 }

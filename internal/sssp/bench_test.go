@@ -188,7 +188,7 @@ func BenchmarkBFSEngines(b *testing.B) {
 							lo := (i * lanes) % len(pool)
 							batch := pool[lo : lo+lanes]
 							if batched {
-								msBFSBatch(g, batch, rows, s)
+								msBFSBatch(g, batch, rows, nil, s)
 								continue
 							}
 							for j, src := range batch {
@@ -227,12 +227,12 @@ func BenchmarkBFSEngines(b *testing.B) {
 					}
 					rows := newRows(lanes, n)
 					s := NewScratch(n)
-					msBFSBatch(g, batch, rows, s)
+					msBFSBatch(g, batch, rows, nil, s)
 					b.ReportAllocs()
 					before := SnapshotMetrics()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						msBFSBatch(g, batch, rows, s)
+						msBFSBatch(g, batch, rows, nil, s)
 					}
 					b.StopTimer()
 					edges := SnapshotMetrics().Sub(before).BitParallel64.Edges

@@ -30,6 +30,14 @@ const msBatchBits = 64
 // dirOptBFS.
 const msShareThreshold = 16
 
+// SweepBatches reports whether a sweep of sources rows at workers workers
+// (<= 0 means GOMAXPROCS) runs the batch kernel: whether its worker share,
+// ⌈sources / ClampWorkers(workers, sources)⌉, reaches msShareThreshold.
+func SweepBatches(sources, workers int) bool {
+	workers = ClampWorkers(workers, sources)
+	return (sources+workers-1)/workers >= msShareThreshold
+}
+
 // ClampWorkers resolves a worker-count request against a job count: <= 0
 // asks for GOMAXPROCS, the result never exceeds jobs, and is at least 1.
 // This is the one shared clamping rule for every parallel driver (sssp

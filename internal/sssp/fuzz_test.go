@@ -96,7 +96,7 @@ func oneLaneBatch(g *graph.Graph, src int, dist []int32, s *Scratch) (reached in
 	}
 	sources := [1]int{src}
 	rows := [1][]int32{dist}
-	msBFSBatch(g, sources[:], rows[:], s)
+	msBFSBatch(g, sources[:], rows[:], nil, s)
 	for _, d := range dist {
 		if d >= 0 {
 			reached++
@@ -164,7 +164,8 @@ func TestEnginesDifferential(t *testing.T) {
 }
 
 // TestDriversDifferential asserts the multi-source drivers, RowsInto among
-// them, agree with the oracle for every source, serial and with workers
+// them, agree with the oracle for every source, and PrunedRowsInto with
+// PrunedSecondBFS row by row and in its cut count, serial and with workers
 // spreading sources (or batches of up to 64) across goroutines. It sweeps a
 // source set whose shares pass msShareThreshold at every worker count and
 // span several batch boundaries (64-lane batches at one and two workers,
@@ -231,6 +232,33 @@ func TestDriversDifferential(t *testing.T) {
 				if !equal(rows[i], want2[src]) {
 					t.Fatalf("%d sources workers %d: RowsInto row %d (source %d) diverged from oracle",
 						len(set), workers, i, src)
+				}
+			}
+			// Bounded rows at constant thresholds: each row and the cut
+			// count equal PrunedSecondBFS's, whichever kernel the share
+			// picks (g ⊆ g2 is not needed for equality of the two).
+			d1s := make([][]int32, len(set))
+			for i, src := range set {
+				d1s[i] = want1[src]
+			}
+			for _, th := range []int32{1, 2, 4} {
+				bound := func() int32 { return th }
+				wantCuts := 0
+				wantRows := newRows(len(set), n)
+				for i, src := range set {
+					if PrunedSecondBFS(g2, src, d1s[i], wantRows[i], bound, nil) {
+						wantCuts++
+					}
+				}
+				if cuts := PrunedRowsInto(g2, set, d1s, rows, th, workers); cuts != wantCuts {
+					t.Fatalf("%d sources workers %d T=%d: PrunedRowsInto cut %d rows, PrunedSecondBFS %d",
+						len(set), workers, th, cuts, wantCuts)
+				}
+				for i, src := range set {
+					if !equal(rows[i], wantRows[i]) {
+						t.Fatalf("%d sources workers %d T=%d: PrunedRowsInto row %d (source %d) differs from PrunedSecondBFS",
+							len(set), workers, th, i, src)
+					}
 				}
 			}
 		}

@@ -42,8 +42,18 @@ import (
 // identical rows. The scratch's MS buffers are (re)used across calls: seen
 // is cleared by ensureMS, and front and next are all-zero again on return.
 //
+// limits, when set, gives each lane a depth limit: lane i stops before the
+// level past max(0, limits[i]), so its row holds the true distance of every
+// node within that depth and Unreachable beyond it, and bit i of the
+// returned mask is set when it stopped with a frontier left to expand. That
+// is PrunedSecondBFS's row and cut under a constant threshold, lane by
+// lane. A stopped lane leaves the active mask: its front bits no longer
+// push and a pulled node no longer waits for it, while the other lanes go
+// on. A batch with limits flushes to the PrunedBFS counters, one without to
+// BitParallel64's.
+//
 //convlint:hotpath
-func msBFSBatch(g *graph.Graph, sources []int, rows [][]int32, s *Scratch) {
+func msBFSBatch(g *graph.Graph, sources []int, rows [][]int32, limits []int32, s *Scratch) (cut uint64) {
 	//convlint:nondet sweep latency is observational, not part of results
 	start := time.Now()
 	n := g.NumNodes()
@@ -108,6 +118,18 @@ func msBFSBatch(g *graph.Graph, sources []int, rows [][]int32, s *Scratch) {
 
 	nextQ := s.nextQ[:0]
 	for level := int32(1); len(q) > 0; level++ {
+		if limits != nil {
+			// A live lane whose limit is below this level stops here: its
+			// frontier is at its limit and not empty, so it was cut.
+			stop := live &^ lanesWithin(limits, level)
+			cut |= stop
+			if live &^= stop; live == 0 {
+				for _, u := range q {
+					front[u] = 0
+				}
+				break
+			}
+		}
 		if want := 2*mf > mu+2*int64(n); want != pull {
 			pull = want
 			switches++
@@ -121,7 +143,7 @@ func msBFSBatch(g *graph.Graph, sources []int, rows [][]int32, s *Scratch) {
 			}
 		} else {
 			tdSteps++
-			nextQ, levelEdges = pushLevel(offsets, neighbors, seen, front, next, q, nextQ[:0])
+			nextQ, levelEdges = pushLevel(offsets, neighbors, seen, front, next, live, q, nextQ[:0])
 		}
 		edges += levelEdges
 		mf, live = 0, 0
@@ -152,7 +174,12 @@ func msBFSBatch(g *graph.Graph, sources []int, rows [][]int32, s *Scratch) {
 	// front and next are all-zero again at this point.
 	s.front, s.next = front, next
 	s.queue, s.nextQ = q[:0], nextQ[:0]
-	km := &kernelMetrics[kBitParallel]
+	kernel := kBitParallel
+	if limits != nil {
+		kernel = kPrunedBFS
+		prunedCutoffs.Add(int64(bits.OnesCount64(cut)))
+	}
+	km := &kernelMetrics[kernel]
 	km.calls.Add(1)
 	km.sources.Add(int64(len(sources)))
 	km.nodes.Add(visits)
@@ -161,19 +188,35 @@ func msBFSBatch(g *graph.Graph, sources []int, rows [][]int32, s *Scratch) {
 	km.buSteps.Add(buSteps)
 	km.switches.Add(switches)
 	peakMax(&km.frontierPeak, int64(peak))
-	observeSweep(kBitParallel, start, int64(len(sources)), visits, edges)
+	observeSweep(kernel, start, int64(len(sources)), visits, edges)
+	return cut
+}
+
+// lanesWithin returns the mask of the lanes whose depth limit reaches
+// level (a limit below 0 counts as 0).
+func lanesWithin(limits []int32, level int32) (mask uint64) {
+	for i, l := range limits {
+		if l >= level {
+			mask |= 1 << uint(i)
+		}
+	}
+	return mask
 }
 
 // pushLevel expands the frontier q top-down: each frontier node clears its
-// front word and ORs it into every neighbour's next word, less the lanes
-// the neighbour has seen; a neighbour that gains its first lane of the
-// level joins nextQ. It returns nextQ and the edges examined.
+// front word and ORs its live lanes into every neighbour's next word, less
+// the lanes the neighbour has seen; a neighbour that gains its first lane
+// of the level joins nextQ. A node whose lanes have all stopped expands
+// nothing. It returns nextQ and the edges examined.
 //
 //convlint:hotpath
-func pushLevel(offsets, neighbors []int32, seen, front, next []uint64, q, nextQ []int32) (_ []int32, edges int64) {
+func pushLevel(offsets, neighbors []int32, seen, front, next []uint64, live uint64, q, nextQ []int32) (_ []int32, edges int64) {
 	for _, u := range q {
-		fu := front[u]
+		fu := front[u] & live
 		front[u] = 0
+		if fu == 0 {
+			continue
+		}
 		edges += int64(offsets[u+1] - offsets[u])
 		for _, v := range neighbors[offsets[u]:offsets[u+1]] {
 			new := fu &^ seen[v]

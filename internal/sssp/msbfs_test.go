@@ -7,36 +7,48 @@ import (
 )
 
 // batchCase is one multi-lane differential case: a blockWithPaths graph
-// (block and path sizes, isolated nodes) plus byte-pair edges, and one
-// byte per lane choosing its source.
+// (block and path sizes, isolated nodes) plus byte-pair edges, one byte per
+// lane choosing its source, and optional depth-limit bytes (none: full
+// rows).
 type batchCase struct {
-	data, sources         []byte
+	data, sources, limits []byte
 	block, path, isolated uint8
 }
 
 // batchCorpus seeds FuzzBatchLanes and TestBatchLanesPullLevels. Sources
 // on the far end of the first path walk it top-down, pull the block's wide
-// level and go back to pushing down the second path.
+// level and go back to pushing down the second path. The limited cases stop
+// lanes below 1, inside the block's levels and past every eccentricity.
 var batchCorpus = []batchCase{
-	{nil, []byte{0}, 0, 0, 1},
-	{[]byte{0, 1, 1, 2, 2, 0}, []byte{0, 1, 2, 2, 2}, 3, 2, 1},
-	{nil, []byte{51, 51, 51, 0, 63}, 40, 12, 5},
-	{nil, []byte{45, 46, 47, 48, 49, 50, 51, 51, 70, 71}, 40, 12, 3},
-	{[]byte{60, 200, 3, 90, 7, 9}, []byte{70, 47, 25, 25, 3, 200, 90}, 47, 25, 2},
+	{nil, []byte{0}, nil, 0, 0, 1},
+	{[]byte{0, 1, 1, 2, 2, 0}, []byte{0, 1, 2, 2, 2}, nil, 3, 2, 1},
+	{nil, []byte{51, 51, 51, 0, 63}, nil, 40, 12, 5},
+	{nil, []byte{45, 46, 47, 48, 49, 50, 51, 51, 70, 71}, nil, 40, 12, 3},
+	{[]byte{60, 200, 3, 90, 7, 9}, []byte{70, 47, 25, 25, 3, 200, 90}, nil, 47, 25, 2},
 	{nil, []byte{
 		0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
 		16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31,
 		32, 33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47,
 		48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 63,
-	}, 30, 15, 4},
+	}, nil, 30, 15, 4},
+	{nil, []byte{51, 51, 51, 0, 63, 20}, []byte{0, 4, 5, 6, 11, 47}, 40, 12, 5},
+	{[]byte{60, 200, 3, 90}, []byte{70, 47, 25, 25, 3, 200, 90, 1}, []byte{1, 2, 3, 7, 8, 9, 10, 30}, 47, 25, 2},
+	{nil, []byte{
+		0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
+		16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31,
+	}, []byte{5, 6, 7, 8, 9, 10, 11, 12, 13, 44}, 30, 15, 4},
 }
 
 // checkBatchLanes builds c's graph and runs one msBFSBatch over its 1–64
 // sources (a byte each, modulo n; duplicates allowed; none means one
-// source, node 0) twice on one Scratch: every lane's row must equal
-// referenceBFS from its source both times. The second call also fails if
-// the first left a front or next word set, since ensureMS clears only
-// seen.
+// source, node 0) twice on one Scratch. Without limit bytes every lane's
+// row must equal referenceBFS from its source. With them, lane i's limit is
+// limits[i mod len] % 48 − 4 (so from −4, below 1, to 43, past every
+// eccentricity of a small case): up to max(0, limit) its row must equal
+// referenceBFS, beyond it every node must be Unreachable, and its cut bit
+// must be set exactly when a node lies at max(0, limit), the frontier it
+// stopped with. The second call also fails if the first left a front or
+// next word set, since ensureMS clears only seen.
 func checkBatchLanes(t *testing.T, c batchCase) {
 	t.Helper()
 	b := blockWithPaths(int(c.block)%48, int(c.path)%32, int(c.isolated)%8+1)
@@ -51,38 +63,61 @@ func checkBatchLanes(t *testing.T, c batchCase) {
 	}
 	sources := make([]int, len(srcBytes))
 	want := make([][]int32, len(srcBytes))
+	var limits []int32
+	if len(c.limits) > 0 {
+		limits = make([]int32, len(srcBytes))
+	}
+	var wantCut uint64
 	for i, v := range srcBytes {
 		sources[i] = int(v) % n
 		want[i], _, _ = referenceBFS(g, sources[i])
+		if limits == nil {
+			continue
+		}
+		limits[i] = int32(c.limits[i%len(c.limits)]%48) - 4
+		depth := max(0, limits[i])
+		for v, d := range want[i] {
+			if d == depth {
+				wantCut |= 1 << uint(i)
+			}
+			if d > depth {
+				want[i][v] = Unreachable
+			}
+		}
 	}
 	rows := newRows(len(sources), n)
 	s := NewScratch(n)
 	for call := 1; call <= 2; call++ {
-		msBFSBatch(g, sources, rows, s)
+		cut := msBFSBatch(g, sources, rows, limits, s)
 		for i, row := range rows {
 			for v := range row {
 				if row[v] != want[i][v] {
-					t.Fatalf("call %d, lane %d of %d (source %d): dist[%d] = %d, want %d",
-						call, i, len(sources), sources[i], v, row[v], want[i][v])
+					t.Fatalf("call %d, lane %d of %d (source %d, limits %v): dist[%d] = %d, want %d",
+						call, i, len(sources), sources[i], limits, v, row[v], want[i][v])
 				}
 			}
+		}
+		if cut != wantCut {
+			t.Fatalf("call %d, %d lanes (limits %v): cut mask %#x, want %#x", call, len(sources), limits, cut, wantCut)
 		}
 	}
 }
 
 // FuzzBatchLanes is the multi-lane twin of FuzzEngines: byte-derived
 // graphs (blockWithPaths plus data edges, growing the universe up to 256
-// nodes) and 1–64 byte-chosen sources, duplicates included, through one
-// bit-parallel batch, whose every lane must match the oracle. It covers
-// what a one-lane batch cannot: a pulled node's missing-lane mask, its
-// early exit once its neighbours cover every missing lane, lanes that die
-// while others still pull, and duplicate sources.
+// nodes), 1–64 byte-chosen sources, duplicates included, and byte-chosen
+// per-lane depth limits (or none), through one bit-parallel batch, whose
+// every lane must match the oracle up to its limit and be Unreachable
+// beyond it. It covers what a one-lane batch cannot: a pulled node's
+// missing-lane mask, its early exit once its neighbours cover every
+// missing lane, lanes that die or stop at their limit while others still
+// push or pull, and duplicate sources.
 func FuzzBatchLanes(f *testing.F) {
 	for _, c := range batchCorpus {
-		f.Add(c.data, c.sources, c.block, c.path, c.isolated)
+		f.Add(c.data, c.sources, c.limits, c.block, c.path, c.isolated)
 	}
-	f.Fuzz(func(t *testing.T, data, sources []byte, block, path, isolated uint8) {
-		checkBatchLanes(t, batchCase{data, sources, block, path, isolated})
+	f.Fuzz(func(t *testing.T, data, sources, limits []byte, block, path, isolated uint8) {
+		checkBatchLanes(t, batchCase{data, sources, limits, block, path, isolated})
 	})
 }
 
@@ -160,7 +195,7 @@ func TestBatchDirectionEdgeWork(t *testing.T) {
 					for v := lo; v < min(lo+lanes, n); v++ {
 						sources = append(sources, v)
 					}
-					msBFSBatch(g, sources, rows[:len(sources)], s)
+					msBFSBatch(g, sources, rows[:len(sources)], nil, s)
 					pushOnly += pushOnlyEdges(g, rows[:len(sources)])
 				}
 				d := SnapshotMetrics().Sub(before).BitParallel64
